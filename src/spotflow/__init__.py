@@ -16,8 +16,6 @@ from .cloud_model import (
     TaskProfile,
     default_catalog,
     expected_ondemand_cost,
-    fit_gamma,
-    fit_normal,
     load_catalog,
     task_time_distribution,
 )
@@ -25,6 +23,7 @@ from .distributions import (
     DEFAULT_SAMPLE_COUNT,
     EmpiricalDistribution,
     convolve,
+    derive_seed,
     dominates,
     max_of,
     substream,

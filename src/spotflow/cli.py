@@ -18,7 +18,8 @@ import json
 import pathlib
 import sys
 import time
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 
 from . import cloud_model, planner_astar, planner_hybrid, simulator, spot_market, workflow_dag
 
@@ -26,6 +27,10 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
 EXIT_MISMATCH = 4
+
+# Bad input or configuration, exit EXIT_PARSE.  CatalogError, TraceError,
+# WorkflowError and json.JSONDecodeError are all ValueErrors.
+PARSE_ERRORS = (ValueError, OSError)
 
 SPOT_ONLY_BID = 1000.0  # effectively never out-of-bid
 
@@ -56,6 +61,14 @@ class ExperimentSpec:
     baseline: str | None = None
 
     def __post_init__(self):
+        for f in fields(self):  # spec files can hold any JSON value
+            value = getattr(self, f.name)
+            types = typing.get_args(f.type) or (f.type,)
+            if (not isinstance(value, types + ((int,) if float in types else ()))
+                    or isinstance(value, bool) and bool not in types
+                    or f.type is list and not all(isinstance(v, str) for v in value)):
+                raise ValueError("%s must be %s, got %r"
+                                 % (f.name, " or ".join(t.__name__ for t in types), value))
         if self.planner not in PLANNERS:
             raise ValueError("planner must be one of %s" % (PLANNERS,))
         if not 0.0 < self.guarantee <= 1.0:
@@ -98,7 +111,14 @@ def _spec_from_args(args):
     values = {}
     if getattr(args, "spec", None):
         with open(args.spec, "r", encoding="utf-8") as fh:
-            values.update(json.load(fh))
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("%s: spec must be a JSON object, got %s"
+                             % (args.spec, type(doc).__name__))
+        unknown = sorted(set(doc) - set(ExperimentSpec.__dataclass_fields__))
+        if unknown:
+            raise ValueError("%s: unknown spec key(s): %s" % (args.spec, ", ".join(unknown)))
+        values.update(doc)
     for key in ExperimentSpec.__dataclass_fields__:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
@@ -194,7 +214,22 @@ def cmd_plan(spec):
     return EXIT_OK
 
 
+def _load_baseline(path):
+    """(avg_cost_per_job, hit_rate) of a baseline report.json."""
+    with open(path, "r", encoding="utf-8") as fh:
+        base = json.load(fh)
+    try:
+        cost, hit_rate = float(base["avg_cost_per_job"]), float(base["hit_rate"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError("%s: baseline report needs numeric avg_cost_per_job and hit_rate"
+                         " (%s: %s)" % (path, type(exc).__name__, exc)) from exc
+    if not cost > 0:
+        raise ValueError("%s: baseline avg_cost_per_job must be positive, got %r" % (path, cost))
+    return cost, hit_rate
+
+
 def cmd_simulate(spec, plans_path=None):
+    baseline = _load_baseline(spec.baseline) if spec.baseline else None
     catalog = spec.load_catalog()
     jobs = spec.load_jobs(catalog)
     out = _out_dir(spec)
@@ -208,7 +243,6 @@ def cmd_simulate(spec, plans_path=None):
         job_count=spec.jobs,
         seed=spec.seed,
         idle_release_policy=spec.release_policy,
-        guarantee_p=spec.guarantee,
         collect_event_log=spec.event_log,
     )
     traces = spec.load_traces(catalog)
@@ -230,12 +264,10 @@ def cmd_simulate(spec, plans_path=None):
                     row["makespan_s"], row["deadline_s"], int(row["hit"])))
     if spec.event_log:
         (out / "events.log").write_text("\n".join(sim.event_log) + "\n", encoding="utf-8")
-    if spec.baseline:
-        with open(spec.baseline, "r", encoding="utf-8") as fh:
-            base = json.load(fh)
+    if baseline is not None:
         ratios = {
-            "avg_cost_ratio": rep.avg_cost_per_job / base["avg_cost_per_job"],
-            "hit_rate_delta": rep.hit_rate - base["hit_rate"],
+            "avg_cost_ratio": rep.avg_cost_per_job / baseline[0],
+            "hit_rate_delta": rep.hit_rate - baseline[1],
         }
         (out / "normalized.json").write_text(
             json.dumps(ratios, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -307,8 +339,7 @@ def main(argv=None):
     except simulator.PlanMismatchError as exc:
         print("mismatch: %s" % exc, file=sys.stderr)
         return EXIT_MISMATCH
-    except (cloud_model.CatalogError, spot_market.TraceError,
-            workflow_dag.WorkflowError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except PARSE_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
     return EXIT_OK

@@ -65,10 +65,12 @@ class InstanceType:
     acquisition_lag_spot: float = 420.0       # seconds
 
     def __post_init__(self):
-        if self.ondemand_price <= 0:
-            raise CatalogError("ondemand_price must be positive: %s" % self.name)
-        if self.cpu_speed <= 0:
-            raise CatalogError("cpu_speed must be positive: %s" % self.name)
+        for name in ("ondemand_price", "cpu_speed"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise CatalogError("%s must be positive and finite: %s" % (name, self.name))
+        for name in ("acquisition_lag_ondemand", "acquisition_lag_spot"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise CatalogError("%s must be nonnegative and finite: %s" % (name, self.name))
 
     def lag(self, is_spot):
         return self.acquisition_lag_spot if is_spot else self.acquisition_lag_ondemand
@@ -90,8 +92,8 @@ class TaskProfile:
 
     def __post_init__(self):
         for field in ("instructions", "seq_io_mb", "rnd_io_mb", "net_in_mb", "net_out_mb"):
-            if getattr(self, field) < 0:
-                raise ValueError("%s must be nonnegative" % field)
+            if not 0 <= getattr(self, field) < math.inf:
+                raise ValueError("%s must be nonnegative and finite" % field)
 
 
 class Catalog:
@@ -175,18 +177,13 @@ def load_catalog(path):
                     % (path, lineno, len(_CATALOG_COLUMNS), len(fields))
                 )
             try:
+                nums = [float(f) for f in fields[2:]]
+                if not all(map(math.isfinite, nums)):
+                    raise CatalogError("numeric fields must be finite")
                 types.append(InstanceType(
-                    id=int(fields[0]),
-                    name=fields[1],
-                    ondemand_price=float(fields[2]),
-                    cpu_speed=float(fields[3]),
-                    seq_io=GammaSpec(float(fields[4]), float(fields[5])),
-                    rnd_io=NormalSpec(float(fields[6]), float(fields[7])),
-                    net_in=GammaSpec(float(fields[8]), float(fields[9])),
-                    net_out=GammaSpec(float(fields[10]), float(fields[11])),
-                    acquisition_lag_ondemand=float(fields[12]),
-                    acquisition_lag_spot=float(fields[13]),
-                ))
+                    int(fields[0]), fields[1], nums[0], nums[1],
+                    GammaSpec(*nums[2:4]), NormalSpec(*nums[4:6]),
+                    GammaSpec(*nums[6:8]), GammaSpec(*nums[8:10]), *nums[10:12]))
             except (ValueError, CatalogError) as exc:
                 raise CatalogError("%s:%d: %s" % (path, lineno, exc)) from exc
     if not types:
@@ -264,7 +261,7 @@ def task_time_distribution(profile, itype, n=DEFAULT_SAMPLE_COUNT, seed=0):
         data_mb = getattr(profile, data_field)
         if data_mb > 0:
             total += data_mb / _positive_draw(getattr(itype, band_field), rng, n)
-    return EmpiricalDistribution(total, rng_seed=seed)
+    return EmpiricalDistribution(total)
 
 
 def sample_task_time(profile, itype, rng):
@@ -277,40 +274,14 @@ def sample_task_time(profile, itype, rng):
     return total
 
 
-def expected_ondemand_cost(itype, dist):
-    """Expected on-demand cost of a task: price times expected hours.
+def expected_ondemand_cost(price, dist):
+    """Expected on-demand cost of a task (USD): hourly price times expected hours.
 
     Deliberately ignores instance-hour rounding; in a many-task service the
     rounding cost is amortized and modelling it here would over-constrain
     the plan search.
     """
-    return itype.ondemand_price * dist.expectation() / SECONDS_PER_HOUR
-
-
-def fit_gamma(samples):
-    """Method-of-moments Gamma fit: k = mean^2/var, theta = var/mean.
-
-    Returns None (degenerate) when the sample variance is zero; callers
-    should fall back to a point mass.
-    """
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.size < 2:
-        raise ValueError("need at least 2 samples to fit")
-    mean = arr.mean()
-    var = arr.var()
-    if var == 0.0:
-        return None
-    if mean <= 0:
-        raise ValueError("gamma fit requires positive mean")
-    return (mean * mean / var, var / mean)
-
-
-def fit_normal(samples):
-    """Moment fit of a Normal: (sample mean, population standard deviation)."""
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.size < 2:
-        raise ValueError("need at least 2 samples to fit")
-    return (float(arr.mean()), float(arr.std()))
+    return price * dist.expectation() / SECONDS_PER_HOUR
 
 
 def expected_task_time(profile, itype, n=DEFAULT_SAMPLE_COUNT, seed=0):

@@ -41,6 +41,15 @@ def substream(seed, *key):
     return np.random.default_rng(seed_sequence(seed, *key))
 
 
+def derive_seed(seed, *key):
+    """Integer seed for a child computation, stable across processes.
+
+    The one rule for handing a seed down a key path: the first 63-bit draw
+    of the (seed, *key) substream.
+    """
+    return int(substream(seed, *key).integers(0, 2**63))
+
+
 class EmpiricalDistribution:
     """Immutable empirical distribution of a nonnegative random variable.
 
@@ -49,9 +58,9 @@ class EmpiricalDistribution:
     bandwidths).
     """
 
-    __slots__ = ("_samples", "_sorted", "rng_seed")
+    __slots__ = ("_samples", "_sorted")
 
-    def __init__(self, samples, rng_seed=None):
+    def __init__(self, samples):
         arr = np.asarray(samples, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError("samples must be a one-dimensional sequence")
@@ -67,7 +76,6 @@ class EmpiricalDistribution:
         srt.flags.writeable = False
         object.__setattr__(self, "_samples", arr)
         object.__setattr__(self, "_sorted", srt)
-        object.__setattr__(self, "rng_seed", rng_seed)
 
     def __setattr__(self, name, value):
         raise AttributeError("EmpiricalDistribution is immutable")
@@ -105,7 +113,7 @@ class EmpiricalDistribution:
         if n < 2:
             raise ValueError("need at least 2 samples")
         rng = substream(seed, "gamma")
-        return cls(rng.gamma(k, theta, size=n), rng_seed=seed)
+        return cls(rng.gamma(k, theta, size=n))
 
     @classmethod
     def from_normal(cls, mu, sigma, n=DEFAULT_SAMPLE_COUNT, seed=0):
@@ -122,13 +130,13 @@ class EmpiricalDistribution:
         if sigma == 0:
             if mu < 0:
                 raise ValueError("point mass at negative mu cannot be truncated")
-            return cls(np.full(n, float(mu)), rng_seed=seed)
+            return cls(np.full(n, float(mu)))
         out = rng.normal(mu, sigma, size=n)
         for _ in range(_MAX_RESAMPLE_ROUNDS):
             bad = out < 0.0
             count = int(bad.sum())
             if count == 0:
-                return cls(out, rng_seed=seed)
+                return cls(out)
             out[bad] = rng.normal(mu, sigma, size=count)
         raise ValueError(
             "could not truncate Normal(%g, %g) at zero; too much negative mass"
@@ -169,7 +177,9 @@ def _aligned(dist, n, rng):
     """Return dist's samples as a length-n vector in random order.
 
     Uses a permutation when sizes already match (preserving the sample
-    multiset exactly), a bootstrap resample otherwise.
+    multiset exactly), a bootstrap resample otherwise.  This is the one
+    sample-pairing rule of the package: every operation that combines
+    distributions sample by sample lines its operands up through it.
     """
     if dist.sample_count == n:
         return rng.permutation(dist.samples)
@@ -180,7 +190,7 @@ def convolve(a, b, seed=0):
     """Distribution of X + Y for independent X ~ a, Y ~ b."""
     n = max(a.sample_count, b.sample_count)
     rng = substream(seed, "convolve")
-    return EmpiricalDistribution(_aligned(a, n, rng) + _aligned(b, n, rng), rng_seed=seed)
+    return EmpiricalDistribution(_aligned(a, n, rng) + _aligned(b, n, rng))
 
 
 def max_of(dists, seed=0):
@@ -195,7 +205,7 @@ def max_of(dists, seed=0):
     acc = np.array(_aligned(dists[0], n, rng))
     for d in dists[1:]:
         np.maximum(acc, _aligned(d, n, rng), out=acc)
-    return EmpiricalDistribution(acc, rng_seed=seed)
+    return EmpiricalDistribution(acc)
 
 
 def dominates(c2, c1, epsilon=0.01):

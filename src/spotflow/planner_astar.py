@@ -16,17 +16,15 @@ monotone in plan cost.
 import heapq
 import json
 import math
-import time
 from dataclasses import dataclass, field
 
 from .cloud_model import expected_ondemand_cost, task_time_distribution
-from .distributions import DEFAULT_SAMPLE_COUNT
+from .distributions import DEFAULT_SAMPLE_COUNT, derive_seed
 from .workflow_dag import (
     ConfigDim,
     HybridConfig,
     WorkflowError,
     is_feasible,
-    substream_seed,
     workflow_time_distribution,
 )
 
@@ -54,18 +52,6 @@ class AStarParams:
             raise ValueError("max_iter must be >= 1")
 
 
-@dataclass(frozen=True)
-class SearchState:
-    plan: tuple
-    level: int
-    g: float
-    h: float
-
-    @property
-    def f(self):
-        return self.g + self.h
-
-
 @dataclass
 class SearchStats:
     """Diagnostics of one search run."""
@@ -75,7 +61,6 @@ class SearchStats:
     pruned: int = 0
     feasible_found: int = 0
     upper_bound_history: list = field(default_factory=list)
-    wall_time: float = 0.0
 
 
 class TaskDistCache:
@@ -102,7 +87,7 @@ class TaskDistCache:
                 task.profile,
                 self.catalog[type_id],
                 n=self.sample_count,
-                seed=substream_seed(self.seed, task_id, type_id),
+                seed=derive_seed(self.seed, task_id, type_id),
             )
         return self._dists[key]
 
@@ -110,7 +95,7 @@ class TaskDistCache:
         key = (task_id, type_id)
         if key not in self._costs:
             self._costs[key] = expected_ondemand_cost(
-                self.catalog[type_id], self.dist(task_id, type_id)
+                self.catalog[type_id].ondemand_price, self.dist(task_id, type_id)
             )
         return self._costs[key]
 
@@ -127,7 +112,7 @@ def plan_distribution(job, cache, plan, seed=None):
     the same plan get bit-identical results.
     """
     if seed is None:
-        seed = substream_seed(cache.seed, "compose-root")
+        seed = derive_seed(cache.seed, "compose-root")
     dists = {tid: cache.dist(tid, type_id) for tid, type_id in enumerate(plan)}
     return workflow_time_distribution(job, dists, seed=seed)
 
@@ -145,7 +130,6 @@ def astar_configure(job, catalog, params=None, sample_count=DEFAULT_SAMPLE_COUNT
     params = params if params is not None else AStarParams()
     cache = cache if cache is not None else TaskDistCache(job, catalog, sample_count, seed)
     stats = stats if stats is not None else SearchStats()
-    t0 = time.perf_counter()
 
     n_tasks = len(job.tasks)
     n_types = len(catalog)
@@ -156,9 +140,10 @@ def astar_configure(job, catalog, params=None, sample_count=DEFAULT_SAMPLE_COUNT
     best_plan = None
     best_infeasible = (math.inf, initial)  # (percentile, plan) for diagnosis
 
-    start = SearchState(plan=initial, level=0, g=0.0, h=h0)
-    open_heap = [(start.f, start.g, start.plan)]
-    open_states = {initial: start}
+    # Heap entries are (f, g, plan); the open map holds each plan's
+    # (level, h), level being the first task the plan may still change.
+    open_heap = [(h0, 0.0, initial)]
+    open_states = {initial: (0, h0)}
     closed = set()
 
     while open_heap and stats.iterations < params.max_iter:
@@ -167,14 +152,14 @@ def astar_configure(job, catalog, params=None, sample_count=DEFAULT_SAMPLE_COUNT
         state = open_states.pop(plan, None)
         if state is None or plan in closed:
             continue
+        level, h = state
 
         dist = plan_distribution(job, cache, plan)
         percentile = dist.percentile(job.guarantee_p)
         if percentile <= job.deadline:
             stats.feasible_found += 1
-            current_cost = state.h
-            if current_cost < upper_bound:
-                upper_bound = current_cost
+            if h < upper_bound:
+                upper_bound = h
                 best_plan = plan
                 stats.upper_bound_history.append(upper_bound)
         elif percentile < best_infeasible[0]:
@@ -182,21 +167,20 @@ def astar_configure(job, catalog, params=None, sample_count=DEFAULT_SAMPLE_COUNT
 
         closed.add(plan)
 
-        for dim in range(state.level, n_tasks):
+        for dim in range(level, n_tasks):
             for type_id in range(plan[dim] + 1, n_types):
                 child_plan = plan[:dim] + (type_id,) + plan[dim + 1:]
                 stats.generated += 1
-                child_h = state.h - cache.cost(dim, plan[dim]) + cache.cost(dim, type_id)
+                child_h = h - cache.cost(dim, plan[dim]) + cache.cost(dim, type_id)
                 child_g = child_h - h0
-                child = SearchState(plan=child_plan, level=dim, g=child_g, h=child_h)
-                if child.f >= upper_bound or child_plan in closed:
+                child_f = child_g + child_h
+                if child_f >= upper_bound or child_plan in closed:
                     stats.pruned += 1
                     continue
                 if child_plan not in open_states:
-                    open_states[child_plan] = child
-                    heapq.heappush(open_heap, (child.f, child.g, child_plan))
+                    open_states[child_plan] = (dim, child_h)
+                    heapq.heappush(open_heap, (child_f, child_g, child_plan))
 
-    stats.wall_time = time.perf_counter() - t0
     if best_plan is None:
         raise InfeasiblePlanError(job, best_infeasible[1], best_infeasible[0])
     return list(best_plan)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud_model import SECONDS_PER_HOUR
-from .distributions import EmpiricalDistribution, dominates, substream
+from .cloud_model import SECONDS_PER_HOUR, expected_ondemand_cost
+from .distributions import EmpiricalDistribution, _aligned, derive_seed, dominates, substream
 from .spot_market import estimate_ffp
 from .workflow_dag import ConfigDim, HybridConfig
 
@@ -75,21 +75,16 @@ def hybrid_time_distribution(spot_parts, od_dist, seed=0):
     if remaining.any():
         to = _aligned(od_dist, n, rng)
         result[remaining] = consumed[remaining] + to[remaining]
-    return EmpiricalDistribution(result, rng_seed=seed)
-
-
-def _aligned(dist, n, rng):
-    if dist.sample_count == n:
-        return rng.permutation(dist.samples)
-    return rng.choice(dist.samples, size=n, replace=True)
+    return EmpiricalDistribution(result)
 
 
 def hybrid_cost(config, dim_dists, failure):
     """Estimated monetary cost of a task under a hybrid configuration (USD).
 
-    Sample-average over paired execution-time draws: every spot dimension is
-    charged its bid price for the full would-be execution time (reached with
-    the probability that all earlier dimensions failed), and the on-demand
+    Sample-average over index-paired execution-time draws (the distributions
+    must have equal sample counts): every spot dimension is charged its bid
+    price for the full would-be execution time (reached with the
+    probability that all earlier dimensions failed), and the on-demand
     dimension is charged its price weighted by the probability that every
     spot dimension failed before the task could finish there.  Times are
     converted to hours.  This deliberately prices spot usage at the bid
@@ -97,31 +92,14 @@ def hybrid_cost(config, dim_dists, failure):
     trace prices; the two bases are kept distinct.
     """
     dims = config.dims
-    n = max(d.sample_count for d in dim_dists)
-    per_sample = np.zeros(n)
-    reach = np.ones(n)
+    per_sample = 0.0
+    reach = 1.0
     for dim, dist in zip(dims[:-1], dim_dists[:-1]):
-        stime = _bootstrap(dist, n)
-        per_sample += reach * dim.price * stime / SECONDS_PER_HOUR
+        per_sample += reach * dim.price * dist.samples / SECONDS_PER_HOUR
         ffp = estimate_ffp(failure, dim.type_id, dim.price)
-        reach = reach * ffp.cumulative_before_many(stime)
-    od = dims[-1]
-    otime = _bootstrap(dim_dists[-1], n)
-    per_sample += reach * od.price * otime / SECONDS_PER_HOUR
+        reach = reach * ffp.cumulative_before_many(dist.samples)
+    per_sample += reach * dims[-1].price * dim_dists[-1].samples / SECONDS_PER_HOUR
     return float(per_sample.mean())
-
-
-def _bootstrap(dist, n):
-    if dist.sample_count == n:
-        return dist.samples
-    # Deterministic tiling keeps cost evaluation free of extra rng state.
-    reps = -(-n // dist.sample_count)
-    return np.tile(dist.samples, reps)[:n]
-
-
-def ondemand_cost(od_price, od_dist):
-    """Expected cost of running the task on-demand only (USD)."""
-    return od_price * od_dist.expectation() / SECONDS_PER_HOUR
 
 
 def binary_search_bid(spot_type, od_dim, spot_dist, od_dist, failure, params,
@@ -141,7 +119,7 @@ def binary_search_bid(spot_type, od_dim, spot_dist, od_dist, failure, params,
         od_dim,
     ))
     spot_cost = hybrid_cost(candidate, [spot_dist, od_dist], failure)
-    od_cost = ondemand_cost(od_dim.price, od_dist)
+    od_cost = expected_ondemand_cost(od_dim.price, od_dist)
     if spot_cost > od_cost:
         return binary_search_bid(spot_type, od_dim, spot_dist, od_dist,
                                  failure, params, p_low, p_mid, seed=seed)
@@ -149,16 +127,12 @@ def binary_search_bid(spot_type, od_dim, spot_dist, od_dist, failure, params,
     ffp = estimate_ffp(failure, spot_type.id, p_mid)
     hybrid_dist = hybrid_time_distribution(
         [(spot_dist, ffp)], od_dist,
-        seed=substream_seed_for_bid(seed, spot_type.id, p_mid),
+        seed=derive_seed(seed, "bid", spot_type.id, _bid_key(p_mid)),
     )
     if not dominates(hybrid_dist, od_dist, params.dominance_epsilon):
         return binary_search_bid(spot_type, od_dim, spot_dist, od_dist,
                                  failure, params, p_mid, p_high, seed=seed)
     return p_mid
-
-
-def substream_seed_for_bid(seed, type_id, bid):
-    return int(substream(seed, "bid", type_id, _bid_key(bid)).integers(0, 2**63))
 
 
 def refine_task(task_id, ondemand_type, catalog, failure, cache, params=None, seed=0):
@@ -186,17 +160,13 @@ def refine_task(task_id, ondemand_type, catalog, failure, cache, params=None, se
                     spot_type, od_dim,
                     cache.dist(task_id, spot_type_id), od_dist,
                     failure, params, params.p_min, p_max,
-                    seed=substream_seed_for_task(seed, task_id, dim_idx),
+                    seed=derive_seed(seed, "refine", task_id, dim_idx),
                 )
                 if bid is not None:
                     slots[dim_idx] = ConfigDim(spot_type_id, bid, True)
 
     dims = tuple(s for s in slots if s is not None) + (od_dim,)
     return HybridConfig(dims)
-
-
-def substream_seed_for_task(seed, task_id, dim_idx):
-    return int(substream(seed, "refine", task_id, dim_idx).integers(0, 2**63))
 
 
 def refine_plan(job, plan, catalog, failure, cache, params=None, seed=0):
@@ -224,7 +194,7 @@ def check_refinement(task_id, config, failure, cache, params=None, seed=0):
         return True, True
     cost_ok = True
     dominance_ok = True
-    od_cost = ondemand_cost(od_dim.price, od_dist)
+    od_cost = expected_ondemand_cost(od_dim.price, od_dist)
     for dim_idx, dim in enumerate(config.spot_dims):
         spot_dist = cache.dist(task_id, dim.type_id)
         candidate = HybridConfig((dim, od_dim))
@@ -232,10 +202,10 @@ def check_refinement(task_id, config, failure, cache, params=None, seed=0):
             hybrid_cost(candidate, [spot_dist, od_dist], failure) <= od_cost
         )
         ffp = estimate_ffp(failure, dim.type_id, dim.price)
-        task_seed = substream_seed_for_task(seed, task_id, dim_idx)
+        task_seed = derive_seed(seed, "refine", task_id, dim_idx)
         hd = hybrid_time_distribution(
             [(spot_dist, ffp)], od_dist,
-            seed=substream_seed_for_bid(task_seed, dim.type_id, dim.price),
+            seed=derive_seed(task_seed, "bid", dim.type_id, _bid_key(dim.price)),
         )
         dominance_ok = dominance_ok and dominates(hd, od_dist, params.dominance_epsilon)
     return cost_ok, dominance_ok

@@ -26,8 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 from .cloud_model import SECONDS_PER_HOUR, ceil_hours, expected_task_time, sample_task_time
-from .distributions import substream
-from .workflow_dag import substream_seed
+from .distributions import derive_seed, substream
 
 
 class SimulationError(RuntimeError):
@@ -54,13 +53,12 @@ class SimConfig:
     job_count: int = 100
     seed: int = 0
     idle_release_policy: str = "hour-boundary"  # or "immediate"
-    guarantee_p: float = 0.96
     expectation_samples: int = 2000  # for consolidation headroom estimates
     collect_event_log: bool = False
 
     def __post_init__(self):
-        if self.arrival_rate_per_min <= 0:
-            raise ValueError("arrival rate must be positive")
+        if not 0 < self.arrival_rate_per_min < math.inf:
+            raise ValueError("arrival rate must be positive and finite")
         if self.job_count < 1:
             raise ValueError("job_count must be >= 1")
         if self.idle_release_policy not in ("hour-boundary", "immediate"):
@@ -78,7 +76,6 @@ class Instance:
     # (job_index, task_id, attempt) currently assigned, also while booting.
     assigned: tuple | None = None
     busy: bool = False
-    idle_since: int | None = None
     release_token: int = 0
     busy_intervals: list = field(default_factory=list)
 
@@ -135,10 +132,9 @@ class InstancePool:
                     return inst
         return None
 
-    def mark_idle(self, inst, now):
+    def mark_idle(self, inst):
         inst.busy = False
         inst.assigned = None
-        inst.idle_since = now
         inst.release_token += 1
         lst = self._idle_list(inst.type_id, inst.is_spot)
         lst.append(inst.id)
@@ -152,7 +148,7 @@ class InstancePool:
 
 
 def bill(inst, end_time, terminated_by, itype, trace=None):
-    """Monetary cost of one instance's lifetime [ready_time, end_time].
+    """(billed hours, monetary cost) of one instance's lifetime [ready_time, end_time].
 
     On-demand: started hours round up, at the fixed hourly price.  Spot,
     user-terminated: started hours round up, each charged the market price
@@ -162,18 +158,18 @@ def bill(inst, end_time, terminated_by, itype, trace=None):
     if terminated_by not in ("user", "out-of-bid"):
         raise ValueError("terminated_by must be 'user' or 'out-of-bid'")
     elapsed = end_time - inst.ready_time
-    if not inst.is_spot:
-        return ceil_hours(elapsed) * itype.ondemand_price
-    if trace is None:
-        raise SimulationError("spot billing requires a price trace")
-    if terminated_by == "out-of-bid":
+    if inst.is_spot and terminated_by == "out-of-bid":
         hours = int(elapsed // SECONDS_PER_HOUR)
     else:
         hours = ceil_hours(elapsed)
+    if not inst.is_spot:
+        return hours, hours * itype.ondemand_price
+    if trace is None:
+        raise SimulationError("spot billing requires a price trace")
     total = 0.0
     for h in range(hours):
         total += trace.price_at_cyclic(inst.ready_time + h * SECONDS_PER_HOUR)
-    return total
+    return hours, total
 
 
 @dataclass
@@ -184,7 +180,6 @@ class JobRun:
     arrival: int
     unfinished: int = 0
     pending_preds: dict = field(default_factory=dict)
-    finished: set = field(default_factory=set)
     completion: int | None = None
 
 
@@ -213,19 +208,6 @@ class SimReport:
             "seed": self.seed,
         }
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-    def normalized(self, baseline, name="baseline"):
-        """Headline metrics as ratios against another run."""
-        return {
-            "baseline": name,
-            "avg_cost_ratio": _ratio(self.avg_cost_per_job, baseline.avg_cost_per_job),
-            "avg_makespan_ratio": _ratio(self.avg_makespan_s, baseline.avg_makespan_s),
-            "hit_rate_delta": self.hit_rate - baseline.hit_rate,
-        }
-
-
-def _ratio(a, b):
-    return a / b if b else math.inf
 
 
 class Simulator:
@@ -343,7 +325,6 @@ class Simulator:
         inst = self.pool.acquire_or_reuse(dim.type_id, dim.is_spot, self.now, expected)
         if inst is not None:
             inst.release_token += 1  # cancel any pending idle release
-            inst.idle_since = None
             inst.assigned = (job.index, task_id, attempt)
             self._log(self.now, "InstanceReuse",
                       "inst=%d job=%d task=%d" % (inst.id, job.index, task_id))
@@ -394,10 +375,9 @@ class Simulator:
         job = self.jobs[job_index]
         self._log(self.now, "TaskFinish",
                   "job=%d task=%d inst=%d" % (job_index, task_id, inst.id))
-        self.pool.mark_idle(inst, self.now)
+        self.pool.mark_idle(inst)
         self._schedule_release(inst)
 
-        job.finished.add(task_id)
         job.unfinished -= 1
         if job.unfinished == 0:
             job.completion = self.now
@@ -437,12 +417,7 @@ class Simulator:
     def _settle(self, inst, terminated_by):
         itype = self.catalog[inst.type_id]
         trace = self.traces.get(inst.type_id)
-        amount = bill(inst, self.now, terminated_by, itype, trace)
-        elapsed = self.now - inst.ready_time
-        if inst.is_spot and terminated_by == "out-of-bid":
-            hours = int(elapsed // SECONDS_PER_HOUR)
-        else:
-            hours = ceil_hours(elapsed)
+        hours, amount = bill(inst, self.now, terminated_by, itype, trace)
         self.bills.append((inst.id, inst.type_id, inst.is_spot, hours, amount))
         self.pool.remove(inst)
 
@@ -457,7 +432,7 @@ class Simulator:
                 cls.task_by_id(task_id).profile,
                 self.catalog[type_id],
                 n=self.config.expectation_samples,
-                seed=substream_seed(self.config.seed, "expected", task_id, type_id),
+                seed=derive_seed(self.config.seed, "expected", task_id, type_id),
             )
         return self._expected_cache[key]
 

@@ -46,10 +46,12 @@ class SpotPriceTrace:
             raise TraceError("trace must contain at least one point")
         if ts.size != pr.size:
             raise TraceError("timestamps and prices must have equal length")
+        if not np.all(np.isfinite(ts)):
+            raise TraceError("timestamps must be finite")
         if np.any(np.diff(ts) <= 0):
             raise TraceError("timestamps must be strictly increasing")
-        if np.any(pr <= 0):
-            raise TraceError("prices must be positive")
+        if not np.all((pr > 0) & np.isfinite(pr)):
+            raise TraceError("prices must be positive and finite")
         ts = ts.copy()
         pr = pr.copy()
         ts.flags.writeable = False
@@ -268,8 +270,8 @@ def estimate_ffp(model, type_id, bid):
     exceeds the bid, including immediately at the start offset; walks
     reaching the trace end or the horizon count as no-failure.
     """
-    if bid <= 0:
-        raise ValueError("bid must be positive")
+    if not 0 < bid < math.inf:
+        raise ValueError("bid must be positive and finite")
     key = (type_id, round(float(bid), 9))
     cached = model._cache.get(key)
     if cached is not None:

@@ -8,6 +8,7 @@ by series/parallel steps, by per-sample critical-path Monte Carlo otherwise.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +17,9 @@ from .cloud_model import TaskProfile, expected_task_time
 from .distributions import (
     DEFAULT_SAMPLE_COUNT,
     EmpiricalDistribution,
+    _aligned,
     convolve,
+    derive_seed,
     max_of,
     substream,
 )
@@ -87,7 +90,6 @@ class Task:
     profile: TaskProfile
     predecessors: list = field(default_factory=list)
     successors: list = field(default_factory=list)
-    config: HybridConfig | None = None
 
 
 @dataclass
@@ -100,8 +102,8 @@ class WorkflowJob:
     class_id: str = "job"
 
     def __post_init__(self):
-        if self.deadline is not None and self.deadline <= 0:
-            raise WorkflowError("deadline must be positive")
+        if self.deadline is not None and not 0 < self.deadline < math.inf:
+            raise WorkflowError("deadline must be positive and finite")
         if not 0.0 < self.guarantee_p <= 1.0:
             raise WorkflowError("guarantee_p must be in (0, 1]")
         ids = [t.id for t in self.tasks]
@@ -198,7 +200,6 @@ def assign_ids(job):
             profile=by_id[tid].profile,
             predecessors=sorted(mapping[p] for p in by_id[tid].predecessors),
             successors=sorted(mapping[s] for s in by_id[tid].successors),
-            config=by_id[tid].config,
         )
         for tid in topo
     ]
@@ -254,7 +255,7 @@ def _series_parallel_reduce(job, dists, seed):
                 if len(preds[v]) != 1:
                     break
                 node_dist[u] = convolve(node_dist[u], node_dist[v],
-                                        seed=_compose_seed(seed, op_counter))
+                                        seed=derive_seed(seed, "compose", op_counter))
                 op_counter += 1
                 succs[u] = set(succs[v])
                 for w in succs[u]:
@@ -272,7 +273,7 @@ def _series_parallel_reduce(job, dists, seed):
                 continue
             survivor = members[0]
             node_dist[survivor] = max_of([node_dist[m] for m in members],
-                                         seed=_compose_seed(seed, op_counter))
+                                         seed=derive_seed(seed, "compose", op_counter))
             op_counter += 1
             for v in members[1:]:
                 for w in preds[v]:
@@ -288,21 +289,11 @@ def _series_parallel_reduce(job, dists, seed):
     return None
 
 
-def _compose_seed(seed, counter):
-    return int(substream(seed, "compose", counter).integers(0, 2**63))
-
-
 def _critical_path_monte_carlo(job, dists, seed):
     """Per-sample longest-path makespan over independently permuted samples."""
     n = max(d.sample_count for d in dists.values())
     rng = substream(seed, "critical-path")
-    durations = {}
-    for tid in sorted(dists):
-        d = dists[tid]
-        if d.sample_count == n:
-            durations[tid] = rng.permutation(d.samples)
-        else:
-            durations[tid] = rng.choice(d.samples, size=n, replace=True)
+    durations = {tid: _aligned(dists[tid], n, rng) for tid in sorted(dists)}
     finish = {}
     for t in sorted(job.tasks, key=lambda t: t.id):  # ids are topological
         acc = durations[t.id].copy()
@@ -315,7 +306,7 @@ def _critical_path_monte_carlo(job, dists, seed):
     makespan = None
     for tid in job.sink_ids():
         makespan = finish[tid] if makespan is None else np.maximum(makespan, finish[tid])
-    return EmpiricalDistribution(makespan, rng_seed=seed)
+    return EmpiricalDistribution(makespan)
 
 
 def workflow_time_distribution(job, per_task_dists, seed=0):
@@ -370,19 +361,14 @@ def deadline_bounds(job, catalog, n=DEFAULT_SAMPLE_COUNT, seed=0):
     fastest = catalog.most_expensive()
     slowest = catalog.cheapest()
     d_min = critical_path_length(job, {
-        t.id: expected_task_time(t.profile, fastest, n=n, seed=substream_seed(seed, t.id, fastest.id))
+        t.id: expected_task_time(t.profile, fastest, n=n, seed=derive_seed(seed, t.id, fastest.id))
         for t in job.tasks
     })
     d_max = critical_path_length(job, {
-        t.id: expected_task_time(t.profile, slowest, n=n, seed=substream_seed(seed, t.id, slowest.id))
+        t.id: expected_task_time(t.profile, slowest, n=n, seed=derive_seed(seed, t.id, slowest.id))
         for t in job.tasks
     })
     return d_min, d_max
-
-
-def substream_seed(seed, *key):
-    """Derived integer seed, stable across processes."""
-    return int(substream(seed, *key).integers(0, 2**63))
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +418,7 @@ def load_workflow(path, deadline=None, guarantee_p=0.96, class_id=None):
                     edges.append((int(parts[1]), int(parts[2])))
                 else:
                     raise ValueError("unknown directive %r" % kind)
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:  # int() of an infinite id
                 raise WorkflowError("%s:%d: %s" % (path, lineno, exc)) from exc
     if not profiles:
         raise WorkflowError("%s: workflow file defines no tasks" % path)

@@ -87,6 +87,14 @@ class TestPlan:
                        "--workflow", workspace["workflow"], "--out", workspace["out"]])
         assert rc == cli.EXIT_PARSE
 
+    def test_nan_trace_price_is_parse_error(self, workspace, tmp_path, capsys):
+        trace_dir = tmp_path / "nan"
+        trace_dir.mkdir()
+        (trace_dir / "t0.csv").write_text("0,0.02\n3600,nan\n")
+        rc = cli.main(["plan", *base_args(workspace, "--trace-dir", str(trace_dir))])
+        assert rc == cli.EXIT_PARSE
+        assert "prices must be positive and finite" in capsys.readouterr().err
+
 
 class TestSimulate:
     def _plan_then_simulate(self, ws, *extra):
@@ -121,6 +129,27 @@ class TestSimulate:
                        "--workflow", str(other_path), "--out", workspace["out"],
                        "--jobs", "2"])
         assert rc == cli.EXIT_MISMATCH
+
+    def test_baseline_writes_normalized_ratios(self, workspace, tmp_path):
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps({"avg_cost_per_job": 0.5, "hit_rate": 0.25}))
+        assert self._plan_then_simulate(workspace, "--baseline", str(base)) == 0
+        out = workspace["tmp"] / "out"
+        report = json.loads((out / "report.json").read_text())
+        ratios = json.loads((out / "normalized.json").read_text())
+        assert ratios == {"avg_cost_ratio": report["avg_cost_per_job"] / 0.5,
+                          "hit_rate_delta": report["hit_rate"] - 0.25}
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"hit_rate": 1.0}, "avg_cost_per_job"),
+        ({"avg_cost_per_job": 0, "hit_rate": 1.0}, "must be positive"),
+    ])
+    def test_bad_baseline_is_parse_error(self, workspace, tmp_path, capsys, doc, message):
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps(doc))
+        assert self._plan_then_simulate(workspace, "--baseline", str(base)) == cli.EXIT_PARSE
+        assert message in capsys.readouterr().err
+        assert not (workspace["tmp"] / "out" / "normalized.json").exists()
 
     def test_cost_weakly_rises_with_stricter_guarantee(self, workspace):
         # Deadline pinned at the 95th percentile of the all-cheapest plan:
@@ -215,3 +244,16 @@ class TestSpecFile:
         assert rc == 0
         report = json.loads((workspace["tmp"] / "out" / "report.json").read_text())
         assert report["job_count"] == 3
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"nope": 1, "jobs": 2}, "unknown spec key(s): nope"),
+        ({"zz": 1, "aa": 2}, "unknown spec key(s): aa, zz"),
+        ([1, 2], "spec must be a JSON object, got list"),
+        ({"jobs": "many"}, "jobs must be int"),
+        ({"workflows": "one.txt"}, "workflows must be list"),
+    ])
+    def test_bad_spec_is_parse_error(self, tmp_path, capsys, doc, message):
+        spec_path = tmp_path / "exp.json"
+        spec_path.write_text(json.dumps(doc))
+        assert cli.main(["plan", "--spec", str(spec_path)]) == cli.EXIT_PARSE
+        assert message in capsys.readouterr().err

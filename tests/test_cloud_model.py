@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -11,8 +14,6 @@ from spotflow.cloud_model import (
     ceil_hours,
     default_catalog,
     expected_ondemand_cost,
-    fit_gamma,
-    fit_normal,
     load_catalog,
     save_catalog,
     task_time_distribution,
@@ -65,41 +66,24 @@ class TestExpectedCost:
     def test_one_hour_task(self):
         cat = default_catalog()
         d = EmpiricalDistribution.point_mass(3600.0, 10)
-        assert expected_ondemand_cost(cat[0], d) == pytest.approx(0.06)
+        assert expected_ondemand_cost(cat[0].ondemand_price, d) == pytest.approx(0.06)
 
     def test_half_hour_on_medium(self):
         cat = default_catalog()
         d = EmpiricalDistribution.point_mass(1800.0, 10)
-        assert expected_ondemand_cost(cat[1], d) == pytest.approx(0.06)
+        assert expected_ondemand_cost(cat[1].ondemand_price, d) == pytest.approx(0.06)
 
     def test_linearity_of_expectation(self):
         cat = default_catalog()
         d = EmpiricalDistribution.from_gamma(7200.0, 1.0, n=10_000, seed=5)
-        assert expected_ondemand_cost(cat[2], d) == pytest.approx(
+        assert expected_ondemand_cost(cat[2].ondemand_price, d) == pytest.approx(
             0.24 * d.expectation() / 3600.0)
 
     def test_linear_in_price(self):
         d = EmpiricalDistribution.point_mass(1800.0, 10)
-        c1 = expected_ondemand_cost(default_catalog()[0], d)
-        c2 = expected_ondemand_cost(default_catalog()[1], d)
+        c1 = expected_ondemand_cost(default_catalog()[0].ondemand_price, d)
+        c2 = expected_ondemand_cost(default_catalog()[1].ondemand_price, d)
         assert c2 == pytest.approx(2 * c1)
-
-
-class TestFits:
-    def test_gamma_moment_fit(self):
-        rng = np.random.default_rng(1)
-        samples = rng.gamma(4.0, 2.0, size=100_000)
-        k, theta = fit_gamma(samples)
-        assert k == pytest.approx(4.0, rel=0.05)
-        assert theta == pytest.approx(2.0, rel=0.05)
-
-    def test_gamma_degenerate_flag(self):
-        assert fit_gamma([3.0, 3.0, 3.0]) is None
-
-    def test_normal_fit_exact_two_points(self):
-        mu, sigma = fit_normal([0.0, 2.0])
-        assert mu == 1.0
-        assert sigma == 1.0
 
 
 class TestCatalog:
@@ -139,10 +123,38 @@ class TestCatalog:
         with pytest.raises(CatalogError, match=":3:"):
             load_catalog(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_field_reports_line_number(self, tmp_path, bad):
+        cat = ordered_catalog(2)
+        path = tmp_path / "catalog.csv"
+        save_catalog(cat, path)
+        rows = path.read_text().splitlines()
+        fields = rows[2].split(",")
+        fields[5] = bad  # seq_theta of type 1
+        path.write_text("\n".join(rows[:2] + [",".join(fields)]) + "\n")
+        with pytest.raises(CatalogError, match=":3: numeric fields must be finite"):
+            load_catalog(path)
+
 
 def test_profile_rejects_negative_fields():
     with pytest.raises(ValueError):
         TaskProfile(instructions=-1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_profile_rejects_non_finite_fields(bad):
+    for field in ("instructions", "seq_io_mb", "rnd_io_mb", "net_in_mb", "net_out_mb"):
+        with pytest.raises(ValueError, match=field):
+            TaskProfile(**{field: bad})
+
+
+@pytest.mark.parametrize("field", ["ondemand_price", "cpu_speed",
+                                   "acquisition_lag_ondemand", "acquisition_lag_spot"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_instance_type_rejects_non_finite_numbers(field, bad):
+    t0 = default_catalog()[0]
+    with pytest.raises(CatalogError, match=field):
+        dataclasses.replace(t0, **{field: bad})
 
 
 def test_ceil_hours():

@@ -69,7 +69,7 @@ class TestConstructors:
     def test_immutable(self):
         d = EmpiricalDistribution.point_mass(1.0)
         with pytest.raises(AttributeError):
-            d.rng_seed = 5
+            d._samples = np.zeros(2)
         with pytest.raises(ValueError):
             d.samples[0] = 2.0
 

@@ -1,0 +1,79 @@
+"""Golden outputs: one small fixed plan-and-simulate run, byte for byte.
+
+Plans two classes (montage_like(4, seed=0), whose DAG is not series-parallel
+and so takes the critical-path Monte-Carlo route, and ligo_like(1, 4, seed=0),
+which reduces by convolve/max_of) with the `dyna` planner over one seeded
+synthetic spiky trace per instance type, then simulates 50 jobs.  The
+resulting plans.json and report.json must equal the files in tests/data/
+exactly, so a refactor that is meant to keep outputs unchanged is checked by
+the test suite and not only by the benchmark's digests.
+
+A change that alters these outputs on purpose regenerates the files with
+
+    PYTHONPATH=src python3 tests/test_golden.py
+
+and says so in CHANGES.md.
+"""
+
+import pathlib
+import sys
+
+import numpy as np
+
+from spotflow import cli
+from spotflow.cloud_model import default_catalog
+from spotflow.workflow_dag import ligo_like, montage_like, save_workflow
+
+DATA = pathlib.Path(__file__).parent / "data"
+GOLDEN = {"plans.json": DATA / "golden_plans.json",
+          "sim/report.json": DATA / "golden_report.json"}
+
+
+def write_inputs(root):
+    """Workflow files and one seeded trace per catalog type under root."""
+    workflows = []
+    for job in (montage_like(4, seed=0), ligo_like(1, 4, seed=0)):
+        path = root / ("%s.txt" % job.class_id)
+        save_workflow(job, path)
+        workflows.append(path)
+    trace_dir = root / "traces"
+    trace_dir.mkdir()
+    for itype in default_catalog():
+        rng = np.random.default_rng([11, itype.id])
+        prices = itype.ondemand_price * 0.4 * (1.0 + 0.1 * rng.random(500))
+        prices[rng.random(500) < 0.05] = itype.ondemand_price * 3.0
+        with open(trace_dir / ("%s.csv" % itype.name), "w", encoding="utf-8") as fh:
+            for i, price in enumerate(prices):
+                fh.write("%d,%.6f\n" % (i * 1800, price))
+    return workflows, trace_dir
+
+
+def run_case(root):
+    """Plan and simulate the fixed case under root; returns the output dir."""
+    workflows, trace_dir = write_inputs(root)
+    out = root / "out"
+    common = ["--trace-dir", str(trace_dir), "--seed", "5",
+              "--samples", "2000", "--ffp-trials", "2000"]
+    for path in workflows:
+        common += ["--workflow", str(path)]
+    assert cli.main(["plan", *common, "--out", str(out), "--planner", "dyna"]) == 0
+    assert cli.main(["simulate", *common, "--out", str(out / "sim"),
+                     "--plans", str(out / "plans.json"), "--jobs", "50"]) == 0
+    return out
+
+
+def test_outputs_match_golden_files(tmp_path):
+    out = run_case(tmp_path)
+    for name, golden in GOLDEN.items():
+        assert (out / name).read_bytes() == golden.read_bytes(), name
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = run_case(pathlib.Path(tmp))
+        DATA.mkdir(exist_ok=True)
+        for name, golden in GOLDEN.items():
+            golden.write_bytes((out / name).read_bytes())
+            print("wrote %s" % golden, file=sys.stderr)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spotflow.cloud_model import expected_ondemand_cost
 from spotflow.distributions import EmpiricalDistribution, dominates
 from spotflow.planner_astar import TaskDistCache
 from spotflow.planner_hybrid import (
@@ -8,7 +9,6 @@ from spotflow.planner_hybrid import (
     binary_search_bid,
     hybrid_cost,
     hybrid_time_distribution,
-    ondemand_cost,
     refine_plan,
     refine_task,
 )
@@ -100,7 +100,7 @@ class TestHybridCost:
         assert cost == 0.0
 
     def test_ondemand_cost(self):
-        assert ondemand_cost(0.2, pm(1800.0)) == pytest.approx(0.1)
+        assert expected_ondemand_cost(0.2, pm(1800.0)) == pytest.approx(0.1)
 
 
 class FixtureContext:
@@ -126,7 +126,7 @@ class TestBinarySearchBid:
                                 ctx.failure, ctx.params, 0.001, 0.06, seed=1)
         assert bid is not None
         config = HybridConfig((ConfigDim(0, bid, True), od_dim))
-        assert hybrid_cost(config, [dist, dist], ctx.failure) < ondemand_cost(0.06, dist)
+        assert hybrid_cost(config, [dist, dist], ctx.failure) < expected_ondemand_cost(0.06, dist)
 
     def test_unaffordable_market_returns_not_found(self):
         # Price is always above every searchable bid: any hybrid pays both
@@ -147,7 +147,7 @@ class TestBinarySearchBid:
 
         def gates_pass(b):
             config = HybridConfig((ConfigDim(0, b, True), od_dim))
-            if hybrid_cost(config, [dist, dist], ctx.failure) > ondemand_cost(0.06, dist):
+            if hybrid_cost(config, [dist, dist], ctx.failure) > expected_ondemand_cost(0.06, dist):
                 return False
             ffp = estimate_ffp(ctx.failure, 0, b)
             hd = hybrid_time_distribution([(dist, ffp)], dist, seed=99)
@@ -198,7 +198,7 @@ class TestRefineTask:
         assert len(config.spot_dims) >= 1
         dists = [ctx.cache.dist(0, d.type_id) for d in config.dims]
         od_dist = ctx.cache.dist(0, 0)
-        assert hybrid_cost(config, dists, ctx.failure) < ondemand_cost(0.06, od_dist)
+        assert hybrid_cost(config, dists, ctx.failure) < expected_ondemand_cost(0.06, od_dist)
 
     def test_hostile_market_keeps_ondemand_only(self):
         ctx = FixtureContext(constant_trace(0.90))
@@ -228,7 +228,7 @@ class TestRefineTask:
         od_dist = ctx.cache.dist(0, 0)
         if config.spot_dims:
             dists = [ctx.cache.dist(0, d.type_id) for d in config.dims]
-            assert hybrid_cost(config, dists, ctx.failure) <= ondemand_cost(0.06, od_dist)
+            assert hybrid_cost(config, dists, ctx.failure) <= expected_ondemand_cost(0.06, od_dist)
             parts = [(ctx.cache.dist(0, d.type_id),
                       estimate_ffp(ctx.failure, d.type_id, d.price))
                      for d in config.spot_dims]

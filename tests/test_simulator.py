@@ -56,60 +56,61 @@ class TestBill:
 
     def test_ondemand_90_minutes(self):
         itype = single_type_catalog()[0]
-        assert bill(self._inst(False), 5400, "user", itype) == pytest.approx(0.12)
+        assert bill(self._inst(False), 5400, "user", itype) == (2, pytest.approx(0.12))
 
     def test_spot_out_of_bid_partial_hour_free(self):
         itype = single_type_catalog()[0]
         trace = constant_trace(0.05)
-        assert bill(self._inst(True, 0.1), 5400, "out-of-bid", itype, trace) == pytest.approx(0.05)
+        assert bill(self._inst(True, 0.1), 5400, "out-of-bid", itype, trace) == (
+            1, pytest.approx(0.05))
 
     def test_spot_user_terminated_rounds_up(self):
         itype = single_type_catalog()[0]
         trace = constant_trace(0.05)
-        assert bill(self._inst(True, 0.1), 1800, "user", itype, trace) == pytest.approx(0.05)
+        assert bill(self._inst(True, 0.1), 1800, "user", itype, trace) == (1, pytest.approx(0.05))
 
     def test_spot_price_sampled_at_hour_starts(self):
         itype = single_type_catalog()[0]
         trace = SpotPriceTrace([0, 3600, 7200], [0.05, 0.07, 0.05])
-        assert bill(self._inst(True, 0.2), 7200, "user", itype, trace) == pytest.approx(0.12)
+        assert bill(self._inst(True, 0.2), 7200, "user", itype, trace) == (2, pytest.approx(0.12))
 
     def test_61_minute_ondemand_bills_two_hours(self):
         itype = single_type_catalog()[0]
-        assert bill(self._inst(False), 3660, "user", itype) == pytest.approx(0.12)
+        assert bill(self._inst(False), 3660, "user", itype) == (2, pytest.approx(0.12))
 
 
 class TestPool:
     def test_same_kind_reuse(self):
         pool = InstancePool()
         inst = pool.create(0, False, None, ready_time=0)
-        pool.mark_idle(inst, 100)
+        pool.mark_idle(inst)
         got = pool.acquire_or_reuse(0, False, now=100, expected_time=9999)
         assert got is inst
 
     def test_spot_consolidates_onto_ondemand(self):
         pool = InstancePool()
         inst = pool.create(0, False, None, ready_time=0)
-        pool.mark_idle(inst, 1800)
+        pool.mark_idle(inst)
         got = pool.acquire_or_reuse(0, True, now=1800, expected_time=600)
         assert got is inst
 
     def test_consolidation_needs_remaining_headroom(self):
         pool = InstancePool()
         inst = pool.create(0, False, None, ready_time=0)
-        pool.mark_idle(inst, 3000)
+        pool.mark_idle(inst)
         assert pool.acquire_or_reuse(0, True, now=3000, expected_time=900) is None
         assert pool.acquire_or_reuse(0, True, now=3000, expected_time=300) is inst
 
     def test_ondemand_never_consolidates_onto_spot(self):
         pool = InstancePool()
         inst = pool.create(0, True, 0.1, ready_time=0)
-        pool.mark_idle(inst, 100)
+        pool.mark_idle(inst)
         assert pool.acquire_or_reuse(0, False, now=100, expected_time=1) is None
 
     def test_type_must_match(self):
         pool = InstancePool()
         inst = pool.create(0, False, None, ready_time=0)
-        pool.mark_idle(inst, 100)
+        pool.mark_idle(inst)
         assert pool.acquire_or_reuse(1, False, now=100, expected_time=1) is None
 
 
@@ -343,6 +344,11 @@ class TestValidation:
         plans = make_plans(job, [spot_first_config(cat, bid=0.1)])
         with pytest.raises(PlanMismatchError):
             Simulator(SimConfig(job_count=1, seed=1), [job], plans, cat, {})
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
+    def test_arrival_rate_must_be_positive_and_finite(self, rate):
+        with pytest.raises(ValueError, match="arrival rate"):
+            SimConfig(arrival_rate_per_min=rate)
 
     def test_event_kind_tie_break_order(self):
         assert (EventKind.TASK_FINISH < EventKind.OUT_OF_BID

@@ -93,6 +93,11 @@ class TestPriceLookups:
             SpotPriceTrace([0, 100], [0.05, -0.1])
         with pytest.raises(TraceError):
             SpotPriceTrace([], [])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(TraceError, match="prices must be positive and finite"):
+                SpotPriceTrace([0, 100], [0.05, bad])
+            with pytest.raises(TraceError, match="timestamps must be finite"):
+                SpotPriceTrace([0, bad], [0.05, 0.06])
 
 
 def exhaustive_offset_oracle(low, high, seg, bid, horizon, step, t_query, cycles=200):
@@ -152,6 +157,12 @@ class TestEstimateFfp:
         model = FailureModel(traces={0: constant_trace(0.05)}, num_trials=10)
         with pytest.raises(ValueError):
             estimate_ffp(model, 0, 0.0)
+
+    def test_rejects_non_finite_bid(self):
+        model = FailureModel(traces={0: constant_trace(0.05)}, num_trials=10)
+        for bid in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="bid must be positive and finite"):
+                estimate_ffp(model, 0, bid)
 
     def test_deterministic_for_seed(self):
         model_a = FailureModel(traces={0: alternating_trace()}, num_trials=3000, rng_seed=9)

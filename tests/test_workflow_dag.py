@@ -138,6 +138,11 @@ class TestFeasibility:
         with pytest.raises(WorkflowError):
             is_feasible(job, pm(1))
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_bad_deadline(self, bad):
+        with pytest.raises(WorkflowError, match="deadline must be positive and finite"):
+            chain_job([TaskProfile()], deadline=bad)
+
 
 class TestDeadlineBounds:
     def test_single_cpu_task(self):
@@ -197,6 +202,14 @@ class TestWorkflowFiles:
     def test_parse_error_line_number(self, tmp_path):
         path = tmp_path / "wf.txt"
         path.write_text("task 0 1e9 0 0 0 0\nbogus line\n")
+        with pytest.raises(WorkflowError, match=":2:"):
+            load_workflow(path)
+
+    @pytest.mark.parametrize("line", ["task inf 1e9 0 0 0 0", "task 0 nan 0 0 0 0",
+                                      "task 1e9 0 inf 0 0"])
+    def test_non_finite_numbers_rejected_with_line(self, tmp_path, line):
+        path = tmp_path / "wf.txt"
+        path.write_text("task 1e9 0 0 0 0\n%s\n" % line)
         with pytest.raises(WorkflowError, match=":2:"):
             load_workflow(path)
 
