@@ -285,10 +285,8 @@ def cmd_ffp(spec, type_name, bid):
         raise spot_market.TraceError("no trace for type %s" % type_name)
     dist = spot_market.estimate_ffp(model, itype.id, bid)
     out = _out_dir(spec)
-    rows = []
-    for k, t in enumerate(dist.bucket_times):
-        rows.append((float(t), float(dist.masses[:k].sum())))
-    rows.append((model.horizon, float(dist.masses.sum())))
+    times = [*dist.bucket_times, model.horizon]
+    rows = zip(times, dist.cumulative_before_many(times))
     with open(out / "ffp.csv", "w", encoding="utf-8") as fh:
         fh.write("t_seconds,cumulative_failure\n")
         for t, p in rows:

@@ -8,7 +8,7 @@ data volumes divided by bandwidth draws.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -21,12 +21,20 @@ class CatalogError(ValueError):
     """Raised for malformed catalog files or inconsistent catalogs."""
 
 
+def _require_finite(spec):
+    if not all(map(math.isfinite, astuple(spec))):
+        raise CatalogError("%r: parameters must be finite" % (spec,))
+
+
 @dataclass(frozen=True)
 class GammaSpec:
     """Gamma(shape k, scale theta) bandwidth model, units MB/s."""
 
     k: float
     theta: float
+
+    def __post_init__(self):
+        _require_finite(self)
 
     def mean(self):
         return self.k * self.theta
@@ -41,6 +49,9 @@ class NormalSpec:
 
     mu: float
     sigma: float
+
+    def __post_init__(self):
+        _require_finite(self)
 
     def mean(self):
         return self.mu
@@ -143,7 +154,8 @@ class Catalog:
         for t in self._types:
             if t.name == name:
                 return t
-        raise KeyError(name)
+        raise CatalogError("unknown instance type %r (known: %s)"
+                           % (name, ", ".join(t.name for t in self._types)))
 
 
 _CATALOG_COLUMNS = [

@@ -4,14 +4,32 @@ Every random quantity in this package (task execution time, I/O bandwidth,
 workflow makespan) is represented as a fixed-size vector of Monte Carlo
 samples.  That keeps the algebra closed: sums, maxima, mixtures and
 percentile queries all stay in the same representation with uniform error
-behaviour.  Binary operations pair samples after an independent seeded
-permutation of each operand, which models independence of the operands.
+behaviour.
+
+Pairing rule.  An operation combining k operands to n samples pairs them
+through one index vector per operand, drawn in operand order from one seeded
+generator by `_pair_index`: a permutation of range(n) for an operand of n
+samples, a bootstrap resample (n uniform indices) otherwise.  That models
+independence of the operands.  convolve, max_of and the workflow
+critical-path fallback draw from a generator keyed by (seed, label) alone,
+so their index vectors depend only on (seed, label, operand sizes, n) and
+are memoized by `_pairing` in a least-recently-used cache bounded at
+PAIRING_CACHE_BYTES (8 MiB) of read-only int32 arrays; an operation then
+costs gathers and one add or max per operand.  `derive_seed` is memoized
+too.
+
+Order statistics are lazy: a distribution sorts its samples on the first
+query that needs them (sorted_samples, percentile, cdf, min/max_value), so
+intermediate results that are only combined further are never sorted.
 
 All operations are pure and bit-reproducible for a fixed seed.
 """
 
+import functools
 import math
+import threading
 import zlib
+from collections import OrderedDict
 
 import numpy as np
 
@@ -19,6 +37,9 @@ DEFAULT_SAMPLE_COUNT = 10_000
 
 # Rounds of rejection sampling before giving up on producing valid draws.
 _MAX_RESAMPLE_ROUNDS = 1000
+
+# Upper bound on the memory held by memoized pairing index vectors.
+PAIRING_CACHE_BYTES = 8 * 2**20
 
 
 def seed_sequence(seed, *key):
@@ -41,11 +62,12 @@ def substream(seed, *key):
     return np.random.default_rng(seed_sequence(seed, *key))
 
 
+@functools.lru_cache(maxsize=1 << 14)
 def derive_seed(seed, *key):
     """Integer seed for a child computation, stable across processes.
 
     The one rule for handing a seed down a key path: the first 63-bit draw
-    of the (seed, *key) substream.
+    of the (seed, *key) substream.  Pure, so results are memoized.
     """
     return int(substream(seed, *key).integers(0, 2**63))
 
@@ -53,9 +75,9 @@ def derive_seed(seed, *key):
 class EmpiricalDistribution:
     """Immutable empirical distribution of a nonnegative random variable.
 
-    Holds the raw sample vector plus a sorted view for order-statistic
-    queries.  Units are context-dependent (seconds for times, MB/s for
-    bandwidths).
+    Holds the raw sample vector plus a sorted copy for order-statistic
+    queries, made on the first query that needs it.  Units are
+    context-dependent (seconds for times, MB/s for bandwidths).
     """
 
     __slots__ = ("_samples", "_sorted")
@@ -72,10 +94,8 @@ class EmpiricalDistribution:
             raise ValueError("samples must be nonnegative")
         arr = arr.copy()
         arr.flags.writeable = False
-        srt = np.sort(arr)
-        srt.flags.writeable = False
         object.__setattr__(self, "_samples", arr)
-        object.__setattr__(self, "_sorted", srt)
+        object.__setattr__(self, "_sorted", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("EmpiricalDistribution is immutable")
@@ -86,7 +106,12 @@ class EmpiricalDistribution:
 
     @property
     def sorted_samples(self):
-        return self._sorted
+        srt = self._sorted
+        if srt is None:
+            srt = np.sort(self._samples)
+            srt.flags.writeable = False
+            object.__setattr__(self, "_sorted", srt)
+        return srt
 
     @property
     def sample_count(self):
@@ -149,11 +174,12 @@ class EmpiricalDistribution:
         """Nearest-rank percentile: the smallest sample v with P(X <= v) >= q."""
         if not 0.0 <= q <= 1.0:
             raise ValueError("q must be in [0, 1], got %r" % (q,))
-        n = self._sorted.size
+        srt = self.sorted_samples
+        n = srt.size
         # round() guards against float noise in q*n flipping the rank.
         rank = math.ceil(round(q * n, 9))
         idx = min(max(rank, 1), n) - 1
-        return float(self._sorted[idx])
+        return float(srt[idx])
 
     def expectation(self):
         return float(self._samples.mean())
@@ -163,34 +189,100 @@ class EmpiricalDistribution:
 
     def cdf(self, t):
         """Fraction of samples <= t; t may be a scalar or an array."""
-        counts = np.searchsorted(self._sorted, t, side="right")
-        return counts / self._sorted.size
+        srt = self.sorted_samples
+        counts = np.searchsorted(srt, t, side="right")
+        return counts / srt.size
 
     def min_value(self):
-        return float(self._sorted[0])
+        return float(self.sorted_samples[0])
 
     def max_value(self):
-        return float(self._sorted[-1])
+        return float(self.sorted_samples[-1])
+
+
+def _pair_index(size, n, rng):
+    """Index vector lining an operand of `size` samples up to n samples.
+
+    A permutation of range(n) when sizes match (the operand's sample
+    multiset is kept exactly), a bootstrap resample otherwise.  This is the
+    one sample-pairing rule of the package: `x[_pair_index(x.size, n, rng)]`
+    draws exactly what `rng.permutation(x)` or
+    `rng.choice(x, n, replace=True)` would.
+    """
+    if size == n:
+        return rng.permutation(n)
+    return rng.integers(0, size, size=n)
 
 
 def _aligned(dist, n, rng):
     """Return dist's samples as a length-n vector in random order.
 
-    Uses a permutation when sizes already match (preserving the sample
-    multiset exactly), a bootstrap resample otherwise.  This is the one
-    sample-pairing rule of the package: every operation that combines
-    distributions sample by sample lines its operands up through it.
+    For callers that share one generator with other draws.
     """
-    if dist.sample_count == n:
-        return rng.permutation(dist.samples)
-    return rng.choice(dist.samples, size=n, replace=True)
+    return dist.samples[_pair_index(dist.sample_count, n, rng)]
+
+
+class _PairingCache:
+    """Least-recently-used map from pairing keys to index vectors.
+
+    Holds at most `max_bytes` of index arrays; an entry larger than that
+    is returned without being kept.
+    """
+
+    def __init__(self, max_bytes):
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._entries = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+            return entry
+
+    def put(self, key, entry):
+        size = sum(a.nbytes for a in entry)
+        if size > self.max_bytes:
+            return
+        with self._lock:
+            if key in self._entries:
+                return
+            self._entries[key] = entry
+            self.nbytes += size
+            while self.nbytes > self.max_bytes:
+                _, old = self._entries.popitem(last=False)
+                self.nbytes -= sum(a.nbytes for a in old)
+
+
+_PAIRINGS = _PairingCache(PAIRING_CACHE_BYTES)
+
+
+def _pairing(seed, label, sizes, n):
+    """Index vectors pairing operands of the given sizes to n samples.
+
+    One read-only int32 vector per operand, drawn in operand order from the
+    (seed, label) substream by `_pair_index`.  Memoized: the result depends
+    on nothing else.  The cache holds at most PAIRING_CACHE_BYTES (8 MiB),
+    evicting the least recently used entries.
+    """
+    key = (seed, label, sizes, n)
+    entry = _PAIRINGS.get(key)
+    if entry is None:
+        rng = substream(seed, label)
+        entry = tuple(_pair_index(size, n, rng).astype(np.int32) for size in sizes)
+        for idx in entry:
+            idx.flags.writeable = False
+        _PAIRINGS.put(key, entry)
+    return entry
 
 
 def convolve(a, b, seed=0):
     """Distribution of X + Y for independent X ~ a, Y ~ b."""
     n = max(a.sample_count, b.sample_count)
-    rng = substream(seed, "convolve")
-    return EmpiricalDistribution(_aligned(a, n, rng) + _aligned(b, n, rng))
+    ia, ib = _pairing(seed, "convolve", (a.sample_count, b.sample_count), n)
+    return EmpiricalDistribution(np.take(a.samples, ia) + np.take(b.samples, ib))
 
 
 def max_of(dists, seed=0):
@@ -200,11 +292,12 @@ def max_of(dists, seed=0):
         raise ValueError("max_of requires at least one distribution")
     if len(dists) == 1:
         return dists[0]
-    n = max(d.sample_count for d in dists)
-    rng = substream(seed, "max")
-    acc = np.array(_aligned(dists[0], n, rng))
-    for d in dists[1:]:
-        np.maximum(acc, _aligned(d, n, rng), out=acc)
+    sizes = tuple(d.sample_count for d in dists)
+    n = max(sizes)
+    index = _pairing(seed, "max", sizes, n)
+    acc = np.take(dists[0].samples, index[0])
+    for d, idx in zip(dists[1:], index[1:]):
+        np.maximum(acc, np.take(d.samples, idx), out=acc)
     return EmpiricalDistribution(acc)
 
 

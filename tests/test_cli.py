@@ -230,6 +230,15 @@ class TestFfp:
         rc = cli.main(["ffp", *base_args(workspace), "t0", "0.05"])
         assert rc == cli.EXIT_PARSE
 
+    def test_unknown_type_is_parse_error_naming_known_types(self, workspace, capsys):
+        rc = cli.main(["ffp", *base_args(workspace, "--trace-dir", workspace["trace_dir"]),
+                       "m1.nope", "0.05"])
+        assert rc == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "'m1.nope'" in err
+        assert "t0, t1" in err
+        assert "Traceback" not in err
+
 
 class TestSpecFile:
     def test_flags_override_spec_file(self, workspace, tmp_path, capsys):

@@ -157,6 +157,23 @@ def test_instance_type_rejects_non_finite_numbers(field, bad):
         dataclasses.replace(t0, **{field: bad})
 
 
+@pytest.mark.parametrize("spec, kwargs", [
+    (GammaSpec, {"k": 100.0, "theta": 1.0}),
+    (NormalSpec, {"mu": 100.0, "sigma": 10.0}),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_bandwidth_specs_reject_non_finite_parameters(spec, kwargs, bad):
+    for name in kwargs:
+        with pytest.raises(CatalogError, match="must be finite"):
+            spec(**dict(kwargs, **{name: bad}))
+    assert spec(**kwargs).mean() == pytest.approx(100.0)
+
+
+def test_by_name_unknown_type_names_the_known_types():
+    with pytest.raises(CatalogError, match="m1.small, m1.medium, m1.large, m1.xlarge"):
+        default_catalog().by_name("m1.nope")
+
+
 def test_ceil_hours():
     assert ceil_hours(0) == 0
     assert ceil_hours(1) == 1
