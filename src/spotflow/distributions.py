@@ -6,17 +6,13 @@ samples.  That keeps the algebra closed: sums, maxima, mixtures and
 percentile queries all stay in the same representation with uniform error
 behaviour.
 
-Pairing rule.  An operation combining k operands to n samples pairs them
-through one index vector per operand, drawn in operand order from one seeded
-generator by `_pair_index`: a permutation of range(n) for an operand of n
-samples, a bootstrap resample (n uniform indices) otherwise.  That models
-independence of the operands.  convolve, max_of and the workflow
-critical-path fallback draw from a generator keyed by (seed, label) alone,
-so their index vectors depend only on (seed, label, operand sizes, n) and
-are memoized by `_pairing` in a least-recently-used cache bounded at
-PAIRING_CACHE_BYTES (8 MiB) of read-only int32 arrays; an operation then
-costs gathers and one add or max per operand.  `derive_seed` is memoized
-too.
+Pairing rule.  convolve and max_of pair their operands' samples by index:
+sample i of every operand forms one joint draw.  Samples of distinct
+quantities come from distinct seeded substreams, so index pairing models
+independent operands, and a chain of such operations is a per-sample Monte
+Carlo over the same draws.  An operand with fewer samples than the largest
+is bootstrap-resampled to that size from the (seed, "convolve" | "max")
+substream.  `derive_seed` is memoized.
 
 Order statistics are lazy: a distribution sorts its samples on the first
 query that needs them (sorted_samples, percentile, cdf, min/max_value), so
@@ -27,9 +23,7 @@ All operations are pure and bit-reproducible for a fixed seed.
 
 import functools
 import math
-import threading
 import zlib
-from collections import OrderedDict
 
 import numpy as np
 
@@ -37,9 +31,6 @@ DEFAULT_SAMPLE_COUNT = 10_000
 
 # Rounds of rejection sampling before giving up on producing valid draws.
 _MAX_RESAMPLE_ROUNDS = 1000
-
-# Upper bound on the memory held by memoized pairing index vectors.
-PAIRING_CACHE_BYTES = 8 * 2**20
 
 
 def seed_sequence(seed, *key):
@@ -96,6 +87,20 @@ class EmpiricalDistribution:
         arr.flags.writeable = False
         object.__setattr__(self, "_samples", arr)
         object.__setattr__(self, "_sorted", None)
+
+    @classmethod
+    def _adopt(cls, arr):
+        """Wrap a fresh array computed by convolve or max_of, uncopied.
+
+        Skips the constructor's copy and checks: sums and maxima of valid
+        samples are nonnegative, and finite short of float overflow, far
+        above any time or bandwidth.
+        """
+        arr.flags.writeable = False
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "_samples", arr)
+        object.__setattr__(dist, "_sorted", None)
+        return dist
 
     def __setattr__(self, name, value):
         raise AttributeError("EmpiricalDistribution is immutable")
@@ -200,89 +205,41 @@ class EmpiricalDistribution:
         return float(self.sorted_samples[-1])
 
 
-def _pair_index(size, n, rng):
-    """Index vector lining an operand of `size` samples up to n samples.
-
-    A permutation of range(n) when sizes match (the operand's sample
-    multiset is kept exactly), a bootstrap resample otherwise.  This is the
-    one sample-pairing rule of the package: `x[_pair_index(x.size, n, rng)]`
-    draws exactly what `rng.permutation(x)` or
-    `rng.choice(x, n, replace=True)` would.
-    """
-    if size == n:
-        return rng.permutation(n)
-    return rng.integers(0, size, size=n)
-
-
 def _aligned(dist, n, rng):
     """Return dist's samples as a length-n vector in random order.
 
-    For callers that share one generator with other draws.
+    A permutation when dist has n samples, a bootstrap resample otherwise,
+    drawn from a generator the caller shares with other draws.  Only
+    `hybrid_time_distribution` needs the shuffle: `refine_task` scans spot
+    types from the on-demand type upward, so its spot and on-demand
+    operands can be the same distribution object, and a rerun after a
+    failure must not reuse the first attempt's sample index.
     """
-    return dist.samples[_pair_index(dist.sample_count, n, rng)]
+    size = dist.sample_count
+    if size == n:
+        return dist.samples[rng.permutation(n)]
+    return dist.samples[rng.integers(0, size, size=n)]
 
 
-class _PairingCache:
-    """Least-recently-used map from pairing keys to index vectors.
+def _paired(dists, label, seed):
+    """Sample vectors of dists lined up by index to the largest size.
 
-    Holds at most `max_bytes` of index arrays; an entry larger than that
-    is returned without being kept.
+    An operand with fewer samples is bootstrapped from the (seed, label)
+    substream, in operand order.
     """
-
-    def __init__(self, max_bytes):
-        self.max_bytes = max_bytes
-        self.nbytes = 0
-        self._entries = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key):
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-            return entry
-
-    def put(self, key, entry):
-        size = sum(a.nbytes for a in entry)
-        if size > self.max_bytes:
-            return
-        with self._lock:
-            if key in self._entries:
-                return
-            self._entries[key] = entry
-            self.nbytes += size
-            while self.nbytes > self.max_bytes:
-                _, old = self._entries.popitem(last=False)
-                self.nbytes -= sum(a.nbytes for a in old)
-
-
-_PAIRINGS = _PairingCache(PAIRING_CACHE_BYTES)
-
-
-def _pairing(seed, label, sizes, n):
-    """Index vectors pairing operands of the given sizes to n samples.
-
-    One read-only int32 vector per operand, drawn in operand order from the
-    (seed, label) substream by `_pair_index`.  Memoized: the result depends
-    on nothing else.  The cache holds at most PAIRING_CACHE_BYTES (8 MiB),
-    evicting the least recently used entries.
-    """
-    key = (seed, label, sizes, n)
-    entry = _PAIRINGS.get(key)
-    if entry is None:
-        rng = substream(seed, label)
-        entry = tuple(_pair_index(size, n, rng).astype(np.int32) for size in sizes)
-        for idx in entry:
-            idx.flags.writeable = False
-        _PAIRINGS.put(key, entry)
-    return entry
+    sizes = [d.sample_count for d in dists]
+    n = max(sizes)
+    if min(sizes) == n:
+        return [d.samples for d in dists]
+    rng = substream(seed, label)
+    return [d.samples if size == n else d.samples[rng.integers(0, size, size=n)]
+            for d, size in zip(dists, sizes)]
 
 
 def convolve(a, b, seed=0):
     """Distribution of X + Y for independent X ~ a, Y ~ b."""
-    n = max(a.sample_count, b.sample_count)
-    ia, ib = _pairing(seed, "convolve", (a.sample_count, b.sample_count), n)
-    return EmpiricalDistribution(np.take(a.samples, ia) + np.take(b.samples, ib))
+    xa, xb = _paired((a, b), "convolve", seed)
+    return EmpiricalDistribution._adopt(xa + xb)
 
 
 def max_of(dists, seed=0):
@@ -292,13 +249,11 @@ def max_of(dists, seed=0):
         raise ValueError("max_of requires at least one distribution")
     if len(dists) == 1:
         return dists[0]
-    sizes = tuple(d.sample_count for d in dists)
-    n = max(sizes)
-    index = _pairing(seed, "max", sizes, n)
-    acc = np.take(dists[0].samples, index[0])
-    for d, idx in zip(dists[1:], index[1:]):
-        np.maximum(acc, np.take(d.samples, idx), out=acc)
-    return EmpiricalDistribution(acc)
+    first, second, *rest = _paired(dists, "max", seed)
+    acc = np.maximum(first, second)
+    for x in rest:
+        np.maximum(acc, x, out=acc)
+    return EmpiricalDistribution._adopt(acc)
 
 
 def dominates(c2, c1, epsilon=0.01):

@@ -105,16 +105,14 @@ def plan_cost(cache, plan):
     return sum(cache.cost(tid, type_id) for tid, type_id in enumerate(plan))
 
 
-def plan_distribution(job, cache, plan, seed=None):
+def plan_distribution(job, cache, plan):
     """Workflow makespan distribution under a plan.
 
-    Uses one composition seed for every plan so that two routes evaluating
-    the same plan get bit-identical results.
+    Depends only on the cache's per-(task, type) distributions, so two
+    routes evaluating the same plan get bit-identical results.
     """
-    if seed is None:
-        seed = derive_seed(cache.seed, "compose-root")
     dists = {tid: cache.dist(tid, type_id) for tid, type_id in enumerate(plan)}
-    return workflow_time_distribution(job, dists, seed=seed)
+    return workflow_time_distribution(job, dists)
 
 
 def astar_configure(job, catalog, params=None, sample_count=DEFAULT_SAMPLE_COUNT,

@@ -3,22 +3,17 @@
 A job is a DAG of tasks with a deadline and a probabilistic guarantee p:
 the promise is that the workflow finishes by the deadline at the p-th
 percentile of its makespan distribution.  The whole-workflow distribution
-is composed from per-task distributions, analytically when the DAG reduces
-by series/parallel steps, by per-sample critical-path Monte Carlo otherwise.
+is composed from per-task distributions by one per-sample longest-path
+sweep over index-paired samples, whatever the DAG's shape.
 """
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .cloud_model import TaskProfile, expected_task_time
 from .distributions import (
     DEFAULT_SAMPLE_COUNT,
-    EmpiricalDistribution,
-    _pairing,
     convolve,
     derive_seed,
     max_of,
@@ -212,139 +207,31 @@ def assign_ids(job):
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=256)
-def _merge_schedule(shape):
-    """Series/parallel merge ops for a DAG shape; None when it does not reduce.
-
-    `shape` is a tuple of (task id, predecessor ids, successor ids).  Ops are
-    ("+", u, v), node u absorbs its series successor v, and ("max", members),
-    the parallel members merge into members[0]; the last op yields the whole
-    workflow.
-
-    Series: a node with a single successor absorbs it when that successor
-    has no other predecessor; chains collapse in one walk.  Parallel: nodes
-    sharing identical predecessor and successor sets merge, whole groups at
-    a time.  Virtual zero-duration nodes "src" and "snk" bridge
-    multi-source/multi-sink DAGs.  Merge order is fixed (sorted node ids).
-    """
-    preds = {tid: set(p) for tid, p, _ in shape}
-    succs = {tid: set(s) for tid, _, s in shape}
-    sources = [tid for tid, p, _ in shape if not p]
-    sinks = [tid for tid, _, s in shape if not s]
-    src, snk = "src", "snk"
-    preds[src], succs[src] = set(), set(sources)
-    preds[snk], succs[snk] = set(sinks), set()
-    for tid in sources:
-        preds[tid].add(src)
-    for tid in sinks:
-        succs[tid].add(snk)
-
-    def order_key(node):
-        return (0, node) if isinstance(node, int) else (1, node)
-
-    ops = []
-    changed = True
-    while changed and len(preds) > 1:
-        changed = False
-        # Series sweep: each surviving node absorbs its forward chain.
-        for u in sorted(preds, key=order_key):
-            if u not in preds:
-                continue
-            while len(succs[u]) == 1:
-                (v,) = succs[u]
-                if len(preds[v]) != 1:
-                    break
-                ops.append(("+", u, v))
-                succs[u] = set(succs[v])
-                for w in succs[u]:
-                    preds[w].discard(v)
-                    preds[w].add(u)
-                del preds[v], succs[v]
-                changed = True
-        # Parallel sweep: group nodes by their (preds, succs) signature.
-        groups = {}
-        for u in sorted(preds, key=order_key):
-            sig = (frozenset(preds[u]), frozenset(succs[u]))
-            groups.setdefault(sig, []).append(u)
-        for members in groups.values():
-            if len(members) < 2:
-                continue
-            ops.append(("max", tuple(members)))
-            for v in members[1:]:
-                for w in preds[v]:
-                    succs[w].discard(v)
-                for w in succs[v]:
-                    preds[w].discard(v)
-                del preds[v], succs[v]
-            changed = True
-    return tuple(ops) if len(preds) == 1 else None
-
-
-def _shape(job):
-    return tuple((t.id, tuple(t.predecessors), tuple(t.successors)) for t in job.tasks)
-
-
-def _series_parallel_reduce(job, dists, seed):
-    """Compose the makespan by replaying the job's merge schedule.
-
-    Returns None when the DAG is not series/parallel reducible.  The i-th
-    op runs with seed derive_seed(seed, "compose", i).
-    """
-    ops = _merge_schedule(_shape(job))
-    if ops is None:
-        return None
-    n = max(d.sample_count for d in dists.values()) if dists else 2
-    zero = EmpiricalDistribution.point_mass(0.0, n=max(n, 2))
-    node_dist = dict(dists, src=zero, snk=zero)
-    for k, op in enumerate(ops):
-        op_seed = derive_seed(seed, "compose", k)
-        if op[0] == "+":
-            _, u, v = op
-            result = node_dist[u] = convolve(node_dist[u], node_dist.pop(v), seed=op_seed)
-        else:
-            members = op[1]
-            result = node_dist[members[0]] = max_of(
-                [node_dist.pop(m) for m in members], seed=op_seed)
-    return result
-
-
-def _critical_path_monte_carlo(job, dists, seed):
-    """Per-sample longest-path makespan over independently paired samples."""
-    order = sorted(dists)
-    sizes = tuple(dists[tid].sample_count for tid in order)
-    index = dict(zip(order, _pairing(seed, "critical-path", sizes, max(sizes))))
-    finish = {}
-    for t in sorted(job.tasks, key=lambda t: t.id):  # ids are topological
-        acc = np.take(dists[t.id].samples, index[t.id])
-        if t.predecessors:
-            pred_max = finish[t.predecessors[0]]
-            for p in t.predecessors[1:]:
-                pred_max = np.maximum(pred_max, finish[p])
-            acc += pred_max
-        finish[t.id] = acc
-    makespan = None
-    for tid in job.sink_ids():
-        makespan = finish[tid] if makespan is None else np.maximum(makespan, finish[tid])
-    return EmpiricalDistribution(makespan)
-
-
-def workflow_time_distribution(job, per_task_dists, seed=0):
+def workflow_time_distribution(job, per_task_dists):
     """Makespan distribution of the whole workflow.
 
-    Composes analytically (repeated convolve/max reductions, in an order
-    computed once per DAG shape) when the DAG is series-parallel reducible
-    and falls back to critical-path Monte Carlo otherwise.  Resource contention is ignored: the planning model assumes
-    an instance is available per task.
+    A per-sample longest path, swept in task-id (topological) order: a task
+    finishes at the latest finish of its predecessors plus its own time,
+    and the makespan is the latest finish over the sink tasks.  convolve
+    and max_of pair samples by index, so sample i of the result is the
+    critical-path length under sample i of every task, for any DAG.  The
+    per-task distributions must have equal sample counts.  Resource
+    contention is ignored: the planning model assumes an instance is
+    available per task.
     """
     missing = [t.id for t in job.tasks if t.id not in per_task_dists]
     if missing:
         raise WorkflowError("missing distributions for tasks %s" % missing)
-    if len(job.tasks) == 1:
-        return per_task_dists[job.tasks[0].id]
-    reduced = _series_parallel_reduce(job, per_task_dists, seed)
-    if reduced is not None:
-        return reduced
-    return _critical_path_monte_carlo(job, per_task_dists, seed)
+    counts = sorted({per_task_dists[t.id].sample_count for t in job.tasks})
+    if len(counts) > 1:
+        raise WorkflowError("per-task distributions have unequal sample counts %s" % counts)
+    finish = {}
+    for t in sorted(job.tasks, key=lambda t: t.id):  # ids are topological
+        dist = per_task_dists[t.id]
+        if t.predecessors:
+            dist = convolve(max_of([finish[p] for p in t.predecessors]), dist)
+        finish[t.id] = dist
+    return max_of([finish[tid] for tid in job.sink_ids()])
 
 
 def is_feasible(job, dist):

@@ -8,6 +8,7 @@ Tracer here turns a rename into a test failure.
 
 import pathlib
 import sys
+from collections import Counter
 
 import pytest
 
@@ -24,11 +25,18 @@ def tracing(monkeypatch):
 
 def test_tracer_installs_and_restores_every_target(tracing):
     from spotflow import distributions, planner_astar, workflow_dag
+    from spotflow.cloud_model import default_catalog
 
     originals = (workflow_dag.convolve, workflow_dag.max_of,
                  planner_astar.workflow_time_distribution, distributions.substream)
+    job = workflow_dag.ligo_like(1, 3)
+    cache = planner_astar.TaskDistCache(job, default_catalog(), sample_count=200)
     with tracing.Tracer() as tracer:
         assert workflow_dag.convolve is not originals[0]
-        assert tracer.names
+        planner_astar.plan_distribution(job, cache, (0,) * len(job.tasks))
+    # The wrapped composition names are the ones plan evaluation calls.
+    spans = Counter(tracer.names[i] for i in tracer.span_name)
+    assert spans["distributions.convolve"] >= 1
+    assert spans["distributions.max_of"] >= 1
     assert (workflow_dag.convolve, workflow_dag.max_of,
             planner_astar.workflow_time_distribution, distributions.substream) == originals

@@ -94,11 +94,17 @@ class TestConvolve:
             assert c.percentile(q) == a.percentile(q)
 
     def test_mean_additivity_is_exact_for_equal_sizes(self):
-        # Permutation pairing preserves the sample multisets.
+        # Index pairing keeps both sample vectors whole.
         a = EmpiricalDistribution.from_gamma(3, 1, n=1000, seed=6)
         b = EmpiricalDistribution.from_gamma(7, 2, n=1000, seed=7)
         c = convolve(a, b, seed=8)
         assert c.expectation() == pytest.approx(a.expectation() + b.expectation(), abs=1e-9)
+
+    def test_equal_sizes_pair_by_index(self):
+        a = EmpiricalDistribution.from_gamma(5, 2, n=1000, seed=10)
+        c = convolve(a, a, seed=11)
+        assert np.array_equal(c.samples, 2.0 * a.samples)
+        assert not c.samples.flags.writeable
 
 
 class TestMaxOf:
@@ -119,8 +125,17 @@ class TestMaxOf:
         # Oracle: exact enumeration of max(i, j) over the 100x100 grid.
         grid = np.arange(1, 101, dtype=float)
         oracle = np.maximum.outer(grid, grid).mean()
-        m = max_of([uniform_1_to_100(), uniform_1_to_100()], seed=4)
+        # Samples are paired by index, so the second operand is an
+        # independent draw: a seeded shuffle of the same grid.
+        a = uniform_1_to_100()
+        b = EmpiricalDistribution(np.random.default_rng(4).permutation(a.samples))
+        m = max_of([a, b], seed=4)
         assert m.expectation() == pytest.approx(oracle, rel=0.03)
+
+    def test_equal_sizes_pair_by_index(self):
+        dists = [EmpiricalDistribution.from_gamma(2, 3, n=500, seed=s) for s in range(3)]
+        m = max_of(dists, seed=9)
+        assert np.array_equal(m.samples, np.maximum.reduce([d.samples for d in dists]))
 
     def test_dominates_every_input_percentile(self):
         a = EmpiricalDistribution.from_gamma(4, 2, n=4000, seed=5)

@@ -1,9 +1,9 @@
 """Golden outputs: one small fixed plan-and-simulate run, byte for byte.
 
-Plans two classes (montage_like(4, seed=0), whose DAG is not series-parallel
-and so takes the critical-path Monte-Carlo route, and ligo_like(1, 4, seed=0),
-which reduces by convolve/max_of) with the `dyna` planner over one seeded
-synthetic spiky trace per instance type, then simulates 50 jobs.  The
+Plans two classes (montage_like(4, seed=0), whose DAG is not series/parallel
+reducible, and ligo_like(1, 4, seed=0), which is) with the `dyna` planner
+over one seeded synthetic spiky trace per instance type, then simulates 50
+jobs.  The
 resulting plans.json and report.json must equal the files in tests/data/
 exactly, so a refactor that is meant to keep outputs unchanged is checked by
 the test suite and not only by the benchmark's digests.

@@ -17,8 +17,6 @@ from spotflow.workflow_dag import (
     montage_like,
     save_workflow,
     workflow_time_distribution,
-    _critical_path_monte_carlo,
-    _series_parallel_reduce,
 )
 
 from conftest import chain_job, cpu_profile, diamond_job, ordered_catalog
@@ -65,20 +63,20 @@ class TestAssignIds:
 class TestComposition:
     def test_chain_of_point_masses(self):
         job = chain_job([TaskProfile()] * 3)
-        dist = workflow_time_distribution(job, {0: pm(2), 1: pm(3), 2: pm(4)}, seed=1)
+        dist = workflow_time_distribution(job, {0: pm(2), 1: pm(3), 2: pm(4)})
         assert dist.min_value() == dist.max_value() == 9.0
 
     def test_fan_in_max_then_add(self):
         # Two parallel tasks joining into a final task.
         job = build_job({0: TaskProfile(), 1: TaskProfile(), 2: TaskProfile()},
                         [(0, 2), (1, 2)])
-        dist = workflow_time_distribution(job, {0: pm(2), 1: pm(5), 2: pm(1)}, seed=2)
+        dist = workflow_time_distribution(job, {0: pm(2), 1: pm(5), 2: pm(1)})
         assert dist.min_value() == dist.max_value() == 6.0
 
     def test_diamond_against_independent_critical_path_oracle(self):
         job = diamond_job([TaskProfile()] * 4)
         dists = {i: uniform_dist(1, 10, seed=100 + i) for i in range(4)}
-        got = workflow_time_distribution(job, dists, seed=3)
+        got = workflow_time_distribution(job, dists)
 
         # Independent oracle: brute-force critical path over freshly sampled
         # tuples with a different generator.
@@ -91,33 +89,75 @@ class TestComposition:
     def test_missing_distribution_rejected(self):
         job = chain_job([TaskProfile()] * 2)
         with pytest.raises(WorkflowError):
-            workflow_time_distribution(job, {0: pm(1)}, seed=0)
+            workflow_time_distribution(job, {0: pm(1)})
 
     def test_non_series_parallel_falls_back(self):
         # Triangle A->B->C plus A->C is not reducible by node merges.
         job = build_job({0: TaskProfile(), 1: TaskProfile(), 2: TaskProfile()},
                         [(0, 1), (1, 2), (0, 2)])
         dists = {0: pm(2), 1: pm(3), 2: pm(4)}
-        assert _series_parallel_reduce(job, dists, seed=0) is None
-        dist = workflow_time_distribution(job, dists, seed=0)
+        dist = workflow_time_distribution(job, dists)
         assert dist.min_value() == dist.max_value() == 9.0
-
-    def test_sp_and_monte_carlo_agree_on_percentiles(self):
-        job = diamond_job([TaskProfile()] * 4)
-        dists = {i: uniform_dist(5, 20, seed=200 + i) for i in range(4)}
-        sp = _series_parallel_reduce(job, dists, seed=4)
-        mc = _critical_path_monte_carlo(job, dists, seed=5)
-        assert sp is not None
-        for q in np.linspace(0.1, 0.99, 10):
-            assert sp.percentile(q) == pytest.approx(mc.percentile(q), rel=0.03)
 
     def test_workflow_slower_than_any_single_task(self):
         job = diamond_job([TaskProfile()] * 4)
         dists = {i: uniform_dist(5, 20, seed=300 + i) for i in range(4)}
-        wf = workflow_time_distribution(job, dists, seed=6)
+        wf = workflow_time_distribution(job, dists)
         from spotflow.distributions import dominates
         for d in dists.values():
             assert dominates(d, wf, 0.01)
+
+
+def ks_distance(dist, cdf):
+    """Kolmogorov-Smirnov distance between an empirical and an exact CDF."""
+    x = dist.sorted_samples
+    f = cdf(x)
+    n = x.size
+    ranks = np.arange(1, n + 1)
+    return max(np.max(ranks / n - f), np.max(f - (ranks - 1) / n))
+
+
+class TestMakespanStatistics:
+    """Index-paired composition against closed-form makespan laws."""
+
+    N = 10_000
+    KS_BOUND = 1.63 / np.sqrt(N)  # 1% level of the one-sample KS test
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gamma_chain_is_erlang(self, seed):
+        # Gamma(2, 3) + Gamma(3, 3) + Gamma(1, 3) = Erlang(6) with scale 3.
+        job = chain_job([TaskProfile()] * 3)
+        dists = {i: EmpiricalDistribution.from_gamma(k, 3.0, n=self.N, seed=10 * seed + i)
+                 for i, k in enumerate((2, 3, 1))}
+        got = workflow_time_distribution(job, dists)
+
+        def erlang_cdf(x):
+            y = x / 3.0
+            term = np.ones_like(y)
+            total = np.ones_like(y)
+            for k in range(1, 6):
+                term = term * y / k
+                total += term
+            return 1.0 - np.exp(-y) * total
+
+        assert ks_distance(got, erlang_cdf) <= self.KS_BOUND
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_exponential_fan_is_max(self, seed):
+        job = build_job({i: TaskProfile() for i in range(3)}, [])
+        dists = {i: EmpiricalDistribution.from_gamma(1, 1.0, n=self.N, seed=10 * seed + i)
+                 for i in range(3)}
+        got = workflow_time_distribution(job, dists)
+        assert ks_distance(got, lambda x: (1.0 - np.exp(-x)) ** 3) <= self.KS_BOUND
+
+    def test_diamond_keeps_shared_ancestor_correlated(self):
+        # E[a + max(b, c) + d] = 1 + 1.5 + 1 for Exp(1) tasks; pairing the
+        # two branches' copies of a independently would raise the mean.
+        job = diamond_job([TaskProfile()] * 4)
+        dists = {i: EmpiricalDistribution.from_gamma(1, 1.0, n=self.N, seed=40 + i)
+                 for i in range(4)}
+        got = workflow_time_distribution(job, dists)
+        assert got.expectation() == pytest.approx(3.5, rel=0.02)
 
 
 class TestFeasibility:
