@@ -91,12 +91,17 @@ class ExperimentSpec:
                 traces[itype.id] = spot_market.load_trace(str(path))
         return traces
 
-    def load_jobs(self, catalog):
+    def load_workflows(self):
+        """The workflow classes, without deadlines."""
         if not self.workflows:
             raise ValueError("no workflow files given")
+        return [workflow_dag.load_workflow(path, guarantee_p=self.guarantee)
+                for path in self.workflows]
+
+    def load_jobs(self, catalog):
+        """The workflow classes with their planning deadlines set."""
         jobs = []
-        for path in self.workflows:
-            job = workflow_dag.load_workflow(path, guarantee_p=self.guarantee)
+        for job in self.load_workflows():
             if self.deadline is not None:
                 deadline = float(self.deadline)
             else:
@@ -172,12 +177,18 @@ def cmd_plan(spec):
     failure = _failure_model(spec, catalog) if spec.planner == "dyna" else None
     out = _out_dir(spec)
     plans = {}
+    failed = 0
     for job in jobs:
         t0 = time.perf_counter()
         cache = planner_astar.TaskDistCache(job, catalog, spec.samples, spec.seed)
         params = planner_astar.AStarParams(max_iter=spec.max_iter)
-        plan = planner_astar.astar_configure(job, catalog, params=params,
-                                             cache=cache, seed=spec.seed)
+        try:
+            plan = planner_astar.astar_configure(job, catalog, params=params,
+                                                 cache=cache, seed=spec.seed)
+        except planner_astar.InfeasiblePlanError as exc:
+            print("infeasible: %s" % exc, file=sys.stderr)
+            failed += 1
+            continue
         if spec.planner == "dyna-ns":
             configs = [
                 workflow_dag.HybridConfig.ondemand_only(catalog[plan[t.id]])
@@ -208,10 +219,11 @@ def cmd_plan(spec):
         spot_dims = sum(len(c.spot_dims) for c in configs)
         print("planned %s: %d tasks, est. cost $%.4f, %d spot dims, %.2f s"
               % (job.class_id, len(job.tasks), est_cost, spot_dims, wall))
-    cache_path = out / "plans.json"
-    planner_astar.save_plan_cache(plans, cache_path)
-    print("plan cache written to %s" % cache_path)
-    return EXIT_OK
+    if plans:
+        cache_path = out / "plans.json"
+        planner_astar.save_plan_cache(plans, cache_path)
+        print("plan cache written to %s" % cache_path)
+    return EXIT_INFEASIBLE if failed else EXIT_OK
 
 
 def _load_baseline(path):
@@ -231,7 +243,7 @@ def _load_baseline(path):
 def cmd_simulate(spec, plans_path=None):
     baseline = _load_baseline(spec.baseline) if spec.baseline else None
     catalog = spec.load_catalog()
-    jobs = spec.load_jobs(catalog)
+    jobs = spec.load_workflows()  # hits are scored against the plan-cache deadlines
     out = _out_dir(spec)
     path = pathlib.Path(plans_path) if plans_path else out / "plans.json"
     plans = planner_astar.load_plan_cache(path)
@@ -331,9 +343,6 @@ def main(argv=None):
         if args.command == "ffp":
             return cmd_ffp(spec, args.type_name, args.bid)
         parser.error("unknown command %r" % args.command)
-    except planner_astar.InfeasiblePlanError as exc:
-        print("infeasible: %s" % exc, file=sys.stderr)
-        return EXIT_INFEASIBLE
     except simulator.PlanMismatchError as exc:
         print("mismatch: %s" % exc, file=sys.stderr)
         return EXIT_MISMATCH

@@ -110,10 +110,10 @@ class TaskProfile:
 class Catalog:
     """Ordered collection of instance types, cheapest first.
 
-    The strict price ordering is load-bearing: planners expand search states
-    by moving tasks to higher type ids, which must mean strictly more
-    expensive instances.  Immutable after construction; safe to share across
-    threads.
+    The strict price ordering is load-bearing: spot refinement scans
+    candidate spot types from a task's on-demand type id upward, which must
+    mean strictly more expensive instances.  Immutable after construction;
+    safe to share across threads.
     """
 
     def __init__(self, types):

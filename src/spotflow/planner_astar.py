@@ -1,22 +1,18 @@
 """Search for the cheapest per-task on-demand instance assignment.
 
 The state space is the vector of instance type ids per task (topological
-id order).  The search starts from the all-cheapest plan and expands states
-by replacing one dimension with a more expensive type; a best-first queue
-ordered by f = g + h (g: cost delta from the initial plan, h: expected cost
-of the plan) is pruned against the cheapest feasible cost found so far.
-
-Note on scores: h is the full expected plan cost and g the delta from the
-initial plan, so f effectively double-counts cost relative to textbook
-best-first search.  This is kept as designed; correctness of the returned
-plan rests on the explicit upper-bound pruning, and the pop order is still
-monotone in plan cost.
+id order).  Each task ranks its types by that task's expected cost, lower
+type id first on ties.  The search starts from the plan of every task's
+rank-0 type and moves one task at a time up one rank, so a plan never costs
+less than the plan it came from.  A uniform-cost queue ordered by
+(plan_cost, plan) therefore evaluates plans in non-decreasing cost, and the
+first feasible plan it pops is a cheapest feasible plan.
 """
 
 import heapq
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cloud_model import expected_ondemand_cost, task_time_distribution
 from .distributions import DEFAULT_SAMPLE_COUNT, derive_seed
@@ -45,7 +41,6 @@ class InfeasiblePlanError(RuntimeError):
 @dataclass
 class AStarParams:
     max_iter: int = 10_000
-    upper_bound: float = math.inf
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -54,13 +49,16 @@ class AStarParams:
 
 @dataclass
 class SearchStats:
-    """Diagnostics of one search run."""
+    """Diagnostics of one search run.
+
+    pruned counts the generated plans still queued, never evaluated, when
+    the search returned.
+    """
 
     iterations: int = 0
     generated: int = 0
     pruned: int = 0
     feasible_found: int = 0
-    upper_bound_history: list = field(default_factory=list)
 
 
 class TaskDistCache:
@@ -119,7 +117,9 @@ def astar_configure(job, catalog, params=None, sample_count=DEFAULT_SAMPLE_COUNT
                     seed=0, cache=None, stats=None):
     """Cheapest feasible per-task on-demand type assignment.
 
-    Returns the plan as a list of type ids indexed by task id.  Raises
+    Returns the plan as a list of type ids indexed by task id.  Plans are
+    evaluated in non-decreasing plan_cost order, so the first feasible one
+    is a cheapest feasible plan and is returned at once.  Raises
     InfeasiblePlanError when no feasible plan is found within max_iter
     iterations, carrying the closest-to-feasible plan seen as a diagnosis.
     """
@@ -130,58 +130,38 @@ def astar_configure(job, catalog, params=None, sample_count=DEFAULT_SAMPLE_COUNT
     stats = stats if stats is not None else SearchStats()
 
     n_tasks = len(job.tasks)
-    n_types = len(catalog)
-    initial = tuple([0] * n_tasks)
-    h0 = plan_cost(cache, initial)
+    ranked = [sorted(range(len(catalog)), key=lambda k: (cache.cost(tid, k), k))
+              for tid in range(n_tasks)]
+    # upgrade[t] maps each type to the next one in task t's cost ranking.
+    upgrade = [dict(zip(r, r[1:])) for r in ranked]
+    initial = tuple(r[0] for r in ranked)
+    closest = (math.inf, initial)  # (percentile, plan) for diagnosis
 
-    upper_bound = params.upper_bound
-    best_plan = None
-    best_infeasible = (math.inf, initial)  # (percentile, plan) for diagnosis
-
-    # Heap entries are (f, g, plan); the open map holds each plan's
-    # (level, h), level being the first task the plan may still change.
-    open_heap = [(h0, 0.0, initial)]
-    open_states = {initial: (0, h0)}
-    closed = set()
-
-    while open_heap and stats.iterations < params.max_iter:
+    # Entries are (cost, plan, level); a plan may still upgrade tasks
+    # level..n-1, so it has one parent and is pushed once.
+    heap = [(plan_cost(cache, initial), initial, 0)]
+    found = None
+    while heap and stats.iterations < params.max_iter:
         stats.iterations += 1
-        _, _, plan = heapq.heappop(open_heap)
-        state = open_states.pop(plan, None)
-        if state is None or plan in closed:
-            continue
-        level, h = state
-
-        dist = plan_distribution(job, cache, plan)
-        percentile = dist.percentile(job.guarantee_p)
+        _, plan, level = heapq.heappop(heap)
+        percentile = plan_distribution(job, cache, plan).percentile(job.guarantee_p)
         if percentile <= job.deadline:
             stats.feasible_found += 1
-            if h < upper_bound:
-                upper_bound = h
-                best_plan = plan
-                stats.upper_bound_history.append(upper_bound)
-        elif percentile < best_infeasible[0]:
-            best_infeasible = (percentile, plan)
-
-        closed.add(plan)
-
-        for dim in range(level, n_tasks):
-            for type_id in range(plan[dim] + 1, n_types):
-                child_plan = plan[:dim] + (type_id,) + plan[dim + 1:]
+            found = plan
+            break
+        if percentile < closest[0]:
+            closest = (percentile, plan)
+        for tid in range(level, n_tasks):
+            type_id = upgrade[tid].get(plan[tid])
+            if type_id is not None:
+                child = plan[:tid] + (type_id,) + plan[tid + 1:]
                 stats.generated += 1
-                child_h = h - cache.cost(dim, plan[dim]) + cache.cost(dim, type_id)
-                child_g = child_h - h0
-                child_f = child_g + child_h
-                if child_f >= upper_bound or child_plan in closed:
-                    stats.pruned += 1
-                    continue
-                if child_plan not in open_states:
-                    open_states[child_plan] = (dim, child_h)
-                    heapq.heappush(open_heap, (child_f, child_g, child_plan))
+                heapq.heappush(heap, (plan_cost(cache, child), child, tid))
 
-    if best_plan is None:
-        raise InfeasiblePlanError(job, best_infeasible[1], best_infeasible[0])
-    return list(best_plan)
+    stats.pruned += len(heap)
+    if found is None:
+        raise InfeasiblePlanError(job, closest[1], closest[0])
+    return list(found)
 
 
 def brute_force_configure(job, catalog, cache=None, sample_count=DEFAULT_SAMPLE_COUNT,

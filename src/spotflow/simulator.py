@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 from .cloud_model import SECONDS_PER_HOUR, ceil_hours, expected_task_time, sample_task_time
 from .distributions import derive_seed, substream
 
+EXPECTATION_SAMPLES = 2000  # for consolidation headroom estimates
+
 
 class SimulationError(RuntimeError):
     pass
@@ -53,7 +55,6 @@ class SimConfig:
     job_count: int = 100
     seed: int = 0
     idle_release_policy: str = "hour-boundary"  # or "immediate"
-    expectation_samples: int = 2000  # for consolidation headroom estimates
     collect_event_log: bool = False
 
     def __post_init__(self):
@@ -431,7 +432,7 @@ class Simulator:
             self._expected_cache[key] = expected_task_time(
                 cls.task_by_id(task_id).profile,
                 self.catalog[type_id],
-                n=self.config.expectation_samples,
+                n=EXPECTATION_SAMPLES,
                 seed=derive_seed(self.config.seed, "expected", task_id, type_id),
             )
         return self._expected_cache[key]

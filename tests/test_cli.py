@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from spotflow import cli
+from spotflow import cli, workflow_dag
 from spotflow.cloud_model import save_catalog
 from spotflow.planner_astar import TaskDistCache, load_plan_cache, plan_distribution
 from spotflow.workflow_dag import save_workflow
@@ -80,6 +80,20 @@ class TestPlan:
                                           "--deadline", "1.0")])
         assert rc == cli.EXIT_INFEASIBLE
 
+    def test_infeasible_class_does_not_drop_the_others(self, workspace, tmp_path, capsys):
+        # Under a 1,000 s deadline "toy" plans (900 s on t0) and "long"
+        # cannot (3,000 s even on t1).
+        long_path = tmp_path / "long.txt"
+        save_workflow(chain_job([cpu_profile(6000.0)], class_id="long"), long_path)
+        rc = cli.main(["plan", *base_args(workspace, "--planner", "dyna-ns",
+                                          "--workflow", str(long_path),
+                                          "--deadline", "1000")])
+        assert rc == cli.EXIT_INFEASIBLE
+        plans = load_plan_cache(workspace["tmp"] / "out" / "plans.json")
+        assert set(plans) == {"toy"}
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("infeasible: ") and "'long'" in err[0]
+
     def test_parse_error_exit_code(self, workspace, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("id,name\n0,broken\n")
@@ -119,6 +133,19 @@ class TestSimulate:
         first = (out / "report.json").read_bytes()
         assert cli.main(["simulate", *base_args(workspace, "--jobs", "10")]) == 0
         assert (out / "report.json").read_bytes() == first
+
+    def test_derives_no_deadlines(self, workspace, monkeypatch):
+        # Hits are scored against the plan cache's deadlines.
+        self._plan_then_simulate(workspace)
+        report = workspace["tmp"] / "out" / "report.json"
+        first = report.read_bytes()
+
+        def fail(*args, **kwargs):
+            raise AssertionError("simulate derived a deadline")
+
+        monkeypatch.setattr(workflow_dag, "deadline_bounds", fail)
+        assert cli.main(["simulate", *base_args(workspace, "--jobs", "10")]) == 0
+        assert report.read_bytes() == first
 
     def test_class_mismatch_exit_code(self, workspace, tmp_path):
         assert cli.main(["plan", *base_args(workspace, "--planner", "dyna-ns")]) == 0

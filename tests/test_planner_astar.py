@@ -1,5 +1,10 @@
+import itertools
+import math
+
+import numpy as np
 import pytest
 
+from spotflow.cloud_model import Catalog, GammaSpec, InstanceType, NormalSpec, TaskProfile
 from spotflow.distributions import dominates
 from spotflow.planner_astar import (
     AStarParams,
@@ -13,9 +18,43 @@ from spotflow.planner_astar import (
     plan_cost,
     save_plan_cache,
 )
-from spotflow.workflow_dag import ConfigDim, HybridConfig, deadline_bounds
+from spotflow.workflow_dag import ConfigDim, HybridConfig, build_job, deadline_bounds
 
 from conftest import chain_job, cpu_profile, diamond_job, mixed_profile, ordered_catalog
+
+
+def skewed_catalog():
+    """Three types where type 1 costs 2x type 0 and computes 4x faster.
+
+    Bandwidths grow by 1.5x per tier as in ordered_catalog, so an I/O-heavy
+    task is cheapest on type 0 and a CPU-heavy one on type 1.
+    """
+    tiers = [(0.06, 1e9, 1.0), (0.12, 4e9, 1.5), (0.48, 8e9, 2.25)]
+    return Catalog([
+        InstanceType(i, "s%d" % i, price, speed,
+                     GammaSpec(100.0, bw), NormalSpec(100.0 * bw, 15.0 * bw),
+                     GammaSpec(100.0, bw), GammaSpec(100.0, bw), 0.0, 0.0)
+        for i, (price, speed, bw) in enumerate(tiers)
+    ])
+
+
+def random_case(rng, catalog, i, n=400, seed=3):
+    """A random 4-5-task DAG of distinct CPU- or I/O-heavy tasks, with a
+    deadline log-uniform from slightly below D_min up to D_max."""
+    n_tasks = int(rng.integers(4, 6))
+    profiles = {}
+    for tid in range(n_tasks):
+        s = rng.uniform(0.5, 2.0)
+        cpu_heavy = rng.random() < 0.5
+        profiles[tid] = TaskProfile(
+            instructions=(8e11 if cpu_heavy else 5e10) * s,
+            seq_io_mb=(200 if cpu_heavy else 3000) * s,
+            rnd_io_mb=50 * s, net_in_mb=100 * s, net_out_mb=50 * s)
+    edges = [e for e in itertools.combinations(range(n_tasks), 2) if rng.random() < 0.5]
+    job = build_job(profiles, edges, guarantee_p=0.9, class_id="random-%d" % i)
+    d_min, d_max = deadline_bounds(job, catalog, n=n, seed=seed)
+    job = job.with_deadline(d_min * (d_max / d_min) ** rng.uniform(-0.2, 1.0))
+    return job, TaskDistCache(job, catalog, sample_count=n, seed=seed)
 
 
 def planned_job(profiles, builder=chain_job, deadline_frac=0.5, guarantee_p=0.9,
@@ -79,6 +118,26 @@ class TestOracleEquivalence:
             plan = astar_configure(job, cat, cache=cache, seed=7)
             assert plan_cost(cache, tuple(plan)) == bf_cost
 
+    def test_random_dags_on_cost_skewed_catalog(self):
+        # On skewed_catalog a CPU-heavy task is cheapest on type 1, so task
+        # costs are not monotone in type id; the search must still match
+        # the exhaustive optimum and give up only when nothing is feasible.
+        catalog = skewed_catalog()
+        rng = np.random.default_rng(5)
+        feasible = infeasible = 0
+        for i in range(40):
+            job, cache = random_case(rng, catalog, i)
+            _, bf_cost = brute_force_configure(job, catalog, cache=cache)
+            if bf_cost == math.inf:
+                with pytest.raises(InfeasiblePlanError):
+                    astar_configure(job, catalog, cache=cache)
+                infeasible += 1
+            else:
+                plan = astar_configure(job, catalog, cache=cache)
+                assert plan_cost(cache, tuple(plan)) == bf_cost, (i, plan)
+                feasible += 1
+        assert feasible >= 30 and infeasible >= 3
+
 
 class TestSearchBehaviour:
     def test_deterministic(self):
@@ -87,12 +146,31 @@ class TestSearchBehaviour:
         p2 = astar_configure(job, cat, sample_count=1000, seed=3)
         assert p1 == p2
 
-    def test_upper_bound_never_increases(self):
-        job, cat = planned_job([mixed_profile()] * 3, deadline_frac=0.3)
-        stats = SearchStats()
-        astar_configure(job, cat, sample_count=1000, seed=3, stats=stats)
-        ub = stats.upper_bound_history
-        assert ub and all(a >= b for a, b in zip(ub, ub[1:]))
+    @pytest.mark.parametrize("catalog", [ordered_catalog(3), skewed_catalog()],
+                             ids=["ordered", "skewed"])
+    def test_evaluates_plans_in_cost_order(self, catalog):
+        # Every plan cheaper than the returned one is evaluated first, and
+        # nothing after the first feasible plan is.
+        rng = np.random.default_rng(8)
+        checked = 0
+        for i in range(30):
+            job, cache = random_case(rng, catalog, i)
+            stats = SearchStats()
+            try:
+                plan = astar_configure(job, catalog, cache=cache, stats=stats)
+            except InfeasiblePlanError:
+                continue
+            best = plan_cost(cache, tuple(plan))
+            costs = [plan_cost(cache, p) for p in
+                     itertools.product(range(len(catalog)), repeat=len(job.tasks))]
+            below = sum(c < best for c in costs)
+            at_most = sum(c <= best for c in costs)
+            assert below <= stats.iterations - 1 <= at_most, (i, plan)
+            assert stats.feasible_found == 1
+            # The initial plan and every generated one is popped or left queued.
+            assert stats.iterations + stats.pruned == stats.generated + 1
+            checked += 1
+        assert checked >= 20
 
     def test_max_iter_respected(self):
         job, cat = planned_job([mixed_profile()] * 4, deadline_frac=0.2)
