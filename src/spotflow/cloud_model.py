@@ -260,12 +260,14 @@ _PROFILE_BANDS = (
 )
 
 
-def task_time_distribution(profile, itype, n=DEFAULT_SAMPLE_COUNT, seed=0):
-    """Execution-time distribution of a task on an instance type.
+def sample_task_time(profile, itype, n, seed=0):
+    """n realized execution times of a task on an instance type (seconds).
 
     T = instructions/cpu_speed + sum(data / bandwidth draw) over the four
     bandwidth resources.  The CPU term is deterministic; bandwidth terms
-    with zero data volume contribute nothing and are not sampled.
+    with zero data volume contribute nothing and are not sampled.  The one
+    sampler of the execution-time law: the planner's distributions and the
+    simulator's durations both come from here.
     """
     rng = substream(seed, "task-time", itype.id)
     total = np.full(n, profile.instructions / itype.cpu_speed)
@@ -273,17 +275,12 @@ def task_time_distribution(profile, itype, n=DEFAULT_SAMPLE_COUNT, seed=0):
         data_mb = getattr(profile, data_field)
         if data_mb > 0:
             total += data_mb / _positive_draw(getattr(itype, band_field), rng, n)
-    return EmpiricalDistribution(total)
-
-
-def sample_task_time(profile, itype, rng):
-    """One realized execution time of a task on an instance type (seconds)."""
-    total = profile.instructions / itype.cpu_speed
-    for data_field, band_field in _PROFILE_BANDS:
-        data_mb = getattr(profile, data_field)
-        if data_mb > 0:
-            total += data_mb / float(_positive_draw(getattr(itype, band_field), rng, 1)[0])
     return total
+
+
+def task_time_distribution(profile, itype, n=DEFAULT_SAMPLE_COUNT, seed=0):
+    """Execution-time distribution of a task on an instance type."""
+    return EmpiricalDistribution(sample_task_time(profile, itype, n, seed))
 
 
 def expected_ondemand_cost(price, dist):

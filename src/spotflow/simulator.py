@@ -8,22 +8,31 @@ running restarts from scratch on the next dimension (results of finished
 predecessor tasks are kept, so only the interrupted task reruns).
 
 The pool reuses idle instances of the requested kind and type without a new
-acquisition lag, and may place a spot request onto an idle on-demand
-instance of the same type (never the reverse).  Billing follows the hourly
-model: any started hour is charged in full, except the final partial hour
-of a spot instance killed by an out-of-bid event, which is free.  Spot
-hours are charged at the market price sampled at each hour start.
+acquisition lag; an idle spot instance is reused only for a request bidding
+no more than the instance's own bid, since its out-of-bid event was
+scheduled from that bid.  A spot request may also be placed onto an idle
+on-demand instance of the same type (never the reverse).  Billing follows
+the hourly model: any started hour is charged in full, except the final
+partial hour of a spot instance killed by an out-of-bid event, which is
+free.  Spot hours are charged at the market price sampled at each hour
+start.
 
 The core is strictly single-threaded and deterministic: events are ordered
 by (time, kind rank, sequence number) and every random draw comes from a
-stream keyed by stable identifiers, never by arrival order.
+stream keyed by stable identifiers, never by arrival order.  Task durations
+are drawn by the planner's own sampler, cloud_model.sample_task_time, as
+one array per (class, task, attempt) key indexed by job index, and rounded
+to whole seconds.
 """
 
+import bisect
 import enum
 import heapq
 import json
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .cloud_model import SECONDS_PER_HOUR, ceil_hours, expected_task_time, sample_task_time
 from .distributions import derive_seed, substream
@@ -112,18 +121,22 @@ class InstancePool:
             return 0.0
         return (SECONDS_PER_HOUR - (elapsed % SECONDS_PER_HOUR)) % SECONDS_PER_HOUR
 
-    def acquire_or_reuse(self, type_id, is_spot, now, expected_time=0.0):
+    def acquire_or_reuse(self, type_id, is_spot, now, expected_time=0.0, bid=0.0):
         """Idle instance satisfying the request, or None if one must be acquired.
 
-        Same-kind same-type idle instances are reused unconditionally.  A
-        spot request may additionally be consolidated onto an idle on-demand
-        instance of the same type when that instance's remaining paid
-        partial hour covers the task's expected execution time; an on-demand
-        request is never placed on a spot instance.
+        Idle instances are taken lowest id first.  An on-demand request
+        reuses any idle on-demand instance of the type.  A spot request at
+        `bid` reuses an idle spot instance of the type whose own bid is >=
+        `bid` (a lower-bid instance would die on prices the request's bid
+        covers).  Failing that, it may be consolidated onto an idle
+        on-demand instance of the same type when that instance's remaining
+        paid partial hour covers the task's expected execution time; an
+        on-demand request is never placed on a spot instance.
         """
         idle = self._idle_list(type_id, is_spot)
-        if idle:
-            return self.instances[idle.pop(0)]
+        for i, inst_id in enumerate(idle):
+            if not is_spot or self.instances[inst_id].bid >= bid:
+                return self.instances[idle.pop(i)]
         if is_spot:
             od_idle = self._idle_list(type_id, False)
             for i, inst_id in enumerate(od_idle):
@@ -137,9 +150,7 @@ class InstancePool:
         inst.busy = False
         inst.assigned = None
         inst.release_token += 1
-        lst = self._idle_list(inst.type_id, inst.is_spot)
-        lst.append(inst.id)
-        lst.sort()
+        bisect.insort(self._idle_list(inst.type_id, inst.is_spot), inst.id)
 
     def remove(self, inst):
         inst.alive = False
@@ -250,6 +261,7 @@ class Simulator:
         self.bills = []  # (instance_id, type_id, is_spot, hours, amount)
         self.event_log = []
         self._expected_cache = {}
+        self._durations = {}  # (class_id, task_id, attempt) -> int64 array by job index
 
     # ------------------------------------------------------------------
     # event plumbing
@@ -323,7 +335,8 @@ class Simulator:
         dim = config.dims[attempt]
         itype = self.catalog[dim.type_id]
         expected = self._expected_time(job.cls, task_id, dim.type_id)
-        inst = self.pool.acquire_or_reuse(dim.type_id, dim.is_spot, self.now, expected)
+        inst = self.pool.acquire_or_reuse(dim.type_id, dim.is_spot, self.now, expected,
+                                          bid=dim.price)
         if inst is not None:
             inst.release_token += 1  # cancel any pending idle release
             inst.assigned = (job.index, task_id, attempt)
@@ -354,12 +367,7 @@ class Simulator:
         self._start_task(self.jobs[job_index], task_id, attempt, inst)
 
     def _start_task(self, job, task_id, attempt, inst):
-        itype = self.catalog[inst.type_id]
-        rng = substream(self.config.seed, "duration", job.index, task_id, attempt)
-        profile = job.cls.task_by_id(task_id).profile
-        # Nearest-second rounding keeps the integer clock without biasing
-        # durations upward (ceiling would systematically inflate makespans).
-        duration = int(round(sample_task_time(profile, itype, rng)))
+        duration = int(self._duration_table(job, task_id, attempt)[job.index])
         inst.busy = True
         inst.assigned = (job.index, task_id, attempt)
         inst.busy_intervals.append((self.now, self.now + duration))
@@ -368,6 +376,27 @@ class Simulator:
                   % (job.index, task_id, attempt, inst.id, duration))
         self._push(self.now + duration, EventKind.TASK_FINISH,
                    (inst.id, job.index, task_id, attempt))
+
+    def _duration_table(self, job, task_id, attempt):
+        """Durations (whole seconds) of one (class, task, attempt), by job index.
+
+        The key fixes the instance type: it is the attempt's dimension type,
+        which consolidation onto an idle on-demand instance keeps.  Rounding
+        to the nearest second (half to even) keeps the integer clock without
+        biasing durations upward, as ceiling would.
+        """
+        key = (job.cls.class_id, task_id, attempt)
+        table = self._durations.get(key)
+        if table is None:
+            type_id = job.plan.task_configs[task_id].dims[attempt].type_id
+            times = sample_task_time(
+                job.cls.task_by_id(task_id).profile,
+                self.catalog[type_id],
+                self.config.job_count,
+                derive_seed(self.config.seed, "duration", *key),
+            )
+            table = self._durations[key] = np.rint(times).astype(np.int64)
+        return table
 
     def _on_task_finish(self, inst_id, job_index, task_id, attempt):
         inst = self.pool.instances[inst_id]

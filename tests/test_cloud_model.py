@@ -15,6 +15,7 @@ from spotflow.cloud_model import (
     default_catalog,
     expected_ondemand_cost,
     load_catalog,
+    sample_task_time,
     save_catalog,
     task_time_distribution,
 )
@@ -60,6 +61,18 @@ class TestTaskTimeDistribution:
         d = task_time_distribution(TaskProfile(rnd_io_mb=10), itype, n=2000, seed=4)
         assert np.all(np.isfinite(d.samples))
         assert d.min_value() > 0
+
+    @pytest.mark.parametrize("type_id", [0, 3])
+    def test_distribution_wraps_the_sampler(self, type_id):
+        # The planner's distributions and the simulator's durations share
+        # one sampler: equal arguments give the same samples, bit for bit.
+        itype = default_catalog()[type_id]
+        profile = TaskProfile(instructions=3e11, seq_io_mb=900, rnd_io_mb=40,
+                              net_in_mb=300, net_out_mb=120)
+        drawn = sample_task_time(profile, itype, 500, seed=17)
+        assert isinstance(drawn, np.ndarray) and drawn.shape == (500,)
+        assert np.array_equal(task_time_distribution(profile, itype, n=500, seed=17).samples,
+                              drawn)
 
 
 class TestExpectedCost:

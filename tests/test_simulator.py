@@ -3,7 +3,8 @@ import re
 
 import pytest
 
-from spotflow.cloud_model import Catalog, GammaSpec, InstanceType, NormalSpec
+from spotflow import simulator
+from spotflow.cloud_model import Catalog, GammaSpec, InstanceType, NormalSpec, default_catalog
 from spotflow.distributions import substream
 from spotflow.planner_astar import JobPlan
 from spotflow.simulator import (
@@ -17,9 +18,9 @@ from spotflow.simulator import (
     run,
 )
 from spotflow.spot_market import SpotPriceTrace
-from spotflow.workflow_dag import ConfigDim, HybridConfig
+from spotflow.workflow_dag import ConfigDim, HybridConfig, ligo_like, montage_like
 
-from conftest import chain_job, constant_trace, cpu_profile, ordered_catalog
+from conftest import chain_job, constant_trace, cpu_profile, ordered_catalog, spiky_trace
 
 
 def single_type_catalog(lag_od=0.0, lag_spot=0.0):
@@ -112,6 +113,28 @@ class TestPool:
         inst = pool.create(0, False, None, ready_time=0)
         pool.mark_idle(inst)
         assert pool.acquire_or_reuse(1, False, now=100, expected_time=1) is None
+
+    def test_spot_reuse_needs_a_bid_at_least_the_requested_one(self):
+        # An instance bid at b1 dies on prices a b2 > b1 request covers.
+        pool = InstancePool()
+        inst = pool.create(0, True, 0.05, ready_time=0)
+        pool.mark_idle(inst)
+        assert pool.acquire_or_reuse(0, True, now=100, bid=0.10) is None
+        assert pool.acquire_or_reuse(0, True, now=100, bid=0.05) is inst
+        pool.mark_idle(inst)
+        assert pool.acquire_or_reuse(0, True, now=100, bid=0.01) is inst
+
+    def test_spot_reuse_takes_lowest_id_among_high_enough_bids(self):
+        pool = InstancePool()
+        low, high, higher = (pool.create(0, True, bid, ready_time=0)
+                             for bid in (0.05, 0.10, 0.20))
+        for inst in (higher, low, high):
+            pool.mark_idle(inst)
+        assert pool.acquire_or_reuse(0, True, now=100, bid=0.08) is high
+        assert pool.acquire_or_reuse(0, True, now=100, bid=0.08) is higher
+        assert pool.acquire_or_reuse(0, True, now=100, bid=0.08) is None
+        assert pool.acquire_or_reuse(0, True, now=100, bid=0.08) is None
+        assert pool.acquire_or_reuse(0, True, now=100, bid=0.05) is low
 
 
 class TestSingleTaskRuns:
@@ -228,6 +251,27 @@ class TestReuseAndConsolidation:
         kinds = sorted(inst.is_spot for inst in sim.pool.instances.values())
         assert kinds == [False, True]
 
+    @pytest.mark.parametrize("bid2, makespan, instances", [
+        (0.10, 1200, [(True, 0.05), (True, 0.10)]),   # refused: fresh b2 instance
+        (0.05, 1500, [(False, None), (True, 0.05)]),  # reused, killed, restarted
+    ])
+    def test_spot_reuse_respects_the_requested_bid(self, bid2, makespan, instances):
+        # Task 0 runs 600 s on spot at b1 = 0.05; task 1 asks for spot at
+        # b2.  From 900 s after arrival the price, 0.08, lies between 0.05
+        # and 0.10: the b1 instance dies then, a b2 = 0.10 one never does.
+        seed = 4
+        cat = single_type_catalog()
+        a = first_arrival(seed)
+        trace = SpotPriceTrace([0.0, a + 900.0, a + 900.0 + 100 * 3600.0],
+                               [0.02, 0.08, 0.08])
+        job = chain_job([cpu_profile(600.0)] * 2, deadline=10_000.0, class_id="bids")
+        plans = make_plans(job, [spot_first_config(cat, bid=0.05),
+                                 spot_first_config(cat, bid=bid2)])
+        sim = Simulator(SimConfig(job_count=1, seed=seed), [job], plans, cat, {0: trace})
+        rep = sim.run()
+        assert rep.per_job[0]["makespan_s"] == makespan
+        assert sorted((i.is_spot, i.bid) for i in sim.pool.instances.values()) == instances
+
     def test_immediate_release_acquires_more_instances(self):
         cat = single_type_catalog()
         job = chain_job([cpu_profile(60.0)], deadline=10_000.0, class_id="r")
@@ -303,6 +347,63 @@ class TestInvariants:
     def test_every_job_completes(self):
         rep = self._mixed_sim().run()
         assert all(row["completion"] is not None for row in rep.per_job)
+
+
+def _two_class_run(catalog, plans_for, traces=None, **config):
+    jobs = [montage_like(4, seed=0), ligo_like(1, 4, seed=0)]
+    plans = {}
+    for job in jobs:
+        plans.update(make_plans(job.with_deadline(10_000.0), plans_for(job)))
+    sim = Simulator(SimConfig(**config), jobs, plans, catalog, traces)
+    return sim, sim.run()
+
+
+class TestBatchedDurations:
+    def test_durations_do_not_depend_on_arrival_order(self):
+        # Durations are keyed by (class, task, attempt) and job index, so a
+        # job's tasks last as long whether jobs overlap or not.
+        cat = default_catalog()
+
+        def plans_for(job):
+            return [od_config(cat, 1)] * len(job.tasks)
+
+        starts = {}
+        for rate in (0.01, 1.0):
+            sim, _ = _two_class_run(cat, plans_for, job_count=40, seed=3,
+                                    arrival_rate_per_min=rate, collect_event_log=True)
+            starts[rate] = {
+                (int(m[1]), int(m[2])): int(m[3])
+                for m in map(re.compile(r"\d+ TaskStart job=(\d+) task=(\d+) "
+                                        r"attempt=0 inst=\d+ duration=(\d+)").match,
+                             sim.event_log)
+                if m
+            }
+        assert len(starts[0.01]) == 20 * sum(len(job.tasks) for job in sim.classes)
+        assert starts[0.01] == starts[1.0]
+
+    def test_one_draw_per_class_task_and_attempt(self, monkeypatch):
+        # Regression guard: durations are drawn as one batch per key, not
+        # once per task start.
+        cat = default_catalog()
+        calls = []
+        original = simulator.sample_task_time
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "sample_task_time", counting)
+
+        def plans_for(job):
+            return [spot_first_config(cat, bid=0.05)] * len(job.tasks)
+
+        sim, rep = _two_class_run(cat, plans_for, {0: spiky_trace()}, job_count=200,
+                                  seed=2, arrival_rate_per_min=0.5, collect_event_log=True)
+        assert rep.job_count == 200
+        # The spikes forced restarts onto the on-demand dimension.
+        assert sum(" attempt=1 " in line for line in sim.event_log) > 10
+        assert 0 < len(calls) <= sum(2 * len(job.tasks) for job in sim.classes)
+        assert all(n == 200 for _, _, n, _ in calls)
 
 
 class TestHitRates:
