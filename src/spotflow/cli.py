@@ -98,18 +98,13 @@ class ExperimentSpec:
         return [workflow_dag.load_workflow(path, guarantee_p=self.guarantee)
                 for path in self.workflows]
 
-    def load_jobs(self, catalog):
-        """The workflow classes with their planning deadlines set."""
-        jobs = []
-        for job in self.load_workflows():
-            if self.deadline is not None:
-                deadline = float(self.deadline)
-            else:
-                d_min, d_max = workflow_dag.deadline_bounds(
-                    job, catalog, n=self.samples, seed=self.seed)
-                deadline = d_min + self.deadline_factor * (d_max - d_min)
-            jobs.append(job.with_deadline(deadline))
-        return jobs
+    def planning_deadline(self, job, catalog, cache):
+        """The class's planning deadline, from the class's TaskDistCache."""
+        if self.deadline is not None:
+            return float(self.deadline)
+        d_min, d_max = workflow_dag.deadline_bounds(
+            job, catalog, n=self.samples, seed=self.seed, cache=cache)
+        return d_min + self.deadline_factor * (d_max - d_min)
 
 
 def _spec_from_args(args):
@@ -173,7 +168,7 @@ def _failure_model(spec, catalog):
 
 def cmd_plan(spec):
     catalog = spec.load_catalog()
-    jobs = spec.load_jobs(catalog)
+    jobs = spec.load_workflows()
     failure = _failure_model(spec, catalog) if spec.planner == "dyna" else None
     out = _out_dir(spec)
     plans = {}
@@ -181,6 +176,7 @@ def cmd_plan(spec):
     for job in jobs:
         t0 = time.perf_counter()
         cache = planner_astar.TaskDistCache(job, catalog, spec.samples, spec.seed)
+        job = job.with_deadline(spec.planning_deadline(job, catalog, cache))
         params = planner_astar.AStarParams(max_iter=spec.max_iter)
         try:
             plan = planner_astar.astar_configure(job, catalog, params=params,

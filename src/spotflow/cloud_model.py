@@ -293,12 +293,20 @@ def expected_ondemand_cost(price, dist):
     return price * dist.expectation() / SECONDS_PER_HOUR
 
 
-def expected_task_time(profile, itype, n=DEFAULT_SAMPLE_COUNT, seed=0):
-    """Expected execution time of a task on a type (mean of the MC model)."""
+def expected_task_time(profile, itype, n=DEFAULT_SAMPLE_COUNT, seed=0, dist=None):
+    """Expected execution time of a task on a type (mean of the MC model).
+
+    dist, when given, is the task's distribution on itype drawn with the
+    same n and seed, and supplies the mean instead of a fresh draw.  A
+    task with no data volume takes exactly its CPU time, returned as is:
+    the mean of n equal floats need not equal the value.
+    """
     if (profile.seq_io_mb == 0 and profile.rnd_io_mb == 0
             and profile.net_in_mb == 0 and profile.net_out_mb == 0):
         return profile.instructions / itype.cpu_speed
-    return task_time_distribution(profile, itype, n=n, seed=seed).expectation()
+    if dist is None:
+        dist = task_time_distribution(profile, itype, n=n, seed=seed)
+    return dist.expectation()
 
 
 def ceil_hours(seconds):

@@ -26,15 +26,25 @@ from .workflow_dag import (
 
 
 class InfeasiblePlanError(RuntimeError):
-    """No feasible plan was found within the iteration budget."""
+    """No feasible plan was found within the iteration budget.
 
-    def __init__(self, job, best_plan, best_percentile):
+    budget_exhausted tells the two reasons apart: True when the search
+    stopped at max_iter with plans still queued (a feasible plan may
+    exist), False when it evaluated every plan, which proves none is
+    feasible.
+    """
+
+    def __init__(self, job, best_plan, best_percentile, evaluated, budget_exhausted):
         self.best_plan = best_plan
         self.best_percentile = best_percentile
         self.deadline = job.deadline
+        self.evaluated = evaluated
+        self.budget_exhausted = budget_exhausted
+        reason = ("budget of %d iterations exhausted" % evaluated if budget_exhausted
+                  else "all %d plans evaluated" % evaluated)
         super().__init__(
-            "no feasible plan for %r: best percentile %.1f s vs deadline %.1f s (plan %s)"
-            % (job.class_id, best_percentile, job.deadline, list(best_plan))
+            "no feasible plan for %r (%s): best percentile %.1f s vs deadline %.1f s (plan %s)"
+            % (job.class_id, reason, best_percentile, job.deadline, list(best_plan))
         )
 
 
@@ -121,7 +131,8 @@ def astar_configure(job, catalog, params=None, sample_count=DEFAULT_SAMPLE_COUNT
     evaluated in non-decreasing plan_cost order, so the first feasible one
     is a cheapest feasible plan and is returned at once.  Raises
     InfeasiblePlanError when no feasible plan is found within max_iter
-    iterations, carrying the closest-to-feasible plan seen as a diagnosis.
+    iterations, carrying the closest-to-feasible plan seen as a diagnosis
+    and whether the budget or the plans ran out first.
     """
     if job.deadline is None:
         raise WorkflowError("job has no deadline set")
@@ -141,8 +152,9 @@ def astar_configure(job, catalog, params=None, sample_count=DEFAULT_SAMPLE_COUNT
     # level..n-1, so it has one parent and is pushed once.
     heap = [(plan_cost(cache, initial), initial, 0)]
     found = None
-    while heap and stats.iterations < params.max_iter:
-        stats.iterations += 1
+    evaluated = 0
+    while heap and evaluated < params.max_iter:
+        evaluated += 1
         _, plan, level = heapq.heappop(heap)
         percentile = plan_distribution(job, cache, plan).percentile(job.guarantee_p)
         if percentile <= job.deadline:
@@ -158,9 +170,11 @@ def astar_configure(job, catalog, params=None, sample_count=DEFAULT_SAMPLE_COUNT
                 stats.generated += 1
                 heapq.heappush(heap, (plan_cost(cache, child), child, tid))
 
+    stats.iterations += evaluated
     stats.pruned += len(heap)
     if found is None:
-        raise InfeasiblePlanError(job, closest[1], closest[0])
+        raise InfeasiblePlanError(job, closest[1], closest[0], evaluated,
+                                  budget_exhausted=bool(heap))
     return list(found)
 
 

@@ -59,23 +59,20 @@ def hybrid_time_distribution(spot_parts, od_dist, seed=0):
     """
     n = max([od_dist.sample_count] + [d.sample_count for d, _ in spot_parts])
     rng = substream(seed, "hybrid-mixture")
-    consumed = np.zeros(n)
-    result = np.empty(n)
+    # Time spent so far; a trial adds 0.0 once it has finished.
+    elapsed = np.zeros(n)
     remaining = np.ones(n, dtype=bool)
     for spot_dist, ffp in spot_parts:
         if not remaining.any():
             break
         ts = _aligned(spot_dist, n, rng)
         fail_t = ffp.sample_failure_times(rng, n)
-        finished = remaining & (fail_t >= ts)
-        result[finished] = consumed[finished] + ts[finished]
-        failed = remaining & ~(fail_t >= ts)
-        consumed[failed] += fail_t[failed]
-        remaining = failed
+        failed = fail_t < ts
+        elapsed += np.where(remaining, np.where(failed, fail_t, ts), 0.0)
+        remaining &= failed
     if remaining.any():
-        to = _aligned(od_dist, n, rng)
-        result[remaining] = consumed[remaining] + to[remaining]
-    return EmpiricalDistribution(result)
+        elapsed += np.where(remaining, _aligned(od_dist, n, rng), 0.0)
+    return EmpiricalDistribution._adopt(elapsed)
 
 
 def hybrid_cost(config, dim_dists, failure):

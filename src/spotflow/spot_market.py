@@ -15,10 +15,15 @@ which is the conservative direction for cost estimation.
 import math
 from dataclasses import dataclass, field
 from datetime import datetime
+from functools import cached_property
 
 import numpy as np
 
 from .distributions import substream
+
+
+# Cells of the guide table that maps a uniform draw to a failure outcome.
+_GUIDE_CELLS = 4096
 
 
 class TraceError(ValueError):
@@ -99,22 +104,12 @@ class SpotPriceTrace:
         return self.price_at(self.start + (sim_time % self.cycle))
 
     def _next_exceed_index(self, bid):
-        """For each point index i, the smallest j >= i with price[j] > bid.
-
-        Returns an int array of length n+1 whose entries equal n when no
-        later point exceeds the bid.
-        """
+        """next_exceed_index(self.prices, bid), memoized per bid."""
         key = round(float(bid), 9)
         cached = self._exceed_cache.get(key)
-        if cached is not None:
-            return cached
-        n = self.prices.size
-        nxt = np.full(n + 1, n, dtype=np.int64)
-        for i in range(n - 1, -1, -1):
-            nxt[i] = i if self.prices[i] > bid else nxt[i + 1]
-        nxt.flags.writeable = False
-        self._exceed_cache[key] = nxt
-        return nxt
+        if cached is None:
+            cached = self._exceed_cache[key] = next_exceed_index(self.prices, bid)
+        return cached
 
     def first_exceedance_after(self, t, bid):
         """Absolute trace time >= t when the price first exceeds bid.
@@ -148,6 +143,22 @@ class SpotPriceTrace:
         # Wrap: the first exceeding point from the trace start.
         j = int(self._next_exceed_index(bid)[0])
         return base + self.cycle + (float(self.timestamps[j]) - self.start)
+
+
+def next_exceed_index(prices, bid):
+    """For each point index i, the smallest j >= i with prices[j] > bid.
+
+    Returns a read-only int64 array of length n+1 whose entries equal n
+    when no later point exceeds the bid.
+    """
+    n = prices.size
+    nxt = np.full(n + 1, n, dtype=np.int64)
+    # Each exceeding point's own index, n elsewhere; a running minimum from
+    # the end then gives the nearest exceeding index at or after i.
+    own = np.where(prices > bid, np.arange(n), n)
+    nxt[:n] = np.minimum.accumulate(own[::-1])[::-1]
+    nxt.flags.writeable = False
+    return nxt
 
 
 def load_trace(path):
@@ -218,20 +229,63 @@ class FirstFailureDistribution:
         buckets = min(int(math.ceil(t / self.step)), self.masses.size)
         return float(self.masses[:buckets].sum())
 
+    @cached_property
+    def _mass_before(self):
+        """Failure mass strictly before each grid point 0..len(masses)."""
+        csum = np.concatenate(([0.0], np.cumsum(self.masses)))
+        csum.flags.writeable = False
+        return csum
+
     def cumulative_before_many(self, times):
         """Vectorized cumulative_before over an array of elapsed times."""
-        csum = np.concatenate(([0.0], np.cumsum(self.masses)))
         idx = np.ceil(np.asarray(times, dtype=np.float64) / self.step).astype(np.int64)
         idx = np.clip(idx, 0, self.masses.size)
-        return csum[idx]
+        return self._mass_before[idx]
 
-    def sample_failure_times(self, rng, n):
-        """Draw n first-failure times (bucket start times; inf = no failure)."""
-        outcomes = np.append(self.bucket_times, np.inf)
+    @cached_property
+    def _outcome_table(self):
+        """(cdf, guide) over the outcomes: every bucket, then no failure.
+
+        cdf is the one rng.choice builds from the normalized masses.  Cell
+        c of guide covers u in [c, c+1) / cells and holds the number of
+        cdf values <= c / cells, or -1 when more than one cdf value falls
+        strictly inside the cell.  Built on the first draw, so
+        distributions that are only queried for cumulative failure never
+        pay for it.
+        """
         probs = np.append(self.masses, self.no_failure_mass)
         # Guard against tiny float drift in the probability vector.
         probs = probs / probs.sum()
-        return rng.choice(outcomes, size=n, p=probs)
+        cdf = np.cumsum(probs)
+        cdf /= cdf[-1]
+        edges = np.arange(_GUIDE_CELLS + 1) / _GUIDE_CELLS
+        low = np.searchsorted(cdf, edges[:-1], side="right")
+        high = np.searchsorted(cdf, edges[1:], side="left")
+        dtype = np.int16 if cdf.size <= np.iinfo(np.int16).max else np.int32
+        guide = np.where(high - low <= 1, low, -1).astype(dtype)
+        cdf.flags.writeable = False
+        guide.flags.writeable = False
+        return cdf, guide
+
+    def sample_failure_times(self, rng, n):
+        """Draw n first-failure times (bucket start times; inf = no failure).
+
+        Returns what rng.choice(outcomes, size=n, p=probs) returns and
+        leaves rng in the same state: one rng.random(n) draw, each u mapped
+        to the number of cdf values <= u.  u * cells is exact (cells is a
+        power of two), so u's guide cell gives that count up to the one
+        cdf value that may lie inside the cell, cdf[low]; cells holding
+        more are looked up in the cdf.
+        """
+        cdf, guide = self._outcome_table
+        u = rng.random(n)
+        low = guide[(u * _GUIDE_CELLS).astype(np.intp)]
+        idx = low + (u >= cdf[low])
+        crowded = low < 0
+        idx[crowded] = cdf.searchsorted(u[crowded], side="right")
+        times = idx * self.step
+        times[idx == self.masses.size] = np.inf
+        return times
 
 
 @dataclass
@@ -250,6 +304,7 @@ class FailureModel:
     step: float = 60.0
     rng_seed: int = 0
     _cache: dict = field(default_factory=dict, repr=False)
+    _walks: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.num_trials < 1:
@@ -259,6 +314,29 @@ class FailureModel:
 
     def has_trace(self, type_id):
         return type_id in self.traces
+
+    def walks(self, type_id):
+        """(start times, start segment indices) of the type's trial walks.
+
+        The start-offset stream is keyed by type only, not by bid: every
+        bid is evaluated against the same trial walks, which makes
+        cumulative failure exactly monotone in the bid instead of monotone
+        up to sampling noise.  Drawn once per type.
+        """
+        cached = self._walks.get(type_id)
+        if cached is not None:
+            return cached
+        trace = self.traces[type_id]
+        rng = substream(self.rng_seed, "ffp", type_id)
+        if trace.span > 0:
+            starts = trace.start + rng.uniform(0.0, trace.span, size=self.num_trials)
+        else:
+            starts = np.full(self.num_trials, trace.start)
+        seg = (np.searchsorted(trace.timestamps, starts, side="right") - 1).astype(np.int32)
+        starts.flags.writeable = False
+        seg.flags.writeable = False
+        self._walks[type_id] = (starts, seg)
+        return starts, seg
 
 
 def estimate_ffp(model, type_id, bid):
@@ -279,17 +357,9 @@ def estimate_ffp(model, type_id, bid):
 
     trace = model.traces[type_id]
     nbuckets = int(math.ceil(model.horizon / model.step))
-    # The start-offset stream is keyed by type only, not by bid: every bid is
-    # evaluated against the same trial walks, which makes cumulative failure
-    # exactly monotone in the bid instead of monotone up to sampling noise.
-    rng = substream(model.rng_seed, "ffp", type_id)
-    if trace.span > 0:
-        starts = trace.start + rng.uniform(0.0, trace.span, size=model.num_trials)
-    else:
-        starts = np.full(model.num_trials, trace.start)
-
-    seg = np.searchsorted(trace.timestamps, starts, side="right") - 1
-    nxt = trace._next_exceed_index(bid)
+    starts, seg = model.walks(type_id)
+    # Not the trace's memo: this result is memoized per bid in the model.
+    nxt = next_exceed_index(trace.prices, bid)
     j = nxt[seg]
     n = trace.prices.size
     elapsed = np.where(

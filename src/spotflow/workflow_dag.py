@@ -90,7 +90,11 @@ class Task:
 
 @dataclass
 class WorkflowJob:
-    """A DAG of tasks plus its QoS contract."""
+    """A DAG of tasks plus its QoS contract.
+
+    Tasks are indexed by id when the job is made: replace the job
+    (with_deadline, dataclasses.replace) rather than edit its task list.
+    """
 
     tasks: list
     deadline: float | None = None
@@ -102,23 +106,19 @@ class WorkflowJob:
             raise WorkflowError("deadline must be positive and finite")
         if not 0.0 < self.guarantee_p <= 1.0:
             raise WorkflowError("guarantee_p must be in (0, 1]")
-        ids = [t.id for t in self.tasks]
-        if len(set(ids)) != len(ids):
+        self._by_id = {t.id: t for t in self.tasks}
+        if len(self._by_id) != len(self.tasks):
             raise WorkflowError("task ids must be unique")
-        known = set(ids)
         for t in self.tasks:
             for p in t.predecessors:
-                if p not in known:
+                if p not in self._by_id:
                     raise WorkflowError("task %d references unknown predecessor %d" % (t.id, p))
             for s in t.successors:
-                if s not in known:
+                if s not in self._by_id:
                     raise WorkflowError("task %d references unknown successor %d" % (t.id, s))
 
     def task_by_id(self, task_id):
-        for t in self.tasks:
-            if t.id == task_id:
-                return t
-        raise KeyError(task_id)
+        return self._by_id[task_id]
 
     def source_ids(self):
         return [t.id for t in self.tasks if not t.predecessors]
@@ -257,23 +257,29 @@ def critical_path_length(job, task_values):
     return max(finish[tid] for tid in job.sink_ids())
 
 
-def deadline_bounds(job, catalog, n=DEFAULT_SAMPLE_COUNT, seed=0):
+def deadline_bounds(job, catalog, n=DEFAULT_SAMPLE_COUNT, seed=0, cache=None):
     """(D_min, D_max): expected critical-path makespan on the most expensive
     and on the cheapest instance type.
 
     These anchor deadline settings; the default experiment deadline is their
-    midpoint.
+    midpoint.  Task times on a type are seeded from (seed, task id, type
+    id), as in the planner's TaskDistCache; pass the class's cache (same n
+    and seed) to read them from it instead of drawing them again.
     """
-    fastest = catalog.most_expensive()
-    slowest = catalog.cheapest()
-    d_min = critical_path_length(job, {
-        t.id: expected_task_time(t.profile, fastest, n=n, seed=derive_seed(seed, t.id, fastest.id))
-        for t in job.tasks
-    })
-    d_max = critical_path_length(job, {
-        t.id: expected_task_time(t.profile, slowest, n=n, seed=derive_seed(seed, t.id, slowest.id))
-        for t in job.tasks
-    })
+    if cache is not None and (cache.sample_count, cache.seed) != (n, seed):
+        raise ValueError("cache draws %d samples at seed %d, not %d at seed %d"
+                         % (cache.sample_count, cache.seed, n, seed))
+
+    def mean_times(itype):
+        return {
+            t.id: expected_task_time(
+                t.profile, itype, n=n, seed=derive_seed(seed, t.id, itype.id),
+                dist=None if cache is None else cache.dist(t.id, itype.id))
+            for t in job.tasks
+        }
+
+    d_min = critical_path_length(job, mean_times(catalog.most_expensive()))
+    d_max = critical_path_length(job, mean_times(catalog.cheapest()))
     return d_min, d_max
 
 

@@ -40,3 +40,22 @@ def test_tracer_installs_and_restores_every_target(tracing):
     assert spans["distributions.max_of"] >= 1
     assert (workflow_dag.convolve, workflow_dag.max_of,
             planner_astar.workflow_time_distribution, distributions.substream) == originals
+
+
+def test_tracer_records_the_refinement_layers(tracing):
+    from spotflow import planner_astar, planner_hybrid
+    from spotflow.spot_market import FailureModel
+
+    from conftest import chain_job, mixed_profile, ordered_catalog, stable_trace
+
+    catalog = ordered_catalog(2)
+    job = chain_job([mixed_profile()])
+    cache = planner_astar.TaskDistCache(job, catalog, sample_count=400, seed=2)
+    failure = FailureModel(traces={0: stable_trace(0.02)}, num_trials=500, rng_seed=2)
+    with tracing.Tracer() as tracer:
+        config = planner_hybrid.refine_task(0, catalog[0], catalog, failure, cache)
+    assert config.spot_dims
+    spans = Counter(tracer.names[i] for i in tracer.span_name)
+    for name in ("distributions.dominates", "planner_hybrid.hybrid_time",
+                 "spot_market.estimate_ffp"):
+        assert spans[name] >= 1, name

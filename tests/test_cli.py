@@ -1,4 +1,6 @@
 import json
+import pathlib
+import sys
 
 import pytest
 
@@ -8,6 +10,8 @@ from spotflow.planner_astar import TaskDistCache, load_plan_cache, plan_distribu
 from spotflow.workflow_dag import save_workflow
 
 from conftest import chain_job, cpu_profile, ordered_catalog, stable_trace
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 
 @pytest.fixture
@@ -93,6 +97,22 @@ class TestPlan:
         assert set(plans) == {"toy"}
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("infeasible: ") and "'long'" in err[0]
+        assert "(all 2 plans evaluated)" in err[0]
+
+    def test_infeasible_says_when_the_budget_ran_out(self, tmp_path, monkeypatch, capsys):
+        # The benchmark's epigenomics-like-2x4 class at its 100-iteration
+        # budget: plans are still queued when the search stops.
+        monkeypatch.syspath_prepend(str(BENCH))
+        monkeypatch.delitem(sys.modules, "inputs", raising=False)
+        import inputs
+        wf_path = tmp_path / "epigenomics-like-2x4.wf"
+        wf_path.write_text(inputs.workflow_text("epigenomics", {"lanes": 2, "depth": 4}, 6))
+        rc = cli.main(["plan", "--workflow", str(wf_path), "--out", str(tmp_path / "out"),
+                       "--seed", "0", "--samples", "10000", "--deadline-factor", "0.5",
+                       "--guarantee", "0.96", "--planner", "dyna-ns", "--max-iter", "100"])
+        assert rc == cli.EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert "'epigenomics-like-2x4' (budget of 100 iterations exhausted)" in err
 
     def test_parse_error_exit_code(self, workspace, tmp_path):
         bad = tmp_path / "bad.csv"

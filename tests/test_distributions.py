@@ -201,6 +201,35 @@ class TestDominates:
         assert dominates(fast, slow, 0.01)
         assert not dominates(slow, fast, 0.01)
 
+    @staticmethod
+    def union_grid(c2, c1, epsilon):
+        # The check on the merged sample grid that `dominates` reduces.
+        grid = np.union1d(c2.sorted_samples, c1.sorted_samples)
+        return bool(np.all(c2.cdf(grid) >= c1.cdf(grid) - epsilon))
+
+    @staticmethod
+    def random_pair(rng):
+        def one():
+            size = int(rng.choice([2, 3, 7, 50, 400]))
+            kind = rng.integers(3)
+            if kind == 0:  # heavy ties
+                return EmpiricalDistribution(rng.integers(0, 6, size=size).astype(float))
+            if kind == 1:
+                return EmpiricalDistribution.point_mass(float(rng.integers(0, 6)), size)
+            return EmpiricalDistribution(rng.gamma(2.0, 1.5, size=size))
+        return one(), one()
+
+    def test_matches_the_union_grid_check(self):
+        rng = np.random.default_rng(12)
+        for _ in range(400):
+            c2, c1 = self.random_pair(rng)
+            grid = np.union1d(c2.sorted_samples, c1.sorted_samples)
+            gap = float(np.max(c1.cdf(grid) - c2.cdf(grid)))
+            # epsilon exactly at the widest CDF gap and one float either side.
+            for eps in {0.0, 0.01, 0.25, max(gap, 0.0), max(np.nextafter(gap, -1.0), 0.0),
+                        max(np.nextafter(gap, 2.0), 0.0)}:
+                assert dominates(c2, c1, eps) == self.union_grid(c2, c1, eps), (c2, c1, eps)
+
 
 class TestProperties:
     """Randomized invariant checks; the master seed is printed for replay."""

@@ -86,6 +86,15 @@ class TestSingleTask:
             astar_configure(job, cat, sample_count=200, seed=1)
         assert err.value.best_plan == (1,)
         assert err.value.best_percentile > 10.0
+        assert not err.value.budget_exhausted
+        assert "(all 2 plans evaluated)" in str(err.value)
+
+    def test_budget_of_exactly_every_plan_is_not_exhausted(self):
+        cat = ordered_catalog(2)
+        job = chain_job([cpu_profile(60.0)], deadline=10.0)
+        with pytest.raises(InfeasiblePlanError) as err:
+            astar_configure(job, cat, params=AStarParams(max_iter=2), sample_count=200, seed=1)
+        assert not err.value.budget_exhausted and err.value.evaluated == 2
 
 
 class TestOracleEquivalence:
@@ -129,8 +138,12 @@ class TestOracleEquivalence:
             job, cache = random_case(rng, catalog, i)
             _, bf_cost = brute_force_configure(job, catalog, cache=cache)
             if bf_cost == math.inf:
-                with pytest.raises(InfeasiblePlanError):
+                with pytest.raises(InfeasiblePlanError) as err:
                     astar_configure(job, catalog, cache=cache)
+                # The queue ran dry: every plan was evaluated, none is feasible.
+                plans = len(catalog) ** len(job.tasks)
+                assert not err.value.budget_exhausted and err.value.evaluated == plans
+                assert "(all %d plans evaluated)" % plans in str(err.value)
                 infeasible += 1
             else:
                 plan = astar_configure(job, catalog, cache=cache)
@@ -181,6 +194,16 @@ class TestSearchBehaviour:
         except InfeasiblePlanError:
             pass
         assert stats.iterations <= 3
+
+    def test_budget_exhausted_is_reported(self):
+        # At D_min none of the first three plans is feasible, and more are
+        # still queued when the budget ends.
+        job, cat = planned_job([mixed_profile()] * 4, deadline_frac=0.0)
+        with pytest.raises(InfeasiblePlanError) as err:
+            astar_configure(job, cat, params=AStarParams(max_iter=3), sample_count=500,
+                            seed=3)
+        assert err.value.budget_exhausted and err.value.evaluated == 3
+        assert "(budget of 3 iterations exhausted)" in str(err.value)
 
     def test_initial_state_feasible_returns_all_cheapest(self):
         # Past D_max with margin: the percentile sits above the expectation,

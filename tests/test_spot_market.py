@@ -5,14 +5,16 @@ import pytest
 
 from spotflow.spot_market import (
     FailureModel,
+    FirstFailureDistribution,
     SpotPriceTrace,
     TraceError,
     cumulative_failure,
     estimate_ffp,
     load_trace,
+    next_exceed_index,
 )
 
-from conftest import alternating_trace, constant_trace
+from conftest import alternating_trace, constant_trace, spiky_trace, stable_trace
 
 
 class TestLoadTrace:
@@ -170,6 +172,99 @@ class TestEstimateFfp:
         da = estimate_ffp(model_a, 0, 0.10)
         db = estimate_ffp(model_b, 0, 0.10)
         assert np.array_equal(da.masses, db.masses)
+
+
+    def test_bid_order_does_not_matter(self):
+        # Bids inside each trace's price range, one equal to a price, and
+        # two that share a memo key.
+        requests = [(0, b) for b in (0.06, 0.024, 0.5, 0.03, 0.024000000001, 3.5)]
+        requests += [(1, b) for b in (0.051, 0.053, 0.0545, 0.06, 0.04)]
+
+        def model():
+            return FailureModel(traces={0: spiky_trace(), 1: stable_trace(0.05)},
+                                num_trials=4000, rng_seed=8)
+
+        by_bid = sorted(requests, key=lambda r: r[1])  # types interleaved
+        for m, order in ((model(), requests), (model(), requests[::-1]), (model(), by_bid)):
+            for type_id, bid in order:
+                got = estimate_ffp(m, type_id, bid)
+                alone = estimate_ffp(model(), type_id, bid)
+                assert got.masses.tobytes() == alone.masses.tobytes(), (type_id, bid)
+                assert got.no_failure_mass == alone.no_failure_mass
+
+
+def next_exceed_by_loop(prices, bid):
+    n = len(prices)
+    nxt = np.full(n + 1, n, dtype=np.int64)
+    for i in range(n - 1, -1, -1):
+        nxt[i] = i if prices[i] > bid else nxt[i + 1]
+    return nxt
+
+
+class TestNextExceedIndex:
+    @pytest.mark.parametrize("bid", [0.01, 0.05, 0.1, 0.15, 0.2])
+    def test_matches_the_loop_with_prices_equal_to_the_bid(self, bid):
+        rng = np.random.default_rng(3)
+        prices = rng.choice([0.05, 0.1, 0.15], size=300)
+        trace = SpotPriceTrace(np.arange(300) * 60.0, prices)
+        got = next_exceed_index(trace.prices, bid)
+        assert np.array_equal(got, next_exceed_by_loop(prices, bid))
+        assert got.dtype == np.int64
+        assert np.array_equal(trace._next_exceed_index(bid), got)
+
+    def test_single_point(self):
+        for price, want in ((0.1, [1, 1]), (0.3, [0, 1])):
+            trace = SpotPriceTrace([0.0], [price])
+            assert trace._next_exceed_index(0.1).tolist() == want
+
+
+def choice_reference(dist, rng, n):
+    # What sample_failure_times replaces: rng.choice over the outcomes.
+    outcomes = np.append(dist.bucket_times, np.inf)
+    probs = np.append(dist.masses, dist.no_failure_mass)
+    return rng.choice(outcomes, size=n, p=probs / probs.sum())
+
+
+def masses_with_gaps(rng, nbuckets, failure_share):
+    masses = rng.random(nbuckets) * (rng.random(nbuckets) < 0.4)
+    masses[rng.integers(nbuckets)] += 0.5
+    return masses / masses.sum() * failure_share
+
+
+class TestSampleFailureTimes:
+    @pytest.mark.parametrize("masses, no_failure", [
+        (np.zeros(1440), 1.0),                      # all mass in no-failure
+        (np.eye(1, 1440)[0], 0.0),                  # all mass in bucket 0
+        (np.eye(1, 1440, 1439)[0], 0.0),            # all mass in the last bucket
+        (np.full(4, 0.25), 0.0),
+        (np.array([0.0, 0.5, 0.0, 0.0]), 0.5),
+    ])
+    def test_matches_choice_on_edge_vectors(self, masses, no_failure):
+        dist = FirstFailureDistribution(step=60.0, masses=masses, no_failure_mass=no_failure)
+        self.check(dist, seed=1, n=5000)
+
+    def test_matches_choice_on_random_vectors_with_zero_buckets(self):
+        rng = np.random.default_rng(21)
+        for trial in range(60):
+            nbuckets = int(rng.choice([1, 3, 100, 1440, 5000]))
+            share = float(rng.choice([1.0, 0.9, 0.3]))
+            masses = masses_with_gaps(rng, nbuckets, share)
+            dist = FirstFailureDistribution(step=float(rng.choice([1.0, 60.0, 37.5])),
+                                            masses=masses, no_failure_mass=1.0 - masses.sum())
+            self.check(dist, seed=trial, n=int(rng.choice([1, 10, 20_000])))
+
+    def test_matches_choice_on_an_estimated_distribution(self):
+        model = FailureModel(traces={0: spiky_trace()}, num_trials=10_000, rng_seed=2)
+        self.check(estimate_ffp(model, 0, 0.1), seed=5, n=20_000)
+
+    @staticmethod
+    def check(dist, seed, n):
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = choice_reference(dist, want_rng, n)
+        got = dist.sample_failure_times(got_rng, n)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestCumulativeFailure:

@@ -3,6 +3,7 @@ import pytest
 
 from spotflow.cloud_model import TaskProfile
 from spotflow.distributions import EmpiricalDistribution, substream
+from spotflow.planner_astar import TaskDistCache
 from spotflow.workflow_dag import (
     CycleError,
     HybridConfig,
@@ -19,7 +20,7 @@ from spotflow.workflow_dag import (
     workflow_time_distribution,
 )
 
-from conftest import chain_job, cpu_profile, diamond_job, ordered_catalog
+from conftest import chain_job, cpu_profile, diamond_job, mixed_profile, ordered_catalog
 
 
 def pm(value, n=100):
@@ -29,6 +30,19 @@ def pm(value, n=100):
 def uniform_dist(lo, hi, n=10_000, seed=0):
     rng = substream(seed, "uniform-fixture")
     return EmpiricalDistribution(rng.uniform(lo, hi, n))
+
+
+class TestTaskById:
+    def test_finds_every_task_and_rejects_unknown_ids(self):
+        job = montage_like(4)
+        assert all(job.task_by_id(t.id) is t for t in job.tasks)
+        with pytest.raises(KeyError):
+            job.task_by_id(len(job.tasks))
+
+    def test_replaced_job_indexes_its_own_tasks(self):
+        job = build_job({5: cpu_profile(1.0), 9: cpu_profile(2.0)}, [(9, 5)])
+        other = job.with_deadline(100.0)
+        assert [other.task_by_id(i) for i in (0, 1)] == job.tasks
 
 
 class TestAssignIds:
@@ -207,6 +221,30 @@ class TestDeadlineBounds:
         d_min, d_max = deadline_bounds(job, cat, n=100, seed=0)
         assert d_max == pytest.approx(40 + 80 + 40)
         assert d_min == pytest.approx((40 + 80 + 40) / 8)
+
+
+    def test_cache_gives_the_same_bounds(self):
+        cat = ordered_catalog(3)
+        # The pure-CPU task is on the critical path and keeps its exact CPU
+        # time, which the mean of its cached samples misses by a rounding;
+        # the others read the cache.
+        job = diamond_job([mixed_profile(), cpu_profile(3333.3),
+                           mixed_profile(0.5), mixed_profile(2.0)])
+        cache = TaskDistCache(job, cat, sample_count=300, seed=4)
+        for k in (0, 2):
+            cpu_time = job.task_by_id(1).profile.instructions / cat[k].cpu_speed
+            assert cache.dist(1, k).expectation() != cpu_time
+        with_cache = deadline_bounds(job, cat, n=300, seed=4, cache=cache)
+        assert with_cache == deadline_bounds(job, cat, n=300, seed=4)
+        assert set(cache._dists) == {(t.id, k) for t in job.tasks for k in (0, 2)}
+
+    def test_cache_must_match_samples_and_seed(self):
+        cat = ordered_catalog(2)
+        job = chain_job([mixed_profile()])
+        for n, seed in ((300, 5), (200, 4)):
+            with pytest.raises(ValueError, match="cache draws"):
+                deadline_bounds(job, cat, n=n, seed=seed,
+                                cache=TaskDistCache(job, cat, sample_count=300, seed=4))
 
 
 class TestHybridConfig:
