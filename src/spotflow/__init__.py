@@ -41,7 +41,6 @@ from .planner_astar import (
     save_plan_cache,
 )
 from .planner_hybrid import (
-    RefineParams,
     binary_search_bid,
     check_refinement,
     hybrid_cost,

@@ -7,12 +7,11 @@ percentile queries all stay in the same representation with uniform error
 behaviour.
 
 Pairing rule.  convolve and max_of pair their operands' samples by index:
-sample i of every operand forms one joint draw.  Samples of distinct
-quantities come from distinct seeded substreams, so index pairing models
-independent operands, and a chain of such operations is a per-sample Monte
-Carlo over the same draws.  An operand with fewer samples than the largest
-is bootstrap-resampled to that size from the (seed, "convolve" | "max")
-substream.  `derive_seed` is memoized.
+sample i of every operand forms one joint draw, so the operands must have
+equal sample counts.  Samples of distinct quantities come from distinct
+seeded substreams, so index pairing models independent operands, and a
+chain of such operations is a per-sample Monte Carlo over the same draws.
+`derive_seed` is memoized.
 
 Order statistics are lazy: a distribution sorts its samples on the first
 query that needs them (sorted_samples, percentile, cdf, min/max_value), so
@@ -206,51 +205,28 @@ class EmpiricalDistribution:
         return float(self.sorted_samples[-1])
 
 
-def _aligned(dist, n, rng):
-    """Return dist's samples as a length-n vector in random order.
-
-    A permutation when dist has n samples, a bootstrap resample otherwise,
-    drawn from a generator the caller shares with other draws.  Only
-    `hybrid_time_distribution` needs the shuffle: `refine_task` scans spot
-    types from the on-demand type upward, so its spot and on-demand
-    operands can be the same distribution object, and a rerun after a
-    failure must not reuse the first attempt's sample index.
-    """
-    size = dist.sample_count
-    if size == n:
-        return dist.samples[rng.permutation(n)]
-    return dist.samples[rng.integers(0, size, size=n)]
+def _paired(dists):
+    """Sample vectors of dists, paired by index; the counts must be equal."""
+    counts = {d.sample_count for d in dists}
+    if len(counts) > 1:
+        raise ValueError("operands have unequal sample counts %s" % sorted(counts))
+    return [d.samples for d in dists]
 
 
-def _paired(dists, label, seed):
-    """Sample vectors of dists lined up by index to the largest size.
-
-    An operand with fewer samples is bootstrapped from the (seed, label)
-    substream, in operand order.
-    """
-    sizes = [d.sample_count for d in dists]
-    n = max(sizes)
-    if min(sizes) == n:
-        return [d.samples for d in dists]
-    rng = substream(seed, label)
-    return [d.samples if size == n else d.samples[rng.integers(0, size, size=n)]
-            for d, size in zip(dists, sizes)]
-
-
-def convolve(a, b, seed=0):
+def convolve(a, b):
     """Distribution of X + Y for independent X ~ a, Y ~ b."""
-    xa, xb = _paired((a, b), "convolve", seed)
+    xa, xb = _paired((a, b))
     return EmpiricalDistribution._adopt(xa + xb)
 
 
-def max_of(dists, seed=0):
+def max_of(dists):
     """Distribution of max(X_1, ..., X_k) for independent X_i ~ dists[i]."""
     dists = list(dists)
     if not dists:
         raise ValueError("max_of requires at least one distribution")
     if len(dists) == 1:
         return dists[0]
-    first, second, *rest = _paired(dists, "max", seed)
+    first, second, *rest = _paired(dists)
     acc = np.maximum(first, second)
     for x in rest:
         np.maximum(acc, x, out=acc)

@@ -84,9 +84,6 @@ class SpotPriceTrace:
     def max_price(self):
         return float(self.prices.max())
 
-    def mean_price(self):
-        return float(self.prices.mean())
-
     def _segment_index(self, t):
         idx = int(np.searchsorted(self.timestamps, t, side="right")) - 1
         return max(idx, 0)
@@ -105,7 +102,7 @@ class SpotPriceTrace:
 
     def _next_exceed_index(self, bid):
         """next_exceed_index(self.prices, bid), memoized per bid."""
-        key = round(float(bid), 9)
+        key = float(bid)
         cached = self._exceed_cache.get(key)
         if cached is None:
             cached = self._exceed_cache[key] = next_exceed_index(self.prices, bid)
@@ -350,7 +347,7 @@ def estimate_ffp(model, type_id, bid):
     """
     if not 0 < bid < math.inf:
         raise ValueError("bid must be positive and finite")
-    key = (type_id, round(float(bid), 9))
+    key = (type_id, float(bid))
     cached = model._cache.get(key)
     if cached is not None:
         return cached

@@ -229,11 +229,11 @@ def test_criterion_5_distribution_properties_over_randomized_cases():
 
     for case in range(cases):
         a, b = random_dist(), random_dist()
-        c = convolve(a, b, seed=case)
-        m = max_of([a, b], seed=case)
+        c = convolve(a, b)
+        m = max_of([a, b])
         assert c.min_value() >= 0 and m.min_value() >= 0
         assert c.expectation() == pytest.approx(a.expectation() + b.expectation(), abs=1e-9)
-        ba = convolve(b, a, seed=case)
+        ba = convolve(b, a)
         for q in (0.25, 0.75):
             lo, hi = sorted((c.percentile(q), ba.percentile(q)))
             assert hi - lo <= 0.30 * max(hi, 1e-9)
@@ -243,7 +243,7 @@ def test_criterion_5_distribution_properties_over_randomized_cases():
         assert dominates(a, a, 0.0)
 
     sum_dist = convolve(EmpiricalDistribution.from_normal(10, 2, n=10_000, seed=1),
-                        EmpiricalDistribution.from_normal(20, 3, n=10_000, seed=2), seed=3)
+                        EmpiricalDistribution.from_normal(20, 3, n=10_000, seed=2))
     assert sum_dist.expectation() == pytest.approx(30.0, rel=0.01)
     assert sum_dist.std() == pytest.approx(math.sqrt(13.0), rel=0.05)
     announce(5, "%d randomized cases per property plus analytic normal-sum check" % cases)

@@ -77,19 +77,19 @@ class TestConstructors:
 class TestConvolve:
     def test_point_masses(self):
         c = convolve(EmpiricalDistribution.point_mass(2, 50),
-                     EmpiricalDistribution.point_mass(3, 50), seed=1)
+                     EmpiricalDistribution.point_mass(3, 50))
         assert c.min_value() == c.max_value() == 5.0
 
     def test_normal_sum_analytic(self):
         a = EmpiricalDistribution.from_normal(10, 2, n=10_000, seed=1)
         b = EmpiricalDistribution.from_normal(20, 3, n=10_000, seed=2)
-        c = convolve(a, b, seed=3)
+        c = convolve(a, b)
         assert c.expectation() == pytest.approx(30.0, rel=0.01)
         assert c.std() == pytest.approx(math.sqrt(13), rel=0.05)
 
     def test_zero_is_identity(self):
         a = EmpiricalDistribution.from_gamma(5, 2, n=2000, seed=4)
-        c = convolve(a, EmpiricalDistribution.point_mass(0, 2000), seed=5)
+        c = convolve(a, EmpiricalDistribution.point_mass(0, 2000))
         for q in np.linspace(0, 1, 21):
             assert c.percentile(q) == a.percentile(q)
 
@@ -97,12 +97,17 @@ class TestConvolve:
         # Index pairing keeps both sample vectors whole.
         a = EmpiricalDistribution.from_gamma(3, 1, n=1000, seed=6)
         b = EmpiricalDistribution.from_gamma(7, 2, n=1000, seed=7)
-        c = convolve(a, b, seed=8)
+        c = convolve(a, b)
         assert c.expectation() == pytest.approx(a.expectation() + b.expectation(), abs=1e-9)
+
+    def test_unequal_sample_counts_rejected(self):
+        with pytest.raises(ValueError, match="unequal sample counts"):
+            convolve(EmpiricalDistribution.point_mass(2, 50),
+                     EmpiricalDistribution.point_mass(3, 40))
 
     def test_equal_sizes_pair_by_index(self):
         a = EmpiricalDistribution.from_gamma(5, 2, n=1000, seed=10)
-        c = convolve(a, a, seed=11)
+        c = convolve(a, a)
         assert np.array_equal(c.samples, 2.0 * a.samples)
         assert not c.samples.flags.writeable
 
@@ -110,16 +115,21 @@ class TestConvolve:
 class TestMaxOf:
     def test_point_masses(self):
         m = max_of([EmpiricalDistribution.point_mass(2, 50),
-                    EmpiricalDistribution.point_mass(3, 50)], seed=1)
+                    EmpiricalDistribution.point_mass(3, 50)])
         assert m.min_value() == m.max_value() == 3.0
 
     def test_single_input_identity(self):
         d = EmpiricalDistribution.from_gamma(2, 2, n=500, seed=2)
-        assert max_of([d], seed=3) is d
+        assert max_of([d]) is d
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            max_of([], seed=0)
+            max_of([])
+
+    def test_unequal_sample_counts_rejected(self):
+        same = EmpiricalDistribution.point_mass(2, 50)
+        with pytest.raises(ValueError, match="unequal sample counts"):
+            max_of([same, same, EmpiricalDistribution.point_mass(3, 40)])
 
     def test_two_uniforms_brute_force_mean(self):
         # Oracle: exact enumeration of max(i, j) over the 100x100 grid.
@@ -129,18 +139,18 @@ class TestMaxOf:
         # independent draw: a seeded shuffle of the same grid.
         a = uniform_1_to_100()
         b = EmpiricalDistribution(np.random.default_rng(4).permutation(a.samples))
-        m = max_of([a, b], seed=4)
+        m = max_of([a, b])
         assert m.expectation() == pytest.approx(oracle, rel=0.03)
 
     def test_equal_sizes_pair_by_index(self):
         dists = [EmpiricalDistribution.from_gamma(2, 3, n=500, seed=s) for s in range(3)]
-        m = max_of(dists, seed=9)
+        m = max_of(dists)
         assert np.array_equal(m.samples, np.maximum.reduce([d.samples for d in dists]))
 
     def test_dominates_every_input_percentile(self):
         a = EmpiricalDistribution.from_gamma(4, 2, n=4000, seed=5)
         b = EmpiricalDistribution.from_normal(9, 2, n=4000, seed=6)
-        m = max_of([a, b], seed=7)
+        m = max_of([a, b])
         for q in np.linspace(0, 1, 11):
             assert m.percentile(q) >= a.percentile(q) - 1e-12
             assert m.percentile(q) >= b.percentile(q) - 1e-12
@@ -251,8 +261,8 @@ class TestProperties:
         for case in range(self.CASES):
             a = self._random_dist(rng)
             b = self._random_dist(rng)
-            ab = convolve(a, b, seed=case)
-            ba = convolve(b, a, seed=case)
+            ab = convolve(a, b)
+            ba = convolve(b, a)
             for q in (0.1, 0.5, 0.9):
                 lo, hi = sorted((ab.percentile(q), ba.percentile(q)))
                 # 2x sampling tolerance on 200-sample operands.
@@ -263,8 +273,8 @@ class TestProperties:
         for case in range(self.CASES):
             a = self._random_dist(rng)
             b = self._random_dist(rng)
-            assert convolve(a, b, seed=case).min_value() >= 0.0
-            assert max_of([a, b], seed=case).min_value() >= 0.0
+            assert convolve(a, b).min_value() >= 0.0
+            assert max_of([a, b]).min_value() >= 0.0
 
     def test_percentile_monotone_in_q(self):
         rng = np.random.default_rng(self.MASTER_SEED + 2)
@@ -290,8 +300,8 @@ class TestProperties:
         rng = np.random.default_rng(self.MASTER_SEED + 4)
         a = self._random_dist(rng)
         b = self._random_dist(rng)
-        assert np.array_equal(convolve(a, b, seed=9).samples, convolve(a, b, seed=9).samples)
-        assert np.array_equal(max_of([a, b], seed=9).samples, max_of([a, b], seed=9).samples)
+        assert np.array_equal(convolve(a, b).samples, convolve(a, b).samples)
+        assert np.array_equal(max_of([a, b]).samples, max_of([a, b]).samples)
         g1 = EmpiricalDistribution.from_gamma(3, 2, n=100, seed=42)
         g2 = EmpiricalDistribution.from_gamma(3, 2, n=100, seed=42)
         assert np.array_equal(g1.samples, g2.samples)

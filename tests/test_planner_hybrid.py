@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from spotflow.cloud_model import expected_ondemand_cost
-from spotflow.distributions import EmpiricalDistribution, dominates
+from spotflow.distributions import EmpiricalDistribution, derive_seed, dominates
 from spotflow.planner_astar import TaskDistCache
 from spotflow.planner_hybrid import (
-    RefineParams,
+    DOMINANCE_EPSILON,
+    P_MIN,
     binary_search_bid,
+    check_refinement,
     hybrid_cost,
     hybrid_time_distribution,
     refine_plan,
@@ -40,7 +42,7 @@ def synthetic_ffp(step, mass_by_bucket, no_failure):
 def preset_model(type_id, bid, dist, **kwargs):
     """Failure model with an injected first-failure distribution."""
     model = FailureModel(traces={type_id: constant_trace(0.01)}, num_trials=10, **kwargs)
-    model._cache[(type_id, round(float(bid), 9))] = dist
+    model._cache[(type_id, float(bid))] = dist
     return model
 
 
@@ -49,7 +51,7 @@ class TestHybridTimeDistribution:
         spot = EmpiricalDistribution.from_gamma(5, 60, n=4000, seed=1)
         od = EmpiricalDistribution.from_gamma(5, 80, n=4000, seed=2)
         ffp = synthetic_ffp(60.0, {}, no_failure=1.0)
-        got = hybrid_time_distribution([(spot, ffp)], od, seed=3)
+        got = hybrid_time_distribution(spot, ffp, od, seed=3)
         for q in np.linspace(0, 1, 21):
             assert got.percentile(q) == pytest.approx(spot.percentile(q))
 
@@ -57,7 +59,7 @@ class TestHybridTimeDistribution:
         spot = EmpiricalDistribution.from_gamma(5, 60, n=4000, seed=1)
         od = EmpiricalDistribution.from_gamma(5, 80, n=4000, seed=2)
         ffp = synthetic_ffp(60.0, {0: 1.0}, no_failure=0.0)
-        got = hybrid_time_distribution([(spot, ffp)], od, seed=3)
+        got = hybrid_time_distribution(spot, ffp, od, seed=3)
         for q in np.linspace(0, 1, 21):
             assert got.percentile(q) == pytest.approx(od.percentile(q))
 
@@ -65,18 +67,16 @@ class TestHybridTimeDistribution:
         # Spot takes 10 s, on-demand 8 s; failure hits at t=5 with prob 0.5.
         spot, od = pm(10.0), pm(8.0)
         ffp = synthetic_ffp(5.0, {1: 0.5}, no_failure=0.5)
-        got = hybrid_time_distribution([(spot, ffp)], od, seed=4)
+        got = hybrid_time_distribution(spot, ffp, od, seed=4)
         values = set(np.round(got.samples, 9))
         assert values == {10.0, 13.0}
         frac_13 = float(np.mean(got.samples == 13.0))
         assert frac_13 == pytest.approx(0.5, abs=0.03)
 
-    def test_cascade_through_two_spot_dims(self):
-        # Both spot dims always fail at t=0: outcome is exactly on-demand.
-        spot1, spot2, od = pm(10.0), pm(20.0), pm(8.0)
-        ffp = synthetic_ffp(5.0, {0: 1.0}, no_failure=0.0)
-        got = hybrid_time_distribution([(spot1, ffp), (spot2, ffp)], od, seed=5)
-        assert got.min_value() == got.max_value() == 8.0
+    def test_unequal_sample_counts_rejected(self):
+        ffp = synthetic_ffp(5.0, {1: 0.5}, no_failure=0.5)
+        with pytest.raises(ValueError, match="unequal sample counts"):
+            hybrid_time_distribution(pm(10.0, 2000), ffp, pm(8.0, 1000), seed=5)
 
 
 class TestHybridCost:
@@ -114,7 +114,6 @@ class FixtureContext:
         self.cache = TaskDistCache(self.job, self.catalog, 2000, seed)
         self.failure = FailureModel(traces={0: trace, 1: trace},
                                     num_trials=4000, rng_seed=seed)
-        self.params = RefineParams()
 
 
 class TestBinarySearchBid:
@@ -123,7 +122,7 @@ class TestBinarySearchBid:
         od_dim = ConfigDim(0, 0.06, False)
         dist = ctx.cache.dist(0, 0)
         bid = binary_search_bid(ctx.catalog[0], od_dim, dist, dist,
-                                ctx.failure, ctx.params, 0.001, 0.06, seed=1)
+                                ctx.failure, 0.001, 0.06, seed=1)
         assert bid is not None
         config = HybridConfig((ConfigDim(0, bid, True), od_dim))
         assert hybrid_cost(config, [dist, dist], ctx.failure) < expected_ondemand_cost(0.06, dist)
@@ -135,7 +134,7 @@ class TestBinarySearchBid:
         od_dim = ConfigDim(0, 0.06, False)
         dist = ctx.cache.dist(0, 0)
         bid = binary_search_bid(ctx.catalog[0], od_dim, dist, dist,
-                                ctx.failure, ctx.params, 0.001, 0.06, seed=1)
+                                ctx.failure, 0.001, 0.06, seed=1)
         assert bid is None
 
     def test_returned_bid_lies_in_linear_scan_passing_set(self):
@@ -143,15 +142,15 @@ class TestBinarySearchBid:
         od_dim = ConfigDim(0, 0.06, False)
         dist = ctx.cache.dist(0, 0)
         bid = binary_search_bid(ctx.catalog[0], od_dim, dist, dist,
-                                ctx.failure, ctx.params, 0.001, 0.06, seed=1)
+                                ctx.failure, 0.001, 0.06, seed=1)
 
         def gates_pass(b):
             config = HybridConfig((ConfigDim(0, b, True), od_dim))
             if hybrid_cost(config, [dist, dist], ctx.failure) > expected_ondemand_cost(0.06, dist):
                 return False
             ffp = estimate_ffp(ctx.failure, 0, b)
-            hd = hybrid_time_distribution([(dist, ffp)], dist, seed=99)
-            return dominates(hd, dist, ctx.params.dominance_epsilon)
+            hd = hybrid_time_distribution(dist, ffp, dist, seed=99)
+            return dominates(hd, dist, DOMINANCE_EPSILON)
 
         # Fine-grained scan oracle over the bid grid.
         passing = [b for b in np.arange(0.001, 0.0605, 0.001) if gates_pass(b)]
@@ -170,7 +169,7 @@ class TestBinarySearchBid:
         passes = []
         for b in (0.01, 0.02, 0.029, 0.031, 0.04, 0.05):
             ffp = estimate_ffp(ctx.failure, 0, b)
-            hd = hybrid_time_distribution([(dist, ffp)], dist, seed=1)
+            hd = hybrid_time_distribution(dist, ffp, dist, seed=1)
             passes.append(dominates(hd, dist, 0.01))
         assert passes == sorted(passes)
 
@@ -229,8 +228,77 @@ class TestRefineTask:
         if config.spot_dims:
             dists = [ctx.cache.dist(0, d.type_id) for d in config.dims]
             assert hybrid_cost(config, dists, ctx.failure) <= expected_ondemand_cost(0.06, od_dist)
-            parts = [(ctx.cache.dist(0, d.type_id),
-                      estimate_ffp(ctx.failure, d.type_id, d.price))
-                     for d in config.spot_dims]
-            hd = hybrid_time_distribution(parts, od_dist, seed=77)
+            (spot_dim,) = config.spot_dims
+            hd = hybrid_time_distribution(ctx.cache.dist(0, spot_dim.type_id),
+                                          estimate_ffp(ctx.failure, spot_dim.type_id,
+                                                       spot_dim.price),
+                                          od_dist, seed=77)
             assert dominates(hd, od_dist, 0.01)
+
+
+def ascending_refinement(task_id, ondemand_type, catalog, failure, cache, seed):
+    """Reference scan: every type from the on-demand one up, last success wins.
+
+    Returns the config and the ids of the types whose bid search succeeded.
+    """
+    od_dim = ConfigDim(ondemand_type.id, ondemand_type.ondemand_price, False)
+    od_dist = cache.dist(task_id, ondemand_type.id)
+    task_seed = derive_seed(seed, "refine", task_id, 0)
+    dims = (od_dim,)
+    accepted = []
+    for type_id in range(ondemand_type.id, len(catalog)):
+        if not failure.has_trace(type_id):
+            continue
+        spot_type = catalog[type_id]
+        bid = binary_search_bid(spot_type, od_dim, cache.dist(task_id, type_id), od_dist,
+                                failure, P_MIN, spot_type.ondemand_price, seed=task_seed)
+        if bid is not None:
+            dims = (ConfigDim(type_id, bid, True), od_dim)
+            accepted.append(type_id)
+    return HybridConfig(dims), accepted
+
+
+class TestRefineTaskScanOrder:
+    """refine_task's top-down scan picks what an ascending full scan keeps."""
+
+    MARKETS = {
+        # The most expensive type's market is hostile: the winner is the
+        # second type tried from the top.
+        "two-accept": (stable_trace(0.024, hours=300), stable_trace(0.024, hours=300),
+                       constant_trace(0.90)),
+        "hostile": (constant_trace(0.90),) * 3,
+    }
+
+    @pytest.mark.parametrize("market", sorted(MARKETS))
+    def test_matches_ascending_last_writer_wins(self, market):
+        catalog = ordered_catalog(3)
+        job = chain_job([cpu_profile(600.0), cpu_profile(450.0)], guarantee_p=0.9)
+
+        def context():
+            # Fresh memos per side, so neither run can reuse the other's.
+            failure = FailureModel(traces=dict(enumerate(self.MARKETS[market])),
+                                   num_trials=3000, rng_seed=13)
+            return failure, TaskDistCache(job, catalog, 2000, 13)
+
+        got_failure, got_cache = context()
+        ref_failure, ref_cache = context()
+        all_accepted = []
+        for task_id, od_type_id in ((0, 0), (1, 1)):
+            got = refine_task(task_id, catalog[od_type_id], catalog, got_failure,
+                              got_cache, seed=13)
+            want, accepted = ascending_refinement(task_id, catalog[od_type_id], catalog,
+                                                  ref_failure, ref_cache, seed=13)
+            assert got == want
+            all_accepted.append(accepted)
+        if market == "hostile":
+            assert all_accepted == [[], []]
+        else:
+            assert all_accepted[0] == [0, 1]
+
+
+def test_check_refinement_rejects_two_spot_dims():
+    ctx = FixtureContext(stable_trace(0.024, hours=300))
+    config = HybridConfig((ConfigDim(1, 0.05, True), ConfigDim(0, 0.03, True),
+                           ConfigDim(0, 0.06, False)))
+    with pytest.raises(ValueError, match="one spot dimension"):
+        check_refinement(0, config, ctx.failure, ctx.cache)

@@ -176,7 +176,7 @@ class TestEstimateFfp:
 
     def test_bid_order_does_not_matter(self):
         # Bids inside each trace's price range, one equal to a price, and
-        # two that share a memo key.
+        # two within 1e-9 of each other.
         requests = [(0, b) for b in (0.06, 0.024, 0.5, 0.03, 0.024000000001, 3.5)]
         requests += [(1, b) for b in (0.051, 0.053, 0.0545, 0.06, 0.04)]
 
@@ -191,6 +191,21 @@ class TestEstimateFfp:
                 alone = estimate_ffp(model(), type_id, bid)
                 assert got.masses.tobytes() == alone.masses.tobytes(), (type_id, bid)
                 assert got.no_failure_mass == alone.no_failure_mass
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_bids_a_hair_apart_across_a_price_keep_their_own_results(self, first):
+        # 0.024 is below the high price and 0.0240000000004 above it; they
+        # agree to nine decimals.
+        trace = alternating_trace(low=0.01, high=0.0240000000002)
+        model = FailureModel(traces={0: trace}, num_trials=2000, rng_seed=4)
+        below, above = 0.024, 0.0240000000004
+        order = (below, above) if first == 0 else (above, below)
+        got = {bid: estimate_ffp(model, 0, bid).no_failure_mass for bid in order}
+        assert got[below] < 0.01
+        assert got[above] == 1.0
+        exceed = {bid: trace._next_exceed_index(bid) for bid in order}
+        assert exceed[below][0] == 1
+        assert np.all(exceed[above] == len(trace))
 
 
 def next_exceed_by_loop(prices, bid):
