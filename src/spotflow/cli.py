@@ -107,11 +107,18 @@ class ExperimentSpec:
         return d_min + self.deadline_factor * (d_max - d_min)
 
 
+def _read_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise ValueError("%s: JSON nested too deeply" % path) from None
+
+
 def _spec_from_args(args):
     values = {}
     if getattr(args, "spec", None):
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = _read_json(args.spec)
         if not isinstance(doc, dict):
             raise ValueError("%s: spec must be a JSON object, got %s"
                              % (args.spec, type(doc).__name__))
@@ -224,8 +231,7 @@ def cmd_plan(spec):
 
 def _load_baseline(path):
     """(avg_cost_per_job, hit_rate) of a baseline report.json."""
-    with open(path, "r", encoding="utf-8") as fh:
-        base = json.load(fh)
+    base = _read_json(path)
     try:
         cost, hit_rate = float(base["avg_cost_per_job"]), float(base["hit_rate"])
     except (KeyError, TypeError, ValueError) as exc:

@@ -246,22 +246,81 @@ def save_plan_cache(plans, path):
 
 
 def load_plan_cache(path):
+    """Plans by class id from a plan-cache file written by save_plan_cache.
+
+    The document's shape and each field's type and range are checked, and a
+    malformed file raises ValueError naming the path and the class.  Type
+    ids are only checked to be non-negative integers here: which ids exist
+    depends on the catalog, and the simulator checks them against it.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "plan-cache/1":
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("%s: JSON nested too deeply" % path) from None
+    if not isinstance(doc, dict) or doc.get("format") != "plan-cache/1":
         raise ValueError("%s: not a plan-cache file" % path)
+    classes = doc.get("classes")
+    if not isinstance(classes, dict):
+        raise ValueError('%s: "classes" must be an object of plans by class id' % path)
     plans = {}
-    for class_id, rec in doc["classes"].items():
-        configs = [
-            HybridConfig(tuple(
-                ConfigDim(d["type_id"], d["price"], d["is_spot"]) for d in dims
-            ))
-            for dims in rec["tasks"]
-        ]
-        plans[class_id] = JobPlan(
-            class_id=class_id,
-            deadline=rec["deadline"],
-            guarantee_p=rec["guarantee_p"],
-            task_configs=configs,
-        )
+    for class_id, rec in classes.items():
+        try:
+            plans[class_id] = _plan_from_json(class_id, rec)
+        except ValueError as exc:
+            raise ValueError("%s: class %r: %s" % (path, class_id, exc)) from None
     return plans
+
+
+_PLAN_KEYS = ("deadline", "guarantee_p", "tasks")
+_DIM_KEYS = ("is_spot", "price", "type_id")
+
+
+def _real(value):
+    """value as a float if it is a JSON number a float can hold, else NaN."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    return math.nan
+
+
+def _plan_from_json(class_id, rec):
+    if not isinstance(rec, dict) or sorted(rec) != list(_PLAN_KEYS):
+        raise ValueError("a plan is an object with exactly the keys %s" % ", ".join(_PLAN_KEYS))
+    if not 0 < _real(rec["deadline"]) < math.inf:
+        raise ValueError("deadline must be a positive finite number, got %r" % (rec["deadline"],))
+    if not 0 < _real(rec["guarantee_p"]) <= 1:
+        raise ValueError("guarantee_p must be a number in (0, 1], got %r"
+                         % (rec["guarantee_p"],))
+    if not isinstance(rec["tasks"], list):
+        raise ValueError("tasks must be a list of configurations, one per task")
+    configs = []
+    for task_id, dims in enumerate(rec["tasks"]):
+        if not isinstance(dims, list):
+            raise ValueError("task %d: a configuration is a list of dimensions" % task_id)
+        try:
+            configs.append(HybridConfig(tuple(map(_dim_from_json, dims))))
+        except ValueError as exc:
+            raise ValueError("task %d: %s" % (task_id, exc)) from None
+    return JobPlan(
+        class_id=class_id,
+        deadline=rec["deadline"],
+        guarantee_p=rec["guarantee_p"],
+        task_configs=configs,
+    )
+
+
+def _dim_from_json(dim):
+    if not isinstance(dim, dict) or sorted(dim) != list(_DIM_KEYS):
+        raise ValueError("a dimension is an object with exactly the keys %s"
+                         % ", ".join(_DIM_KEYS))
+    type_id, price, is_spot = dim["type_id"], dim["price"], dim["is_spot"]
+    if not isinstance(type_id, int) or isinstance(type_id, bool) or type_id < 0:
+        raise ValueError("type_id must be a non-negative integer, got %r" % (type_id,))
+    if not 0 < _real(price) < math.inf:
+        raise ValueError("price must be a positive finite number, got %r" % (price,))
+    if not isinstance(is_spot, bool):
+        raise ValueError("is_spot must be true or false, got %r" % (is_spot,))
+    return ConfigDim(type_id, price, is_spot)

@@ -23,6 +23,12 @@ stream keyed by stable identifiers, never by arrival order.  Task durations
 are drawn by the planner's own sampler, cloud_model.sample_task_time, as
 one array per (class, task, attempt) key indexed by job index, and rounded
 to whole seconds.
+
+The event loop does simulation work only: heap entries hold plain ints,
+`run` dispatches through a tuple of handlers indexed by event kind, event
+log lines are formatted only when the log is collected, and a task's
+consolidation headroom estimate is drawn only when a consolidation check
+reads it.
 """
 
 import bisect
@@ -30,6 +36,7 @@ import enum
 import heapq
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,11 +58,17 @@ class PlanMismatchError(SimulationError):
 class EventKind(enum.IntEnum):
     # Order encodes the tie-break at equal timestamps: completions settle
     # before failures, failures before new work, releases always last.
+    # Each kind is handled by the Simulator method `_on_<kind name>`.
     TASK_FINISH = 0
     OUT_OF_BID = 1
     JOB_ARRIVAL = 2
     INSTANCE_READY = 3
     INSTANCE_RELEASE = 4
+
+
+# Plain-int kinds for heap entries: the heap compares them and `run` indexes
+# its handler tuple with them.
+_TASK_FINISH, _OUT_OF_BID, _JOB_ARRIVAL, _INSTANCE_READY, _INSTANCE_RELEASE = map(int, EventKind)
 
 
 @dataclass
@@ -99,7 +112,7 @@ class InstancePool:
 
     def __init__(self):
         self.instances = {}
-        self._idle = {}
+        self._idle = defaultdict(list)  # (type_id, is_spot) -> idle ids, ascending
         self._next_id = 0
 
     def create(self, type_id, is_spot, bid, ready_time):
@@ -111,9 +124,6 @@ class InstancePool:
         self.instances[inst.id] = inst
         return inst
 
-    def _idle_list(self, type_id, is_spot):
-        return self._idle.setdefault((type_id, is_spot), [])
-
     def remaining_paid_seconds(self, inst, now):
         """Seconds left in the current already-committed billing hour."""
         elapsed = now - inst.ready_time
@@ -121,7 +131,7 @@ class InstancePool:
             return 0.0
         return (SECONDS_PER_HOUR - (elapsed % SECONDS_PER_HOUR)) % SECONDS_PER_HOUR
 
-    def acquire_or_reuse(self, type_id, is_spot, now, expected_time=0.0, bid=0.0):
+    def acquire_or_reuse(self, type_id, is_spot, now, bid=0.0, expected_time=None):
         """Idle instance satisfying the request, or None if one must be acquired.
 
         Idle instances are taken lowest id first.  An on-demand request
@@ -132,16 +142,21 @@ class InstancePool:
         on-demand instance of the same type when that instance's remaining
         paid partial hour covers the task's expected execution time; an
         on-demand request is never placed on a spot instance.
+
+        expected_time is a zero-argument callable giving that expected time
+        in seconds.  It is called at most once, and only when a spot request
+        found no reusable spot instance while an on-demand one idles.
         """
-        idle = self._idle_list(type_id, is_spot)
+        idle = self._idle[type_id, is_spot]
         for i, inst_id in enumerate(idle):
             if not is_spot or self.instances[inst_id].bid >= bid:
                 return self.instances[idle.pop(i)]
-        if is_spot:
-            od_idle = self._idle_list(type_id, False)
+        od_idle = self._idle[type_id, False] if is_spot else ()
+        if od_idle:
+            expected = expected_time()
             for i, inst_id in enumerate(od_idle):
                 inst = self.instances[inst_id]
-                if expected_time <= self.remaining_paid_seconds(inst, now):
+                if expected <= self.remaining_paid_seconds(inst, now):
                     od_idle.pop(i)
                     return inst
         return None
@@ -150,13 +165,13 @@ class InstancePool:
         inst.busy = False
         inst.assigned = None
         inst.release_token += 1
-        bisect.insort(self._idle_list(inst.type_id, inst.is_spot), inst.id)
+        bisect.insort(self._idle[inst.type_id, inst.is_spot], inst.id)
 
     def remove(self, inst):
         inst.alive = False
-        lst = self._idle_list(inst.type_id, inst.is_spot)
-        if inst.id in lst:
-            lst.remove(inst.id)
+        idle = self._idle[inst.type_id, inst.is_spot]
+        if inst.id in idle:
+            idle.remove(inst.id)
 
 
 def bill(inst, end_time, terminated_by, itype, trace=None):
@@ -242,10 +257,15 @@ class Simulator:
                     "plan for %r covers %d tasks, workflow has %d"
                     % (cls.class_id, len(plan.task_configs), len(cls.tasks))
                 )
-            if plan.deadline is None or plan.deadline <= 0:
+            if plan.deadline is None or not 0 < plan.deadline < math.inf:
                 raise PlanMismatchError("plan for %r has no deadline" % cls.class_id)
             for config_ in plan.task_configs:
                 for dim in config_.dims:
+                    if not 0 <= dim.type_id < len(catalog):
+                        raise PlanMismatchError(
+                            "plan for %r uses type id %d, the catalog has ids 0..%d"
+                            % (cls.class_id, dim.type_id, len(catalog) - 1)
+                        )
                     if dim.is_spot and dim.type_id not in self.traces:
                         raise PlanMismatchError(
                             "plan for %r uses spot type %d with no price trace"
@@ -260,6 +280,7 @@ class Simulator:
         self.jobs = []
         self.bills = []  # (instance_id, type_id, is_spot, hours, amount)
         self.event_log = []
+        self._logging = config.collect_event_log
         self._expected_cache = {}
         self._durations = {}  # (class_id, task_id, attempt) -> int64 array by job index
 
@@ -268,12 +289,9 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def _push(self, time_, kind, payload):
-        heapq.heappush(self.heap, (int(time_), int(kind), self._seq, payload))
+        # Every caller passes an int time and a plain-int kind.
+        heapq.heappush(self.heap, (time_, kind, self._seq, payload))
         self._seq += 1
-
-    def _log(self, time_, kind, detail):
-        if self.config.collect_event_log:
-            self.event_log.append("%d %s %s" % (time_, kind, detail))
 
     # ------------------------------------------------------------------
     # run loop
@@ -281,19 +299,13 @@ class Simulator:
 
     def run(self):
         self._schedule_arrivals()
-        while self.heap:
-            time_, kind, _, payload = heapq.heappop(self.heap)
+        handlers = tuple(getattr(self, "_on_" + kind.name.lower()) for kind in EventKind)
+        heap = self.heap
+        pop = heapq.heappop
+        while heap:
+            time_, kind, _, payload = pop(heap)
             self.now = time_
-            if kind == EventKind.JOB_ARRIVAL:
-                self._on_arrival(payload)
-            elif kind == EventKind.TASK_FINISH:
-                self._on_task_finish(*payload)
-            elif kind == EventKind.OUT_OF_BID:
-                self._on_out_of_bid(payload)
-            elif kind == EventKind.INSTANCE_READY:
-                self._on_instance_ready(payload)
-            elif kind == EventKind.INSTANCE_RELEASE:
-                self._on_instance_release(*payload)
+            handlers[kind](payload)
         incomplete = [j.index for j in self.jobs if j.completion is None]
         if incomplete:
             raise SimulationError("jobs never completed: %s" % incomplete)
@@ -304,10 +316,13 @@ class Simulator:
 
     def _schedule_arrivals(self):
         rng = substream(self.config.seed, "arrivals")
-        t = 0.0
         scale = 60.0 / self.config.arrival_rate_per_min
-        for i in range(self.config.job_count):
-            t += rng.exponential(scale)
+        gaps = rng.exponential(scale, size=self.config.job_count)
+        preds = {cls.class_id: {tk.id: len(tk.predecessors) for tk in cls.tasks}
+                 for cls in self.classes}
+        t = 0.0
+        for i, gap in enumerate(gaps.tolist()):
+            t += gap  # one gap at a time, so each arrival is an exact running sum
             cls = self.classes[i % len(self.classes)]
             job = JobRun(
                 index=i,
@@ -315,67 +330,68 @@ class Simulator:
                 plan=self.plans[cls.class_id],
                 arrival=int(math.ceil(t)),
                 unfinished=len(cls.tasks),
-                pending_preds={tk.id: len(tk.predecessors) for tk in cls.tasks},
+                pending_preds=preds[cls.class_id].copy(),
             )
             self.jobs.append(job)
-            self._push(job.arrival, EventKind.JOB_ARRIVAL, i)
+            self._push(job.arrival, _JOB_ARRIVAL, i)
 
     # ------------------------------------------------------------------
     # handlers
     # ------------------------------------------------------------------
 
-    def _on_arrival(self, job_index):
+    def _on_job_arrival(self, job_index):
         job = self.jobs[job_index]
-        self._log(self.now, "JobArrival", "job=%d class=%s" % (job.index, job.cls.class_id))
+        if self._logging:
+            self.event_log.append("%d JobArrival job=%d class=%s"
+                                  % (self.now, job.index, job.cls.class_id))
         for tid in job.cls.source_ids():
-            self._request_instance(job, tid, attempt=0)
+            self._request_instance(job, tid, 0)
 
     def _request_instance(self, job, task_id, attempt):
-        config = job.plan.task_configs[task_id]
-        dim = config.dims[attempt]
-        itype = self.catalog[dim.type_id]
-        expected = self._expected_time(job.cls, task_id, dim.type_id)
-        inst = self.pool.acquire_or_reuse(dim.type_id, dim.is_spot, self.now, expected,
-                                          bid=dim.price)
+        dim = job.plan.task_configs[task_id].dims[attempt]
+        type_id, is_spot = dim.type_id, dim.is_spot
+        inst = self.pool.acquire_or_reuse(
+            type_id, is_spot, self.now, bid=dim.price,
+            expected_time=lambda: self._expected_time(job.cls, task_id, type_id))
         if inst is not None:
             inst.release_token += 1  # cancel any pending idle release
             inst.assigned = (job.index, task_id, attempt)
-            self._log(self.now, "InstanceReuse",
-                      "inst=%d job=%d task=%d" % (inst.id, job.index, task_id))
-            self._start_task(job, task_id, attempt, inst)
+            if self._logging:
+                self.event_log.append("%d InstanceReuse inst=%d job=%d task=%d"
+                                      % (self.now, inst.id, job.index, task_id))
+            self._start_task(inst)
             return
-        bid = dim.price if dim.is_spot else None
-        ready = self.now + int(itype.lag(dim.is_spot))
-        inst = self.pool.create(dim.type_id, dim.is_spot, bid, ready)
+        ready = self.now + int(self.catalog[type_id].lag(is_spot))
+        inst = self.pool.create(type_id, is_spot, dim.price if is_spot else None, ready)
         inst.assigned = (job.index, task_id, attempt)
-        self._log(self.now, "InstanceRequest",
-                  "inst=%d type=%d spot=%d job=%d task=%d"
-                  % (inst.id, dim.type_id, dim.is_spot, job.index, task_id))
-        self._push(ready, EventKind.INSTANCE_READY, inst.id)
-        if dim.is_spot:
-            trace = self.traces[dim.type_id]
-            fail_at = trace.first_exceedance_cyclic(ready, dim.price)
+        if self._logging:
+            self.event_log.append("%d InstanceRequest inst=%d type=%d spot=%d job=%d task=%d"
+                                  % (self.now, inst.id, type_id, is_spot, job.index, task_id))
+        self._push(ready, _INSTANCE_READY, inst.id)
+        if is_spot:
+            fail_at = self.traces[type_id].first_exceedance_cyclic(ready, dim.price)
             if fail_at is not None:
-                self._push(int(math.ceil(fail_at)), EventKind.OUT_OF_BID, inst.id)
+                self._push(int(math.ceil(fail_at)), _OUT_OF_BID, inst.id)
 
     def _on_instance_ready(self, inst_id):
         inst = self.pool.instances[inst_id]
         if not inst.alive or inst.assigned is None:
             return
-        job_index, task_id, attempt = inst.assigned
-        self._log(self.now, "InstanceReady", "inst=%d" % inst.id)
-        self._start_task(self.jobs[job_index], task_id, attempt, inst)
+        if self._logging:
+            self.event_log.append("%d InstanceReady inst=%d" % (self.now, inst.id))
+        self._start_task(inst)
 
-    def _start_task(self, job, task_id, attempt, inst):
-        duration = int(self._duration_table(job, task_id, attempt)[job.index])
+    def _start_task(self, inst):
+        """Run the task the instance is assigned to, from now."""
+        job_index, task_id, attempt = assigned = inst.assigned
+        duration = self._duration_table(self.jobs[job_index], task_id, attempt).item(job_index)
+        now = self.now
         inst.busy = True
-        inst.assigned = (job.index, task_id, attempt)
-        inst.busy_intervals.append((self.now, self.now + duration))
-        self._log(self.now, "TaskStart",
-                  "job=%d task=%d attempt=%d inst=%d duration=%d"
-                  % (job.index, task_id, attempt, inst.id, duration))
-        self._push(self.now + duration, EventKind.TASK_FINISH,
-                   (inst.id, job.index, task_id, attempt))
+        inst.busy_intervals.append((now, now + duration))
+        if self._logging:
+            self.event_log.append("%d TaskStart job=%d task=%d attempt=%d inst=%d duration=%d"
+                                  % (now, job_index, task_id, attempt, inst.id, duration))
+        self._push(now + duration, _TASK_FINISH, (inst.id, assigned))
 
     def _duration_table(self, job, task_id, attempt):
         """Durations (whole seconds) of one (class, task, attempt), by job index.
@@ -398,32 +414,37 @@ class Simulator:
             table = self._durations[key] = np.rint(times).astype(np.int64)
         return table
 
-    def _on_task_finish(self, inst_id, job_index, task_id, attempt):
+    def _on_task_finish(self, payload):
+        inst_id, assigned = payload
         inst = self.pool.instances[inst_id]
-        if not inst.alive or inst.assigned != (job_index, task_id, attempt):
+        if not inst.alive or inst.assigned != assigned:
             return  # the instance died at this timestamp ordering boundary
+        job_index, task_id, _ = assigned
         job = self.jobs[job_index]
-        self._log(self.now, "TaskFinish",
-                  "job=%d task=%d inst=%d" % (job_index, task_id, inst.id))
+        if self._logging:
+            self.event_log.append("%d TaskFinish job=%d task=%d inst=%d"
+                                  % (self.now, job_index, task_id, inst.id))
         self.pool.mark_idle(inst)
         self._schedule_release(inst)
 
         job.unfinished -= 1
         if job.unfinished == 0:
             job.completion = self.now
-            self._log(self.now, "JobComplete", "job=%d" % job_index)
-        else:
-            task = job.cls.task_by_id(task_id)
-            for succ in task.successors:
-                job.pending_preds[succ] -= 1
-                if job.pending_preds[succ] == 0:
-                    self._request_instance(job, succ, attempt=0)
+            if self._logging:
+                self.event_log.append("%d JobComplete job=%d" % (self.now, job_index))
+            return
+        pending = job.pending_preds
+        for succ in job.cls.task_by_id(task_id).successors:
+            pending[succ] -= 1
+            if pending[succ] == 0:
+                self._request_instance(job, succ, 0)
 
     def _on_out_of_bid(self, inst_id):
         inst = self.pool.instances[inst_id]
         if not inst.alive:
             return
-        self._log(self.now, "OutOfBid", "inst=%d" % inst.id)
+        if self._logging:
+            self.event_log.append("%d OutOfBid inst=%d" % (self.now, inst.id))
         victim = inst.assigned  # None when the instance was idling
         self._settle(inst, "out-of-bid")
         if victim is not None:
@@ -435,13 +456,15 @@ class Simulator:
             when = self.now
         else:
             when = inst.ready_time + int(SECONDS_PER_HOUR) * ceil_hours(self.now - inst.ready_time)
-        self._push(when, EventKind.INSTANCE_RELEASE, (inst.id, inst.release_token))
+        self._push(when, _INSTANCE_RELEASE, (inst.id, inst.release_token))
 
-    def _on_instance_release(self, inst_id, token):
+    def _on_instance_release(self, payload):
+        inst_id, token = payload
         inst = self.pool.instances[inst_id]
         if not inst.alive or inst.busy or inst.release_token != token:
             return
-        self._log(self.now, "InstanceRelease", "inst=%d" % inst.id)
+        if self._logging:
+            self.event_log.append("%d InstanceRelease inst=%d" % (self.now, inst.id))
         self._settle(inst, "user")
 
     def _settle(self, inst, terminated_by):
@@ -456,6 +479,11 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def _expected_time(self, cls, task_id, type_id):
+        """Mean execution time of a task on a type, for consolidation checks.
+
+        Drawn on first use only; the seed is keyed by (task, type), so when
+        or whether a key is drawn changes no value.
+        """
         key = (cls.class_id, task_id, type_id)
         if key not in self._expected_cache:
             self._expected_cache[key] = expected_task_time(

@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import sys
 
@@ -224,6 +225,60 @@ class TestSimulate:
             report = json.loads((workspace["tmp"] / ("sweep-%s" % p) / "report.json").read_text())
             costs.append(report["avg_cost_per_job"])
         assert costs == sorted(costs)
+
+
+
+def _set_ondemand_type(doc, type_id):
+    doc["classes"]["toy"]["tasks"][0][-1]["type_id"] = type_id
+
+
+def _set_deadline(doc, deadline):
+    doc["classes"]["toy"]["deadline"] = deadline
+
+
+class TestMalformedPlanCache:
+    """A bad --plans file exits with a one-line message naming the class."""
+
+    @pytest.mark.parametrize("mutate, code, message", [
+        (lambda doc: _set_ondemand_type(doc, 9), cli.EXIT_MISMATCH,
+         "plan for 'toy' uses type id 9, the catalog has ids 0..1"),
+        (lambda doc: _set_ondemand_type(doc, -1), cli.EXIT_PARSE,
+         "class 'toy': task 0: type_id must be a non-negative integer, got -1"),
+        (lambda doc: doc.pop("classes"), cli.EXIT_PARSE,
+         '"classes" must be an object'),
+        (lambda doc: _set_deadline(doc, "soon"), cli.EXIT_PARSE,
+         "class 'toy': deadline must be a positive finite number, got 'soon'"),
+        (lambda doc: _set_deadline(doc, math.nan), cli.EXIT_PARSE,
+         "class 'toy': deadline must be a positive finite number, got nan"),
+    ], ids=["type-9", "type-minus-1", "no-classes", "string-deadline", "nan-deadline"])
+    def test_exit_code_and_message(self, workspace, tmp_path, capsys, mutate, code, message):
+        assert cli.main(["plan", *base_args(workspace, "--planner", "dyna-ns")]) == 0
+        doc = json.loads((workspace["tmp"] / "out" / "plans.json").read_text())
+        mutate(doc)
+        path = tmp_path / "bad-plans.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = cli.main(["simulate", *base_args(workspace, "--jobs", "2", "--plans", str(path))])
+        err = capsys.readouterr().err
+        assert rc == code
+        assert message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        if code == cli.EXIT_PARSE:
+            assert str(path) in err
+        assert not (workspace["tmp"] / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--plans", "--spec", "--baseline"])
+def test_deeply_nested_json_is_parse_error(workspace, tmp_path, capsys, flag):
+    # The JSON decoder recurses once per nesting level.
+    assert cli.main(["plan", *base_args(workspace, "--planner", "dyna-ns")]) == 0
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    capsys.readouterr()
+    rc = cli.main(["simulate", *base_args(workspace, "--jobs", "2", flag, str(path))])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_PARSE
+    assert err == "error: %s: JSON nested too deeply\n" % path
 
 
 class TestFfp:

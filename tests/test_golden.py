@@ -3,10 +3,11 @@
 Plans two classes (montage_like(4, seed=0), whose DAG is not series/parallel
 reducible, and ligo_like(1, 4, seed=0), which is) with the `dyna` planner
 over one seeded synthetic spiky trace per instance type, then simulates 50
-jobs.  The
-resulting plans.json and report.json must equal the files in tests/data/
-exactly, so a refactor that is meant to keep outputs unchanged is checked by
-the test suite and not only by the benchmark's digests.
+jobs with the event log on.  The resulting plans.json, report.json and
+events.log must equal the files in tests/data/ exactly, so a refactor that
+is meant to keep outputs unchanged is checked by the test suite and not only
+by the benchmark's digests.  The event log pins the simulator's event order
+and tie-breaks, which the report's totals can hide.
 
 A change that alters these outputs on purpose regenerates the files with
 
@@ -26,7 +27,8 @@ from spotflow.workflow_dag import ligo_like, montage_like, save_workflow
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = {"plans.json": DATA / "golden_plans.json",
-          "sim/report.json": DATA / "golden_report.json"}
+          "sim/report.json": DATA / "golden_report.json",
+          "sim/events.log": DATA / "golden_events.log"}
 
 
 def write_inputs(root):
@@ -58,7 +60,7 @@ def run_case(root):
         common += ["--workflow", str(path)]
     assert cli.main(["plan", *common, "--out", str(out), "--planner", "dyna"]) == 0
     assert cli.main(["simulate", *common, "--out", str(out / "sim"),
-                     "--plans", str(out / "plans.json"), "--jobs", "50"]) == 0
+                     "--plans", str(out / "plans.json"), "--jobs", "50", "--event-log"]) == 0
     return out
 
 
@@ -66,6 +68,14 @@ def test_outputs_match_golden_files(tmp_path):
     out = run_case(tmp_path)
     for name, golden in GOLDEN.items():
         assert (out / name).read_bytes() == golden.read_bytes(), name
+
+
+def test_golden_event_log_covers_interruptions_and_reuse():
+    """The pinned run exercises out-of-bid kills, restarts and reuse."""
+    log = (DATA / "golden_events.log").read_text(encoding="utf-8")
+    assert " OutOfBid " in log
+    assert " InstanceReuse " in log
+    assert " attempt=1 " in log
 
 
 if __name__ == "__main__":

@@ -1,13 +1,14 @@
 """Fuzzed input parsers: every input parses or fails with an exit-2 error.
 
 `spotflow` turns the exception types in cli.PARSE_ERRORS into exit code 2
-with a one-line message.  Each test feeds generated text to one of the four
+with a one-line message.  Each test feeds generated text to one of the five
 parsers that read user files (the --spec JSON, the workflow file, the trace
-CSV and the catalog CSV) and accepts a parsed result or one of those
-errors.  Any other exception would reach the user as a traceback.
+CSV, the catalog CSV and the plan cache) and accepts a parsed result or one
+of those errors.  Any other exception would reach the user as a traceback.
 """
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from spotflow import cli
 from spotflow.cloud_model import load_catalog
+from spotflow.planner_astar import load_plan_cache
 from spotflow.spot_market import load_trace
 from spotflow.workflow_dag import load_workflow
 
@@ -76,6 +78,37 @@ spec_text = st.one_of(
 )
 
 
+
+def mutated(valid):
+    """A valid value, or any JSON value in its place."""
+    return st.one_of(valid, json_values)
+
+
+def some_keys(fields):
+    """An object with all of fields' keys, or with any subset of them."""
+    return st.one_of(st.fixed_dictionaries(fields), st.fixed_dictionaries({}, optional=fields))
+
+
+plan_dim = some_keys({
+    "type_id": mutated(st.integers(-2, 5)),
+    "price": mutated(st.sampled_from([0.06, 1000.0, 0.0, -1.0, math.nan, math.inf, 1e400])),
+    "is_spot": mutated(st.booleans()),
+})
+plan_record = some_keys({
+    "deadline": mutated(st.floats() | st.integers(-1, 10**400)),
+    "guarantee_p": mutated(st.floats(-0.5, 1.5)),
+    "tasks": mutated(st.lists(mutated(st.lists(mutated(plan_dim), max_size=3)), max_size=3)),
+})
+plan_cache_text = st.one_of(
+    some_keys({
+        "format": mutated(st.just("plan-cache/1")),
+        "classes": mutated(st.dictionaries(st.text(max_size=5), mutated(plan_record),
+                                           max_size=2)),
+    }).map(json.dumps),
+    free_text,
+)
+
+
 def parse_spec(path):
     return cli._spec_from_args(cli.build_parser().parse_args(["plan", "--spec", path]))
 
@@ -115,3 +148,9 @@ def test_trace_parser(scratch, text):
 @given(text=catalog_text)
 def test_catalog_parser(scratch, text):
     parses_or_exit_2(load_catalog, scratch, text)
+
+
+@FUZZ
+@given(text=plan_cache_text)
+def test_plan_cache_parser(scratch, text):
+    parses_or_exit_2(load_plan_cache, scratch, text)

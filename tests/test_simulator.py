@@ -85,34 +85,34 @@ class TestPool:
         pool = InstancePool()
         inst = pool.create(0, False, None, ready_time=0)
         pool.mark_idle(inst)
-        got = pool.acquire_or_reuse(0, False, now=100, expected_time=9999)
+        got = pool.acquire_or_reuse(0, False, now=100, expected_time=lambda: 9999)
         assert got is inst
 
     def test_spot_consolidates_onto_ondemand(self):
         pool = InstancePool()
         inst = pool.create(0, False, None, ready_time=0)
         pool.mark_idle(inst)
-        got = pool.acquire_or_reuse(0, True, now=1800, expected_time=600)
+        got = pool.acquire_or_reuse(0, True, now=1800, expected_time=lambda: 600)
         assert got is inst
 
     def test_consolidation_needs_remaining_headroom(self):
         pool = InstancePool()
         inst = pool.create(0, False, None, ready_time=0)
         pool.mark_idle(inst)
-        assert pool.acquire_or_reuse(0, True, now=3000, expected_time=900) is None
-        assert pool.acquire_or_reuse(0, True, now=3000, expected_time=300) is inst
+        assert pool.acquire_or_reuse(0, True, now=3000, expected_time=lambda: 900) is None
+        assert pool.acquire_or_reuse(0, True, now=3000, expected_time=lambda: 300) is inst
 
     def test_ondemand_never_consolidates_onto_spot(self):
         pool = InstancePool()
         inst = pool.create(0, True, 0.1, ready_time=0)
         pool.mark_idle(inst)
-        assert pool.acquire_or_reuse(0, False, now=100, expected_time=1) is None
+        assert pool.acquire_or_reuse(0, False, now=100, expected_time=lambda: 1) is None
 
     def test_type_must_match(self):
         pool = InstancePool()
         inst = pool.create(0, False, None, ready_time=0)
         pool.mark_idle(inst)
-        assert pool.acquire_or_reuse(1, False, now=100, expected_time=1) is None
+        assert pool.acquire_or_reuse(1, False, now=100, expected_time=lambda: 1) is None
 
     def test_spot_reuse_needs_a_bid_at_least_the_requested_one(self):
         # An instance bid at b1 dies on prices a b2 > b1 request covers.
@@ -135,6 +135,29 @@ class TestPool:
         assert pool.acquire_or_reuse(0, True, now=100, bid=0.08) is None
         assert pool.acquire_or_reuse(0, True, now=100, bid=0.08) is None
         assert pool.acquire_or_reuse(0, True, now=100, bid=0.05) is low
+
+    def test_headroom_is_read_only_by_a_consolidation_check(self):
+        calls = []
+
+        def expected_time():
+            calls.append(1)
+            return 600
+
+        pool = InstancePool()
+        spot, od = pool.create(0, True, 0.05, ready_time=0), pool.create(0, False, None, 0)
+        pool.mark_idle(spot)
+        assert pool.acquire_or_reuse(0, True, now=1800, bid=0.10,
+                                     expected_time=expected_time) is None
+        assert calls == []  # no idle on-demand instance to consolidate onto
+        pool.mark_idle(od)
+        assert pool.acquire_or_reuse(0, True, now=1800, bid=0.05,
+                                     expected_time=expected_time) is spot
+        assert pool.acquire_or_reuse(0, False, now=1800, expected_time=expected_time) is od
+        assert calls == []
+        pool.mark_idle(od)
+        assert pool.acquire_or_reuse(0, True, now=1800, bid=0.05,
+                                     expected_time=expected_time) is od
+        assert calls == [1]
 
 
 class TestSingleTaskRuns:
@@ -404,6 +427,91 @@ class TestBatchedDurations:
         assert sum(" attempt=1 " in line for line in sim.event_log) > 10
         assert 0 < len(calls) <= sum(2 * len(job.tasks) for job in sim.classes)
         assert all(n == 200 for _, _, n, _ in calls)
+
+
+class TestEventLoop:
+    def test_events_are_plain_ints(self):
+        cat = default_catalog()
+        pushed = []
+
+        class Checked(Simulator):
+            def _push(self, time_, kind, payload):
+                pushed.append((time_, kind))
+                super()._push(time_, kind, payload)
+
+        jobs = [montage_like(4, seed=0), ligo_like(1, 4, seed=0)]
+        plans = {}
+        for job in jobs:
+            plans.update(make_plans(job.with_deadline(10_000.0),
+                                    [spot_first_config(cat, bid=0.05, type_id=1)]
+                                    * len(job.tasks)))
+        for policy in ("hour-boundary", "immediate"):
+            Checked(SimConfig(job_count=60, seed=2, arrival_rate_per_min=0.5,
+                              idle_release_policy=policy),
+                    jobs, plans, cat, {1: spiky_trace()}).run()
+        assert {kind for _, kind in pushed} == set(EventKind)  # every kind occurred
+        assert {(type(time_), type(kind)) for time_, kind in pushed} == {(int, int)}
+
+    def test_log_off_and_on_give_the_same_report(self):
+        cat = default_catalog()
+
+        def plans_for(job):
+            return [spot_first_config(cat, bid=0.05)] * len(job.tasks)
+
+        reports = [
+            _two_class_run(cat, plans_for, {0: spiky_trace()}, job_count=80, seed=2,
+                           arrival_rate_per_min=0.5, collect_event_log=log)
+            for log in (False, True)
+        ]
+        assert reports[0][0].event_log == []
+        assert len(reports[1][0].event_log) > 1000
+        assert reports[0][1].to_json() == reports[1][1].to_json()
+
+
+class TestConsolidationHeadroom:
+    """The headroom estimate is drawn only for keys a consolidation check reads."""
+
+    def test_ondemand_only_run_draws_none(self):
+        cat = default_catalog()
+        sim, rep = _two_class_run(cat, lambda job: [od_config(cat, 1)] * len(job.tasks),
+                                  job_count=100, seed=3, arrival_rate_per_min=0.5)
+        assert rep.job_count == 100
+        assert sim._expected_cache == {}
+
+    def test_spot_run_draws_only_for_checked_keys(self, monkeypatch):
+        # A spot request reaches a consolidation check when no idle spot
+        # instance of its type bids enough and an on-demand one idles.
+        cat = default_catalog()
+        checked, requested = set(), set()
+        current = []
+        request, acquire = Simulator._request_instance, InstancePool.acquire_or_reuse
+
+        def tracking_request(self, job, task_id, attempt):
+            dim = job.plan.task_configs[task_id].dims[attempt]
+            current.append((job.cls.class_id, task_id, dim.type_id))
+            request(self, job, task_id, attempt)
+
+        def tracking_acquire(pool, type_id, is_spot, now, bid=0.0, expected_time=None):
+            idle = [i for i in pool.instances.values()
+                    if i.alive and i.assigned is None and i.type_id == type_id]
+            if is_spot:
+                requested.add(current[-1])
+                if (not any(i.is_spot and i.bid >= bid for i in idle)
+                        and any(not i.is_spot for i in idle)):
+                    checked.add(current[-1])
+            return acquire(pool, type_id, is_spot, now, bid, expected_time)
+
+        monkeypatch.setattr(Simulator, "_request_instance", tracking_request)
+        monkeypatch.setattr(InstancePool, "acquire_or_reuse", tracking_acquire)
+
+        def plans_for(job):
+            return [spot_first_config(cat, bid=0.05)] * len(job.tasks)
+
+        sim, _ = _two_class_run(cat, plans_for, {0: spiky_trace()}, job_count=200,
+                                seed=2, arrival_rate_per_min=0.5)
+        assert checked  # the run consolidates, so some keys are drawn
+        assert set(sim._expected_cache) == checked
+        assert checked < requested
 
 
 class TestHitRates:
