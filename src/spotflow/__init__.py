@@ -2,9 +2,9 @@
 
 The package plans DAG workflows onto instance types so that monetary cost is
 minimized subject to a probabilistic deadline guarantee, optionally refines
-each task with leading spot-instance dimensions and bid prices, and
-validates plans with a deterministic discrete-event simulator replaying
-historical spot price traces.
+each task with a spot instance and bid price in front of its on-demand
+instance, and validates plans with a deterministic discrete-event
+simulator replaying historical spot price traces.
 """
 
 from .cloud_model import (

@@ -300,7 +300,7 @@ def cmd_ffp(spec, type_name, bid):
     dist = spot_market.estimate_ffp(model, itype.id, bid)
     out = _out_dir(spec)
     times = [*dist.bucket_times, model.horizon]
-    rows = zip(times, dist.cumulative_before_many(times))
+    rows = zip(times, dist.cumulative_before(times))
     with open(out / "ffp.csv", "w", encoding="utf-8") as fh:
         fh.write("t_seconds,cumulative_failure\n")
         for t, p in rows:

@@ -111,8 +111,9 @@ class Catalog:
     """Ordered collection of instance types, cheapest first.
 
     The strict price ordering is load-bearing: spot refinement scans
-    candidate spot types from a task's on-demand type id upward, which must
-    mean strictly more expensive instances.  Immutable after construction;
+    candidate spot types from the most expensive id down to a task's
+    on-demand type id, which must cover exactly the instances at least as
+    expensive as the on-demand one.  Immutable after construction;
     safe to share across threads.
     """
 

@@ -62,24 +62,21 @@ def hybrid_time_distribution(spot_dist, ffp, od_dist, seed=0):
 def hybrid_cost(config, dim_dists, failure):
     """Estimated monetary cost of a task under a hybrid configuration (USD).
 
-    Sample-average over index-paired execution-time draws (the distributions
-    must have equal sample counts): every spot dimension is charged its bid
-    price for the full would-be execution time (reached with the
-    probability that all earlier dimensions failed), and the on-demand
-    dimension is charged its price weighted by the probability that every
-    spot dimension failed before the task could finish there.  Times are
-    converted to hours.  This deliberately prices spot usage at the bid
-    (an overestimate of the market price), while the simulator bills actual
-    trace prices; the two bases are kept distinct.
+    dim_dists holds the task's time distribution on each dimension.  An
+    on-demand-only config costs its expected on-demand cost.  With a spot
+    dimension, the average over index-paired samples charges the bid for
+    the spot time, plus the on-demand price for the on-demand time weighted
+    by the probability that the spot instance fails before the task
+    finishes there.  Spot usage is deliberately priced at the bid (above
+    the market price); the simulator bills actual trace prices.
     """
-    dims = config.dims
-    per_sample = 0.0
-    reach = 1.0
-    for dim, dist in zip(dims[:-1], dim_dists[:-1]):
-        per_sample += reach * dim.price * dist.samples / SECONDS_PER_HOUR
-        ffp = estimate_ffp(failure, dim.type_id, dim.price)
-        reach = reach * ffp.cumulative_before_many(dist.samples)
-    per_sample += reach * dims[-1].price * dim_dists[-1].samples / SECONDS_PER_HOUR
+    if not config.spot_dims:
+        return expected_ondemand_cost(config.ondemand_dim.price, dim_dists[0])
+    spot_dim, od_dim = config.dims
+    spot, od = dim_dists[0].samples, dim_dists[1].samples
+    failed = estimate_ffp(failure, spot_dim.type_id, spot_dim.price).cumulative_before(spot)
+    per_sample = (spot_dim.price * spot / SECONDS_PER_HOUR
+                  + failed * od_dim.price * od / SECONDS_PER_HOUR)
     return float(per_sample.mean())
 
 
@@ -167,12 +164,8 @@ def check_refinement(task_id, config, failure, cache, seed=0):
     Reproduces the estimator runs the bid search made when it accepted the
     config's spot dimension (same seeds, same pairing), so a config
     returned by refine_task passes.  Returns (cost_ok, dominance_ok); an
-    on-demand-only config passes both.  Raises ValueError for a config
-    with more than one spot dimension, which refinement never builds.
+    on-demand-only config passes both.
     """
-    if len(config.spot_dims) > 1:
-        raise ValueError("refined configs have one spot dimension, got %d"
-                         % len(config.spot_dims))
     if not config.spot_dims:
         return True, True
     spot_dim, od_dim = config.dims

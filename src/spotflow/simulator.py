@@ -1,11 +1,12 @@
 """Discrete-event simulator of the workflow service runtime.
 
 Jobs arrive as a Poisson process and execute their tasks on a pool of
-rented instances according to each task's hybrid configuration: spot
-dimensions first, the on-demand dimension as the last resort.  A spot
-instance dies the moment the market price exceeds its bid; the task it was
-running restarts from scratch on the next dimension (results of finished
-predecessor tasks are kept, so only the interrupted task reruns).
+rented instances according to each task's hybrid configuration: its spot
+dimension, if it has one, first, and the on-demand dimension as the last
+resort.  A spot instance dies the moment the market price exceeds its bid;
+the task it was running restarts from scratch on the on-demand dimension
+(results of finished predecessor tasks are kept, so only the interrupted
+task reruns).
 
 The pool reuses idle instances of the requested kind and type without a new
 acquisition lag; an idle spot instance is reused only for a request bidding

@@ -200,44 +200,49 @@ def load_trace(path):
 class FirstFailureDistribution:
     """Discretized first-failure time distribution for one (type, bid).
 
-    Bucket k holds the probability that the first out-of-bid event happens
-    at elapsed time in [k*step, (k+1)*step); `no_failure_mass` is the
-    probability of surviving the whole horizon (or trace end).
+    counts[k] is the number of the `trials` walks whose first out-of-bid
+    event happens at elapsed time in [k*step, (k+1)*step); the walks left
+    over survive the whole horizon (or trace end).
     """
 
     step: float
-    masses: np.ndarray
-    no_failure_mass: float
+    counts: np.ndarray
+    trials: int
 
     def __post_init__(self):
-        self.masses.flags.writeable = False
+        self.counts.flags.writeable = False
+
+    @property
+    def masses(self):
+        """Probability of each bucket, counts / trials."""
+        return self.counts / float(self.trials)
+
+    @property
+    def no_failure_mass(self):
+        return float(1.0 - self.masses.sum())
 
     @property
     def bucket_times(self):
-        return np.arange(self.masses.size) * self.step
-
-    def cumulative_before(self, t):
-        """Probability of failing strictly before elapsed time t.
-
-        Sums the mass of every grid point k*step < t.
-        """
-        if t <= 0:
-            return 0.0
-        buckets = min(int(math.ceil(t / self.step)), self.masses.size)
-        return float(self.masses[:buckets].sum())
+        return np.arange(self.counts.size) * self.step
 
     @cached_property
-    def _mass_before(self):
-        """Failure mass strictly before each grid point 0..len(masses)."""
-        csum = np.concatenate(([0.0], np.cumsum(self.masses)))
-        csum.flags.writeable = False
-        return csum
+    def _failed_before(self):
+        """Share of walks failing strictly before grid points 0..len(counts).
 
-    def cumulative_before_many(self, times):
-        """Vectorized cumulative_before over an array of elapsed times."""
-        idx = np.ceil(np.asarray(times, dtype=np.float64) / self.step).astype(np.int64)
-        idx = np.clip(idx, 0, self.masses.size)
-        return self._mass_before[idx]
+        The running count is summed in integers and divided once.
+        """
+        share = np.concatenate(([0], np.cumsum(self.counts))) / self.trials
+        share.flags.writeable = False
+        return share
+
+    def cumulative_before(self, times):
+        """Probability of failing strictly before each elapsed time t.
+
+        (walks failing at a grid point k*step < t) / trials: exact, at most
+        1, and monotone in t and in the bid (every bid shares the walks).
+        """
+        idx = np.ceil(np.asarray(times, dtype=np.float64) / self.step)
+        return self._failed_before[np.clip(idx, 0, self.counts.size).astype(np.int64)]
 
     @cached_property
     def _outcome_table(self):
@@ -281,7 +286,7 @@ class FirstFailureDistribution:
         crowded = low < 0
         idx[crowded] = cdf.searchsorted(u[crowded], side="right")
         times = idx * self.step
-        times[idx == self.masses.size] = np.inf
+        times[idx == self.counts.size] = np.inf
         return times
 
 
@@ -366,17 +371,13 @@ def estimate_ffp(model, type_id, bid):
     failed = elapsed < model.horizon
     buckets = np.floor(elapsed[failed] / model.step).astype(np.int64)
     counts = np.bincount(buckets, minlength=nbuckets)
-    masses = counts / float(model.num_trials)
-    no_failure = 1.0 - masses.sum()
-    result = FirstFailureDistribution(
-        step=model.step, masses=masses, no_failure_mass=float(no_failure)
-    )
+    result = FirstFailureDistribution(step=model.step, counts=counts, trials=model.num_trials)
     model._cache[key] = result
     return result
 
 
 def cumulative_failure(model, type_id, bid, t):
     """Probability that a spot instance fails strictly before elapsed time t."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be nonnegative")
-    return estimate_ffp(model, type_id, bid).cumulative_before(t)
+    return float(estimate_ffp(model, type_id, bid).cumulative_before(t))

@@ -37,7 +37,7 @@ class CycleError(WorkflowError):
 class ConfigDim:
     """One dimension of a hybrid configuration: an instance to try.
 
-    For spot dimensions `price` is the bidding price; for the on-demand
+    For the spot dimension `price` is the bidding price; for the on-demand
     dimension it is the hourly on-demand price.
     """
 
@@ -48,11 +48,10 @@ class ConfigDim:
 
 @dataclass(frozen=True)
 class HybridConfig:
-    """Ordered instance candidates for one task.
+    """Instances for one task: an optional spot dimension, then on-demand.
 
-    Execution cascades through the dimensions on failure; every dimension
-    except the last is a spot instance, and the last is on-demand so the
-    task always completes.
+    A task interrupted on its spot instance reruns on the on-demand one,
+    so it always completes.
     """
 
     dims: tuple
@@ -60,12 +59,12 @@ class HybridConfig:
     def __post_init__(self):
         dims = tuple(self.dims)
         object.__setattr__(self, "dims", dims)
-        if not dims:
-            raise ValueError("hybrid configuration needs at least one dimension")
+        if not 1 <= len(dims) <= 2:
+            raise ValueError("a configuration has one or two dimensions, got %d" % len(dims))
         if dims[-1].is_spot:
             raise ValueError("last dimension must be on-demand")
-        if any(not d.is_spot for d in dims[:-1]):
-            raise ValueError("all dimensions before the last must be spot")
+        if len(dims) == 2 and not dims[0].is_spot:
+            raise ValueError("the dimension before the on-demand one must be spot")
 
     @classmethod
     def ondemand_only(cls, itype):

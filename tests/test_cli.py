@@ -236,6 +236,12 @@ def _set_deadline(doc, deadline):
     doc["classes"]["toy"]["deadline"] = deadline
 
 
+def _add_spot_dims(doc, count):
+    dims = doc["classes"]["toy"]["tasks"][1]
+    spot = {"type_id": dims[-1]["type_id"], "price": 0.03, "is_spot": True}
+    dims[:0] = [dict(spot) for _ in range(count)]
+
+
 class TestMalformedPlanCache:
     """A bad --plans file exits with a one-line message naming the class."""
 
@@ -250,7 +256,10 @@ class TestMalformedPlanCache:
          "class 'toy': deadline must be a positive finite number, got 'soon'"),
         (lambda doc: _set_deadline(doc, math.nan), cli.EXIT_PARSE,
          "class 'toy': deadline must be a positive finite number, got nan"),
-    ], ids=["type-9", "type-minus-1", "no-classes", "string-deadline", "nan-deadline"])
+        (lambda doc: _add_spot_dims(doc, 2), cli.EXIT_PARSE,
+         "class 'toy': task 1: a configuration has one or two dimensions, got 3"),
+    ], ids=["type-9", "type-minus-1", "no-classes", "string-deadline", "nan-deadline",
+            "two-spot-dims"])
     def test_exit_code_and_message(self, workspace, tmp_path, capsys, mutate, code, message):
         assert cli.main(["plan", *base_args(workspace, "--planner", "dyna-ns")]) == 0
         doc = json.loads((workspace["tmp"] / "out" / "plans.json").read_text())

@@ -3,7 +3,7 @@ import pytest
 
 from spotflow.cloud_model import expected_ondemand_cost
 from spotflow.distributions import EmpiricalDistribution, derive_seed, dominates
-from spotflow.planner_astar import TaskDistCache
+from spotflow.planner_astar import TaskDistCache, astar_configure
 from spotflow.planner_hybrid import (
     DOMINANCE_EPSILON,
     P_MIN,
@@ -31,12 +31,12 @@ def pm(value, n=2000):
     return EmpiricalDistribution.point_mass(value, n)
 
 
-def synthetic_ffp(step, mass_by_bucket, no_failure):
-    nbuckets = max(mass_by_bucket) + 1 if mass_by_bucket else 1
-    masses = np.zeros(nbuckets)
-    for bucket, p in mass_by_bucket.items():
-        masses[bucket] = p
-    return FirstFailureDistribution(step=step, masses=masses, no_failure_mass=no_failure)
+def synthetic_ffp(step, count_by_bucket, trials):
+    nbuckets = max(count_by_bucket) + 1 if count_by_bucket else 1
+    counts = np.zeros(nbuckets, dtype=np.int64)
+    for bucket, count in count_by_bucket.items():
+        counts[bucket] = count
+    return FirstFailureDistribution(step=step, counts=counts, trials=trials)
 
 
 def preset_model(type_id, bid, dist, **kwargs):
@@ -50,7 +50,7 @@ class TestHybridTimeDistribution:
     def test_never_failing_equals_spot_distribution(self):
         spot = EmpiricalDistribution.from_gamma(5, 60, n=4000, seed=1)
         od = EmpiricalDistribution.from_gamma(5, 80, n=4000, seed=2)
-        ffp = synthetic_ffp(60.0, {}, no_failure=1.0)
+        ffp = synthetic_ffp(60.0, {}, trials=1)
         got = hybrid_time_distribution(spot, ffp, od, seed=3)
         for q in np.linspace(0, 1, 21):
             assert got.percentile(q) == pytest.approx(spot.percentile(q))
@@ -58,7 +58,7 @@ class TestHybridTimeDistribution:
     def test_certain_immediate_failure_equals_ondemand(self):
         spot = EmpiricalDistribution.from_gamma(5, 60, n=4000, seed=1)
         od = EmpiricalDistribution.from_gamma(5, 80, n=4000, seed=2)
-        ffp = synthetic_ffp(60.0, {0: 1.0}, no_failure=0.0)
+        ffp = synthetic_ffp(60.0, {0: 1}, trials=1)
         got = hybrid_time_distribution(spot, ffp, od, seed=3)
         for q in np.linspace(0, 1, 21):
             assert got.percentile(q) == pytest.approx(od.percentile(q))
@@ -66,7 +66,7 @@ class TestHybridTimeDistribution:
     def test_two_branch_hand_enumeration(self):
         # Spot takes 10 s, on-demand 8 s; failure hits at t=5 with prob 0.5.
         spot, od = pm(10.0), pm(8.0)
-        ffp = synthetic_ffp(5.0, {1: 0.5}, no_failure=0.5)
+        ffp = synthetic_ffp(5.0, {1: 1}, trials=2)
         got = hybrid_time_distribution(spot, ffp, od, seed=4)
         values = set(np.round(got.samples, 9))
         assert values == {10.0, 13.0}
@@ -74,7 +74,7 @@ class TestHybridTimeDistribution:
         assert frac_13 == pytest.approx(0.5, abs=0.03)
 
     def test_unequal_sample_counts_rejected(self):
-        ffp = synthetic_ffp(5.0, {1: 0.5}, no_failure=0.5)
+        ffp = synthetic_ffp(5.0, {1: 1}, trials=2)
         with pytest.raises(ValueError, match="unequal sample counts"):
             hybrid_time_distribution(pm(10.0, 2000), ffp, pm(8.0, 1000), seed=5)
 
@@ -82,25 +82,40 @@ class TestHybridTimeDistribution:
 class TestHybridCost:
     def test_never_failing_spot_charges_bid_only(self):
         config = HybridConfig((ConfigDim(0, 0.1, True), ConfigDim(0, 0.2, False)))
-        model = preset_model(0, 0.1, synthetic_ffp(60.0, {}, 1.0))
+        model = preset_model(0, 0.1, synthetic_ffp(60.0, {}, trials=1))
         cost = hybrid_cost(config, [pm(1800.0), pm(1800.0)], model)
         assert cost == pytest.approx(0.1 * 0.5)
 
     def test_half_failure_hand_computation(self):
         # cumulative failure before the 0.5 h spot time is exactly 0.5.
         config = HybridConfig((ConfigDim(0, 0.1, True), ConfigDim(0, 0.2, False)))
-        model = preset_model(0, 0.1, synthetic_ffp(900.0, {1: 0.5}, 0.5))
+        model = preset_model(0, 0.1, synthetic_ffp(900.0, {1: 1}, trials=2))
         cost = hybrid_cost(config, [pm(1800.0), pm(1800.0)], model)
         assert cost == pytest.approx(0.1 * 0.5 + 0.5 * 0.2 * 0.5)
 
     def test_zero_duration_task_costs_nothing(self):
         config = HybridConfig((ConfigDim(0, 0.1, True), ConfigDim(0, 0.2, False)))
-        model = preset_model(0, 0.1, synthetic_ffp(60.0, {0: 1.0}, 0.0))
+        model = preset_model(0, 0.1, synthetic_ffp(60.0, {0: 1}, trials=1))
         cost = hybrid_cost(config, [pm(0.0), pm(0.0)], model)
         assert cost == 0.0
 
     def test_ondemand_cost(self):
         assert expected_ondemand_cost(0.2, pm(1800.0)) == pytest.approx(0.1)
+
+    def test_ondemand_only_config_is_the_plan_search_cost(self):
+        # One on-demand cost formula: on a dyna-ns plan, every task's hybrid
+        # cost is the search's TaskDistCache.cost, bit for bit.
+        catalog = ordered_catalog(3)
+        job = chain_job([cpu_profile(600.0), cpu_profile(450.0), cpu_profile(1300.0)],
+                        guarantee_p=0.9)
+        d_min, d_max = deadline_bounds(job, catalog, n=1000, seed=5)
+        job = job.with_deadline((d_min + d_max) / 2)
+        cache = TaskDistCache(job, catalog, 2000, 5)
+        plan = astar_configure(job, catalog, cache=cache, seed=5)
+        for task in job.tasks:
+            config = HybridConfig.ondemand_only(catalog[plan[task.id]])
+            got = hybrid_cost(config, [cache.dist(task.id, plan[task.id])], None)
+            assert got == cache.cost(task.id, plan[task.id])
 
 
 class FixtureContext:
@@ -297,8 +312,10 @@ class TestRefineTaskScanOrder:
 
 
 def test_check_refinement_rejects_two_spot_dims():
+    # A second spot dimension is refused when the config is built, so no
+    # such config reaches check_refinement.
     ctx = FixtureContext(stable_trace(0.024, hours=300))
-    config = HybridConfig((ConfigDim(1, 0.05, True), ConfigDim(0, 0.03, True),
-                           ConfigDim(0, 0.06, False)))
-    with pytest.raises(ValueError, match="one spot dimension"):
+    with pytest.raises(ValueError, match="one or two dimensions, got 3"):
+        config = HybridConfig((ConfigDim(1, 0.05, True), ConfigDim(0, 0.03, True),
+                               ConfigDim(0, 0.06, False)))
         check_refinement(0, config, ctx.failure, ctx.cache)

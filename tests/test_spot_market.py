@@ -240,13 +240,21 @@ def choice_reference(dist, rng, n):
     return rng.choice(outcomes, size=n, p=probs / probs.sum())
 
 
-def masses_with_gaps(rng, nbuckets, failure_share):
-    masses = rng.random(nbuckets) * (rng.random(nbuckets) < 0.4)
-    masses[rng.integers(nbuckets)] += 0.5
-    return masses / masses.sum() * failure_share
+def counts_with_gaps(rng, nbuckets, trials, failure_share):
+    """Random integer bucket counts, about 60% of them zero, summing to
+    round(failure_share * trials) walks (at least one bucket is nonzero
+    whenever that sum is)."""
+    failed = int(round(failure_share * trials))
+    weights = rng.random(nbuckets) * (rng.random(nbuckets) < 0.4)
+    weights[rng.integers(nbuckets)] += 0.5
+    counts = np.floor(weights / weights.sum() * failed).astype(np.int64)
+    counts[int(np.argmax(weights))] += failed - counts.sum()
+    return counts
 
 
 class TestSampleFailureTimes:
+    TRIALS = 4000
+
     @pytest.mark.parametrize("masses, no_failure", [
         (np.zeros(1440), 1.0),                      # all mass in no-failure
         (np.eye(1, 1440)[0], 0.0),                  # all mass in bucket 0
@@ -255,7 +263,11 @@ class TestSampleFailureTimes:
         (np.array([0.0, 0.5, 0.0, 0.0]), 0.5),
     ])
     def test_matches_choice_on_edge_vectors(self, masses, no_failure):
-        dist = FirstFailureDistribution(step=60.0, masses=masses, no_failure_mass=no_failure)
+        # Count vectors whose derived masses are exactly the given ones.
+        counts = (masses * self.TRIALS).astype(np.int64)
+        dist = FirstFailureDistribution(step=60.0, counts=counts, trials=self.TRIALS)
+        assert dist.masses.tobytes() == masses.tobytes()
+        assert dist.no_failure_mass == no_failure
         self.check(dist, seed=1, n=5000)
 
     def test_matches_choice_on_random_vectors_with_zero_buckets(self):
@@ -263,9 +275,11 @@ class TestSampleFailureTimes:
         for trial in range(60):
             nbuckets = int(rng.choice([1, 3, 100, 1440, 5000]))
             share = float(rng.choice([1.0, 0.9, 0.3]))
-            masses = masses_with_gaps(rng, nbuckets, share)
+            trials = int(rng.choice([10, 10_000, 123_457]))
+            counts = counts_with_gaps(rng, nbuckets, trials, share)
+            assert (counts == 0).any() or nbuckets < 100
             dist = FirstFailureDistribution(step=float(rng.choice([1.0, 60.0, 37.5])),
-                                            masses=masses, no_failure_mass=1.0 - masses.sum())
+                                            counts=counts, trials=trials)
             self.check(dist, seed=trial, n=int(rng.choice([1, 10, 20_000])))
 
     def test_matches_choice_on_an_estimated_distribution(self):
@@ -304,8 +318,47 @@ class TestCumulativeFailure:
     def test_bid_monotonicity_pathwise(self):
         model = FailureModel(traces={0: alternating_trace()}, num_trials=5000, rng_seed=6)
         rng = np.random.default_rng(7)
+        times = np.array([0.0, 59.0, 600.0, 3600.0, 3601.0, 7200.0, 86_400.0, math.inf])
         for _ in range(100):
             b1, b2 = sorted(rng.uniform(0.001, 0.2, size=2))
             for t in (600.0, 3600.0, 7200.0, 86_400.0):
                 assert (cumulative_failure(model, 0, b1, t)
                         >= cumulative_failure(model, 0, b2, t))
+            low = estimate_ffp(model, 0, b1).cumulative_before(times)
+            high = estimate_ffp(model, 0, b2).cumulative_before(times)
+            assert np.all(low >= high)
+            assert np.all(low <= 1.0)
+            assert np.all(np.diff(low) >= 0)
+
+    def test_scalar_and_array_queries_are_the_exact_count_ratio(self):
+        # Both query forms give (walks failing before t) / trials, with the
+        # count summed in integers: at or past the last bucket it is
+        # counts.sum() / trials exactly, so never above 1.
+        rng = np.random.default_rng(31)
+        for trial in range(40):
+            nbuckets = int(rng.choice([1, 3, 100, 1440]))
+            trials = int(rng.choice([1, 7, 10_000, 123_457]))
+            step = float(rng.choice([1.0, 60.0, 37.5]))
+            counts = counts_with_gaps(rng, nbuckets, trials, float(rng.choice([1.0, 0.9, 0.3])))
+            dist = FirstFailureDistribution(step=step, counts=counts, trials=trials)
+            model = FailureModel(traces={0: constant_trace(0.01)}, num_trials=trials)
+            model._cache[(0, 0.5)] = dist
+            end = nbuckets * step
+            past = [end - step / 2, end, end + 1.0, 10 * end, math.inf]
+            times = np.concatenate((rng.uniform(0.0, 1.2 * end, size=50),
+                                    dist.bucket_times, past))
+            got = dist.cumulative_before(times)
+            scalar = [cumulative_failure(model, 0, 0.5, t) for t in times]
+            want = [int(counts[:min(math.ceil(t / step), nbuckets)].sum()) / trials
+                    if t < math.inf else int(counts.sum()) / trials for t in times]
+            assert got.tolist() == scalar == want
+            assert got[-len(past):].tolist() == [int(counts.sum()) / trials] * len(past)
+            assert np.all(got <= 1.0)
+            order = np.argsort(times, kind="stable")
+            assert np.all(np.diff(got[order]) >= 0)
+
+    def test_rejects_negative_and_nan_times(self):
+        model = FailureModel(traces={0: alternating_trace()}, num_trials=100, rng_seed=1)
+        for t in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="nonnegative"):
+                cumulative_failure(model, 0, 0.10, t)

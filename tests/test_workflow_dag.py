@@ -253,8 +253,12 @@ class TestHybridConfig:
             HybridConfig((ConfigDim(0, 0.05, True),))
 
     def test_spot_dims_before_ondemand(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be spot"):
             HybridConfig((ConfigDim(0, 0.06, False), ConfigDim(0, 0.06, False)))
+        # At most one spot dimension.
+        with pytest.raises(ValueError, match="one or two dimensions, got 3"):
+            HybridConfig((ConfigDim(1, 0.05, True), ConfigDim(0, 0.03, True),
+                          ConfigDim(0, 0.06, False)))
         config = HybridConfig((ConfigDim(1, 0.03, True), ConfigDim(0, 0.06, False)))
         assert len(config.spot_dims) == 1
         assert not config.ondemand_dim.is_spot
