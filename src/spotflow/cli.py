@@ -107,18 +107,10 @@ class ExperimentSpec:
         return d_min + self.deadline_factor * (d_max - d_min)
 
 
-def _read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:  # the decoder recurses once per nesting level
-            raise ValueError("%s: JSON nested too deeply" % path) from None
-
-
 def _spec_from_args(args):
     values = {}
     if getattr(args, "spec", None):
-        doc = _read_json(args.spec)
+        doc = planner_astar.read_json(args.spec)
         if not isinstance(doc, dict):
             raise ValueError("%s: spec must be a JSON object, got %s"
                              % (args.spec, type(doc).__name__))
@@ -231,7 +223,7 @@ def cmd_plan(spec):
 
 def _load_baseline(path):
     """(avg_cost_per_job, hit_rate) of a baseline report.json."""
-    base = _read_json(path)
+    base = planner_astar.read_json(path)
     try:
         cost, hit_rate = float(base["avg_cost_per_job"]), float(base["hit_rate"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -249,9 +241,6 @@ def cmd_simulate(spec, plans_path=None):
     out = _out_dir(spec)
     path = pathlib.Path(plans_path) if plans_path else out / "plans.json"
     plans = planner_astar.load_plan_cache(path)
-    missing = [j.class_id for j in jobs if j.class_id not in plans]
-    if missing:
-        raise simulator.PlanMismatchError("plan cache lacks classes: %s" % missing)
     config = simulator.SimConfig(
         arrival_rate_per_min=spec.arrival_rate,
         job_count=spec.jobs,

@@ -245,6 +245,15 @@ def save_plan_cache(plans, path):
         fh.write("\n")
 
 
+def read_json(path):
+    """The JSON document in a file; too deep a nesting is a ValueError naming the path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise ValueError("%s: JSON nested too deeply" % path) from None
+
+
 def load_plan_cache(path):
     """Plans by class id from a plan-cache file written by save_plan_cache.
 
@@ -253,11 +262,7 @@ def load_plan_cache(path):
     ids are only checked to be non-negative integers here: which ids exist
     depends on the catalog, and the simulator checks them against it.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except RecursionError:
-            raise ValueError("%s: JSON nested too deeply" % path) from None
+    doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != "plan-cache/1":
         raise ValueError("%s: not a plan-cache file" % path)
     classes = doc.get("classes")

@@ -18,6 +18,13 @@ partial hour of a spot instance killed by an out-of-bid event, which is
 free.  Spot hours are charged at the market price sampled at each hour
 start.
 
+One rule gives the end of an instance's paid hour, Instance.paid_until(now)
+= ready_time + 3600 * ceil_hours(now - ready_time): consolidation needs the
+task's expected time to fit before it, and under the "hour-boundary" policy
+an instance going idle is released at it.  A release is cancelled by one
+token: each time an idle instance is handed out again its release_token is
+bumped, and a release event carrying an older token does nothing.
+
 The core is strictly single-threaded and deterministic: events are ordered
 by (time, kind rank, sequence number) and every random draw comes from a
 stream keyed by stable identifiers, never by arrival order.  Task durations
@@ -99,9 +106,13 @@ class Instance:
     alive: bool = True
     # (job_index, task_id, attempt) currently assigned, also while booting.
     assigned: tuple | None = None
-    busy: bool = False
+    # Bumped each time the idle instance is handed out again; a release
+    # event carrying an older token is void.
     release_token: int = 0
-    busy_intervals: list = field(default_factory=list)
+
+    def paid_until(self, now):
+        """End of the billing hour running at `now` (`now` itself on a boundary)."""
+        return self.ready_time + int(SECONDS_PER_HOUR) * ceil_hours(now - self.ready_time)
 
 
 class InstancePool:
@@ -124,13 +135,6 @@ class InstancePool:
         self._next_id += 1
         self.instances[inst.id] = inst
         return inst
-
-    def remaining_paid_seconds(self, inst, now):
-        """Seconds left in the current already-committed billing hour."""
-        elapsed = now - inst.ready_time
-        if elapsed <= 0:
-            return 0.0
-        return (SECONDS_PER_HOUR - (elapsed % SECONDS_PER_HOUR)) % SECONDS_PER_HOUR
 
     def acquire_or_reuse(self, type_id, is_spot, now, bid=0.0, expected_time=None):
         """Idle instance satisfying the request, or None if one must be acquired.
@@ -157,15 +161,13 @@ class InstancePool:
             expected = expected_time()
             for i, inst_id in enumerate(od_idle):
                 inst = self.instances[inst_id]
-                if expected <= self.remaining_paid_seconds(inst, now):
+                if expected <= inst.paid_until(now) - now:
                     od_idle.pop(i)
                     return inst
         return None
 
     def mark_idle(self, inst):
-        inst.busy = False
         inst.assigned = None
-        inst.release_token += 1
         bisect.insort(self._idle[inst.type_id, inst.is_spot], inst.id)
 
     def remove(self, inst):
@@ -224,18 +226,9 @@ class SimReport:
     seed: int
 
     def to_json(self):
-        doc = {
-            "job_count": self.job_count,
-            "total_cost": self.total_cost,
-            "avg_cost_per_job": self.avg_cost_per_job,
-            "avg_makespan_s": self.avg_makespan_s,
-            "hit_rate": self.hit_rate,
-            "instance_hours": self.instance_hours,
-            "instance_bills": self.instance_bills,
-            "per_job": self.per_job,
-            "seed": self.seed,
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        # The fields as they are: dataclasses.asdict would deep-copy every
+        # per-job row and bill first, about doubling the encoding time.
+        return json.dumps(vars(self), sort_keys=True, indent=2) + "\n"
 
 
 class Simulator:
@@ -248,11 +241,12 @@ class Simulator:
         self.classes = list(job_classes)
         if not self.classes:
             raise SimulationError("need at least one job class")
+        missing = [cls.class_id for cls in self.classes if cls.class_id not in plans]
+        if missing:
+            raise PlanMismatchError("plan cache lacks classes: %s" % missing)
         self.plans = {}
         for cls in self.classes:
-            plan = plans.get(cls.class_id)
-            if plan is None:
-                raise PlanMismatchError("no cached plan for class %r" % cls.class_id)
+            plan = plans[cls.class_id]
             if len(plan.task_configs) != len(cls.tasks):
                 raise PlanMismatchError(
                     "plan for %r covers %d tasks, workflow has %d"
@@ -387,8 +381,6 @@ class Simulator:
         job_index, task_id, attempt = assigned = inst.assigned
         duration = self._duration_table(self.jobs[job_index], task_id, attempt).item(job_index)
         now = self.now
-        inst.busy = True
-        inst.busy_intervals.append((now, now + duration))
         if self._logging:
             self.event_log.append("%d TaskStart job=%d task=%d attempt=%d inst=%d duration=%d"
                                   % (now, job_index, task_id, attempt, inst.id, duration))
@@ -456,13 +448,13 @@ class Simulator:
         if self.config.idle_release_policy == "immediate":
             when = self.now
         else:
-            when = inst.ready_time + int(SECONDS_PER_HOUR) * ceil_hours(self.now - inst.ready_time)
+            when = inst.paid_until(self.now)
         self._push(when, _INSTANCE_RELEASE, (inst.id, inst.release_token))
 
     def _on_instance_release(self, payload):
         inst_id, token = payload
         inst = self.pool.instances[inst_id]
-        if not inst.alive or inst.busy or inst.release_token != token:
+        if not inst.alive or inst.release_token != token:
             return
         if self._logging:
             self.event_log.append("%d InstanceRelease inst=%d" % (self.now, inst.id))
@@ -532,8 +524,3 @@ class Simulator:
             per_job=per_job,
             seed=self.config.seed,
         )
-
-
-def run(config, job_classes, plans, catalog, traces=None):
-    """Run one simulation and return its report."""
-    return Simulator(config, job_classes, plans, catalog, traces).run()

@@ -379,19 +379,26 @@ def _synthetic_profile(rng, kind):
                        rnd_io_mb=io * 0.2, net_in_mb=net, net_out_mb=net)
 
 
-def montage_like(width=4, seed=0, guarantee_p=0.96):
-    """I/O-heavy mosaicking shape: fan, pairwise layer, join, fan, tail chain."""
-    rng = substream(seed, "montage")
+def _shape(seed, name):
+    """(profiles, edges, add) for building one generated shape.
+
+    add(kind) draws the next task's profile from the shape's own substream,
+    in call order, and returns the new task's id.
+    """
+    rng = substream(seed, name)
     profiles = {}
-    edges = []
-    nid = 0
 
     def add(kind):
-        nonlocal nid
+        nid = len(profiles)
         profiles[nid] = _synthetic_profile(rng, kind)
-        nid += 1
-        return nid - 1
+        return nid
 
+    return profiles, [], add
+
+
+def montage_like(width=4, seed=0, guarantee_p=0.96):
+    """I/O-heavy mosaicking shape: fan, pairwise layer, join, fan, tail chain."""
+    profiles, edges, add = _shape(seed, "montage")
     level1 = [add("io") for _ in range(width)]
     level2 = [add("io") for _ in range(width)]
     for i, t in enumerate(level2):
@@ -413,18 +420,7 @@ def montage_like(width=4, seed=0, guarantee_p=0.96):
 
 def ligo_like(branches=2, width=3, seed=0, guarantee_p=0.96):
     """Branchy inspiral shape: parallel groups, each fan-join, then a merge."""
-    rng = substream(seed, "ligo")
-    profiles = {}
-    edges = []
-    nid = 0
-
-    def add(kind):
-        nonlocal nid
-        profiles[nid] = _synthetic_profile(rng, kind)
-        nid += 1
-        return nid - 1
-
-    merge = None
+    profiles, edges, add = _shape(seed, "ligo")
     group_tails = []
     for _ in range(branches):
         head = add("cpu")
@@ -443,17 +439,7 @@ def ligo_like(branches=2, width=3, seed=0, guarantee_p=0.96):
 
 def epigenomics_like(lanes=3, depth=3, seed=0, guarantee_p=0.96):
     """CPU-heavy pipeline shape: parallel lanes of chained tasks, then merge."""
-    rng = substream(seed, "epigenomics")
-    profiles = {}
-    edges = []
-    nid = 0
-
-    def add(kind):
-        nonlocal nid
-        profiles[nid] = _synthetic_profile(rng, kind)
-        nid += 1
-        return nid - 1
-
+    profiles, edges, add = _shape(seed, "epigenomics")
     split = add("io")
     lane_tails = []
     for _ in range(lanes):

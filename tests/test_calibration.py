@@ -30,7 +30,7 @@ import pytest
 
 from spotflow.cloud_model import Catalog, default_catalog
 from spotflow.planner_astar import JobPlan, TaskDistCache
-from spotflow.simulator import SimConfig, run
+from spotflow.simulator import SimConfig, Simulator
 from spotflow.workflow_dag import HybridConfig, epigenomics_like, ligo_like, montage_like
 
 SIM_JOBS = 2000
@@ -75,8 +75,8 @@ def test_simulated_makespans_follow_the_planned_law(job, type_id):
     catalog = zero_lag_catalog()
     plan = JobPlan(job.class_id, 1e9, job.guarantee_p,
                    [HybridConfig.ondemand_only(catalog[type_id])] * len(job.tasks))
-    report = run(SimConfig(arrival_rate_per_min=0.01, job_count=SIM_JOBS, seed=SIM_SEED),
-                 [job], {job.class_id: plan}, catalog)
+    report = Simulator(SimConfig(arrival_rate_per_min=0.01, job_count=SIM_JOBS, seed=SIM_SEED),
+                       [job], {job.class_id: plan}, catalog).run()
     simulated = np.array([row["makespan_s"] for row in report.per_job], dtype=np.float64)
     planned = rounded_longest_path(job, TaskDistCache(job, catalog, REFERENCE_SAMPLES),
                                    type_id)

@@ -15,7 +15,6 @@ from spotflow.simulator import (
     SimConfig,
     Simulator,
     bill,
-    run,
 )
 from spotflow.spot_market import SpotPriceTrace
 from spotflow.workflow_dag import ConfigDim, HybridConfig, ligo_like, montage_like
@@ -102,6 +101,18 @@ class TestPool:
         assert pool.acquire_or_reuse(0, True, now=3000, expected_time=lambda: 900) is None
         assert pool.acquire_or_reuse(0, True, now=3000, expected_time=lambda: 300) is inst
 
+    @pytest.mark.parametrize("now, fits, too_long", [
+        (3000, 600, 601),  # 600 s left of the first hour
+        (3600, 0, 1),      # on the boundary the next hour is not paid yet
+        (7000, 200, 201),  # 200 s left of the second hour
+    ])
+    def test_consolidation_headroom_ends_at_the_paid_hour(self, now, fits, too_long):
+        pool = InstancePool()
+        inst = pool.create(0, False, None, ready_time=0)
+        pool.mark_idle(inst)
+        assert pool.acquire_or_reuse(0, True, now=now, expected_time=lambda: too_long) is None
+        assert pool.acquire_or_reuse(0, True, now=now, expected_time=lambda: fits) is inst
+
     def test_ondemand_never_consolidates_onto_spot(self):
         pool = InstancePool()
         inst = pool.create(0, True, 0.1, ready_time=0)
@@ -165,7 +176,7 @@ class TestSingleTaskRuns:
         cat = single_type_catalog()
         job = chain_job([cpu_profile(600.0)], deadline=2000.0, class_id="one")
         plans = make_plans(job, [od_config(cat)])
-        rep = run(SimConfig(job_count=1, seed=4), [job], plans, cat)
+        rep = Simulator(SimConfig(job_count=1, seed=4), [job], plans, cat).run()
         assert rep.total_cost == pytest.approx(0.06)
         assert rep.hit_rate == 1.0
         assert rep.per_job[0]["makespan_s"] == 600
@@ -174,7 +185,7 @@ class TestSingleTaskRuns:
         cat = single_type_catalog()
         job = chain_job([cpu_profile(3660.0)], deadline=10_000.0, class_id="long")
         plans = make_plans(job, [od_config(cat)])
-        rep = run(SimConfig(job_count=1, seed=4), [job], plans, cat)
+        rep = Simulator(SimConfig(job_count=1, seed=4), [job], plans, cat).run()
         assert rep.total_cost == pytest.approx(0.12)
         assert rep.instance_hours == {"solo:ondemand": 2}
 
@@ -182,14 +193,14 @@ class TestSingleTaskRuns:
         cat = single_type_catalog()
         job = chain_job([cpu_profile(600.0)], deadline=100.0, class_id="late")
         plans = make_plans(job, [od_config(cat)])
-        rep = run(SimConfig(job_count=1, seed=4), [job], plans, cat)
+        rep = Simulator(SimConfig(job_count=1, seed=4), [job], plans, cat).run()
         assert rep.hit_rate == 0.0
 
     def test_acquisition_lag_counts_against_makespan(self):
         cat = single_type_catalog(lag_od=120.0)
         job = chain_job([cpu_profile(600.0)], deadline=2000.0, class_id="lagged")
         plans = make_plans(job, [od_config(cat)])
-        rep = run(SimConfig(job_count=1, seed=4), [job], plans, cat)
+        rep = Simulator(SimConfig(job_count=1, seed=4), [job], plans, cat).run()
         assert rep.per_job[0]["makespan_s"] == 720
 
 
@@ -223,7 +234,7 @@ class TestHybridExecution:
         trace = constant_trace(0.50)  # every bid below 0.5 dies at boot
         job = chain_job([cpu_profile(600.0)] * 2, deadline=5000.0, class_id="rough")
         plans = make_plans(job, [spot_first_config(cat, bid=0.10)] * 2)
-        rep = run(SimConfig(job_count=3, seed=5), [job], plans, cat, {0: trace})
+        rep = Simulator(SimConfig(job_count=3, seed=5), [job], plans, cat, {0: trace}).run()
         assert rep.job_count == 3
         assert all(row["completion"] is not None for row in rep.per_job)
         assert rep.hit_rate == 1.0
@@ -233,7 +244,7 @@ class TestHybridExecution:
         trace = constant_trace(0.02)
         job = chain_job([cpu_profile(600.0)], deadline=2000.0, class_id="calm")
         plans = make_plans(job, [spot_first_config(cat, bid=1000.0)])
-        rep = run(SimConfig(job_count=1, seed=5), [job], plans, cat, {0: trace})
+        rep = Simulator(SimConfig(job_count=1, seed=5), [job], plans, cat, {0: trace}).run()
         assert rep.total_cost == pytest.approx(0.02)
         assert rep.instance_hours == {"solo:spot": 1}
 
@@ -313,13 +324,39 @@ class TestReuseAndConsolidation:
         cat = single_type_catalog()
         job = chain_job([cpu_profile(240.0)] * 3, deadline=10_000.0, class_id="busy")
         plans = make_plans(job, [od_config(cat)] * 3)
-        sim = Simulator(SimConfig(job_count=8, seed=7, arrival_rate_per_min=2.0),
+        sim = Simulator(SimConfig(job_count=8, seed=7, arrival_rate_per_min=2.0,
+                                  collect_event_log=True),
                         [job], plans, cat)
         sim.run()
-        for inst in sim.pool.instances.values():
-            intervals = sorted(inst.busy_intervals)
+        busy = {}
+        for line in sim.event_log:
+            m = re.match(r"(\d+) TaskStart .* inst=(\d+) duration=(\d+)$", line)
+            if m:
+                start, inst_id, duration = map(int, m.groups())
+                busy.setdefault(inst_id, []).append((start, start + duration))
+        assert sum(map(len, busy.values())) == 8 * 3
+        assert set(busy) == set(sim.pool.instances)
+        assert max(map(len, busy.values())) > 1  # some instance is reused
+        for intervals in busy.values():
+            intervals.sort()
             for (s1, e1), (s2, e2) in zip(intervals, intervals[1:]):
                 assert e1 <= s2
+
+    def test_pending_release_never_ends_a_reused_instances_task(self):
+        # The 600 s task finishes at 720 s after arrival and schedules a
+        # release for the paid hour's end, 3,720 s; the instance is reused
+        # at once for a 3,600 s task that runs until 4,320 s.  The stale
+        # release must not end it, so the task is not restarted and the
+        # instance is billed for the two hours it ran.
+        cat = single_type_catalog(lag_od=120.0)
+        job = chain_job([cpu_profile(600.0), cpu_profile(3600.0)], deadline=10_000.0,
+                        class_id="stale")
+        plans = make_plans(job, [od_config(cat)] * 2)
+        sim = Simulator(SimConfig(job_count=1, seed=4), [job], plans, cat)
+        rep = sim.run()
+        assert len(sim.pool.instances) == 1
+        assert rep.per_job[0]["makespan_s"] == 120 + 600 + 3600
+        assert rep.instance_hours == {"solo:ondemand": 2}
 
 
 class TestInvariants:
@@ -519,7 +556,7 @@ class TestHitRates:
         cat = single_type_catalog()
         job = chain_job([cpu_profile(600.0)], deadline=5000.0, class_id="ok")
         plans = make_plans(job, [od_config(cat)])
-        rep = run(SimConfig(job_count=4, seed=8), [job], plans, cat)
+        rep = Simulator(SimConfig(job_count=4, seed=8), [job], plans, cat).run()
         assert rep.hit_rate == 1.0
 
     def test_one_of_two_classes_late(self):
@@ -529,7 +566,7 @@ class TestHitRates:
         plans = {}
         plans.update(make_plans(ok, [od_config(cat)]))
         plans.update(make_plans(late, [od_config(cat)]))
-        rep = run(SimConfig(job_count=2, seed=8), [ok, late], plans, cat)
+        rep = Simulator(SimConfig(job_count=2, seed=8), [ok, late], plans, cat).run()
         assert rep.hit_rate == 0.5
 
 
