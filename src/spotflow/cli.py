@@ -15,6 +15,7 @@ command-line flags take precedence over spec-file values.
 
 import argparse
 import json
+import math
 import pathlib
 import sys
 import time
@@ -168,6 +169,7 @@ def _failure_model(spec, catalog):
 def cmd_plan(spec):
     catalog = spec.load_catalog()
     jobs = spec.load_workflows()
+    # dyna-ns is dyna without a spot market: refinement keeps tasks on demand.
     failure = _failure_model(spec, catalog) if spec.planner == "dyna" else None
     out = _out_dir(spec)
     plans = {}
@@ -184,12 +186,7 @@ def cmd_plan(spec):
             print("infeasible: %s" % exc, file=sys.stderr)
             failed += 1
             continue
-        if spec.planner == "dyna-ns":
-            configs = [
-                workflow_dag.HybridConfig.ondemand_only(catalog[plan[t.id]])
-                for t in job.tasks
-            ]
-        elif spec.planner == "spot-only":
+        if spec.planner == "spot-only":
             # High fixed bid: spot execution with an (unreachable) on-demand
             # fallback dimension retained as the completion guarantee.
             configs = [
@@ -225,12 +222,16 @@ def _load_baseline(path):
     """(avg_cost_per_job, hit_rate) of a baseline report.json."""
     base = planner_astar.read_json(path)
     try:
-        cost, hit_rate = float(base["avg_cost_per_job"]), float(base["hit_rate"])
-    except (KeyError, TypeError, ValueError) as exc:
+        cost, hit_rate = base["avg_cost_per_job"], base["hit_rate"]
+        if bool in (type(cost), type(hit_rate)):
+            raise TypeError("a boolean is not a number")
+        cost, hit_rate = float(cost), float(hit_rate)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError("%s: baseline report needs numeric avg_cost_per_job and hit_rate"
                          " (%s: %s)" % (path, type(exc).__name__, exc)) from exc
-    if not cost > 0:
-        raise ValueError("%s: baseline avg_cost_per_job must be positive, got %r" % (path, cost))
+    if not (0 < cost < math.inf and 0 <= hit_rate <= 1):
+        raise ValueError("%s: baseline avg_cost_per_job must be positive and finite and hit_rate"
+                         " in [0, 1], got %r and %r" % (path, cost, hit_rate))
     return cost, hit_rate
 
 

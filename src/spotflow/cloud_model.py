@@ -36,9 +36,6 @@ class GammaSpec:
     def __post_init__(self):
         _require_finite(self)
 
-    def mean(self):
-        return self.k * self.theta
-
     def draw(self, rng, n):
         return rng.gamma(self.k, self.theta, size=n)
 
@@ -52,9 +49,6 @@ class NormalSpec:
 
     def __post_init__(self):
         _require_finite(self)
-
-    def mean(self):
-        return self.mu
 
     def draw(self, rng, n):
         if self.sigma == 0:
@@ -140,10 +134,6 @@ class Catalog:
 
     def __getitem__(self, type_id):
         return self._types[type_id]
-
-    @property
-    def types(self):
-        return self._types
 
     def cheapest(self):
         return self._types[0]

@@ -14,8 +14,8 @@ chain of such operations is a per-sample Monte Carlo over the same draws.
 `derive_seed` is memoized.
 
 Order statistics are lazy: a distribution sorts its samples on the first
-query that needs them (sorted_samples, percentile, cdf, min/max_value), so
-intermediate results that are only combined further are never sorted.
+query that needs them (sorted_samples, percentile, cdf), so intermediate
+results that are only combined further are never sorted.
 
 All operations are pure and bit-reproducible for a fixed seed.
 """
@@ -27,9 +27,6 @@ import zlib
 import numpy as np
 
 DEFAULT_SAMPLE_COUNT = 10_000
-
-# Rounds of rejection sampling before giving up on producing valid draws.
-_MAX_RESAMPLE_ROUNDS = 1000
 
 
 def seed_sequence(seed, *key):
@@ -128,51 +125,6 @@ class EmpiricalDistribution:
             self.expectation(),
         )
 
-    # ---------- constructors ----------
-
-    @classmethod
-    def point_mass(cls, value, n=2):
-        """Degenerate distribution concentrated at a single value."""
-        return cls(np.full(n, float(value)))
-
-    @classmethod
-    def from_gamma(cls, k, theta, n=DEFAULT_SAMPLE_COUNT, seed=0):
-        """Draw n i.i.d. samples from Gamma(shape=k, scale=theta)."""
-        if k <= 0 or theta <= 0:
-            raise ValueError("gamma parameters must be positive")
-        if n < 2:
-            raise ValueError("need at least 2 samples")
-        rng = substream(seed, "gamma")
-        return cls(rng.gamma(k, theta, size=n))
-
-    @classmethod
-    def from_normal(cls, mu, sigma, n=DEFAULT_SAMPLE_COUNT, seed=0):
-        """Draw n i.i.d. samples from Normal(mu, sigma), truncated at zero.
-
-        Negative draws are rejected and redrawn, so the result is slightly
-        biased upward when mu is within a few sigma of zero.
-        """
-        if sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-        if n < 2:
-            raise ValueError("need at least 2 samples")
-        rng = substream(seed, "normal")
-        if sigma == 0:
-            if mu < 0:
-                raise ValueError("point mass at negative mu cannot be truncated")
-            return cls(np.full(n, float(mu)))
-        out = rng.normal(mu, sigma, size=n)
-        for _ in range(_MAX_RESAMPLE_ROUNDS):
-            bad = out < 0.0
-            count = int(bad.sum())
-            if count == 0:
-                return cls(out)
-            out[bad] = rng.normal(mu, sigma, size=count)
-        raise ValueError(
-            "could not truncate Normal(%g, %g) at zero; too much negative mass"
-            % (mu, sigma)
-        )
-
     # ---------- queries ----------
 
     def percentile(self, q):
@@ -189,20 +141,11 @@ class EmpiricalDistribution:
     def expectation(self):
         return float(self._samples.mean())
 
-    def std(self):
-        return float(self._samples.std())
-
     def cdf(self, t):
         """Fraction of samples <= t; t may be a scalar or an array."""
         srt = self.sorted_samples
         counts = np.searchsorted(srt, t, side="right")
         return counts / srt.size
-
-    def min_value(self):
-        return float(self.sorted_samples[0])
-
-    def max_value(self):
-        return float(self.sorted_samples[-1])
 
 
 def _paired(dists):

@@ -127,14 +127,15 @@ def refine_task(task_id, ondemand_type, catalog, failure, cache, seed=0):
 
     Scans spot types from the most expensive down to the on-demand type and
     puts the first one whose bid search succeeds in front of the on-demand
-    dimension; with none, the task stays on demand.  Every search uses the
-    task's ("refine", task, 0) seed and pure memos, so the winner does not
-    depend on the scan order: it is the type an ascending scan that keeps
-    its last success would pick.  Pure per task: refining one task never
-    touches another's configuration.
+    dimension; with none, or with no failure model (no spot market), the
+    task stays on demand.  Every search uses the task's ("refine", task, 0)
+    seed and pure memos, so the winner does not depend on the scan order:
+    it is the type an ascending scan that keeps its last success would
+    pick.  Pure per task: refining one task never touches another's
+    configuration.
     """
-    od_dim = ConfigDim(ondemand_type.id, ondemand_type.ondemand_price, False)
     if failure is not None:
+        od_dim = ConfigDim(ondemand_type.id, ondemand_type.ondemand_price, False)
         od_dist = cache.dist(task_id, ondemand_type.id)
         task_seed = derive_seed(seed, "refine", task_id, 0)
         for spot_type_id in range(len(catalog) - 1, ondemand_type.id - 1, -1):
@@ -147,7 +148,7 @@ def refine_task(task_id, ondemand_type, catalog, failure, cache, seed=0):
             )
             if bid is not None:
                 return HybridConfig((ConfigDim(spot_type_id, bid, True), od_dim))
-    return HybridConfig((od_dim,))
+    return HybridConfig.ondemand_only(ondemand_type)
 
 
 def refine_plan(job, plan, catalog, failure, cache, seed=0):

@@ -78,9 +78,6 @@ class SpotPriceTrace:
     def __len__(self):
         return int(self.timestamps.size)
 
-    def min_price(self):
-        return float(self.prices.min())
-
     def max_price(self):
         return float(self.prices.max())
 

@@ -310,15 +310,13 @@ def load_workflow(path, deadline=None, guarantee_p=0.96, class_id=None):
             kind = parts[0]
             try:
                 if kind == "task":
-                    values = [float(x) for x in parts[1:]]
-                    if len(values) == 6:
-                        tid = int(values[0])
-                        prof = values[1:]
-                    elif len(values) == 5:
+                    if len(parts) == 7:
+                        tid = int(parts[1])
+                    elif len(parts) == 6:
                         tid = auto_id
-                        prof = values
                     else:
                         raise ValueError("task needs 5 profile fields (and an optional id)")
+                    prof = [float(x) for x in parts[-5:]]
                     if tid in profiles:
                         raise ValueError("duplicate task id %d" % tid)
                     auto_id = max(auto_id, tid) + 1
@@ -329,7 +327,7 @@ def load_workflow(path, deadline=None, guarantee_p=0.96, class_id=None):
                     edges.append((int(parts[1]), int(parts[2])))
                 else:
                     raise ValueError("unknown directive %r" % kind)
-            except (ValueError, OverflowError) as exc:  # int() of an infinite id
+            except ValueError as exc:
                 raise WorkflowError("%s:%d: %s" % (path, lineno, exc)) from exc
     if not profiles:
         raise WorkflowError("%s: workflow file defines no tasks" % path)

@@ -11,8 +11,14 @@ import time
 import numpy as np
 import pytest
 
-from spotflow.cloud_model import TaskProfile, default_catalog
-from spotflow.distributions import EmpiricalDistribution, convolve, dominates, max_of
+from spotflow.cloud_model import NormalSpec, TaskProfile, _positive_draw, default_catalog
+from spotflow.distributions import (
+    EmpiricalDistribution,
+    convolve,
+    dominates,
+    max_of,
+    substream,
+)
 from spotflow.planner_astar import (
     InfeasiblePlanError,
     JobPlan,
@@ -231,7 +237,7 @@ def test_criterion_5_distribution_properties_over_randomized_cases():
         a, b = random_dist(), random_dist()
         c = convolve(a, b)
         m = max_of([a, b])
-        assert c.min_value() >= 0 and m.min_value() >= 0
+        assert c.sorted_samples[0] >= 0 and m.sorted_samples[0] >= 0
         assert c.expectation() == pytest.approx(a.expectation() + b.expectation(), abs=1e-9)
         ba = convolve(b, a)
         for q in (0.25, 0.75):
@@ -242,10 +248,11 @@ def test_criterion_5_distribution_properties_over_randomized_cases():
         assert vals == sorted(vals)
         assert dominates(a, a, 0.0)
 
-    sum_dist = convolve(EmpiricalDistribution.from_normal(10, 2, n=10_000, seed=1),
-                        EmpiricalDistribution.from_normal(20, 3, n=10_000, seed=2))
+    sum_dist = convolve(
+        EmpiricalDistribution(_positive_draw(NormalSpec(10, 2), substream(1, "normal"), 10_000)),
+        EmpiricalDistribution(_positive_draw(NormalSpec(20, 3), substream(2, "normal"), 10_000)))
     assert sum_dist.expectation() == pytest.approx(30.0, rel=0.01)
-    assert sum_dist.std() == pytest.approx(math.sqrt(13.0), rel=0.05)
+    assert sum_dist.samples.std() == pytest.approx(math.sqrt(13.0), rel=0.05)
     announce(5, "%d randomized cases per property plus analytic normal-sum check" % cases)
 
 

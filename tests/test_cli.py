@@ -64,6 +64,17 @@ class TestPlan:
             assert len(config.dims) == 1
             assert not config.dims[0].is_spot
 
+    def test_dyna_ns_is_dyna_without_a_spot_market(self, workspace, tmp_path):
+        # Given the traces, dyna-ns still plans what dyna plans without them.
+        def plan(out, *extra):
+            args = base_args(workspace, *extra)
+            args[args.index("--out") + 1] = str(tmp_path / out)
+            assert cli.main(["plan", *args]) == 0
+            return (tmp_path / out / "plans.json").read_bytes()
+
+        assert (plan("ns", "--planner", "dyna-ns", "--trace-dir", workspace["trace_dir"])
+                == plan("dyna", "--planner", "dyna"))
+
     def test_spot_only_bids_1000(self, workspace):
         cli.main(["plan", *base_args(workspace, "--planner", "spot-only")])
         plans = load_plan_cache(workspace["tmp"] / "out" / "plans.json")
@@ -191,6 +202,9 @@ class TestSimulate:
     @pytest.mark.parametrize("doc, message", [
         ({"hit_rate": 1.0}, "avg_cost_per_job"),
         ({"avg_cost_per_job": 0, "hit_rate": 1.0}, "must be positive"),
+        ({"avg_cost_per_job": 1.0, "hit_rate": math.nan}, "hit_rate in [0, 1], got 1.0 and nan"),
+        ({"avg_cost_per_job": math.inf, "hit_rate": 0.5}, "must be positive and finite"),
+        ({"avg_cost_per_job": 1.0, "hit_rate": True}, "a boolean is not a number"),
     ])
     def test_bad_baseline_is_parse_error(self, workspace, tmp_path, capsys, doc, message):
         base = tmp_path / "base.json"

@@ -97,9 +97,9 @@ def test_random_dags_match_per_sample_longest_path(rng_seed):
 
 def test_unequal_sample_counts_rejected():
     job = build_job({i: cpu_profile(1.0) for i in range(3)}, [(0, 1), (1, 2)])
-    dists = {0: EmpiricalDistribution.point_mass(1.0, 40),
-             1: EmpiricalDistribution.point_mass(2.0, 40),
-             2: EmpiricalDistribution.point_mass(3.0, 64)}
+    dists = {0: EmpiricalDistribution(np.full(40, 1.0)),
+             1: EmpiricalDistribution(np.full(40, 2.0)),
+             2: EmpiricalDistribution(np.full(64, 3.0))}
     with pytest.raises(WorkflowError, match="unequal sample counts"):
         workflow_time_distribution(job, dists)
 
@@ -134,4 +134,4 @@ def test_lazily_sorted_distribution_is_immutable():
     with pytest.raises(AttributeError):
         d._sorted = None
     samples[0] = -1.0  # the caller's array is copied, not shared
-    assert d.min_value() >= 0.0
+    assert d.sorted_samples[0] >= 0.0

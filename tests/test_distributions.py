@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from spotflow.cloud_model import GammaSpec, NormalSpec, _positive_draw
 from spotflow.distributions import (
+    DEFAULT_SAMPLE_COUNT,
     EmpiricalDistribution,
     convolve,
     dominates,
@@ -18,45 +20,48 @@ def uniform_1_to_100(reps=100):
 
 
 class TestConstructors:
+    """The bandwidth sampler the planner and simulator run."""
+
     def test_gamma_mean_calibrated_small_seq_io(self):
-        d = EmpiricalDistribution.from_gamma(129.3, 0.79, n=10_000, seed=1)
-        assert d.expectation() == pytest.approx(129.3 * 0.79, rel=0.02)
+        d = _positive_draw(GammaSpec(129.3, 0.79), substream(1, "gamma"), 10_000)
+        assert d.mean() == pytest.approx(129.3 * 0.79, rel=0.02)
 
     def test_gamma_exponential_special_case(self):
-        d = EmpiricalDistribution.from_gamma(1, 1, n=10_000, seed=2)
-        assert d.expectation() == pytest.approx(1.0, rel=0.03)
+        d = _positive_draw(GammaSpec(1, 1), substream(2, "gamma"), 10_000)
+        assert d.mean() == pytest.approx(1.0, rel=0.03)
 
     def test_gamma_mean_calibrated_xlarge_seq_io(self):
-        d = EmpiricalDistribution.from_gamma(408.1, 0.26, n=10_000, seed=3)
-        assert d.expectation() == pytest.approx(408.1 * 0.26, rel=0.02)
+        d = _positive_draw(GammaSpec(408.1, 0.26), substream(3, "gamma"), 10_000)
+        assert d.mean() == pytest.approx(408.1 * 0.26, rel=0.02)
 
     def test_gamma_rejects_bad_parameters(self):
+        rng = substream(0, "gamma")
+        with pytest.raises(ValueError, match="produces no positive mass"):
+            _positive_draw(GammaSpec(0, 1.0), rng, DEFAULT_SAMPLE_COUNT)
         with pytest.raises(ValueError):
-            EmpiricalDistribution.from_gamma(0, 1.0)
-        with pytest.raises(ValueError):
-            EmpiricalDistribution.from_gamma(1.0, -2)
-        with pytest.raises(ValueError):
-            EmpiricalDistribution.from_gamma(1.0, 1.0, n=1)
+            _positive_draw(GammaSpec(1.0, -2), rng, DEFAULT_SAMPLE_COUNT)
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            EmpiricalDistribution(_positive_draw(GammaSpec(1.0, 1.0), rng, 1))
 
     def test_normal_mean(self):
-        d = EmpiricalDistribution.from_normal(150.3, 50.0, n=10_000, seed=4)
-        assert d.expectation() == pytest.approx(150.3, rel=0.02)
+        d = _positive_draw(NormalSpec(150.3, 50.0), substream(4, "normal"), 10_000)
+        assert d.mean() == pytest.approx(150.3, rel=0.02)
 
     def test_normal_degenerate_sigma_zero(self):
-        d = EmpiricalDistribution.from_normal(5, 0, n=100, seed=5)
-        assert np.all(d.samples == 5.0)
+        d = _positive_draw(NormalSpec(5, 0), substream(5, "normal"), 100)
+        assert np.all(d == 5.0)
 
     def test_normal_std(self):
-        d = EmpiricalDistribution.from_normal(1034.0, 146.4, n=10_000, seed=6)
+        d = _positive_draw(NormalSpec(1034.0, 146.4), substream(6, "normal"), 10_000)
         assert d.std() == pytest.approx(146.4, rel=0.05)
 
     def test_normal_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
-            EmpiricalDistribution.from_normal(1.0, -0.5)
+            _positive_draw(NormalSpec(1.0, -0.5), substream(0, "normal"), DEFAULT_SAMPLE_COUNT)
 
     def test_normal_truncates_at_zero(self):
-        d = EmpiricalDistribution.from_normal(1.0, 2.0, n=5000, seed=7)
-        assert d.min_value() >= 0.0
+        d = _positive_draw(NormalSpec(1.0, 2.0), substream(7, "normal"), 5000)
+        assert d.min() >= 0.0
 
     def test_rejects_negative_samples(self):
         with pytest.raises(ValueError):
@@ -67,7 +72,7 @@ class TestConstructors:
             EmpiricalDistribution([1.0])
 
     def test_immutable(self):
-        d = EmpiricalDistribution.point_mass(1.0)
+        d = EmpiricalDistribution(np.full(2, 1.0))
         with pytest.raises(AttributeError):
             d._samples = np.zeros(2)
         with pytest.raises(ValueError):
@@ -76,37 +81,37 @@ class TestConstructors:
 
 class TestConvolve:
     def test_point_masses(self):
-        c = convolve(EmpiricalDistribution.point_mass(2, 50),
-                     EmpiricalDistribution.point_mass(3, 50))
-        assert c.min_value() == c.max_value() == 5.0
+        c = convolve(EmpiricalDistribution(np.full(50, 2.0)),
+                     EmpiricalDistribution(np.full(50, 3.0)))
+        assert c.sorted_samples[0] == c.sorted_samples[-1] == 5.0
 
     def test_normal_sum_analytic(self):
-        a = EmpiricalDistribution.from_normal(10, 2, n=10_000, seed=1)
-        b = EmpiricalDistribution.from_normal(20, 3, n=10_000, seed=2)
+        a = EmpiricalDistribution(_positive_draw(NormalSpec(10, 2), substream(1, "normal"), 10_000))
+        b = EmpiricalDistribution(_positive_draw(NormalSpec(20, 3), substream(2, "normal"), 10_000))
         c = convolve(a, b)
         assert c.expectation() == pytest.approx(30.0, rel=0.01)
-        assert c.std() == pytest.approx(math.sqrt(13), rel=0.05)
+        assert c.samples.std() == pytest.approx(math.sqrt(13), rel=0.05)
 
     def test_zero_is_identity(self):
-        a = EmpiricalDistribution.from_gamma(5, 2, n=2000, seed=4)
-        c = convolve(a, EmpiricalDistribution.point_mass(0, 2000))
+        a = EmpiricalDistribution(_positive_draw(GammaSpec(5, 2), substream(4, "gamma"), 2000))
+        c = convolve(a, EmpiricalDistribution(np.full(2000, 0.0)))
         for q in np.linspace(0, 1, 21):
             assert c.percentile(q) == a.percentile(q)
 
     def test_mean_additivity_is_exact_for_equal_sizes(self):
         # Index pairing keeps both sample vectors whole.
-        a = EmpiricalDistribution.from_gamma(3, 1, n=1000, seed=6)
-        b = EmpiricalDistribution.from_gamma(7, 2, n=1000, seed=7)
+        a = EmpiricalDistribution(_positive_draw(GammaSpec(3, 1), substream(6, "gamma"), 1000))
+        b = EmpiricalDistribution(_positive_draw(GammaSpec(7, 2), substream(7, "gamma"), 1000))
         c = convolve(a, b)
         assert c.expectation() == pytest.approx(a.expectation() + b.expectation(), abs=1e-9)
 
     def test_unequal_sample_counts_rejected(self):
         with pytest.raises(ValueError, match="unequal sample counts"):
-            convolve(EmpiricalDistribution.point_mass(2, 50),
-                     EmpiricalDistribution.point_mass(3, 40))
+            convolve(EmpiricalDistribution(np.full(50, 2.0)),
+                     EmpiricalDistribution(np.full(40, 3.0)))
 
     def test_equal_sizes_pair_by_index(self):
-        a = EmpiricalDistribution.from_gamma(5, 2, n=1000, seed=10)
+        a = EmpiricalDistribution(_positive_draw(GammaSpec(5, 2), substream(10, "gamma"), 1000))
         c = convolve(a, a)
         assert np.array_equal(c.samples, 2.0 * a.samples)
         assert not c.samples.flags.writeable
@@ -114,12 +119,12 @@ class TestConvolve:
 
 class TestMaxOf:
     def test_point_masses(self):
-        m = max_of([EmpiricalDistribution.point_mass(2, 50),
-                    EmpiricalDistribution.point_mass(3, 50)])
-        assert m.min_value() == m.max_value() == 3.0
+        m = max_of([EmpiricalDistribution(np.full(50, 2.0)),
+                    EmpiricalDistribution(np.full(50, 3.0))])
+        assert m.sorted_samples[0] == m.sorted_samples[-1] == 3.0
 
     def test_single_input_identity(self):
-        d = EmpiricalDistribution.from_gamma(2, 2, n=500, seed=2)
+        d = EmpiricalDistribution(_positive_draw(GammaSpec(2, 2), substream(2, "gamma"), 500))
         assert max_of([d]) is d
 
     def test_empty_rejected(self):
@@ -127,9 +132,9 @@ class TestMaxOf:
             max_of([])
 
     def test_unequal_sample_counts_rejected(self):
-        same = EmpiricalDistribution.point_mass(2, 50)
+        same = EmpiricalDistribution(np.full(50, 2.0))
         with pytest.raises(ValueError, match="unequal sample counts"):
-            max_of([same, same, EmpiricalDistribution.point_mass(3, 40)])
+            max_of([same, same, EmpiricalDistribution(np.full(40, 3.0))])
 
     def test_two_uniforms_brute_force_mean(self):
         # Oracle: exact enumeration of max(i, j) over the 100x100 grid.
@@ -143,13 +148,14 @@ class TestMaxOf:
         assert m.expectation() == pytest.approx(oracle, rel=0.03)
 
     def test_equal_sizes_pair_by_index(self):
-        dists = [EmpiricalDistribution.from_gamma(2, 3, n=500, seed=s) for s in range(3)]
+        dists = [EmpiricalDistribution(_positive_draw(GammaSpec(2, 3), substream(s, "gamma"), 500))
+                 for s in range(3)]
         m = max_of(dists)
         assert np.array_equal(m.samples, np.maximum.reduce([d.samples for d in dists]))
 
     def test_dominates_every_input_percentile(self):
-        a = EmpiricalDistribution.from_gamma(4, 2, n=4000, seed=5)
-        b = EmpiricalDistribution.from_normal(9, 2, n=4000, seed=6)
+        a = EmpiricalDistribution(_positive_draw(GammaSpec(4, 2), substream(5, "gamma"), 4000))
+        b = EmpiricalDistribution(_positive_draw(NormalSpec(9, 2), substream(6, "normal"), 4000))
         m = max_of([a, b])
         for q in np.linspace(0, 1, 11):
             assert m.percentile(q) >= a.percentile(q) - 1e-12
@@ -158,7 +164,7 @@ class TestMaxOf:
 
 class TestPercentile:
     def test_point_mass(self):
-        assert EmpiricalDistribution.point_mass(5, 10).percentile(0.9) == 5.0
+        assert EmpiricalDistribution(np.full(10, 5.0)).percentile(0.9) == 5.0
 
     def test_nearest_rank_on_grid(self):
         d = EmpiricalDistribution(np.arange(1, 101, dtype=float))
@@ -167,15 +173,15 @@ class TestPercentile:
         assert d.percentile(0.01) == 1.0
 
     def test_q_one_is_max(self):
-        d = EmpiricalDistribution.from_gamma(2, 5, n=1000, seed=1)
-        assert d.percentile(1.0) == d.max_value()
+        d = EmpiricalDistribution(_positive_draw(GammaSpec(2, 5), substream(1, "gamma"), 1000))
+        assert d.percentile(1.0) == d.sorted_samples[-1]
 
     def test_q_zero_is_min(self):
-        d = EmpiricalDistribution.from_gamma(2, 5, n=1000, seed=1)
-        assert d.percentile(0.0) == d.min_value()
+        d = EmpiricalDistribution(_positive_draw(GammaSpec(2, 5), substream(1, "gamma"), 1000))
+        assert d.percentile(0.0) == d.sorted_samples[0]
 
     def test_out_of_range_rejected(self):
-        d = EmpiricalDistribution.point_mass(1)
+        d = EmpiricalDistribution(np.full(2, 1.0))
         with pytest.raises(ValueError):
             d.percentile(-0.1)
         with pytest.raises(ValueError):
@@ -184,30 +190,30 @@ class TestPercentile:
 
 class TestExpectation:
     def test_point_mass(self):
-        assert EmpiricalDistribution.point_mass(7).expectation() == 7.0
+        assert EmpiricalDistribution(np.full(2, 7.0)).expectation() == 7.0
 
     def test_two_values(self):
         assert EmpiricalDistribution([0.0, 10.0]).expectation() == 5.0
 
     def test_gamma(self):
-        d = EmpiricalDistribution.from_gamma(2, 3, n=10_000, seed=1)
+        d = EmpiricalDistribution(_positive_draw(GammaSpec(2, 3), substream(1, "gamma"), 10_000))
         assert d.expectation() == pytest.approx(6.0, rel=0.03)
 
 
 class TestDominates:
     def test_reflexive(self):
-        d = EmpiricalDistribution.from_gamma(3, 2, n=1000, seed=1)
+        d = EmpiricalDistribution(_positive_draw(GammaSpec(3, 2), substream(1, "gamma"), 1000))
         assert dominates(d, d, 0.0)
 
     def test_point_masses(self):
-        fast = EmpiricalDistribution.point_mass(2, 10)
-        slow = EmpiricalDistribution.point_mass(3, 10)
+        fast = EmpiricalDistribution(np.full(10, 2.0))
+        slow = EmpiricalDistribution(np.full(10, 3.0))
         assert dominates(fast, slow, 0.0)
         assert not dominates(slow, fast, 0.0)
 
     def test_shifted_normals(self):
-        fast = EmpiricalDistribution.from_normal(10, 1, n=5000, seed=2)
-        slow = EmpiricalDistribution.from_normal(12, 1, n=5000, seed=3)
+        fast = EmpiricalDistribution(_positive_draw(NormalSpec(10, 1), substream(2, "normal"), 5000))
+        slow = EmpiricalDistribution(_positive_draw(NormalSpec(12, 1), substream(3, "normal"), 5000))
         assert dominates(fast, slow, 0.01)
         assert not dominates(slow, fast, 0.01)
 
@@ -225,7 +231,7 @@ class TestDominates:
             if kind == 0:  # heavy ties
                 return EmpiricalDistribution(rng.integers(0, 6, size=size).astype(float))
             if kind == 1:
-                return EmpiricalDistribution.point_mass(float(rng.integers(0, 6)), size)
+                return EmpiricalDistribution(np.full(size, float(rng.integers(0, 6))))
             return EmpiricalDistribution(rng.gamma(2.0, 1.5, size=size))
         return one(), one()
 
@@ -273,8 +279,8 @@ class TestProperties:
         for case in range(self.CASES):
             a = self._random_dist(rng)
             b = self._random_dist(rng)
-            assert convolve(a, b).min_value() >= 0.0
-            assert max_of([a, b]).min_value() >= 0.0
+            assert convolve(a, b).sorted_samples[0] >= 0.0
+            assert max_of([a, b]).sorted_samples[0] >= 0.0
 
     def test_percentile_monotone_in_q(self):
         rng = np.random.default_rng(self.MASTER_SEED + 2)
@@ -302,8 +308,8 @@ class TestProperties:
         b = self._random_dist(rng)
         assert np.array_equal(convolve(a, b).samples, convolve(a, b).samples)
         assert np.array_equal(max_of([a, b]).samples, max_of([a, b]).samples)
-        g1 = EmpiricalDistribution.from_gamma(3, 2, n=100, seed=42)
-        g2 = EmpiricalDistribution.from_gamma(3, 2, n=100, seed=42)
+        g1 = EmpiricalDistribution(_positive_draw(GammaSpec(3, 2), substream(42, "gamma"), 100))
+        g2 = EmpiricalDistribution(_positive_draw(GammaSpec(3, 2), substream(42, "gamma"), 100))
         assert np.array_equal(g1.samples, g2.samples)
 
 

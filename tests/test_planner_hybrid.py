@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from spotflow.cloud_model import expected_ondemand_cost
-from spotflow.distributions import EmpiricalDistribution, derive_seed, dominates
+from spotflow.cloud_model import GammaSpec, _positive_draw, expected_ondemand_cost
+from spotflow.distributions import EmpiricalDistribution, derive_seed, dominates, substream
 from spotflow.planner_astar import TaskDistCache, astar_configure
 from spotflow.planner_hybrid import (
     DOMINANCE_EPSILON,
@@ -28,7 +28,7 @@ from conftest import (
 
 
 def pm(value, n=2000):
-    return EmpiricalDistribution.point_mass(value, n)
+    return EmpiricalDistribution(np.full(n, value))
 
 
 def synthetic_ffp(step, count_by_bucket, trials):
@@ -48,16 +48,16 @@ def preset_model(type_id, bid, dist, **kwargs):
 
 class TestHybridTimeDistribution:
     def test_never_failing_equals_spot_distribution(self):
-        spot = EmpiricalDistribution.from_gamma(5, 60, n=4000, seed=1)
-        od = EmpiricalDistribution.from_gamma(5, 80, n=4000, seed=2)
+        spot = EmpiricalDistribution(_positive_draw(GammaSpec(5, 60), substream(1, "gamma"), 4000))
+        od = EmpiricalDistribution(_positive_draw(GammaSpec(5, 80), substream(2, "gamma"), 4000))
         ffp = synthetic_ffp(60.0, {}, trials=1)
         got = hybrid_time_distribution(spot, ffp, od, seed=3)
         for q in np.linspace(0, 1, 21):
             assert got.percentile(q) == pytest.approx(spot.percentile(q))
 
     def test_certain_immediate_failure_equals_ondemand(self):
-        spot = EmpiricalDistribution.from_gamma(5, 60, n=4000, seed=1)
-        od = EmpiricalDistribution.from_gamma(5, 80, n=4000, seed=2)
+        spot = EmpiricalDistribution(_positive_draw(GammaSpec(5, 60), substream(1, "gamma"), 4000))
+        od = EmpiricalDistribution(_positive_draw(GammaSpec(5, 80), substream(2, "gamma"), 4000))
         ffp = synthetic_ffp(60.0, {0: 1}, trials=1)
         got = hybrid_time_distribution(spot, ffp, od, seed=3)
         for q in np.linspace(0, 1, 21):

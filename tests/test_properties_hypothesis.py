@@ -41,8 +41,8 @@ def test_convolve_bounds_and_mean(pair):
     a = EmpiricalDistribution(pair[0])
     b = EmpiricalDistribution(pair[1])
     c = convolve(a, b)
-    assert c.min_value() >= a.min_value() + b.min_value() - 1e-9
-    assert c.max_value() <= a.max_value() + b.max_value() + 1e-9
+    assert c.sorted_samples[0] >= a.sorted_samples[0] + b.sorted_samples[0] - 1e-9
+    assert c.sorted_samples[-1] <= a.sorted_samples[-1] + b.sorted_samples[-1] + 1e-9
     assert math.isclose(c.expectation(), a.expectation() + b.expectation(),
                         rel_tol=0, abs_tol=1e-6)
 

@@ -59,7 +59,7 @@ class TestLoadTrace:
         path = tmp_path / "small.csv"
         path.write_text("".join("%d,%.4f\n" % (t, p) for t, p in zip(ts, prices)))
         trace = load_trace(path)
-        assert trace.min_price() == pytest.approx(0.007)
+        assert trace.prices.min() == pytest.approx(0.007)
         assert trace.max_price() == pytest.approx(10.0)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spotflow.cloud_model import TaskProfile
+from spotflow.cloud_model import GammaSpec, TaskProfile, _positive_draw
 from spotflow.distributions import EmpiricalDistribution, substream
 from spotflow.planner_astar import TaskDistCache
 from spotflow.workflow_dag import (
@@ -24,7 +24,7 @@ from conftest import chain_job, cpu_profile, diamond_job, mixed_profile, ordered
 
 
 def pm(value, n=100):
-    return EmpiricalDistribution.point_mass(value, n)
+    return EmpiricalDistribution(np.full(n, value))
 
 
 def uniform_dist(lo, hi, n=10_000, seed=0):
@@ -78,14 +78,14 @@ class TestComposition:
     def test_chain_of_point_masses(self):
         job = chain_job([TaskProfile()] * 3)
         dist = workflow_time_distribution(job, {0: pm(2), 1: pm(3), 2: pm(4)})
-        assert dist.min_value() == dist.max_value() == 9.0
+        assert dist.sorted_samples[0] == dist.sorted_samples[-1] == 9.0
 
     def test_fan_in_max_then_add(self):
         # Two parallel tasks joining into a final task.
         job = build_job({0: TaskProfile(), 1: TaskProfile(), 2: TaskProfile()},
                         [(0, 2), (1, 2)])
         dist = workflow_time_distribution(job, {0: pm(2), 1: pm(5), 2: pm(1)})
-        assert dist.min_value() == dist.max_value() == 6.0
+        assert dist.sorted_samples[0] == dist.sorted_samples[-1] == 6.0
 
     def test_diamond_against_independent_critical_path_oracle(self):
         job = diamond_job([TaskProfile()] * 4)
@@ -111,7 +111,7 @@ class TestComposition:
                         [(0, 1), (1, 2), (0, 2)])
         dists = {0: pm(2), 1: pm(3), 2: pm(4)}
         dist = workflow_time_distribution(job, dists)
-        assert dist.min_value() == dist.max_value() == 9.0
+        assert dist.sorted_samples[0] == dist.sorted_samples[-1] == 9.0
 
     def test_workflow_slower_than_any_single_task(self):
         job = diamond_job([TaskProfile()] * 4)
@@ -141,7 +141,8 @@ class TestMakespanStatistics:
     def test_gamma_chain_is_erlang(self, seed):
         # Gamma(2, 3) + Gamma(3, 3) + Gamma(1, 3) = Erlang(6) with scale 3.
         job = chain_job([TaskProfile()] * 3)
-        dists = {i: EmpiricalDistribution.from_gamma(k, 3.0, n=self.N, seed=10 * seed + i)
+        dists = {i: EmpiricalDistribution(
+                     _positive_draw(GammaSpec(k, 3.0), substream(10 * seed + i, "gamma"), self.N))
                  for i, k in enumerate((2, 3, 1))}
         got = workflow_time_distribution(job, dists)
 
@@ -159,7 +160,8 @@ class TestMakespanStatistics:
     @pytest.mark.parametrize("seed", range(5))
     def test_exponential_fan_is_max(self, seed):
         job = build_job({i: TaskProfile() for i in range(3)}, [])
-        dists = {i: EmpiricalDistribution.from_gamma(1, 1.0, n=self.N, seed=10 * seed + i)
+        dists = {i: EmpiricalDistribution(
+                     _positive_draw(GammaSpec(1, 1.0), substream(10 * seed + i, "gamma"), self.N))
                  for i in range(3)}
         got = workflow_time_distribution(job, dists)
         assert ks_distance(got, lambda x: (1.0 - np.exp(-x)) ** 3) <= self.KS_BOUND
@@ -168,7 +170,8 @@ class TestMakespanStatistics:
         # E[a + max(b, c) + d] = 1 + 1.5 + 1 for Exp(1) tasks; pairing the
         # two branches' copies of a independently would raise the mean.
         job = diamond_job([TaskProfile()] * 4)
-        dists = {i: EmpiricalDistribution.from_gamma(1, 1.0, n=self.N, seed=40 + i)
+        dists = {i: EmpiricalDistribution(
+                     _positive_draw(GammaSpec(1, 1.0), substream(40 + i, "gamma"), self.N))
                  for i in range(4)}
         got = workflow_time_distribution(job, dists)
         assert got.expectation() == pytest.approx(3.5, rel=0.02)
@@ -293,6 +296,13 @@ class TestWorkflowFiles:
         path = tmp_path / "wf.txt"
         path.write_text("task 1e9 0 0 0 0\n%s\n" % line)
         with pytest.raises(WorkflowError, match=":2:"):
+            load_workflow(path)
+
+    @pytest.mark.parametrize("tid", ["1.5", "1e3"])
+    def test_non_integer_task_id_rejected_with_line(self, tmp_path, tid):
+        path = tmp_path / "wf.txt"
+        path.write_text("task 0 1e9 0 0 0 0\ntask %s 1e9 0 0 0 0\n" % tid)
+        with pytest.raises(WorkflowError, match=":2: .*'%s'" % tid):
             load_workflow(path)
 
     def test_cycle_in_file(self, tmp_path):
