@@ -72,7 +72,6 @@ from .workflow_dag import (
     Task,
     WorkflowError,
     WorkflowJob,
-    assign_ids,
     build_job,
     deadline_bounds,
     epigenomics_like,

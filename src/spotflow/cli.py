@@ -74,6 +74,8 @@ class ExperimentSpec:
             raise ValueError("planner must be one of %s" % (PLANNERS,))
         if not 0.0 < self.guarantee <= 1.0:
             raise ValueError("guarantee must be in (0, 1]")
+        if self.samples < 2:
+            raise ValueError("samples must be >= 2, got %d" % self.samples)
 
     def load_catalog(self):
         if self.catalog is None:
@@ -86,6 +88,8 @@ class ExperimentSpec:
         if self.trace_dir is None:
             return traces
         root = pathlib.Path(self.trace_dir)
+        if not root.is_dir():
+            raise ValueError("trace_dir %s is not a directory" % root)
         for itype in catalog:
             path = root / ("%s.csv" % itype.name)
             if path.exists():
@@ -180,8 +184,7 @@ def cmd_plan(spec):
         job = job.with_deadline(spec.planning_deadline(job, catalog, cache))
         params = planner_astar.AStarParams(max_iter=spec.max_iter)
         try:
-            plan = planner_astar.astar_configure(job, catalog, params=params,
-                                                 cache=cache, seed=spec.seed)
+            plan = planner_astar.astar_configure(job, catalog, params=params, cache=cache)
         except planner_astar.InfeasiblePlanError as exc:
             print("infeasible: %s" % exc, file=sys.stderr)
             failed += 1

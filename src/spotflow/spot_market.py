@@ -78,9 +78,6 @@ class SpotPriceTrace:
     def __len__(self):
         return int(self.timestamps.size)
 
-    def max_price(self):
-        return float(self.prices.max())
-
     def _segment_index(self, t):
         idx = int(np.searchsorted(self.timestamps, t, side="right")) - 1
         return max(idx, 0)
@@ -126,17 +123,16 @@ class SpotPriceTrace:
         None when the bid covers every price in the trace (the instance can
         never be killed).
         """
-        if self.max_price() <= bid:
+        first = int(self._next_exceed_index(bid)[0])
+        if first == self.prices.size:
             return None
         offset = sim_time % self.cycle
         base = sim_time - offset
-        t = self.start + offset
-        hit = self.first_exceedance_after(t, bid)
-        if hit is not None and hit - self.start < self.cycle:
+        hit = self.first_exceedance_after(self.start + offset, bid)
+        if hit is not None:
             return base + (hit - self.start)
         # Wrap: the first exceeding point from the trace start.
-        j = int(self._next_exceed_index(bid)[0])
-        return base + self.cycle + (float(self.timestamps[j]) - self.start)
+        return base + self.cycle + (float(self.timestamps[first]) - self.start)
 
 
 def next_exceed_index(prices, bid):

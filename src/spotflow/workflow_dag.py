@@ -8,6 +8,7 @@ sweep over index-paired samples, whatever the DAG's shape.
 """
 
 import dataclasses
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -91,8 +92,9 @@ class Task:
 class WorkflowJob:
     """A DAG of tasks plus its QoS contract.
 
-    Tasks are indexed by id when the job is made: replace the job
-    (with_deadline, dataclasses.replace) rather than edit its task list.
+    Task ids are list positions in topological order: task i is tasks[i],
+    and every edge runs from a lower id to a higher one.  build_job makes
+    jobs of this form; the constructor rejects any other.
     """
 
     tasks: list
@@ -105,19 +107,21 @@ class WorkflowJob:
             raise WorkflowError("deadline must be positive and finite")
         if not 0.0 < self.guarantee_p <= 1.0:
             raise WorkflowError("guarantee_p must be in (0, 1]")
-        self._by_id = {t.id: t for t in self.tasks}
-        if len(self._by_id) != len(self.tasks):
-            raise WorkflowError("task ids must be unique")
-        for t in self.tasks:
-            for p in t.predecessors:
-                if p not in self._by_id:
-                    raise WorkflowError("task %d references unknown predecessor %d" % (t.id, p))
-            for s in t.successors:
-                if s not in self._by_id:
-                    raise WorkflowError("task %d references unknown successor %d" % (t.id, s))
+        n = len(self.tasks)
+        for i, t in enumerate(self.tasks):
+            if t.id != i:
+                raise WorkflowError("task at position %d has id %r" % (i, t.id))
+            if not all(0 <= p < i for p in t.predecessors):
+                raise WorkflowError("task %d has a predecessor outside [0, %d): %s"
+                                    % (i, i, t.predecessors))
+            if not all(i < s < n for s in t.successors):
+                raise WorkflowError("task %d has a successor outside (%d, %d): %s"
+                                    % (i, i, n, t.successors))
 
     def task_by_id(self, task_id):
-        return self._by_id[task_id]
+        if not 0 <= task_id < len(self.tasks):
+            raise KeyError(task_id)
+        return self.tasks[task_id]
 
     def source_ids(self):
         return [t.id for t in self.tasks if not t.predecessors]
@@ -133,72 +137,53 @@ class WorkflowJob:
 
 
 def build_job(profiles, edges, deadline=None, guarantee_p=0.96, class_id="job"):
-    """Assemble a job from task profiles and (u, v) edges, then assign ids.
+    """Assemble a job from task profiles and (u, v) edges.
 
-    `profiles` maps provisional task ids to TaskProfile.
+    `profiles` maps provisional task ids to TaskProfile.  Tasks are
+    numbered in topological order; among the tasks whose predecessors are
+    all numbered, the one given first in `profiles` comes next, so the
+    numbering is deterministic.  Raises CycleError naming an edge on a
+    cycle when the graph is not acyclic.
     """
-    tasks = {tid: Task(id=tid, profile=prof) for tid, prof in profiles.items()}
+    order = list(profiles)
+    rank = {tid: r for r, tid in enumerate(order)}
+    preds = {tid: [] for tid in order}
+    succs = {tid: [] for tid in order}
     for u, v in edges:
-        if u not in tasks or v not in tasks:
+        if u not in rank or v not in rank:
             raise WorkflowError("edge (%s, %s) references unknown task" % (u, v))
-        tasks[u].successors.append(v)
-        tasks[v].predecessors.append(u)
-    job = WorkflowJob(
-        tasks=list(tasks.values()),
-        deadline=deadline,
-        guarantee_p=guarantee_p,
-        class_id=class_id,
-    )
-    return assign_ids(job)
-
-
-def assign_ids(job):
-    """Renumber tasks so ids follow a topological order.
-
-    Every edge (u, v) ends up with id(u) < id(v).  Ties are broken by input
-    order, so the renumbering is deterministic.  Raises CycleError naming an
-    edge on a cycle when the graph is not acyclic.
-    """
-    order_index = {t.id: i for i, t in enumerate(job.tasks)}
-    indegree = {t.id: len(t.predecessors) for t in job.tasks}
-    by_id = {t.id: t for t in job.tasks}
-    ready = sorted((tid for tid, deg in indegree.items() if deg == 0),
-                   key=order_index.__getitem__)
+        succs[u].append(v)
+        preds[v].append(u)
+    indegree = {tid: len(ps) for tid, ps in preds.items()}
+    ready = [r for r, tid in enumerate(order) if not indegree[tid]]  # ranks, a heap
     topo = []
     while ready:
-        tid = ready.pop(0)
+        tid = order[heapq.heappop(ready)]
         topo.append(tid)
-        inserted = []
-        for s in by_id[tid].successors:
+        for s in succs[tid]:
             indegree[s] -= 1
-            if indegree[s] == 0:
-                inserted.append(s)
-        if inserted:
-            ready.extend(inserted)
-            ready.sort(key=order_index.__getitem__)
-    if len(topo) != len(job.tasks):
-        remaining = {tid for tid, deg in indegree.items() if deg > 0}
+            if not indegree[s]:
+                heapq.heappush(ready, rank[s])
+    if len(topo) != len(order):
+        remaining = {tid for tid, deg in indegree.items() if deg}
         # Walk predecessors inside the remainder until a node repeats.
-        node = next(iter(sorted(remaining, key=order_index.__getitem__)))
+        node = min(remaining, key=rank.__getitem__)
         seen = []
         while node not in seen:
             seen.append(node)
-            node = next(p for p in by_id[node].predecessors if p in remaining)
-        start = seen.index(node)
-        cycle = seen[start:] + [node]
+            node = next(p for p in preds[node] if p in remaining)
+        cycle = seen[seen.index(node):] + [node]
         raise CycleError((cycle[1], cycle[0]))
 
-    mapping = {old: new for new, old in enumerate(topo)}
-    new_tasks = [
-        Task(
-            id=mapping[tid],
-            profile=by_id[tid].profile,
-            predecessors=sorted(mapping[p] for p in by_id[tid].predecessors),
-            successors=sorted(mapping[s] for s in by_id[tid].successors),
-        )
-        for tid in topo
+    new_id = {tid: i for i, tid in enumerate(topo)}
+    tasks = [
+        Task(id=i, profile=profiles[tid],
+             predecessors=sorted(new_id[p] for p in preds[tid]),
+             successors=sorted(new_id[s] for s in succs[tid]))
+        for i, tid in enumerate(topo)
     ]
-    return dataclasses.replace(job, tasks=new_tasks)
+    return WorkflowJob(tasks=tasks, deadline=deadline, guarantee_p=guarantee_p,
+                       class_id=class_id)
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +209,12 @@ def workflow_time_distribution(job, per_task_dists):
     counts = sorted({per_task_dists[t.id].sample_count for t in job.tasks})
     if len(counts) > 1:
         raise WorkflowError("per-task distributions have unequal sample counts %s" % counts)
-    finish = {}
-    for t in sorted(job.tasks, key=lambda t: t.id):  # ids are topological
+    finish = []
+    for t in job.tasks:  # ids are topological
         dist = per_task_dists[t.id]
         if t.predecessors:
             dist = convolve(max_of([finish[p] for p in t.predecessors]), dist)
-        finish[t.id] = dist
+        finish.append(dist)
     return max_of([finish[tid] for tid in job.sink_ids()])
 
 
@@ -247,12 +232,9 @@ def is_feasible(job, dist):
 
 def critical_path_length(job, task_values):
     """Longest path through the DAG using per-task scalar durations."""
-    finish = {}
-    for t in sorted(job.tasks, key=lambda t: t.id):  # ids are topological
-        best = 0.0
-        for p in t.predecessors:
-            best = max(best, finish[p])
-        finish[t.id] = best + task_values[t.id]
+    finish = []
+    for t in job.tasks:  # ids are topological
+        finish.append(max([finish[p] for p in t.predecessors], default=0.0) + task_values[t.id])
     return max(finish[tid] for tid in job.sink_ids())
 
 

@@ -141,6 +141,20 @@ class TestPlan:
         assert rc == cli.EXIT_PARSE
         assert "prices must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("samples", ["-5", "0", "1"])
+    def test_samples_below_two_is_parse_error(self, workspace, capsys, samples):
+        rc = cli.main(["plan", *base_args(workspace, "--samples", samples)])
+        assert rc == cli.EXIT_PARSE
+        assert "samples must be >= 2, got %s" % samples in capsys.readouterr().err
+        assert not (workspace["tmp"] / "out" / "plans.json").exists()
+
+    def test_missing_trace_dir_is_parse_error(self, workspace, tmp_path, capsys):
+        missing = tmp_path / "no-such-traces"
+        rc = cli.main(["plan", *base_args(workspace, "--trace-dir", str(missing))])
+        assert rc == cli.EXIT_PARSE
+        assert "trace_dir %s is not a directory" % missing in capsys.readouterr().err
+        assert not (workspace["tmp"] / "out" / "plans.json").exists()
+
 
 class TestSimulate:
     def _plan_then_simulate(self, ws, *extra):
@@ -198,6 +212,13 @@ class TestSimulate:
         ratios = json.loads((out / "normalized.json").read_text())
         assert ratios == {"avg_cost_ratio": report["avg_cost_per_job"] / 0.5,
                           "hit_rate_delta": report["hit_rate"] - 0.25}
+
+    def test_missing_trace_dir_is_parse_error(self, workspace, tmp_path, capsys):
+        missing = tmp_path / "no-such-traces"
+        rc = self._plan_then_simulate(workspace, "--trace-dir", str(missing))
+        assert rc == cli.EXIT_PARSE
+        assert "trace_dir %s is not a directory" % missing in capsys.readouterr().err
+        assert not (workspace["tmp"] / "out" / "report.json").exists()
 
     @pytest.mark.parametrize("doc, message", [
         ({"hit_rate": 1.0}, "avg_cost_per_job"),

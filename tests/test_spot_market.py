@@ -60,7 +60,7 @@ class TestLoadTrace:
         path.write_text("".join("%d,%.4f\n" % (t, p) for t, p in zip(ts, prices)))
         trace = load_trace(path)
         assert trace.prices.min() == pytest.approx(0.007)
-        assert trace.max_price() == pytest.approx(10.0)
+        assert trace.prices.max() == pytest.approx(10.0)
 
 
 class TestPriceLookups:

@@ -8,7 +8,9 @@ from spotflow.workflow_dag import (
     CycleError,
     HybridConfig,
     ConfigDim,
+    Task,
     WorkflowError,
+    WorkflowJob,
     build_job,
     deadline_bounds,
     epigenomics_like,
@@ -72,6 +74,58 @@ class TestAssignIds:
                       [(0, 1), (1, 2), (2, 1)])
         u, v = err.value.edge
         assert (u, v) in ((1, 2), (2, 1))
+
+
+def _tasks(*links):
+    """Tasks from (id, predecessors, successors) triples, in the order given."""
+    return [Task(id=tid, profile=TaskProfile(), predecessors=list(preds),
+                 successors=list(succs))
+            for tid, preds, succs in links]
+
+
+class TestIdInvariant:
+    def test_positional_topological_job_is_accepted(self):
+        job = WorkflowJob(_tasks((0, [], [1, 2]), (1, [0], [2]), (2, [0, 1], [])))
+        assert job.edges() == [(0, 1), (0, 2), (1, 2)]
+
+    @pytest.mark.parametrize("links", [
+        [(1, [], []), (0, [], [])],                  # ids are not positions
+        [(0, [], []), (2, [], [])],                  # a gap in the ids
+        [(0, [], []), (0, [], [])],                  # duplicate id
+        [(0, [0], [])],                              # own predecessor
+        [(0, [], []), (1, [2], []), (2, [], [])],    # predecessor after its task
+        [(0, [], []), (1, [-1], [])],                # predecessor below 0
+        [(0, [], [0])],                              # own successor
+        [(0, [], []), (1, [], [0])],                 # successor before its task
+        [(0, [], [2]), (1, [], [])],                 # successor beyond the job
+    ])
+    def test_constructor_rejects_other_numberings(self, links):
+        with pytest.raises(WorkflowError):
+            WorkflowJob(_tasks(*links))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_build_job_numbers_random_dags_topologically(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 16))
+        provisional = [int(x) for x in rng.permutation(100)[:n]]
+        hidden = [provisional[i] for i in rng.permutation(n)]  # a topological order
+        edges = [(hidden[a], hidden[b]) for a in range(n) for b in range(a + 1, n)
+                 if rng.random() < 0.3]
+        given = [provisional[i] for i in rng.permutation(n)]
+        profiles = {tid: TaskProfile(instructions=float(tid + 1)) for tid in given}
+        job = build_job(profiles, edges)
+
+        new_id = {int(t.profile.instructions) - 1: t.id for t in job.tasks}
+        assert sorted(new_id) == sorted(given)
+        assert sorted(new_id.values()) == list(range(n))
+        assert sorted(job.edges()) == sorted((new_id[u], new_id[v]) for u, v in edges)
+        assert all(u < v for u, v in job.edges())
+        preds = {tid: {u for u, v in edges if v == tid} for tid in given}
+        placed = set()
+        for task in job.tasks:
+            ready = [tid for tid in given if tid not in placed and preds[tid] <= placed]
+            assert new_id[ready[0]] == task.id
+            placed.add(ready[0])
 
 
 class TestComposition:
