@@ -29,8 +29,8 @@ EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
 EXIT_MISMATCH = 4
 
-# Bad input or configuration, exit EXIT_PARSE.  CatalogError, TraceError,
-# WorkflowError and json.JSONDecodeError are all ValueErrors.
+# Bad input or configuration, exit EXIT_PARSE.  CatalogError, TraceError
+# and WorkflowError are all ValueErrors.
 PARSE_ERRORS = (ValueError, OSError)
 
 SPOT_ONLY_BID = 1000.0  # effectively never out-of-bid
@@ -97,11 +97,17 @@ class ExperimentSpec:
         return traces
 
     def load_workflows(self):
-        """The workflow classes, without deadlines."""
+        """The workflow classes, without deadlines; class ids must differ."""
         if not self.workflows:
             raise ValueError("no workflow files given")
-        return [workflow_dag.load_workflow(path, guarantee_p=self.guarantee)
-                for path in self.workflows]
+        jobs = {}  # class id -> (path, job)
+        for path in self.workflows:
+            job = workflow_dag.load_workflow(path, guarantee_p=self.guarantee)
+            if job.class_id in jobs:
+                raise ValueError("workflow class %r is defined twice: by %s and by %s"
+                                 % (job.class_id, jobs[job.class_id][0], path))
+            jobs[job.class_id] = (path, job)
+        return [job for _, job in jobs.values()]
 
     def planning_deadline(self, job, catalog, cache):
         """The class's planning deadline, from the class's TaskDistCache."""
@@ -335,16 +341,13 @@ def main(argv=None):
             return cmd_plan(spec)
         if args.command == "simulate":
             return cmd_simulate(spec, getattr(args, "plans", None))
-        if args.command == "ffp":
-            return cmd_ffp(spec, args.type_name, args.bid)
-        parser.error("unknown command %r" % args.command)
+        return cmd_ffp(spec, args.type_name, args.bid)
     except simulator.PlanMismatchError as exc:
         print("mismatch: %s" % exc, file=sys.stderr)
         return EXIT_MISMATCH
     except PARSE_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
-    return EXIT_OK
 
 
 if __name__ == "__main__":

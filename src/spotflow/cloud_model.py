@@ -102,7 +102,7 @@ class TaskProfile:
 
 
 class Catalog:
-    """Ordered collection of instance types, cheapest first.
+    """Ordered collection of instance types, cheapest first, with unique names.
 
     The strict price ordering is load-bearing: spot refinement scans
     candidate spot types from the most expensive id down to a task's
@@ -121,6 +121,8 @@ class Catalog:
                     "type ids must be 0..n-1 in order; got id %d at position %d"
                     % (itype.id, i)
                 )
+            if any(t.name == itype.name for t in types[:i]):
+                raise CatalogError("instance type name %r is used twice" % itype.name)
         prices = [t.ondemand_price for t in types]
         if any(a >= b for a, b in zip(prices, prices[1:])):
             raise CatalogError("catalog must be strictly ordered by ascending price")
@@ -166,32 +168,38 @@ def load_catalog(path):
     optional.  Parse errors report the offending line number.
     """
     types = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = [f.strip() for f in line.split(",")]
-            if fields[0] == "id":  # header
-                continue
-            if len(fields) != len(_CATALOG_COLUMNS):
-                raise CatalogError(
-                    "%s:%d: expected %d fields, got %d"
-                    % (path, lineno, len(_CATALOG_COLUMNS), len(fields))
-                )
-            try:
-                nums = [float(f) for f in fields[2:]]
-                if not all(map(math.isfinite, nums)):
-                    raise CatalogError("numeric fields must be finite")
-                types.append(InstanceType(
-                    int(fields[0]), fields[1], nums[0], nums[1],
-                    GammaSpec(*nums[2:4]), NormalSpec(*nums[4:6]),
-                    GammaSpec(*nums[6:8]), GammaSpec(*nums[8:10]), *nums[10:12]))
-            except (ValueError, CatalogError) as exc:
-                raise CatalogError("%s:%d: %s" % (path, lineno, exc)) from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                fields = [f.strip() for f in line.split(",")]
+                if fields[0] == "id":  # header
+                    continue
+                if len(fields) != len(_CATALOG_COLUMNS):
+                    raise CatalogError(
+                        "%s:%d: expected %d fields, got %d"
+                        % (path, lineno, len(_CATALOG_COLUMNS), len(fields))
+                    )
+                try:
+                    nums = [float(f) for f in fields[2:]]
+                    if not all(map(math.isfinite, nums)):
+                        raise CatalogError("numeric fields must be finite")
+                    types.append(InstanceType(
+                        int(fields[0]), fields[1], nums[0], nums[1],
+                        GammaSpec(*nums[2:4]), NormalSpec(*nums[4:6]),
+                        GammaSpec(*nums[6:8]), GammaSpec(*nums[8:10]), *nums[10:12]))
+                except (ValueError, CatalogError) as exc:
+                    raise CatalogError("%s:%d: %s" % (path, lineno, exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise CatalogError("%s: %s" % (path, exc)) from None
     if not types:
         raise CatalogError("%s: catalog file contains no records" % path)
-    return Catalog(types)
+    try:
+        return Catalog(types)
+    except CatalogError as exc:
+        raise CatalogError("%s: %s" % (path, exc)) from exc
 
 
 def save_catalog(catalog, path):

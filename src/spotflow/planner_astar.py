@@ -10,6 +10,7 @@ first feasible plan it pops is a cheapest feasible plan.
 """
 
 import heapq
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -119,7 +120,7 @@ def plan_distribution(job, cache, plan):
     Depends only on the cache's per-(task, type) distributions, so two
     routes evaluating the same plan get bit-identical results.
     """
-    dists = {tid: cache.dist(tid, type_id) for tid, type_id in enumerate(plan)}
+    dists = [cache.dist(tid, type_id) for tid, type_id in enumerate(plan)]
     return workflow_time_distribution(job, dists)
 
 
@@ -183,30 +184,19 @@ def brute_force_configure(job, catalog, cache=None, sample_count=DEFAULT_SAMPLE_
     """Exhaustive minimum-cost feasible plan; oracle twin of astar_configure.
 
     Enumerates every type assignment, so only usable for tiny workflows.
-    Returns (plan, cost) or (None, inf) when nothing is feasible.  Shares
-    the evaluation cache/seeding with the search so results are comparable
-    float-for-float.
+    Returns (plan, cost) or (None, inf) when nothing is feasible.  Plans
+    are enumerated in lexicographic order and only a strictly cheaper one
+    replaces the best, so of the cheapest feasible plans the smallest wins,
+    as in the search's (cost, plan) heap.  Shares the evaluation
+    cache/seeding with the search so results are comparable float-for-float.
     """
     cache = cache if cache is not None else TaskDistCache(job, catalog, sample_count, seed)
-    n_tasks = len(job.tasks)
-    n_types = len(catalog)
     best = (None, math.inf)
-    plan = [0] * n_tasks
-    while True:
-        tplan = tuple(plan)
-        dist = plan_distribution(job, cache, tplan)
-        if is_feasible(job, dist):
-            cost = plan_cost(cache, tplan)
-            if cost < best[1] or (cost == best[1] and (best[0] is None or tplan < best[0])):
-                best = (tplan, cost)
-        # Odometer increment.
-        i = n_tasks - 1
-        while i >= 0 and plan[i] == n_types - 1:
-            plan[i] = 0
-            i -= 1
-        if i < 0:
-            break
-        plan[i] += 1
+    for plan in itertools.product(range(len(catalog)), repeat=len(job.tasks)):
+        if is_feasible(job, plan_distribution(job, cache, plan)):
+            cost = plan_cost(cache, plan)
+            if cost < best[1]:
+                best = (plan, cost)
     return best
 
 
@@ -246,10 +236,13 @@ def save_plan_cache(plans, path):
 
 
 def read_json(path):
-    """The JSON document in a file; too deep a nesting is a ValueError naming the path."""
+    """The JSON document in a file; a file that does not decode, does not
+    parse or nests too deeply is a ValueError naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError("%s: %s" % (path, exc)) from None
         except RecursionError:  # the decoder recurses once per nesting level
             raise ValueError("%s: JSON nested too deeply" % path) from None
 

@@ -116,24 +116,23 @@ class Instance:
 
 
 class InstancePool:
-    """Running instances, with idle lists per (type, kind).
+    """Every instance created, with idle lists per (type, kind).
 
-    Spot and on-demand instances are kept in separate lists; an instance is
+    Instance ids are creation order: instance i is instances[i].  Spot and
+    on-demand instances are kept in separate idle lists; an instance is
     never assigned to two tasks at once.
     """
 
     def __init__(self):
-        self.instances = {}
+        self.instances = []
         self._idle = defaultdict(list)  # (type_id, is_spot) -> idle ids, ascending
-        self._next_id = 0
 
     def create(self, type_id, is_spot, bid, ready_time):
         inst = Instance(
-            id=self._next_id, type_id=type_id, is_spot=is_spot,
+            id=len(self.instances), type_id=type_id, is_spot=is_spot,
             bid=bid, ready_time=ready_time,
         )
-        self._next_id += 1
-        self.instances[inst.id] = inst
+        self.instances.append(inst)
         return inst
 
     def acquire_or_reuse(self, type_id, is_spot, now, bid=0.0, expected_time=None):
@@ -209,7 +208,7 @@ class JobRun:
     plan: object  # JobPlan
     arrival: int
     unfinished: int = 0
-    pending_preds: dict = field(default_factory=dict)
+    pending_preds: list = field(default_factory=list)  # by task id
     completion: int | None = None
 
 
@@ -304,7 +303,7 @@ class Simulator:
         incomplete = [j.index for j in self.jobs if j.completion is None]
         if incomplete:
             raise SimulationError("jobs never completed: %s" % incomplete)
-        alive = [i.id for i in self.pool.instances.values() if i.alive]
+        alive = [i.id for i in self.pool.instances if i.alive]
         if alive:
             raise SimulationError("instances still alive at drain: %s" % alive)
         return self._build_report()
@@ -313,7 +312,7 @@ class Simulator:
         rng = substream(self.config.seed, "arrivals")
         scale = 60.0 / self.config.arrival_rate_per_min
         gaps = rng.exponential(scale, size=self.config.job_count)
-        preds = {cls.class_id: {tk.id: len(tk.predecessors) for tk in cls.tasks}
+        preds = {cls.class_id: [len(tk.predecessors) for tk in cls.tasks]
                  for cls in self.classes}
         t = 0.0
         for i, gap in enumerate(gaps.tolist()):

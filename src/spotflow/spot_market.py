@@ -70,8 +70,7 @@ class SpotPriceTrace:
         else:
             tail = 3600.0
         self.start = float(ts[0])
-        self.end = float(ts[-1])
-        self.span = self.end - self.start
+        self.span = float(ts[-1]) - self.start
         self.cycle = self.span + tail
         self._exceed_cache = {}
 
@@ -102,35 +101,25 @@ class SpotPriceTrace:
             cached = self._exceed_cache[key] = next_exceed_index(self.prices, bid)
         return cached
 
-    def first_exceedance_after(self, t, bid):
-        """Absolute trace time >= t when the price first exceeds bid.
-
-        Returns t itself when the price at t already exceeds the bid, or
-        None when the price never exceeds the bid at or after t.
-        """
-        nxt = self._next_exceed_index(bid)
-        i = self._segment_index(t)
-        j = int(nxt[i])
-        if j == self.prices.size:
-            return None
-        if j == i:
-            return float(t)
-        return float(self.timestamps[j])
-
     def first_exceedance_cyclic(self, sim_time, bid):
         """Simulation time >= sim_time of the next out-of-bid event.
 
         None when the bid covers every price in the trace (the instance can
         never be killed).
         """
-        first = int(self._next_exceed_index(bid)[0])
+        nxt = self._next_exceed_index(bid)
+        first = int(nxt[0])
         if first == self.prices.size:
             return None
         offset = sim_time % self.cycle
         base = sim_time - offset
-        hit = self.first_exceedance_after(self.start + offset, bid)
-        if hit is not None:
-            return base + (hit - self.start)
+        t = self.start + offset
+        i = self._segment_index(t)
+        j = int(nxt[i])
+        if j == i:  # the price at t already exceeds the bid
+            return base + (float(t) - self.start)
+        if j < self.prices.size:
+            return base + (float(self.timestamps[j]) - self.start)
         # Wrap: the first exceeding point from the trace start.
         return base + self.cycle + (float(self.timestamps[first]) - self.start)
 
@@ -160,27 +149,30 @@ def load_trace(path):
     """
     timestamps = []
     prices = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if parts[0] in ("timestamp", "time"):  # header
-                continue
-            if len(parts) != 2:
-                raise TraceError("%s:%d: expected `timestamp,price`" % (path, lineno))
-            try:
-                ts = _parse_timestamp(parts[0])
-                price = float(parts[1])
-            except ValueError as exc:
-                raise TraceError("%s:%d: %s" % (path, lineno, exc)) from exc
-            if timestamps and ts <= timestamps[-1]:
-                raise TraceError(
-                    "%s:%d: timestamps must be strictly increasing" % (path, lineno)
-                )
-            timestamps.append(ts)
-            prices.append(price)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = [p.strip() for p in line.split(",")]
+                if parts[0] in ("timestamp", "time"):  # header
+                    continue
+                if len(parts) != 2:
+                    raise TraceError("%s:%d: expected `timestamp,price`" % (path, lineno))
+                try:
+                    ts = _parse_timestamp(parts[0])
+                    price = float(parts[1])
+                except ValueError as exc:
+                    raise TraceError("%s:%d: %s" % (path, lineno, exc)) from exc
+                if timestamps and ts <= timestamps[-1]:
+                    raise TraceError(
+                        "%s:%d: timestamps must be strictly increasing" % (path, lineno)
+                    )
+                timestamps.append(ts)
+                prices.append(price)
+    except UnicodeDecodeError as exc:
+        raise TraceError("%s: %s" % (path, exc)) from None
     if not timestamps:
         raise TraceError("%s: trace file contains no points" % path)
     try:

@@ -191,27 +191,26 @@ def build_job(profiles, edges, deadline=None, guarantee_p=0.96, class_id="job"):
 # ---------------------------------------------------------------------------
 
 
-def workflow_time_distribution(job, per_task_dists):
+def workflow_time_distribution(job, task_dists):
     """Makespan distribution of the whole workflow.
 
     A per-sample longest path, swept in task-id (topological) order: a task
     finishes at the latest finish of its predecessors plus its own time,
     and the makespan is the latest finish over the sink tasks.  convolve
     and max_of pair samples by index, so sample i of the result is the
-    critical-path length under sample i of every task, for any DAG.  The
-    per-task distributions must have equal sample counts.  Resource
-    contention is ignored: the planning model assumes an instance is
-    available per task.
+    critical-path length under sample i of every task, for any DAG.
+    task_dists[i] is task i's distribution; all have equal sample counts.
+    Resource contention is ignored: the planning model assumes an instance
+    is available per task.
     """
-    missing = [t.id for t in job.tasks if t.id not in per_task_dists]
-    if missing:
-        raise WorkflowError("missing distributions for tasks %s" % missing)
-    counts = sorted({per_task_dists[t.id].sample_count for t in job.tasks})
+    if len(task_dists) != len(job.tasks):
+        raise WorkflowError("%d distributions for %d tasks" % (len(task_dists), len(job.tasks)))
+    counts = sorted({task_dists[t.id].sample_count for t in job.tasks})
     if len(counts) > 1:
         raise WorkflowError("per-task distributions have unequal sample counts %s" % counts)
     finish = []
     for t in job.tasks:  # ids are topological
-        dist = per_task_dists[t.id]
+        dist = task_dists[t.id]
         if t.predecessors:
             dist = convolve(max_of([finish[p] for p in t.predecessors]), dist)
         finish.append(dist)
@@ -222,8 +221,8 @@ def is_feasible(job, dist):
     """True when the makespan percentile at the guarantee level meets the deadline.
 
     The boundary is inclusive: a percentile exactly equal to the deadline
-    counts as feasible.  This is the single definition of feasibility used
-    everywhere (planners, tests, reports).
+    counts as feasible.  The oracle uses it; the search compares the same
+    percentile inline, as it keeps that percentile to diagnose a failure.
     """
     if job.deadline is None:
         raise WorkflowError("job has no deadline set")
@@ -231,7 +230,7 @@ def is_feasible(job, dist):
 
 
 def critical_path_length(job, task_values):
-    """Longest path through the DAG using per-task scalar durations."""
+    """Longest path through the DAG; task_values[i] is task i's scalar duration."""
     finish = []
     for t in job.tasks:  # ids are topological
         finish.append(max([finish[p] for p in t.predecessors], default=0.0) + task_values[t.id])
@@ -252,12 +251,12 @@ def deadline_bounds(job, catalog, n=DEFAULT_SAMPLE_COUNT, seed=0, cache=None):
                          % (cache.sample_count, cache.seed, n, seed))
 
     def mean_times(itype):
-        return {
-            t.id: expected_task_time(
+        return [
+            expected_task_time(
                 t.profile, itype, n=n, seed=derive_seed(seed, t.id, itype.id),
                 dist=None if cache is None else cache.dist(t.id, itype.id))
             for t in job.tasks
-        }
+        ]
 
     d_min = critical_path_length(job, mean_times(catalog.most_expensive()))
     d_max = critical_path_length(job, mean_times(catalog.cheapest()))
@@ -283,34 +282,37 @@ def load_workflow(path, deadline=None, guarantee_p=0.96, class_id=None):
     profiles = {}
     edges = []
     auto_id = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            kind = parts[0]
-            try:
-                if kind == "task":
-                    if len(parts) == 7:
-                        tid = int(parts[1])
-                    elif len(parts) == 6:
-                        tid = auto_id
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                parts = line.split()
+                kind = parts[0]
+                try:
+                    if kind == "task":
+                        if len(parts) == 7:
+                            tid = int(parts[1])
+                        elif len(parts) == 6:
+                            tid = auto_id
+                        else:
+                            raise ValueError("task needs 5 profile fields (and an optional id)")
+                        prof = [float(x) for x in parts[-5:]]
+                        if tid in profiles:
+                            raise ValueError("duplicate task id %d" % tid)
+                        auto_id = max(auto_id, tid) + 1
+                        profiles[tid] = TaskProfile(*prof)
+                    elif kind == "edge":
+                        if len(parts) != 3:
+                            raise ValueError("edge needs exactly 2 task ids")
+                        edges.append((int(parts[1]), int(parts[2])))
                     else:
-                        raise ValueError("task needs 5 profile fields (and an optional id)")
-                    prof = [float(x) for x in parts[-5:]]
-                    if tid in profiles:
-                        raise ValueError("duplicate task id %d" % tid)
-                    auto_id = max(auto_id, tid) + 1
-                    profiles[tid] = TaskProfile(*prof)
-                elif kind == "edge":
-                    if len(parts) != 3:
-                        raise ValueError("edge needs exactly 2 task ids")
-                    edges.append((int(parts[1]), int(parts[2])))
-                else:
-                    raise ValueError("unknown directive %r" % kind)
-            except ValueError as exc:
-                raise WorkflowError("%s:%d: %s" % (path, lineno, exc)) from exc
+                        raise ValueError("unknown directive %r" % kind)
+                except ValueError as exc:
+                    raise WorkflowError("%s:%d: %s" % (path, lineno, exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise WorkflowError("%s: %s" % (path, exc)) from None
     if not profiles:
         raise WorkflowError("%s: workflow file defines no tasks" % path)
     if class_id is None:

@@ -76,9 +76,9 @@ def test_criterion_1_astar_matches_brute_force_on_exhaustive_dag_set():
         bf_plan, bf_cost = brute_force_configure(job, catalog, cache=cache)
         if bf_plan is None:
             with pytest.raises(InfeasiblePlanError):
-                astar_configure(job, catalog, cache=cache, seed=17)
+                astar_configure(job, catalog, cache=cache)
         else:
-            plan = astar_configure(job, catalog, cache=cache, seed=17)
+            plan = astar_configure(job, catalog, cache=cache)
             assert plan_cost(cache, tuple(plan)) == bf_cost, (bits, plan, bf_plan)
             feasible_cases += 1
         checked += 1
@@ -112,7 +112,7 @@ def test_criterion_2_hit_rate_tracks_requested_guarantee():
         # inside [p, p + 0.07] rather than exactly at its lower edge.
         margin = min(0.03, (1.0 - p) / 2.0)
         job = job.with_deadline(cheapest.percentile(p + margin))
-        plan = astar_configure(job, catalog, cache=cache, seed=29)
+        plan = astar_configure(job, catalog, cache=cache)
         configs = [HybridConfig.ondemand_only(catalog[plan[t.id]]) for t in job.tasks]
         plans = {job.class_id: JobPlan(job.class_id, job.deadline, p, configs)}
         sim = Simulator(
@@ -138,7 +138,7 @@ def test_criterion_3_refinement_gates_hold_for_every_refined_task():
     d_min, d_max = deadline_bounds(job, catalog, n=1000, seed=31)
     job = job.with_deadline(d_max * 1.4)
     cache = TaskDistCache(job, catalog, sample_count=4000, seed=31)
-    plan = astar_configure(job, catalog, cache=cache, seed=31)
+    plan = astar_configure(job, catalog, cache=cache)
 
     fixtures = {
         "stable": stable_trace(0.024, hours=400),
@@ -167,7 +167,7 @@ def test_criterion_3_refinement_gates_hold_for_every_refined_task():
 # ---------------------------------------------------------------------------
 
 def _plan_and_simulate(job, catalog, cache, traces, mode, seed):
-    plan = astar_configure(job, catalog, cache=cache, seed=seed)
+    plan = astar_configure(job, catalog, cache=cache)
     if mode == "dyna-ns":
         configs = [HybridConfig.ondemand_only(catalog[plan[t.id]]) for t in job.tasks]
     elif mode == "spot-only":
@@ -363,7 +363,7 @@ def test_criterion_8_hundred_task_planning_under_a_minute():
     d_min, d_max = deadline_bounds(job, catalog, n=2000, seed=83)
     job = job.with_deadline((d_min + d_max) / 2)
     cache = TaskDistCache(job, catalog, sample_count=2000, seed=83)
-    plan = astar_configure(job, catalog, cache=cache, seed=83)
+    plan = astar_configure(job, catalog, cache=cache)
     traces = {t.id: stable_trace(0.4 * t.ondemand_price, hours=400, seed=t.id)
               for t in catalog}
     failure = FailureModel(traces=traces, num_trials=4000, rng_seed=83)

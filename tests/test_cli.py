@@ -325,6 +325,67 @@ def test_deeply_nested_json_is_parse_error(workspace, tmp_path, capsys, flag):
     assert err == "error: %s: JSON nested too deeply\n" % path
 
 
+NOT_UTF8 = b"\xff\xfe not utf-8\n"
+
+
+@pytest.mark.parametrize("flag, content", [
+    ("--workflow", NOT_UTF8), ("--trace-dir", NOT_UTF8), ("--catalog", NOT_UTF8),
+    ("--plans", NOT_UTF8), ("--spec", NOT_UTF8), ("--baseline", NOT_UTF8),
+    ("--plans", b"task 1e9 0 0 0 0\n"), ("--spec", b"{"), ("--baseline", b""),
+], ids=["workflow", "trace-dir", "catalog", "plans", "spec", "baseline",
+        "plans-not-json", "spec-not-json", "baseline-not-json"])
+def test_unreadable_input_is_parse_error_naming_the_file(workspace, tmp_path, capsys,
+                                                         flag, content):
+    assert cli.main(["plan", *base_args(workspace, "--planner", "dyna-ns")]) == 0
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    path = inputs / "t0.csv"  # type t0's trace when the flag is --trace-dir
+    path.write_bytes(content)
+    value = str(inputs if flag == "--trace-dir" else path)
+    args = base_args(workspace, "--jobs", "2")
+    if flag in args:
+        args[args.index(flag) + 1] = value
+    else:
+        args += [flag, value]
+    capsys.readouterr()
+    rc = cli.main(["simulate", *args])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_PARSE
+    assert err.startswith("error: %s: " % path) and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (workspace["tmp"] / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+def test_repeated_class_id_is_parse_error(workspace, tmp_path, capsys, command):
+    paths = []
+    for name, tasks in (("a", 1), ("b", 2)):
+        (tmp_path / name).mkdir()
+        paths.append(tmp_path / name / "wf.txt")
+        save_workflow(chain_job([cpu_profile(100.0)] * tasks, class_id="wf"), paths[-1])
+    args = ["--catalog", workspace["catalog"], "--out", workspace["out"], "--samples", "800"]
+    out = workspace["tmp"] / "out"
+    if command == "simulate":
+        assert cli.main(["plan", *args, "--workflow", str(paths[0])]) == 0
+        capsys.readouterr()
+    rc = cli.main([command, *args, "--workflow", str(paths[0]), "--workflow", str(paths[1])])
+    assert rc == cli.EXIT_PARSE
+    assert capsys.readouterr() == ("", "error: workflow class 'wf' is defined twice:"
+                                       " by %s and by %s\n" % tuple(paths))
+    assert not (out / ("report.json" if command == "simulate" else "plans.json")).exists()
+
+
+@pytest.mark.parametrize("command", [["plan"], ["ffp", "t0", "0.05"]], ids=["plan", "ffp"])
+def test_repeated_type_name_is_parse_error(workspace, capsys, command):
+    catalog = pathlib.Path(workspace["catalog"])
+    catalog.write_text(catalog.read_text().replace(",t1,", ",t0,"))
+    args = base_args(workspace, "--trace-dir", workspace["trace_dir"])
+    assert cli.main([command[0], *args, *command[1:]]) == cli.EXIT_PARSE
+    assert capsys.readouterr().err == (
+        "error: %s: instance type name 't0' is used twice\n" % catalog)
+    assert not (workspace["tmp"] / "out" / "plans.json").exists()
+
+
 class TestFfp:
     def test_constant_low_all_zero(self, workspace, tmp_path):
         trace_dir = tmp_path / "calm"

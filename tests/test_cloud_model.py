@@ -120,6 +120,13 @@ class TestCatalog:
                 InstanceType(1, "b", 0.06, 1e9, t0.seq_io, t0.rnd_io, t0.net_in, t0.net_out),
             ])
 
+    def test_rejects_a_repeated_type_name(self):
+        t0 = default_catalog()[0]
+        types = [InstanceType(i, name, price, 1e9, t0.seq_io, t0.rnd_io, t0.net_in, t0.net_out)
+                 for i, (name, price) in enumerate([("a", 0.06), ("b", 0.12), ("a", 0.24)])]
+        with pytest.raises(CatalogError, match="instance type name 'a' is used twice"):
+            Catalog(types)
+
     def test_roundtrip(self, tmp_path):
         cat = ordered_catalog(3, lag_od=120, lag_spot=420)
         path = tmp_path / "catalog.csv"

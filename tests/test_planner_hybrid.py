@@ -111,7 +111,7 @@ class TestHybridCost:
         d_min, d_max = deadline_bounds(job, catalog, n=1000, seed=5)
         job = job.with_deadline((d_min + d_max) / 2)
         cache = TaskDistCache(job, catalog, 2000, 5)
-        plan = astar_configure(job, catalog, cache=cache, seed=5)
+        plan = astar_configure(job, catalog, cache=cache)
         for task in job.tasks:
             config = HybridConfig.ondemand_only(catalog[plan[task.id]])
             got = hybrid_cost(config, [cache.dist(task.id, plan[task.id])], None)

@@ -282,7 +282,7 @@ class TestReuseAndConsolidation:
                                        [spot_first_config(cat, bid=1000.0), od_config(cat)])}
         sim = Simulator(SimConfig(job_count=1, seed=4), [job], plans, cat, {0: trace})
         sim.run()
-        kinds = sorted(inst.is_spot for inst in sim.pool.instances.values())
+        kinds = sorted(inst.is_spot for inst in sim.pool.instances)
         assert kinds == [False, True]
 
     @pytest.mark.parametrize("bid2, makespan, instances", [
@@ -304,7 +304,7 @@ class TestReuseAndConsolidation:
         sim = Simulator(SimConfig(job_count=1, seed=seed), [job], plans, cat, {0: trace})
         rep = sim.run()
         assert rep.per_job[0]["makespan_s"] == makespan
-        assert sorted((i.is_spot, i.bid) for i in sim.pool.instances.values()) == instances
+        assert sorted((i.is_spot, i.bid) for i in sim.pool.instances) == instances
 
     def test_immediate_release_acquires_more_instances(self):
         cat = single_type_catalog()
@@ -335,7 +335,7 @@ class TestReuseAndConsolidation:
                 start, inst_id, duration = map(int, m.groups())
                 busy.setdefault(inst_id, []).append((start, start + duration))
         assert sum(map(len, busy.values())) == 8 * 3
-        assert set(busy) == set(sim.pool.instances)
+        assert set(busy) == set(range(len(sim.pool.instances)))
         assert max(map(len, busy.values())) > 1  # some instance is reused
         for intervals in busy.values():
             intervals.sort()
@@ -529,7 +529,7 @@ class TestConsolidationHeadroom:
             request(self, job, task_id, attempt)
 
         def tracking_acquire(pool, type_id, is_spot, now, bid=0.0, expected_time=None):
-            idle = [i for i in pool.instances.values()
+            idle = [i for i in pool.instances
                     if i.alive and i.assigned is None and i.type_id == type_id]
             if is_spot:
                 requested.add(current[-1])
