@@ -63,11 +63,11 @@ class EmpiricalDistribution:
     """Immutable empirical distribution of a nonnegative random variable.
 
     Holds the raw sample vector plus a sorted copy for order-statistic
-    queries, made on the first query that needs it.  Units are
-    context-dependent (seconds for times, MB/s for bandwidths).
+    queries and the mean, each made on the first query that needs it.
+    Units are context-dependent (seconds for times, MB/s for bandwidths).
     """
 
-    __slots__ = ("_samples", "_sorted")
+    __slots__ = ("_samples", "_sorted", "_mean")
 
     def __init__(self, samples):
         arr = np.asarray(samples, dtype=np.float64)
@@ -83,6 +83,7 @@ class EmpiricalDistribution:
         arr.flags.writeable = False
         object.__setattr__(self, "_samples", arr)
         object.__setattr__(self, "_sorted", None)
+        object.__setattr__(self, "_mean", None)
 
     @classmethod
     def _adopt(cls, arr):
@@ -97,6 +98,7 @@ class EmpiricalDistribution:
         dist = object.__new__(cls)
         object.__setattr__(dist, "_samples", arr)
         object.__setattr__(dist, "_sorted", None)
+        object.__setattr__(dist, "_mean", None)
         return dist
 
     def __setattr__(self, name, value):
@@ -139,7 +141,11 @@ class EmpiricalDistribution:
         return float(srt[idx])
 
     def expectation(self):
-        return float(self._samples.mean())
+        mean = self._mean
+        if mean is None:
+            mean = float(self._samples.mean())
+            object.__setattr__(self, "_mean", mean)
+        return mean
 
     def cdf(self, t):
         """Fraction of samples <= t; t may be a scalar or an array."""
@@ -188,11 +194,21 @@ def dominates(c2, c1, epsilon=0.01):
     is CDF_c1 there for the last of a run of equal samples and smaller for
     the others, so those extra checks are implied.  Both sides are the same
     count / size floats that `cdf` returns.
+
+    The check is a rank lookup: m_k, the smallest count m with
+    m / n2 >= k / n1 - epsilon, is ceil((k / n1 - epsilon) * n2) corrected
+    by one step against that same float expression, and CDF_c2 reaches it
+    at the k-th c1 sample exactly when c2's m_k-th smallest sample is no
+    larger.  A nonpositive m_k always holds, and m_k <= n2 because the
+    right-hand side is at most 1.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    s1 = c1.sorted_samples
-    n1 = s1.size
-    at_or_below = np.searchsorted(c2.sorted_samples, s1, side="right")
-    return bool(np.all(at_or_below / c2.sample_count
-                       >= np.arange(1, n1 + 1) / n1 - epsilon))
+    s1, s2 = c1.sorted_samples, c2.sorted_samples
+    n1, n2 = s1.size, s2.size
+    need = np.arange(1, n1 + 1) / n1 - epsilon
+    m = np.ceil(need * n2).astype(np.int64)
+    m -= (m - 1) / n2 >= need
+    m += m / n2 < need
+    first = int(np.searchsorted(m, 1))  # m is nondecreasing in k
+    return bool(np.all(s2[m[first:] - 1] <= s1[first:]))

@@ -10,7 +10,8 @@ be found that passes two gates:
     workflow-level deadline guarantee;
   * cost gate: the estimated hybrid cost, charging spot usage at the bid
     price and weighting the on-demand fallback by the cumulative failure
-    probability, must not exceed the expected on-demand cost.
+    probability, must not exceed the expected on-demand cost.  It is
+    computed in bucket space over the failure model's time grid.
 
 Bidding prices are located by recursive bisection over [P_MIN, the spot
 type's on-demand price]; too-costly bids move the search down, dominance
@@ -23,7 +24,7 @@ import numpy as np
 
 from .cloud_model import SECONDS_PER_HOUR, expected_ondemand_cost
 from .distributions import EmpiricalDistribution, _paired, derive_seed, dominates, substream
-from .spot_market import estimate_ffp
+from .spot_market import estimate_ffp, grid_index
 from .workflow_dag import ConfigDim, HybridConfig
 
 P_MIN = 0.001                 # lowest bid considered, USD/hour
@@ -59,6 +60,24 @@ def hybrid_time_distribution(spot_dist, ffp, od_dist, seed=0):
     return EmpiricalDistribution._adopt(np.where(failed, fail_t + od, ts))
 
 
+def _bucket_weights(failure, spot_dist, od_dist, step, nbuckets):
+    """W: W[k] sums the on-demand samples whose paired spot sample has grid index k.
+
+    Independent of the bid, so one memo entry serves a whole bid search.
+    The entry is the failure model's: only the last pair is kept, and only
+    as long as the model.
+    """
+    key, weights = failure._bucket_memo
+    if (key is None or key[0] is not spot_dist or key[1] is not od_dist
+            or key[2:] != (step, nbuckets)):
+        spot, od = _paired((spot_dist, od_dist))
+        weights = np.bincount(grid_index(spot, step, nbuckets), weights=od,
+                              minlength=nbuckets + 1)
+        weights.flags.writeable = False
+        failure._bucket_memo = ((spot_dist, od_dist, step, nbuckets), weights)
+    return weights
+
+
 def hybrid_cost(config, dim_dists, failure):
     """Estimated monetary cost of a task under a hybrid configuration (USD).
 
@@ -69,15 +88,20 @@ def hybrid_cost(config, dim_dists, failure):
     by the probability that the spot instance fails before the task
     finishes there.  Spot usage is deliberately priced at the bid (above
     the market price); the simulator bills actual trace prices.
+
+    In bucket space the average is (bid * E[spot] + p_od * sum_k F_k * W_k
+    / n) / 3600, with F_k the share of walks failing before grid point k
+    (spot_market.grid_index); it equals the per-sample mean up to rounding.
     """
     if not config.spot_dims:
         return expected_ondemand_cost(config.ondemand_dim.price, dim_dists[0])
     spot_dim, od_dim = config.dims
-    spot, od = dim_dists[0].samples, dim_dists[1].samples
-    failed = estimate_ffp(failure, spot_dim.type_id, spot_dim.price).cumulative_before(spot)
-    per_sample = (spot_dim.price * spot / SECONDS_PER_HOUR
-                  + failed * od_dim.price * od / SECONDS_PER_HOUR)
-    return float(per_sample.mean())
+    spot_dist, od_dist = dim_dists
+    ffp = estimate_ffp(failure, spot_dim.type_id, spot_dim.price)
+    weights = _bucket_weights(failure, spot_dist, od_dist, ffp.step, ffp.counts.size)
+    return (spot_dim.price * spot_dist.expectation()
+            + od_dim.price * float(np.dot(ffp._failed_before, weights)) / spot_dist.sample_count
+            ) / SECONDS_PER_HOUR
 
 
 def _cost_ok(spot_dim, od_dim, spot_dist, od_dist, failure):

@@ -21,9 +21,12 @@ start.
 One rule gives the end of an instance's paid hour, Instance.paid_until(now)
 = ready_time + 3600 * ceil_hours(now - ready_time): consolidation needs the
 task's expected time to fit before it, and under the "hour-boundary" policy
-an instance going idle is released at it.  A release is cancelled by one
-token: each time an idle instance is handed out again its release_token is
-bumped, and a release event carrying an older token does nothing.
+an instance going idle is released at it.  Each idle transition records the
+release time it asks for (Instance.release_at) and its order among idle
+transitions; a release event is pushed only when release_at changes, so an
+instance reused and idled again within one paid hour shares that hour's
+event.  The release handler settles, in the order they went idle, every
+instance that is still idle and due now.
 
 The core is strictly single-threaded and deterministic: events are ordered
 by (time, kind rank, sequence number) and every random draw comes from a
@@ -46,6 +49,7 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -106,9 +110,10 @@ class Instance:
     alive: bool = True
     # (job_index, task_id, attempt) currently assigned, also while booting.
     assigned: tuple | None = None
-    # Bumped each time the idle instance is handed out again; a release
-    # event carrying an older token is void.
-    release_token: int = 0
+    # Release time asked for by the latest idle transition, and that
+    # transition's place in the run's event sequence.
+    release_at: int | None = None
+    idle_order: int = 0
 
     def paid_until(self, now):
         """End of the billing hour running at `now` (`now` itself on a boundary)."""
@@ -348,7 +353,6 @@ class Simulator:
             type_id, is_spot, self.now, bid=dim.price,
             expected_time=lambda: self._expected_time(job.cls, task_id, type_id))
         if inst is not None:
-            inst.release_token += 1  # cancel any pending idle release
             inst.assigned = (job.index, task_id, attempt)
             if self._logging:
                 self.event_log.append("%d InstanceReuse inst=%d job=%d task=%d"
@@ -444,20 +448,35 @@ class Simulator:
             self._request_instance(self.jobs[job_index], task_id, attempt + 1)
 
     def _schedule_release(self, inst):
+        """Ask for the idle instance's release; push an event for a new time only."""
         if self.config.idle_release_policy == "immediate":
             when = self.now
         else:
             when = inst.paid_until(self.now)
-        self._push(when, _INSTANCE_RELEASE, (inst.id, inst.release_token))
+        inst.idle_order = self._seq  # the event sequence also orders idle transitions
+        self._seq += 1
+        if when != inst.release_at:
+            inst.release_at = when
+            self._push(when, _INSTANCE_RELEASE, inst.id)
 
-    def _on_instance_release(self, payload):
-        inst_id, token = payload
-        inst = self.pool.instances[inst_id]
-        if not inst.alive or inst.release_token != token:
-            return
-        if self._logging:
-            self.event_log.append("%d InstanceRelease inst=%d" % (self.now, inst.id))
-        self._settle(inst, "user")
+    def _on_instance_release(self, inst_id):
+        """Settle every instance still idle and due now, in the order they went idle.
+
+        Releases are the last kind at a timestamp and push nothing, so every
+        entry left at `now` is a release event: they are all taken here.
+        """
+        now = self.now
+        heap = self.heap
+        instances = self.pool.instances
+        due = [instances[inst_id]]
+        while heap and heap[0][0] == now:
+            due.append(instances[heapq.heappop(heap)[3]])
+        idle = [inst for inst in due
+                if inst.alive and inst.assigned is None and inst.release_at == now]
+        for inst in sorted(idle, key=attrgetter("idle_order")):
+            if self._logging:
+                self.event_log.append("%d InstanceRelease inst=%d" % (now, inst.id))
+            self._settle(inst, "user")
 
     def _settle(self, inst, terminated_by):
         itype = self.catalog[inst.type_id]

@@ -144,41 +144,103 @@ def load_trace(path):
     """Parse a trace CSV with lines `timestamp,price`.
 
     Timestamps are epoch seconds or ISO-8601 strings; prices are USD/hour.
-    Lines starting with '#' and blank lines are ignored.  Unsorted
-    timestamps and malformed lines are rejected with the line number.
+    Lines starting with '#' and blank lines are ignored, as is a header
+    line (first field `timestamp` or `time`).  Unsorted timestamps and
+    malformed lines are rejected with the line number.
+
+    A file of numeric rows, with at most a header line first, is parsed
+    in one pass over the whole text (_parse_rows); any other file, and one
+    that fails that pass, is walked line by line (_walk_lines), which also
+    names the first bad line.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        # Walk the file as it decodes, so that a bad line ahead of the
+        # undecodable bytes is named first, with the decoder's own message.
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                points = _walk_lines(fh, path)
+        except UnicodeDecodeError as exc:
+            raise TraceError("%s: %s" % (path, exc)) from None
+    else:
+        points = _parse_rows(text) or _walk_lines(text.split("\n"), path)
+    if len(points[0]) == 0:
+        raise TraceError("%s: trace file contains no points" % path)
+    try:
+        return SpotPriceTrace(*points)
+    except TraceError as exc:
+        raise TraceError("%s: %s" % (path, exc)) from exc
+
+
+def _parse_rows(text):
+    """(timestamps, prices) arrays when every line is a `number,number` row.
+
+    The first line may be a header and the text may end in a newline.
+    None for any other text, or when a timestamp does not exceed the one
+    before it, so that the line walk names the line.
+    """
+    body = text[:-1] if text.endswith("\n") else text
+    first, _, rest = body.partition("\n")
+    if first.split(",", 1)[0].strip() in ("timestamp", "time"):
+        body = rest
+    # One comma per row: the separators alternate ',' '\n' ',' ... ','.
+    codes = np.frombuffer(body.encode("utf-8"), np.uint8)
+    seps = codes[(codes == ord(",")) | (codes == ord("\n"))]
+    if seps.size % 2 == 0 or np.any(seps[0::2] != ord(",")) or np.any(seps[1::2] != ord("\n")):
+        return None
+    fields = body.replace("\n", ",").split(",")
+    try:
+        values = np.fromiter(map(float, fields), np.float64, len(fields))
+    except ValueError:
+        return None
+    ts, prices = values[0::2], values[1::2]
+    if np.any(ts[1:] <= ts[:-1]):
+        return None
+    return ts, prices
+
+
+def _walk_lines(lines, path):
+    """(timestamps, prices) lists of the data lines of a trace, in order.
+
+    Raises TraceError naming the first line that is not `timestamp,price`,
+    fails to parse, or does not advance the timestamp.
     """
     timestamps = []
     prices = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = [p.strip() for p in line.split(",")]
-                if parts[0] in ("timestamp", "time"):  # header
-                    continue
-                if len(parts) != 2:
-                    raise TraceError("%s:%d: expected `timestamp,price`" % (path, lineno))
-                try:
-                    ts = _parse_timestamp(parts[0])
-                    price = float(parts[1])
-                except ValueError as exc:
-                    raise TraceError("%s:%d: %s" % (path, lineno, exc)) from exc
-                if timestamps and ts <= timestamps[-1]:
-                    raise TraceError(
-                        "%s:%d: timestamps must be strictly increasing" % (path, lineno)
-                    )
-                timestamps.append(ts)
-                prices.append(price)
-    except UnicodeDecodeError as exc:
-        raise TraceError("%s: %s" % (path, exc)) from None
-    if not timestamps:
-        raise TraceError("%s: trace file contains no points" % path)
-    try:
-        return SpotPriceTrace(timestamps, prices)
-    except TraceError as exc:
-        raise TraceError("%s: %s" % (path, exc)) from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if parts[0] in ("timestamp", "time"):  # header
+            continue
+        if len(parts) != 2:
+            raise TraceError("%s:%d: expected `timestamp,price`" % (path, lineno))
+        try:
+            ts = _parse_timestamp(parts[0])
+            price = float(parts[1])
+        except ValueError as exc:
+            raise TraceError("%s:%d: %s" % (path, lineno, exc)) from exc
+        if timestamps and ts <= timestamps[-1]:
+            raise TraceError(
+                "%s:%d: timestamps must be strictly increasing" % (path, lineno)
+            )
+        timestamps.append(ts)
+        prices.append(price)
+    return timestamps, prices
+
+
+def grid_index(times, step, nbuckets):
+    """Index k of the first grid point k*step at or after each elapsed time.
+
+    Clipped to [0, nbuckets].  A walk recorded in bucket j fails strictly
+    before t exactly when j < k, so the failure share before t is the
+    share of walks in buckets 0..k-1.
+    """
+    idx = np.ceil(np.asarray(times, dtype=np.float64) / step)
+    return np.clip(idx, 0, nbuckets).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -226,8 +288,7 @@ class FirstFailureDistribution:
         (walks failing at a grid point k*step < t) / trials: exact, at most
         1, and monotone in t and in the bid (every bid shares the walks).
         """
-        idx = np.ceil(np.asarray(times, dtype=np.float64) / self.step)
-        return self._failed_before[np.clip(idx, 0, self.counts.size).astype(np.int64)]
+        return self._failed_before[grid_index(times, self.step, self.counts.size)]
 
     @cached_property
     def _outcome_table(self):
@@ -292,6 +353,8 @@ class FailureModel:
     rng_seed: int = 0
     _cache: dict = field(default_factory=dict, repr=False)
     _walks: dict = field(default_factory=dict, repr=False, compare=False)
+    # planner_hybrid's one-entry memo of bucketed on-demand sums: (key, sums).
+    _bucket_memo: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.num_trials < 1:

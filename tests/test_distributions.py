@@ -246,6 +246,39 @@ class TestDominates:
                         max(np.nextafter(gap, 2.0), 0.0)}:
                 assert dominates(c2, c1, eps) == self.union_grid(c2, c1, eps), (c2, c1, eps)
 
+    @staticmethod
+    def searchsorted_form(c2, c1, epsilon):
+        # The count-at-each-c1-sample form the rank lookup replaced.
+        s1 = c1.sorted_samples
+        n1 = s1.size
+        at_or_below = np.searchsorted(c2.sorted_samples, s1, side="right")
+        return bool(np.all(at_or_below / c2.sample_count
+                           >= np.arange(1, n1 + 1) / n1 - epsilon))
+
+    def test_matches_the_searchsorted_form(self):
+        rng = np.random.default_rng(31)
+        for _ in range(1000):
+            c2, c1 = self.random_pair(rng)
+            for eps in (0.0, 0.01, 1 / 3):
+                assert dominates(c2, c1, eps) == self.searchsorted_form(c2, c1, eps), (
+                    c2.samples, c1.samples, eps)
+
+    @pytest.mark.parametrize("c2, c1, eps, want", [
+        # eps = 1/3 over three c1 samples: the first rank needs no c2 sample
+        # (m_1 <= 0), so a c2 slower than c1's smallest sample can pass.
+        ([5.0, 5.0, 0.0], [1.0, 2.0, 6.0], 1 / 3, True),
+        ([5.0, 5.0, 9.0], [1.0, 2.0, 6.0], 1 / 3, False),
+        # eps = 0 at the last c1 sample asks for all of c2 (m_n1 = n2).
+        ([1.0, 1.0, 3.0, 6.0], [1.0, 6.0], 0.0, True),
+        ([1.0, 1.0, 3.0, 6.5], [1.0, 6.0], 0.0, False),
+        # Ties on both sides with unequal sizes.
+        ([2.0, 2.0, 2.0], [2.0, 2.0], 0.0, True),
+        ([2.0, 2.0, 3.0], [2.0, 2.0], 0.01, False),
+    ])
+    def test_rank_lookup_edges(self, c2, c1, eps, want):
+        c2, c1 = EmpiricalDistribution(c2), EmpiricalDistribution(c1)
+        assert dominates(c2, c1, eps) == self.searchsorted_form(c2, c1, eps) == want
+
 
 class TestProperties:
     """Randomized invariant checks; the master seed is printed for replay."""

@@ -18,11 +18,13 @@ and says so in CHANGES.md.
 
 import pathlib
 import sys
+from collections import Counter
 
 import numpy as np
 
-from spotflow import cli
+from spotflow import cli, simulator
 from spotflow.cloud_model import default_catalog
+from spotflow.simulator import EventKind
 from spotflow.workflow_dag import ligo_like, montage_like, save_workflow
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -76,6 +78,25 @@ def test_golden_event_log_covers_interruptions_and_reuse():
     assert " OutOfBid " in log
     assert " InstanceReuse " in log
     assert " attempt=1 " in log
+
+
+def test_golden_run_pushes_one_release_event_per_paid_hour(tmp_path, monkeypatch):
+    """An instance idled again within its paid hour shares that hour's release event.
+
+    The golden run idles instances 551 times; before releases were pushed
+    once per paid hour it pushed 550 release events, 476 of them void.
+    """
+    pushed = Counter()
+    push = simulator.Simulator._push
+
+    def counting_push(self, time_, kind, payload):
+        pushed[kind] += 1
+        push(self, time_, kind, payload)
+
+    monkeypatch.setattr(simulator.Simulator, "_push", counting_push)
+    run_case(tmp_path)
+    assert pushed[EventKind.INSTANCE_RELEASE] == 117
+    assert sum(pushed.values()) == 879
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from spotflow import cli
 from spotflow.cloud_model import load_catalog
 from spotflow.planner_astar import load_plan_cache
-from spotflow.spot_market import load_trace
+from spotflow.spot_market import SpotPriceTrace, TraceError, _parse_timestamp, load_trace
 from spotflow.workflow_dag import load_workflow
 
 FUZZ = settings(max_examples=60, deadline=None)
@@ -154,3 +154,113 @@ def test_catalog_parser(scratch, text):
 @given(text=plan_cache_text)
 def test_plan_cache_parser(scratch, text):
     parses_or_exit_2(load_plan_cache, scratch, text)
+
+
+def reference_load_trace(path):
+    """load_trace as a line-by-line loop over the file, the one-pass parser's oracle."""
+    timestamps = []
+    prices = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = [p.strip() for p in line.split(",")]
+                if parts[0] in ("timestamp", "time"):  # header
+                    continue
+                if len(parts) != 2:
+                    raise TraceError("%s:%d: expected `timestamp,price`" % (path, lineno))
+                try:
+                    ts = _parse_timestamp(parts[0])
+                    price = float(parts[1])
+                except ValueError as exc:
+                    raise TraceError("%s:%d: %s" % (path, lineno, exc)) from exc
+                if timestamps and ts <= timestamps[-1]:
+                    raise TraceError(
+                        "%s:%d: timestamps must be strictly increasing" % (path, lineno)
+                    )
+                timestamps.append(ts)
+                prices.append(price)
+    except UnicodeDecodeError as exc:
+        raise TraceError("%s: %s" % (path, exc)) from None
+    if not timestamps:
+        raise TraceError("%s: trace file contains no points" % path)
+    try:
+        return SpotPriceTrace(timestamps, prices)
+    except TraceError as exc:
+        raise TraceError("%s: %s" % (path, exc)) from exc
+
+
+def outcome(parse, path):
+    try:
+        trace = parse(str(path))
+    except TraceError as exc:
+        return "error", str(exc)
+    return "trace", trace.timestamps.tolist(), trace.prices.tolist()
+
+
+def assert_parsed_as_reference(path, data):
+    path.write_bytes(data)
+    assert outcome(load_trace, path) == outcome(reference_load_trace, path)
+
+
+def decorated(rows):
+    """Row lists joined with a header, comments, blank lines, CRLF endings or none."""
+    return st.tuples(
+        rows,
+        st.sampled_from(["", "timestamp,price\n", " time , price\n", "# prices\n", "\n"]),
+        st.sampled_from(["\n", "\r\n", "\r"]),
+        st.booleans(),
+        st.sampled_from(["", "\n", "\n\n", " \n", "# end\n"]),
+    ).map(lambda t: t[1] + t[2].join(t[0]) + (t[2] if t[3] else "") + t[4])
+
+
+increasing_rows = st.lists(
+    st.tuples(st.integers(0, 10**6), st.sampled_from(["0.05", "1", " 0.5 ", "1e-3", "nan",
+                                                       "inf", "0", "-1", "x", "2e400"])),
+    min_size=1, max_size=8,
+).map(lambda rows: ["%d,%s" % (i * 60 + t % 60, price) for i, (t, price) in enumerate(rows)])
+unsorted_rows = st.lists(st.tuples(st.integers(-3, 3), st.floats(0.01, 2.0)), max_size=8).map(
+    lambda rows: ["%d,%r" % row for row in rows])
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=trace_text | decorated(increasing_rows) | decorated(unsorted_rows)
+       | decorated(st.lists(trace_text, max_size=3)))
+def test_trace_parser_matches_the_line_loop(scratch, text):
+    assert_parsed_as_reference(scratch, text.encode("utf-8"))
+
+
+@pytest.mark.parametrize("text", [
+    "0,0.05\n1800,0.06\n3600,0.04\n",
+    "0,0.05\n1800,0.06",  # no final newline
+    "timestamp,price\n0,0.05\n1800,0.06\n",
+    "# comment\n\n0,0.05\n\n1800,0.06\n# tail",
+    "0,0.05\r\n1800,0.06\r\n",
+    "2013-08-01T00:00:00,0.05\n2013-08-01T00:30:00,0.06\n",
+    "0,0.05\n2013-08-01T00:30:00,0.06\n",
+    "1800,0.05\n0,0.06\n",  # unsorted
+    "0,0.05\n0,0.06\n",
+    "0,nan\n1800,0.06\n",
+    "nan,0.05\n1800,0.06\n",
+    "inf,0.05\ninf,0.06\n",
+    "0,0.05,1\n1800\n",  # three fields, then one: two commas over two rows
+    "0,0.05\n1800,0.06\ntimestamp,price\n",
+    " 0 , 0.05 \n\x1c1800,0.06\x1c\n",
+    "",
+    "\n",
+    "timestamp,price\n",
+    "0,0.05\n\n\n",
+])
+def test_trace_parser_matches_the_line_loop_on_edge_files(tmp_path, text):
+    assert_parsed_as_reference(tmp_path / "trace.csv", text.encode("utf-8"))
+
+
+@pytest.mark.parametrize("bad_line", [True, False])
+def test_trace_parser_names_what_the_line_loop_meets_first_in_undecodable_files(
+        tmp_path, bad_line):
+    # The undecodable byte lies past the first 8 KiB the line loop decodes.
+    head = "".join("%d,0.05\n" % (60 * i) for i in range(2000))
+    data = ("0,1,2\n" if bad_line else "") + head
+    assert_parsed_as_reference(tmp_path / "trace.csv", data.encode("utf-8") + b"\xff\n")

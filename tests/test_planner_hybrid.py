@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from spotflow.cloud_model import GammaSpec, _positive_draw, expected_ondemand_cost
+from spotflow.cloud_model import (
+    SECONDS_PER_HOUR,
+    GammaSpec,
+    TaskProfile,
+    _positive_draw,
+    default_catalog,
+    expected_ondemand_cost,
+)
 from spotflow.distributions import EmpiricalDistribution, derive_seed, dominates, substream
 from spotflow.planner_astar import TaskDistCache, astar_configure
 from spotflow.planner_hybrid import (
@@ -15,14 +22,16 @@ from spotflow.planner_hybrid import (
     refine_task,
 )
 from spotflow.spot_market import FailureModel, FirstFailureDistribution, estimate_ffp
-from spotflow.workflow_dag import ConfigDim, HybridConfig, deadline_bounds
+from spotflow.workflow_dag import ConfigDim, HybridConfig, build_job, deadline_bounds, montage_like
 
 from conftest import (
     alternating_trace,
     chain_job,
     constant_trace,
     cpu_profile,
+    mixed_profile,
     ordered_catalog,
+    spiky_trace,
     stable_trace,
 )
 
@@ -116,6 +125,61 @@ class TestHybridCost:
             config = HybridConfig.ondemand_only(catalog[plan[task.id]])
             got = hybrid_cost(config, [cache.dist(task.id, plan[task.id])], None)
             assert got == cache.cost(task.id, plan[task.id])
+
+
+def sample_space_cost(config, dim_dists, failure):
+    """hybrid_cost of a spot config as the mean over index-paired samples."""
+    spot_dim, od_dim = config.dims
+    spot, od = dim_dists[0].samples, dim_dists[1].samples
+    failed = estimate_ffp(failure, spot_dim.type_id, spot_dim.price).cumulative_before(spot)
+    per_sample = (spot_dim.price * spot / SECONDS_PER_HOUR
+                  + failed * od_dim.price * od / SECONDS_PER_HOUR)
+    return float(per_sample.mean())
+
+
+def spiky_market(catalog):
+    """Per type: 0.4x its on-demand price, with an hour at 3x every 20 hours."""
+    return {t.id: spiky_trace(base=0.4 * t.ondemand_price, spike=3.0 * t.ondemand_price,
+                              low_hours=19, spike_hours=1, cycles=60)
+            for t in catalog}
+
+
+class TestBucketSpaceCost:
+    def test_matches_the_sample_space_mean(self):
+        catalog = default_catalog()
+        profiles = [mixed_profile(0.2), mixed_profile(1.0), mixed_profile(4.0),
+                    TaskProfile()]  # the last task takes no time
+        job = build_job(dict(enumerate(profiles)), [], guarantee_p=0.9, class_id="cost")
+        cache = TaskDistCache(job, catalog, 2000, 3)
+        failure = FailureModel(traces=spiky_market(catalog), num_trials=2000, rng_seed=3)
+        rng = np.random.default_rng(17)
+        never_failed = 0
+        for case in range(300):
+            task_id = int(rng.integers(len(profiles)))
+            spot_type, od_type = (catalog[int(i)] for i in rng.integers(len(catalog), size=2))
+            if case % 5 == 0:  # above every price: no walk fails
+                bid = 3.5 * spot_type.ondemand_price
+            else:
+                bid = float(rng.uniform(P_MIN, spot_type.ondemand_price))
+            config = HybridConfig((ConfigDim(spot_type.id, bid, True),
+                                   ConfigDim(od_type.id, od_type.ondemand_price, False)))
+            dists = [cache.dist(task_id, spot_type.id), cache.dist(task_id, od_type.id)]
+            want = sample_space_cost(config, dists, failure)
+            assert hybrid_cost(config, dists, failure) == pytest.approx(want, rel=1e-12, abs=0)
+            never_failed += not estimate_ffp(failure, spot_type.id, bid).counts.any()
+        assert never_failed >= 60
+
+    def test_check_refinement_passes_every_config_refined_on_montage_16(self):
+        catalog = default_catalog()
+        job = montage_like(16, seed=1)
+        cache = TaskDistCache(job, catalog, 2000, 0)
+        failure = FailureModel(traces=spiky_market(catalog), num_trials=2000, rng_seed=0)
+        plan = [task.id % len(catalog) for task in job.tasks]
+        configs = refine_plan(job, plan, catalog, failure, cache)
+        assert len(configs) == 51
+        assert sum(bool(config.spot_dims) for config in configs) >= 25
+        for task_id, config in enumerate(configs):
+            assert check_refinement(task_id, config, failure, cache) == (True, True)
 
 
 class FixtureContext:

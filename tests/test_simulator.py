@@ -358,6 +358,43 @@ class TestReuseAndConsolidation:
         assert rep.per_job[0]["makespan_s"] == 120 + 600 + 3600
         assert rep.instance_hours == {"solo:ondemand": 2}
 
+    @pytest.mark.parametrize("policy, second_task_s, release_pushes, released_after, hours", [
+        # Idle at 720 s and again at 1,320 s: both ask for the paid hour's
+        # end at 3,720 s, so one release event serves both.
+        ("hour-boundary", 600.0, 1, 3720, 1),
+        # The second idle transition, at 4,320 s, falls in the second paid
+        # hour; the first hour's event finds the instance busy.
+        ("hour-boundary", 3600.0, 2, 7320, 2),
+        ("immediate", 600.0, 2, 1320, 1),
+        ("immediate", 3600.0, 2, 4320, 2),
+    ])
+    def test_reuse_idle_release(self, policy, second_task_s, release_pushes,
+                                released_after, hours):
+        # One instance runs a 600 s task from 120 s after arrival, goes idle,
+        # is reused at once by the chain's second task and goes idle again.
+        pushed = []
+
+        class Counting(Simulator):
+            def _push(self, time_, kind, payload):
+                pushed.append(kind)
+                super()._push(time_, kind, payload)
+
+        seed = 4
+        cat = single_type_catalog(lag_od=120.0)
+        job = chain_job([cpu_profile(600.0), cpu_profile(second_task_s)], deadline=10_000.0,
+                        class_id="reuse")
+        plans = make_plans(job, [od_config(cat)] * 2)
+        sim = Counting(SimConfig(job_count=1, seed=seed, idle_release_policy=policy,
+                                 collect_event_log=True), [job], plans, cat)
+        rep = sim.run()
+        a = first_arrival(seed)
+        assert len(sim.pool.instances) == 1
+        assert "%d InstanceReuse inst=0 job=0 task=1" % (a + 720) in sim.event_log
+        assert pushed.count(EventKind.INSTANCE_RELEASE) == release_pushes
+        assert [line for line in sim.event_log if "InstanceRelease" in line] == [
+            "%d InstanceRelease inst=0" % (a + released_after)]
+        assert rep.instance_hours == {"solo:ondemand": hours}
+
 
 class TestInvariants:
     def _mixed_sim(self, seed=11):
