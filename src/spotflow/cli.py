@@ -181,6 +181,7 @@ def cmd_plan(spec):
     jobs = spec.load_workflows()
     # dyna-ns is dyna without a spot market: refinement keeps tasks on demand.
     failure = _failure_model(spec, catalog) if spec.planner == "dyna" else None
+    traces = spec.load_traces(catalog) if spec.planner == "spot-only" else None
     out = _out_dir(spec)
     plans = {}
     failed = 0
@@ -196,6 +197,10 @@ def cmd_plan(spec):
             failed += 1
             continue
         if spec.planner == "spot-only":
+            # simulate replays a trace for every spot type a plan uses.
+            for type_id in plan:
+                if type_id not in traces:
+                    raise spot_market.TraceError("no trace for type %s" % catalog[type_id].name)
             # High fixed bid: spot execution with an (unreachable) on-demand
             # fallback dimension retained as the completion guarantee.
             configs = [
@@ -207,8 +212,7 @@ def cmd_plan(spec):
                 for t in job.tasks
             ]
         else:
-            configs = planner_hybrid.refine_plan(
-                job, plan, catalog, failure, cache, seed=spec.seed)
+            configs = planner_hybrid.refine_plan(job, plan, failure, cache, seed=spec.seed)
         wall = time.perf_counter() - t0
         plans[job.class_id] = planner_astar.JobPlan(
             class_id=job.class_id,

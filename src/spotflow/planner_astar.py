@@ -124,8 +124,7 @@ def plan_distribution(job, cache, plan):
     return workflow_time_distribution(job, dists)
 
 
-def astar_configure(job, catalog, params=None, sample_count=DEFAULT_SAMPLE_COUNT,
-                    seed=0, cache=None, stats=None):
+def astar_configure(job, catalog, params=None, sample_count=None, cache=None, stats=None):
     """Cheapest feasible per-task on-demand type assignment.
 
     Returns the plan as a list of type ids indexed by task id.  Plans are
@@ -133,16 +132,21 @@ def astar_configure(job, catalog, params=None, sample_count=DEFAULT_SAMPLE_COUNT
     is a cheapest feasible plan and is returned at once.  Raises
     InfeasiblePlanError when no feasible plan is found within max_iter
     iterations, carrying the closest-to-feasible plan seen as a diagnosis
-    and whether the budget or the plans ran out first.
+    and whether the budget or the plans ran out first.  A `cache` (the
+    class's TaskDistCache) fixes the sample count, the seed and the catalog.
     """
     if job.deadline is None:
         raise WorkflowError("job has no deadline set")
+    if cache is None:
+        n = DEFAULT_SAMPLE_COUNT if sample_count is None else sample_count
+        cache = TaskDistCache(job, catalog, n)
+    elif sample_count is not None:
+        raise ValueError("sample_count is fixed by the cache; pass one or the other")
     params = params if params is not None else AStarParams()
-    cache = cache if cache is not None else TaskDistCache(job, catalog, sample_count, seed)
     stats = stats if stats is not None else SearchStats()
 
     n_tasks = len(job.tasks)
-    ranked = [sorted(range(len(catalog)), key=lambda k: (cache.cost(tid, k), k))
+    ranked = [sorted(range(len(cache.catalog)), key=lambda k: (cache.cost(tid, k), k))
               for tid in range(n_tasks)]
     # upgrade[t] maps each type to the next one in task t's cost ranking.
     upgrade = [dict(zip(r, r[1:])) for r in ranked]
@@ -179,20 +183,18 @@ def astar_configure(job, catalog, params=None, sample_count=DEFAULT_SAMPLE_COUNT
     return list(found)
 
 
-def brute_force_configure(job, catalog, cache=None, sample_count=DEFAULT_SAMPLE_COUNT,
-                          seed=0):
+def brute_force_configure(job, cache):
     """Exhaustive minimum-cost feasible plan; oracle twin of astar_configure.
 
     Enumerates every type assignment, so only usable for tiny workflows.
     Returns (plan, cost) or (None, inf) when nothing is feasible.  Plans
     are enumerated in lexicographic order and only a strictly cheaper one
     replaces the best, so of the cheapest feasible plans the smallest wins,
-    as in the search's (cost, plan) heap.  Shares the evaluation
-    cache/seeding with the search so results are comparable float-for-float.
+    as in the search's (cost, plan) heap.  Reads the search's cache, so
+    results are comparable float-for-float.
     """
-    cache = cache if cache is not None else TaskDistCache(job, catalog, sample_count, seed)
     best = (None, math.inf)
-    for plan in itertools.product(range(len(catalog)), repeat=len(job.tasks)):
+    for plan in itertools.product(range(len(cache.catalog)), repeat=len(job.tasks)):
         if is_feasible(job, plan_distribution(job, cache, plan)):
             cost = plan_cost(cache, plan)
             if cost < best[1]:

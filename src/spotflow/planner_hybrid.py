@@ -24,7 +24,7 @@ import numpy as np
 
 from .cloud_model import SECONDS_PER_HOUR, expected_ondemand_cost
 from .distributions import EmpiricalDistribution, _paired, derive_seed, dominates, substream
-from .spot_market import estimate_ffp, grid_index
+from .spot_market import estimate_ffp
 from .workflow_dag import ConfigDim, HybridConfig
 
 P_MIN = 0.001                 # lowest bid considered, USD/hour
@@ -60,24 +60,6 @@ def hybrid_time_distribution(spot_dist, ffp, od_dist, seed=0):
     return EmpiricalDistribution._adopt(np.where(failed, fail_t + od, ts))
 
 
-def _bucket_weights(failure, spot_dist, od_dist, step, nbuckets):
-    """W: W[k] sums the on-demand samples whose paired spot sample has grid index k.
-
-    Independent of the bid, so one memo entry serves a whole bid search.
-    The entry is the failure model's: only the last pair is kept, and only
-    as long as the model.
-    """
-    key, weights = failure._bucket_memo
-    if (key is None or key[0] is not spot_dist or key[1] is not od_dist
-            or key[2:] != (step, nbuckets)):
-        spot, od = _paired((spot_dist, od_dist))
-        weights = np.bincount(grid_index(spot, step, nbuckets), weights=od,
-                              minlength=nbuckets + 1)
-        weights.flags.writeable = False
-        failure._bucket_memo = ((spot_dist, od_dist, step, nbuckets), weights)
-    return weights
-
-
 def hybrid_cost(config, dim_dists, failure):
     """Estimated monetary cost of a task under a hybrid configuration (USD).
 
@@ -90,18 +72,17 @@ def hybrid_cost(config, dim_dists, failure):
     the market price); the simulator bills actual trace prices.
 
     In bucket space the average is (bid * E[spot] + p_od * sum_k F_k * W_k
-    / n) / 3600, with F_k the share of walks failing before grid point k
-    (spot_market.grid_index); it equals the per-sample mean up to rounding.
+    / n) / 3600, the sum taken by FailureModel.fallback_time_sum; it equals
+    the per-sample mean up to rounding.
     """
     if not config.spot_dims:
         return expected_ondemand_cost(config.ondemand_dim.price, dim_dists[0])
     spot_dim, od_dim = config.dims
     spot_dist, od_dist = dim_dists
     ffp = estimate_ffp(failure, spot_dim.type_id, spot_dim.price)
-    weights = _bucket_weights(failure, spot_dist, od_dist, ffp.step, ffp.counts.size)
+    fallback = failure.fallback_time_sum(ffp, spot_dist, od_dist)
     return (spot_dim.price * spot_dist.expectation()
-            + od_dim.price * float(np.dot(ffp._failed_before, weights)) / spot_dist.sample_count
-            ) / SECONDS_PER_HOUR
+            + od_dim.price * fallback / spot_dist.sample_count) / SECONDS_PER_HOUR
 
 
 def _cost_ok(spot_dim, od_dim, spot_dist, od_dist, failure):
@@ -146,7 +127,7 @@ def binary_search_bid(spot_type, od_dim, spot_dist, od_dist, failure,
     return p_mid
 
 
-def refine_task(task_id, ondemand_type, catalog, failure, cache, seed=0):
+def refine_task(task_id, ondemand_type, failure, cache, seed=0):
     """Hybrid configuration for one task, given its on-demand type.
 
     Scans spot types from the most expensive down to the on-demand type and
@@ -156,16 +137,16 @@ def refine_task(task_id, ondemand_type, catalog, failure, cache, seed=0):
     seed and pure memos, so the winner does not depend on the scan order:
     it is the type an ascending scan that keeps its last success would
     pick.  Pure per task: refining one task never touches another's
-    configuration.
+    configuration.  Spot types come from the cache's catalog.
     """
     if failure is not None:
         od_dim = ConfigDim(ondemand_type.id, ondemand_type.ondemand_price, False)
         od_dist = cache.dist(task_id, ondemand_type.id)
         task_seed = derive_seed(seed, "refine", task_id, 0)
-        for spot_type_id in range(len(catalog) - 1, ondemand_type.id - 1, -1):
+        for spot_type_id in range(len(cache.catalog) - 1, ondemand_type.id - 1, -1):
             if not failure.has_trace(spot_type_id):
                 continue
-            spot_type = catalog[spot_type_id]
+            spot_type = cache.catalog[spot_type_id]
             bid = binary_search_bid(
                 spot_type, od_dim, cache.dist(task_id, spot_type_id), od_dist,
                 failure, P_MIN, spot_type.ondemand_price, seed=task_seed,
@@ -175,10 +156,10 @@ def refine_task(task_id, ondemand_type, catalog, failure, cache, seed=0):
     return HybridConfig.ondemand_only(ondemand_type)
 
 
-def refine_plan(job, plan, catalog, failure, cache, seed=0):
+def refine_plan(job, plan, failure, cache, seed=0):
     """Refine every task of an on-demand plan; returns HybridConfig per task id."""
     return [
-        refine_task(task.id, catalog[plan[task.id]], catalog, failure, cache, seed=seed)
+        refine_task(task.id, cache.catalog[plan[task.id]], failure, cache, seed=seed)
         for task in job.tasks
     ]
 

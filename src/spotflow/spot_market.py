@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .distributions import substream
+from .distributions import _paired, substream
 
 
 # Cells of the guide table that maps a uniform draw to a failure outcome.
@@ -353,7 +353,7 @@ class FailureModel:
     rng_seed: int = 0
     _cache: dict = field(default_factory=dict, repr=False)
     _walks: dict = field(default_factory=dict, repr=False, compare=False)
-    # planner_hybrid's one-entry memo of bucketed on-demand sums: (key, sums).
+    # fallback_time_sum's one-entry memo: ((spot dist, on-demand dist), W).
     _bucket_memo: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -362,8 +362,27 @@ class FailureModel:
         if self.step <= 0:
             raise ValueError("step must be positive")
 
+    @property
+    def nbuckets(self):
+        return int(math.ceil(self.horizon / self.step))
+
     def has_trace(self, type_id):
         return type_id in self.traces
+
+    def fallback_time_sum(self, ffp, spot_dist, od_dist):
+        """sum_k F_k * W_k: F_k is ffp's share of walks failing before grid
+        point k, W_k sums the on-demand samples whose paired spot sample has
+        grid index k.  W does not depend on the bid: the last pair's W is
+        kept and serves a whole bid search.
+        """
+        key, weights = self._bucket_memo
+        if key is None or key[0] is not spot_dist or key[1] is not od_dist:
+            spot, od = _paired((spot_dist, od_dist))
+            weights = np.bincount(grid_index(spot, self.step, self.nbuckets), weights=od,
+                                  minlength=self.nbuckets + 1)
+            weights.flags.writeable = False
+            self._bucket_memo = ((spot_dist, od_dist), weights)
+        return float(np.dot(ffp._failed_before, weights))
 
     def walks(self, type_id):
         """(start times, start segment indices) of the type's trial walks.
@@ -406,7 +425,6 @@ def estimate_ffp(model, type_id, bid):
         return cached
 
     trace = model.traces[type_id]
-    nbuckets = int(math.ceil(model.horizon / model.step))
     starts, seg = model.walks(type_id)
     # Not the trace's memo: this result is memoized per bid in the model.
     nxt = next_exceed_index(trace.prices, bid)
@@ -418,7 +436,7 @@ def estimate_ffp(model, type_id, bid):
     )
     failed = elapsed < model.horizon
     buckets = np.floor(elapsed[failed] / model.step).astype(np.int64)
-    counts = np.bincount(buckets, minlength=nbuckets)
+    counts = np.bincount(buckets, minlength=model.nbuckets)
     result = FirstFailureDistribution(step=model.step, counts=counts, trials=model.num_trials)
     model._cache[key] = result
     return result

@@ -73,7 +73,7 @@ def test_criterion_1_astar_matches_brute_force_on_exhaustive_dag_set():
         d_min, d_max = deadline_bounds(job, catalog, n=1000, seed=17)
         job = job.with_deadline((d_min + d_max) / 2)
         cache = TaskDistCache(job, catalog, sample_count=1000, seed=17)
-        bf_plan, bf_cost = brute_force_configure(job, catalog, cache=cache)
+        bf_plan, bf_cost = brute_force_configure(job, cache)
         if bf_plan is None:
             with pytest.raises(InfeasiblePlanError):
                 astar_configure(job, catalog, cache=cache)
@@ -148,7 +148,7 @@ def test_criterion_3_refinement_gates_hold_for_every_refined_task():
     refined = 0
     for name, trace in fixtures.items():
         failure = FailureModel(traces={0: trace, 1: trace}, num_trials=10_000, rng_seed=31)
-        configs = refine_plan(job, plan, catalog, failure, cache, seed=31)
+        configs = refine_plan(job, plan, failure, cache, seed=31)
         for task, config in zip(job.tasks, configs):
             if not config.spot_dims:
                 continue
@@ -178,7 +178,7 @@ def _plan_and_simulate(job, catalog, cache, traces, mode, seed):
                    for t in job.tasks]
     else:
         failure = FailureModel(traces=traces, num_trials=6000, rng_seed=seed)
-        configs = refine_plan(job, plan, catalog, failure, cache, seed=seed)
+        configs = refine_plan(job, plan, failure, cache, seed=seed)
     plans = {job.class_id: JobPlan(job.class_id, job.deadline, job.guarantee_p, configs)}
     sim = Simulator(SimConfig(job_count=200, seed=99, arrival_rate_per_min=0.5),
                     [job], plans, catalog, traces)
@@ -367,7 +367,7 @@ def test_criterion_8_hundred_task_planning_under_a_minute():
     traces = {t.id: stable_trace(0.4 * t.ondemand_price, hours=400, seed=t.id)
               for t in catalog}
     failure = FailureModel(traces=traces, num_trials=4000, rng_seed=83)
-    configs = refine_plan(job, plan, catalog, failure, cache, seed=83)
+    configs = refine_plan(job, plan, failure, cache, seed=83)
     elapsed = time.perf_counter() - t0
 
     assert len(configs) == 100

@@ -1,15 +1,18 @@
-"""The benchmark's plan-refine outputs at seed 1, byte for byte.
+"""The benchmark's outputs at seed 1, byte for byte.
 
-Writes the plan-refine workload's seed-1 inputs with bench/inputs.py and
-the parameters in bench/workloads.json (both only read), runs `spotflow
-plan` and `spotflow simulate` with the workload's flags, and checks the
-sha256 of plans.json and report.json.  The case is a 51-task class at
+Writes each workload's seed-1 inputs with bench/inputs.py and the
+parameters in bench/workloads.json (both only read), runs `spotflow plan`
+and `spotflow simulate` with the flags bench/run.py uses, and checks the
+sha256 of plans.json and report.json.  plan-refine is a 51-task class at
 10,000 samples, where a last-bit shift in a refinement cost can flip a gate
-that the 2,000-sample golden case never reaches.
+that the 2,000-sample golden case never reaches; plan-search pins the
+search's plans (its epigenomics-like-2x4 class exits 3 at its 100-iteration
+budget), and simulate pins a 1,000-job run over two classes planned in one
+call.
 
 A change that alters these outputs on purpose takes the new digests from
 
-    python3 bench/run.py --workload plan-refine --seed 1 --seconds 1
+    python3 bench/run.py --workload W --seed 1 --seconds 1
 
 and says so in CHANGES.md, as for the golden files.
 """
@@ -18,6 +21,8 @@ import hashlib
 import json
 import pathlib
 import sys
+
+import pytest
 
 from spotflow import cli
 from spotflow.cloud_model import default_catalog
@@ -28,43 +33,113 @@ DIGESTS = {
     "plans.json": "019bc8d5329ab7024e24b0aa00ee762188b296ee3dfb91aea17fa1db924dc276",
     "sim/report.json": "dcd2e3ab1a2f9743baded4c5a0800c270d26b782bd9a6d242f0556fd2e7b5acd",
 }
+# Per plan call: the plan exit code and the digests of its outputs.
+PLAN_SEARCH = {
+    "ligo-like-1x4": (0, {
+        "plans.json": "921e7a1f75b3ca61861f585cc31133a34762dc64f57aedb0cfcd286dadd5204d",
+        "sim/report.json": "0206af6fc11fec2a395626c57dd56eef9b362fea67c42b27556f9633740ab875",
+    }),
+    "montage-like-4": (0, {
+        "plans.json": "96c39b98d19b61cfcebfbe0ccca555162e1202ae138a50dc0e0ef0d4083642f5",
+        "sim/report.json": "d46fabaf8ad15b4972be532506532c43c8323da96c9f734ae2c0f0f5034e82ca",
+    }),
+    "epigenomics-like-2x4": (cli.EXIT_INFEASIBLE, {}),
+}
+SIMULATE = {
+    "plans.json": "de5125fd180b607ad4962fa9a502c07efd7a161fe99f53d2d7b4bb46abf62e51",
+    "sim/report.json": "d55d3805fb5bb063d64df76e9964a0b07fa1ebfd04ac7482e645e424cd7f0c07",
+}
+
+
+class Bench:
+    """One workload's seed-1 inputs and its spotflow calls, as bench/run.py makes them."""
+
+    def __init__(self, name, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCH))
+        monkeypatch.delitem(sys.modules, "inputs", raising=False)
+        import inputs
+
+        self.spec = json.loads((BENCH / "workloads.json").read_text(encoding="utf-8"))
+        self.workload = self.spec["workloads"][name]
+        self.trace_dir = tmp_path / "traces"
+        self.trace_dir.mkdir()
+        for itype in default_catalog():
+            (self.trace_dir / ("%s.csv" % itype.name)).write_text(
+                inputs.trace_text(SEED, itype.name, itype.ondemand_price, self.spec["trace"]),
+                encoding="utf-8")
+        self.paths = {}
+        for cls in self.workload["classes"]:
+            path = tmp_path / ("%s.wf" % cls["class_id"])
+            path.write_text(inputs.workflow_text(cls["shape"], cls["params"],
+                                                 cls["generator_seed"]), encoding="utf-8")
+            self.paths[cls["class_id"]] = path
+        self.params = dict(self.spec["plan_defaults"],
+                           deadline_factor=self.workload.get(
+                               "deadline_factor", self.spec["plan_defaults"]["deadline_factor"]))
+
+    def common(self, classes, seed):
+        argv = []
+        for cls in classes:
+            argv += ["--workflow", str(self.paths[cls["class_id"]])]
+        return argv + ["--trace-dir", str(self.trace_dir), "--seed", str(seed),
+                       "--samples", str(self.params["samples"]),
+                       "--deadline-factor", repr(self.params["deadline_factor"]),
+                       "--guarantee", repr(self.params["guarantee"])]
+
+    def plan(self, classes, out):
+        argv = ["plan", *self.common(classes, self.spec["plan_seed"]), "--out", str(out),
+                "--planner", self.params["planner"],
+                "--ffp-trials", str(self.params["ffp_trials"])]
+        max_iters = {c["max_iter"] for c in classes if "max_iter" in c}
+        if max_iters:
+            argv += ["--max-iter", str(max(max_iters))]
+        return cli.main(argv)
+
+    def simulate(self, classes, out):
+        return cli.main(["simulate", *self.common(classes, SEED), "--out", str(out / "sim"),
+                         "--plans", str(out / "plans.json"),
+                         "--jobs", str(self.workload["simulate_jobs"]),
+                         "--lambda",
+                         repr(self.spec["simulate_defaults"]["arrival_rate_per_min"])])
+
+
+def assert_digests(out, digests):
+    for name, want in digests.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want, name
 
 
 def test_plan_refine_outputs_match_the_benchmark_digests(tmp_path, monkeypatch, capsys):
-    monkeypatch.syspath_prepend(str(BENCH))
-    monkeypatch.delitem(sys.modules, "inputs", raising=False)
-    import inputs
-
-    spec = json.loads((BENCH / "workloads.json").read_text(encoding="utf-8"))
-    workload = spec["workloads"]["plan-refine"]
-    trace_dir = tmp_path / "traces"
-    trace_dir.mkdir()
-    for itype in default_catalog():
-        (trace_dir / ("%s.csv" % itype.name)).write_text(
-            inputs.trace_text(SEED, itype.name, itype.ondemand_price, spec["trace"]),
-            encoding="utf-8")
-    workflows = []
-    for cls in workload["classes"]:
-        path = tmp_path / ("%s.wf" % cls["class_id"])
-        path.write_text(inputs.workflow_text(cls["shape"], cls["params"], cls["generator_seed"]),
-                        encoding="utf-8")
-        workflows += ["--workflow", str(path)]
-    params = dict(spec["plan_defaults"], deadline_factor=workload["deadline_factor"])
+    bench = Bench("plan-refine", tmp_path, monkeypatch)
+    classes = bench.workload["classes"]
     out = tmp_path / "out"
-
-    def common(seed):
-        return workflows + ["--trace-dir", str(trace_dir), "--seed", str(seed),
-                            "--samples", str(params["samples"]),
-                            "--deadline-factor", repr(params["deadline_factor"]),
-                            "--guarantee", repr(params["guarantee"])]
-
-    assert cli.main(["plan", *common(spec["plan_seed"]), "--out", str(out),
-                     "--planner", params["planner"],
-                     "--ffp-trials", str(params["ffp_trials"])]) == 0
-    assert cli.main(["simulate", *common(SEED), "--out", str(out / "sim"),
-                     "--plans", str(out / "plans.json"),
-                     "--jobs", str(workload["simulate_jobs"]),
-                     "--lambda", repr(spec["simulate_defaults"]["arrival_rate_per_min"])]) == 0
+    assert bench.plan(classes, out) == 0
+    assert bench.simulate(classes, out) == 0
     capsys.readouterr()
-    for name, want in DIGESTS.items():
-        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want, name
+    assert_digests(out, DIGESTS)
+
+
+@pytest.mark.parametrize("class_id", sorted(PLAN_SEARCH))
+def test_plan_search_outputs_match_the_benchmark_digests(class_id, tmp_path, monkeypatch,
+                                                         capsys):
+    bench = Bench("plan-search", tmp_path, monkeypatch)
+    (cls,) = [c for c in bench.workload["classes"] if c["class_id"] == class_id]
+    want_rc, digests = PLAN_SEARCH[class_id]
+    out = tmp_path / "out"
+    assert bench.plan([cls], out) == want_rc
+    if want_rc == 0:
+        assert cls["simulate"]
+        assert bench.simulate([cls], out) == 0
+    else:
+        assert not (out / "plans.json").exists()
+    capsys.readouterr()
+    assert_digests(out, digests)
+
+
+def test_simulate_outputs_match_the_benchmark_digests(tmp_path, monkeypatch, capsys):
+    bench = Bench("simulate", tmp_path, monkeypatch)
+    classes = bench.workload["classes"]
+    out = tmp_path / "out"
+    assert bench.plan(classes, out) == 0
+    assert bench.simulate(classes, out) == 0
+    capsys.readouterr()
+    assert_digests(out, SIMULATE)

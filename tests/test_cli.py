@@ -76,11 +76,25 @@ class TestPlan:
                 == plan("dyna", "--planner", "dyna"))
 
     def test_spot_only_bids_1000(self, workspace):
-        cli.main(["plan", *base_args(workspace, "--planner", "spot-only")])
+        # A trace for each type, so that simulate can replay the plan.
+        trace_dir = pathlib.Path(workspace["trace_dir"])
+        (trace_dir / "t1.csv").write_text((trace_dir / "t0.csv").read_text())
+        assert cli.main(["plan", *base_args(workspace, "--planner", "spot-only",
+                                            "--trace-dir", str(trace_dir))]) == 0
         plans = load_plan_cache(workspace["tmp"] / "out" / "plans.json")
         for config in plans["toy"].task_configs:
             assert config.dims[0].is_spot
             assert config.dims[0].price == 1000.0
+        assert cli.main(["simulate", *base_args(workspace, "--trace-dir", str(trace_dir),
+                                                "--jobs", "5")]) == 0
+
+    def test_spot_only_without_a_trace_for_a_planned_type_exits_2(self, workspace, capsys):
+        # Without traces simulate would reject every spot dimension of the plan.
+        rc = cli.main(["plan", *base_args(workspace, "--planner", "spot-only")])
+        assert rc == cli.EXIT_PARSE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: no trace for type t")
+        assert not (workspace["tmp"] / "out" / "plans.json").exists()
 
     def test_dyna_refines_with_traces(self, workspace):
         rc = cli.main(["plan", *base_args(workspace, "--planner", "dyna",

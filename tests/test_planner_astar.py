@@ -70,21 +70,21 @@ class TestSingleTask:
     def test_both_types_feasible_picks_cheapest(self):
         cat = ordered_catalog(2)
         job = chain_job([cpu_profile(60.0)], deadline=1000.0)
-        plan = astar_configure(job, cat, sample_count=200, seed=1)
+        plan = astar_configure(job, cat, cache=TaskDistCache(job, cat, 200, 1))
         assert plan == [0]
 
     def test_only_expensive_type_feasible(self):
         cat = ordered_catalog(2)
         # 60 s on t0, 30 s on t1; deadline between the two.
         job = chain_job([cpu_profile(60.0)], deadline=40.0)
-        plan = astar_configure(job, cat, sample_count=200, seed=1)
+        plan = astar_configure(job, cat, cache=TaskDistCache(job, cat, 200, 1))
         assert plan == [1]
 
     def test_infeasible_raises_with_diagnosis(self):
         cat = ordered_catalog(2)
         job = chain_job([cpu_profile(60.0)], deadline=10.0)
         with pytest.raises(InfeasiblePlanError) as err:
-            astar_configure(job, cat, sample_count=200, seed=1)
+            astar_configure(job, cat, cache=TaskDistCache(job, cat, 200, 1))
         assert err.value.best_plan == (1,)
         assert err.value.best_percentile > 10.0
         assert not err.value.budget_exhausted
@@ -94,7 +94,8 @@ class TestSingleTask:
         cat = ordered_catalog(2)
         job = chain_job([cpu_profile(60.0)], deadline=10.0)
         with pytest.raises(InfeasiblePlanError) as err:
-            astar_configure(job, cat, params=AStarParams(max_iter=2), sample_count=200, seed=1)
+            astar_configure(job, cat, params=AStarParams(max_iter=2),
+                            cache=TaskDistCache(job, cat, 200, 1))
         assert not err.value.budget_exhausted and err.value.evaluated == 2
 
 
@@ -103,7 +104,7 @@ class TestOracleEquivalence:
         job, cat = planned_job([mixed_profile()] * 3)
         cache = TaskDistCache(job, cat, sample_count=1500, seed=7)
         plan = astar_configure(job, cat, cache=cache)
-        bf_plan, bf_cost = brute_force_configure(job, cat, cache=cache)
+        bf_plan, bf_cost = brute_force_configure(job, cache)
         assert plan_cost(cache, tuple(plan)) == bf_cost
         assert bf_plan is not None
 
@@ -112,7 +113,7 @@ class TestOracleEquivalence:
                                builder=diamond_job, deadline_frac=0.35)
         cache = TaskDistCache(job, cat, sample_count=1500, seed=7)
         plan = astar_configure(job, cat, cache=cache)
-        _, bf_cost = brute_force_configure(job, cat, cache=cache)
+        _, bf_cost = brute_force_configure(job, cache)
         assert plan_cost(cache, tuple(plan)) == bf_cost
 
     def test_tight_deadline_forces_most_expensive(self):
@@ -120,7 +121,7 @@ class TestOracleEquivalence:
         # Deadline at D_min: only near-fastest plans can qualify; compare
         # against the oracle whatever the outcome.
         cache = TaskDistCache(job, cat, sample_count=1500, seed=7)
-        bf_plan, bf_cost = brute_force_configure(job, cat, cache=cache)
+        bf_plan, bf_cost = brute_force_configure(job, cache)
         if bf_plan is None:
             with pytest.raises(InfeasiblePlanError):
                 astar_configure(job, cat, cache=cache)
@@ -138,7 +139,7 @@ class TestOracleEquivalence:
         (cost,) = {plan_cost(cache, p) for p in itertools.product(range(2), repeat=2)}
         assert round(cost, 4) == 0.0556
         assert astar_configure(job, cat, cache=cache) == [0, 1]
-        assert brute_force_configure(job, cat, cache=cache) == ((0, 1), cost)
+        assert brute_force_configure(job, cache) == ((0, 1), cost)
 
     def test_random_dags_on_cost_skewed_catalog(self):
         # On skewed_catalog a CPU-heavy task is cheapest on type 1, so task
@@ -149,7 +150,7 @@ class TestOracleEquivalence:
         feasible = infeasible = 0
         for i in range(40):
             job, cache = random_case(rng, catalog, i)
-            _, bf_cost = brute_force_configure(job, catalog, cache=cache)
+            _, bf_cost = brute_force_configure(job, cache)
             if bf_cost == math.inf:
                 with pytest.raises(InfeasiblePlanError) as err:
                     astar_configure(job, catalog, cache=cache)
@@ -168,9 +169,15 @@ class TestOracleEquivalence:
 class TestSearchBehaviour:
     def test_deterministic(self):
         job, cat = planned_job([mixed_profile()] * 3, deadline_frac=0.3)
-        p1 = astar_configure(job, cat, sample_count=1000, seed=3)
-        p2 = astar_configure(job, cat, sample_count=1000, seed=3)
+        p1 = astar_configure(job, cat, cache=TaskDistCache(job, cat, 1000, 3))
+        p2 = astar_configure(job, cat, cache=TaskDistCache(job, cat, 1000, 3))
         assert p1 == p2
+
+    def test_sample_count_with_a_cache_is_an_error(self):
+        # The cache fixes the sample count; a second one is not ignored.
+        job, cat = planned_job([mixed_profile()] * 2)
+        with pytest.raises(ValueError, match="sample_count"):
+            astar_configure(job, cat, sample_count=200, cache=TaskDistCache(job, cat, 200, 7))
 
     @pytest.mark.parametrize("catalog", [ordered_catalog(3), skewed_catalog()],
                              ids=["ordered", "skewed"])
@@ -203,7 +210,8 @@ class TestSearchBehaviour:
         stats = SearchStats()
         params = AStarParams(max_iter=3)
         try:
-            astar_configure(job, cat, params=params, sample_count=500, seed=3, stats=stats)
+            astar_configure(job, cat, params=params, cache=TaskDistCache(job, cat, 500, 3),
+                            stats=stats)
         except InfeasiblePlanError:
             pass
         assert stats.iterations <= 3
@@ -213,8 +221,8 @@ class TestSearchBehaviour:
         # still queued when the budget ends.
         job, cat = planned_job([mixed_profile()] * 4, deadline_frac=0.0)
         with pytest.raises(InfeasiblePlanError) as err:
-            astar_configure(job, cat, params=AStarParams(max_iter=3), sample_count=500,
-                            seed=3)
+            astar_configure(job, cat, params=AStarParams(max_iter=3),
+                            cache=TaskDistCache(job, cat, 500, 3))
         assert err.value.budget_exhausted and err.value.evaluated == 3
         assert "(budget of 3 iterations exhausted)" in str(err.value)
 
@@ -223,7 +231,7 @@ class TestSearchBehaviour:
         # so frac 1.0 alone does not make the all-cheapest plan feasible.
         job, cat = planned_job([mixed_profile()] * 3, deadline_frac=1.5)
         stats = SearchStats()
-        plan = astar_configure(job, cat, sample_count=1000, seed=3, stats=stats)
+        plan = astar_configure(job, cat, cache=TaskDistCache(job, cat, 1000, 3), stats=stats)
         assert plan == [0, 0, 0]
 
     def test_monotone_expansion_dominance_per_task(self):

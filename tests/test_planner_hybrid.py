@@ -48,9 +48,10 @@ def synthetic_ffp(step, count_by_bucket, trials):
     return FirstFailureDistribution(step=step, counts=counts, trials=trials)
 
 
-def preset_model(type_id, bid, dist, **kwargs):
-    """Failure model with an injected first-failure distribution."""
-    model = FailureModel(traces={type_id: constant_trace(0.01)}, num_trials=10, **kwargs)
+def preset_model(type_id, bid, dist):
+    """Failure model with an injected first-failure distribution on the model's grid."""
+    model = FailureModel(traces={type_id: constant_trace(0.01)}, num_trials=10,
+                         step=dist.step, horizon=dist.step * dist.counts.size)
     model._cache[(type_id, float(bid))] = dist
     return model
 
@@ -175,7 +176,7 @@ class TestBucketSpaceCost:
         cache = TaskDistCache(job, catalog, 2000, 0)
         failure = FailureModel(traces=spiky_market(catalog), num_trials=2000, rng_seed=0)
         plan = [task.id % len(catalog) for task in job.tasks]
-        configs = refine_plan(job, plan, catalog, failure, cache)
+        configs = refine_plan(job, plan, failure, cache)
         assert len(configs) == 51
         assert sum(bool(config.spot_dims) for config in configs) >= 25
         for task_id, config in enumerate(configs):
@@ -266,13 +267,13 @@ class TestBinarySearchBid:
 class TestRefineTask:
     def test_no_trace_gives_ondemand_only(self):
         ctx = FixtureContext(stable_trace(0.024, hours=300))
-        config = refine_task(0, ctx.catalog[0], ctx.catalog, None, ctx.cache)
+        config = refine_task(0, ctx.catalog[0], None, ctx.cache)
         assert len(config.dims) == 1
         assert not config.dims[0].is_spot
 
     def test_stable_trace_gains_spot_dim_and_saves(self):
         ctx = FixtureContext(stable_trace(0.024, hours=300))
-        config = refine_task(0, ctx.catalog[0], ctx.catalog, ctx.failure, ctx.cache)
+        config = refine_task(0, ctx.catalog[0], ctx.failure, ctx.cache)
         assert len(config.spot_dims) >= 1
         dists = [ctx.cache.dist(0, d.type_id) for d in config.dims]
         od_dist = ctx.cache.dist(0, 0)
@@ -281,7 +282,7 @@ class TestRefineTask:
     def test_hostile_market_keeps_ondemand_only(self):
         ctx = FixtureContext(constant_trace(0.90))
         most_expensive = ctx.catalog.most_expensive()
-        config = refine_task(0, most_expensive, ctx.catalog, ctx.failure, ctx.cache)
+        config = refine_task(0, most_expensive, ctx.failure, ctx.cache)
         assert len(config.dims) == 1
         assert config.dims[0].type_id == most_expensive.id
 
@@ -295,14 +296,14 @@ class TestRefineTask:
         cache = TaskDistCache(job, catalog, 2000, 5)
         failure = FailureModel(traces={0: stable_trace(0.024, hours=300)},
                                num_trials=3000, rng_seed=5)
-        whole = refine_plan(job, [0, 0], catalog, failure, cache, seed=5)
-        single0 = refine_task(0, catalog[0], catalog, failure, cache, seed=5)
-        single1 = refine_task(1, catalog[0], catalog, failure, cache, seed=5)
+        whole = refine_plan(job, [0, 0], failure, cache, seed=5)
+        single0 = refine_task(0, catalog[0], failure, cache, seed=5)
+        single1 = refine_task(1, catalog[0], failure, cache, seed=5)
         assert whole == [single0, single1]
 
     def test_refinement_gates_hold_post_hoc(self):
         ctx = FixtureContext(stable_trace(0.024, hours=300))
-        config = refine_task(0, ctx.catalog[0], ctx.catalog, ctx.failure, ctx.cache, seed=3)
+        config = refine_task(0, ctx.catalog[0], ctx.failure, ctx.cache, seed=3)
         od_dist = ctx.cache.dist(0, 0)
         if config.spot_dims:
             dists = [ctx.cache.dist(0, d.type_id) for d in config.dims]
@@ -363,7 +364,7 @@ class TestRefineTaskScanOrder:
         ref_failure, ref_cache = context()
         all_accepted = []
         for task_id, od_type_id in ((0, 0), (1, 1)):
-            got = refine_task(task_id, catalog[od_type_id], catalog, got_failure,
+            got = refine_task(task_id, catalog[od_type_id], got_failure,
                               got_cache, seed=13)
             want, accepted = ascending_refinement(task_id, catalog[od_type_id], catalog,
                                                   ref_failure, ref_cache, seed=13)
