@@ -13,6 +13,8 @@ import heapq
 import itertools
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .cloud_model import expected_ondemand_cost, task_time_distribution
@@ -73,11 +75,16 @@ class SearchStats:
 
 
 class TaskDistCache:
-    """Memoized per-(task, type) execution-time distributions and costs.
+    """Per-(task, type) execution-time distributions and costs of one class.
 
     Distributions are seeded from (seed, task id, type id) so every plan
     evaluation, in the search or in an exhaustive oracle, sees identical
-    samples for the same assignment.
+    samples for the same assignment.  The first read draws the whole
+    [task][type] table in one batch on one thread per usable CPU, each
+    thread pinned to its own CPU: numpy's samplers release the GIL, and
+    each pair draws from its own substream, so the values do not depend on
+    the thread count or the order of draws.  A draw that raises raises
+    from that read.
     """
 
     def __init__(self, job, catalog, sample_count=DEFAULT_SAMPLE_COUNT, seed=0):
@@ -85,28 +92,60 @@ class TaskDistCache:
         self.catalog = catalog
         self.sample_count = sample_count
         self.seed = seed
-        self._dists = {}
-        self._costs = {}
+        self._dists = None
+        self._costs = None
+
+    def _fill(self):
+        pairs = [(t, itype) for t in self.job.tasks for itype in self.catalog]
+        # Seeds are derived here: derive_seed's lru_cache is shared state.
+        seeds = [derive_seed(self.seed, t.id, itype.id) for t, itype in pairs]
+        cpus = _usable_cpus()
+        with ThreadPoolExecutor(max_workers=len(cpus), initializer=_pin_worker,
+                                initargs=(iter(cpus),)) as pool:
+            # task_time_distribution is read from this module at each fill,
+            # so a wrapper patched onto the name sees every draw.
+            dists = list(pool.map(task_time_distribution, [t.profile for t, _ in pairs],
+                                  [itype for _, itype in pairs],
+                                  itertools.repeat(self.sample_count), seeds))
+        n_types = len(self.catalog)
+        table = [dists[i:i + n_types] for i in range(0, len(dists), n_types)]
+        self._costs = [[expected_ondemand_cost(itype.ondemand_price, dist)
+                        for itype, dist in zip(self.catalog, row)] for row in table]
+        self._dists = table
 
     def dist(self, task_id, type_id):
-        key = (task_id, type_id)
-        if key not in self._dists:
-            task = self.job.task_by_id(task_id)
-            self._dists[key] = task_time_distribution(
-                task.profile,
-                self.catalog[type_id],
-                n=self.sample_count,
-                seed=derive_seed(self.seed, task_id, type_id),
-            )
-        return self._dists[key]
+        if self._dists is None:
+            self._fill()
+        return self._dists[task_id][type_id]
 
     def cost(self, task_id, type_id):
-        key = (task_id, type_id)
-        if key not in self._costs:
-            self._costs[key] = expected_ondemand_cost(
-                self.catalog[type_id].ondemand_price, self.dist(task_id, type_id)
-            )
-        return self._costs[key]
+        if self._dists is None:
+            self._fill()
+        return self._costs[task_id][type_id]
+
+
+def _usable_cpus():
+    """Ids of the CPUs this process may run on (all of them where affinity
+    is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return sorted(os.sched_getaffinity(0))
+    return list(range(os.cpu_count() or 1))
+
+
+def _pin_worker(cpus):
+    """Pin the calling pool thread (pid 0) to the next CPU of `cpus`.
+
+    Left to the Linux scheduler, the threads of a new pool ran on one CPU
+    for about a second on a 2-vCPU KVM guest, and drew no faster than one
+    thread.  The pool thread ends with the pool, and so does its pin; where
+    pinning is unsupported or refused the thread runs unpinned.
+    """
+    cpu = next(cpus)  # a list iterator steps under the GIL: no CPU twice
+    if hasattr(os, "sched_setaffinity"):
+        try:
+            os.sched_setaffinity(0, {cpu})
+        except OSError:
+            pass
 
 
 def plan_cost(cache, plan):
@@ -133,7 +172,8 @@ def astar_configure(job, catalog, params=None, sample_count=None, cache=None, st
     InfeasiblePlanError when no feasible plan is found within max_iter
     iterations, carrying the closest-to-feasible plan seen as a diagnosis
     and whether the budget or the plans ran out first.  A `cache` (the
-    class's TaskDistCache) fixes the sample count, the seed and the catalog.
+    class's TaskDistCache) fixes the sample count and the seed, and must be
+    drawn over `catalog`.
     """
     if job.deadline is None:
         raise WorkflowError("job has no deadline set")
@@ -142,6 +182,8 @@ def astar_configure(job, catalog, params=None, sample_count=None, cache=None, st
         cache = TaskDistCache(job, catalog, n)
     elif sample_count is not None:
         raise ValueError("sample_count is fixed by the cache; pass one or the other")
+    elif tuple(cache.catalog) != tuple(catalog):
+        raise ValueError("cache draws over another catalog")
     params = params if params is not None else AStarParams()
     stats = stats if stats is not None else SearchStats()
 

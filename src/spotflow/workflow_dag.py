@@ -243,12 +243,17 @@ def deadline_bounds(job, catalog, n=DEFAULT_SAMPLE_COUNT, seed=0, cache=None):
 
     These anchor deadline settings; the default experiment deadline is their
     midpoint.  Task times on a type are seeded from (seed, task id, type
-    id), as in the planner's TaskDistCache; pass the class's cache (same n
-    and seed) to read them from it instead of drawing them again.
+    id), as in the planner's TaskDistCache; pass the class's cache (same
+    catalog, n and seed) to read them from it instead of drawing them again.
+    A cache draws its whole table on its first read, so when the bounds
+    read it first they also pay for the draws the search reads next.
     """
-    if cache is not None and (cache.sample_count, cache.seed) != (n, seed):
-        raise ValueError("cache draws %d samples at seed %d, not %d at seed %d"
-                         % (cache.sample_count, cache.seed, n, seed))
+    if cache is not None:
+        if (cache.sample_count, cache.seed) != (n, seed):
+            raise ValueError("cache draws %d samples at seed %d, not %d at seed %d"
+                             % (cache.sample_count, cache.seed, n, seed))
+        if tuple(cache.catalog) != tuple(catalog):
+            raise ValueError("cache draws over another catalog")
 
     def mean_times(itype):
         return [

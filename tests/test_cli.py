@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pathlib
@@ -6,11 +7,11 @@ import sys
 import pytest
 
 from spotflow import cli, workflow_dag
-from spotflow.cloud_model import save_catalog
+from spotflow.cloud_model import Catalog, GammaSpec, save_catalog
 from spotflow.planner_astar import TaskDistCache, load_plan_cache, plan_distribution
 from spotflow.workflow_dag import save_workflow
 
-from conftest import chain_job, cpu_profile, ordered_catalog, stable_trace
+from conftest import chain_job, cpu_profile, mixed_profile, ordered_catalog, stable_trace
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
@@ -160,6 +161,20 @@ class TestPlan:
         rc = cli.main(["plan", *base_args(workspace, "--samples", samples)])
         assert rc == cli.EXIT_PARSE
         assert "samples must be >= 2, got %s" % samples in capsys.readouterr().err
+        assert not (workspace["tmp"] / "out" / "plans.json").exists()
+
+    def test_bandwidth_without_positive_mass_is_parse_error(self, workspace, capsys):
+        # The draw fails on a pool thread; the error still reaches main.
+        cat = ordered_catalog(2)
+        save_catalog(Catalog([cat[0], dataclasses.replace(cat[1], seq_io=GammaSpec(0.0, 1.0))]),
+                     workspace["catalog"])
+        save_workflow(chain_job([mixed_profile()], class_id="toy"), workspace["workflow"])
+        rc = cli.main(["plan", *base_args(workspace, "--planner", "dyna-ns")])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_PARSE
+        assert err.startswith("error: bandwidth model GammaSpec(k=0.0, theta=1.0) produces"
+                              " no positive mass") and err.count("\n") == 1
+        assert "Traceback" not in err
         assert not (workspace["tmp"] / "out" / "plans.json").exists()
 
     def test_missing_trace_dir_is_parse_error(self, workspace, tmp_path, capsys):

@@ -1,12 +1,22 @@
 import dataclasses
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
 
-from spotflow.cloud_model import Catalog, GammaSpec, InstanceType, NormalSpec, TaskProfile
-from spotflow.distributions import dominates
+from spotflow import planner_astar
+from spotflow.cloud_model import (
+    Catalog,
+    GammaSpec,
+    InstanceType,
+    NormalSpec,
+    TaskProfile,
+    expected_ondemand_cost,
+    task_time_distribution,
+)
+from spotflow.distributions import derive_seed, dominates
 from spotflow.planner_astar import (
     AStarParams,
     InfeasiblePlanError,
@@ -19,9 +29,12 @@ from spotflow.planner_astar import (
     plan_cost,
     save_plan_cache,
 )
+from spotflow.planner_hybrid import refine_plan
+from spotflow.spot_market import FailureModel
 from spotflow.workflow_dag import ConfigDim, HybridConfig, build_job, deadline_bounds
 
-from conftest import chain_job, cpu_profile, diamond_job, mixed_profile, ordered_catalog
+from conftest import (chain_job, cpu_profile, diamond_job, mixed_profile, ordered_catalog,
+                      stable_trace)
 
 
 def skewed_catalog():
@@ -179,6 +192,14 @@ class TestSearchBehaviour:
         with pytest.raises(ValueError, match="sample_count"):
             astar_configure(job, cat, sample_count=200, cache=TaskDistCache(job, cat, 200, 7))
 
+    def test_cache_over_another_catalog_is_an_error(self):
+        # The search ranks the cache's types; without the check a 60 s task
+        # due in 20 s got type 2, which the given catalog does not have.
+        job = chain_job([cpu_profile(60.0)], deadline=20.0)
+        with pytest.raises(ValueError, match="another catalog"):
+            astar_configure(job, ordered_catalog(2),
+                            cache=TaskDistCache(job, ordered_catalog(3), 200, 1))
+
     @pytest.mark.parametrize("catalog", [ordered_catalog(3), skewed_catalog()],
                              ids=["ordered", "skewed"])
     def test_evaluates_plans_in_cost_order(self, catalog):
@@ -243,6 +264,75 @@ class TestSearchBehaviour:
             for t1 in range(len(cat) - 1):
                 for t2 in range(t1 + 1, len(cat)):
                     assert dominates(cache.dist(tid, t2), cache.dist(tid, t1), 0.01)
+
+
+class TestTaskDistCache:
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_table_equals_serial_draws_bit_for_bit(self, monkeypatch, workers):
+        # Each pair draws from its own substream, so neither the pool size
+        # nor the order the pool finishes in changes a sample.
+        monkeypatch.setattr(planner_astar, "_usable_cpus", lambda: [0] * workers)
+        cat = ordered_catalog(3)
+        job = diamond_job([mixed_profile(), cpu_profile(50.0),
+                           mixed_profile(0.5), mixed_profile(2.0)])
+        n, seed = 300, 4
+        cache = TaskDistCache(job, cat, n, seed)
+        for t in job.tasks:
+            for k in range(len(cat)):
+                serial = task_time_distribution(t.profile, cat[k], n, derive_seed(seed, t.id, k))
+                assert cache.dist(t.id, k).samples.tobytes() == serial.samples.tobytes()
+                assert cache.cost(t.id, k) == expected_ondemand_cost(cat[k].ondemand_price,
+                                                                     serial)
+
+    @pytest.mark.parametrize("refused", [False, True])
+    def test_pool_threads_are_pinned_to_distinct_usable_cpus(self, monkeypatch, refused):
+        pins = []
+
+        def pin(pid, cpus):
+            pins.append((pid, cpus))
+            if refused:
+                raise OSError(22, "Invalid argument")
+
+        monkeypatch.setattr(planner_astar, "_usable_cpus", lambda: [3, 5])
+        monkeypatch.setattr(os, "sched_setaffinity", pin, raising=False)
+        job = chain_job([mixed_profile()] * 4)
+        cache = TaskDistCache(job, ordered_catalog(3), 2000, 1)
+        assert cache.dist(3, 2).samples.size == 2000
+        # The pool starts a thread only when none is idle, so it may start one.
+        assert pins and all(pid == 0 and len(cpus) == 1 for pid, cpus in pins)
+        assert sorted(cpu for _, (cpu,) in pins) == [3, 5][:len(pins)]
+
+    def test_a_plan_draws_each_pair_once(self, monkeypatch):
+        calls = []
+        draw = planner_astar.task_time_distribution
+
+        def counting_draw(*args, **kwargs):
+            calls.append(args)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(planner_astar, "task_time_distribution", counting_draw)
+        cat = ordered_catalog(3)
+        job = diamond_job([mixed_profile(), cpu_profile(50.0),
+                           mixed_profile(0.5), mixed_profile(2.0)])
+        cache = TaskDistCache(job, cat, 300, 4)
+        d_min, d_max = deadline_bounds(job, cat, n=300, seed=4, cache=cache)
+        job = job.with_deadline((d_min + d_max) / 2)
+        plan = astar_configure(job, cat, cache=cache)
+        failure = FailureModel(traces={0: stable_trace(0.02)}, num_trials=500, rng_seed=2)
+        refine_plan(job, plan, failure, cache, seed=4)
+        assert len(calls) == len(job.tasks) * len(cat)
+
+    def test_a_failing_draw_reaches_the_caller_unchanged(self):
+        good = ordered_catalog(2)
+        bad = Catalog([good[0], dataclasses.replace(good[1], seq_io=GammaSpec(0.0, 1.0))])
+        job = chain_job([mixed_profile(), mixed_profile(0.5)])
+        with pytest.raises(ValueError, match="produces no positive mass") as serial:
+            task_time_distribution(job.tasks[0].profile, bad[1], 200, 1)
+        cache = TaskDistCache(job, bad, 200, 1)
+        # The table is drawn whole, so reading a pair that draws well raises too.
+        with pytest.raises(ValueError) as pooled:
+            cache.dist(0, 0)
+        assert str(pooled.value) == str(serial.value)
 
 
 class TestPlanCache:

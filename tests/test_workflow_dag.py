@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spotflow.cloud_model import GammaSpec, TaskProfile, _positive_draw
+from spotflow.cloud_model import GammaSpec, TaskProfile, _positive_draw, default_catalog
 from spotflow.distributions import EmpiricalDistribution, substream
 from spotflow.planner_astar import TaskDistCache
 from spotflow.workflow_dag import (
@@ -293,7 +293,7 @@ class TestDeadlineBounds:
             assert cache.dist(1, k).expectation() != cpu_time
         with_cache = deadline_bounds(job, cat, n=300, seed=4, cache=cache)
         assert with_cache == deadline_bounds(job, cat, n=300, seed=4)
-        assert set(cache._dists) == {(t.id, k) for t in job.tasks for k in (0, 2)}
+        assert [len(row) for row in cache._dists] == [len(cat)] * len(job.tasks)
 
     def test_cache_must_match_samples_and_seed(self):
         cat = ordered_catalog(2)
@@ -302,6 +302,14 @@ class TestDeadlineBounds:
             with pytest.raises(ValueError, match="cache draws"):
                 deadline_bounds(job, cat, n=n, seed=seed,
                                 cache=TaskDistCache(job, cat, sample_count=300, seed=4))
+
+    def test_cache_must_match_the_catalog(self):
+        # Read from a cache over another catalog, the bounds would come from
+        # that catalog's fastest and slowest types.
+        job = chain_job([mixed_profile()])
+        with pytest.raises(ValueError, match="another catalog"):
+            deadline_bounds(job, default_catalog(), n=300, seed=4,
+                            cache=TaskDistCache(job, ordered_catalog(4), 300, 4))
 
 
 class TestHybridConfig:
