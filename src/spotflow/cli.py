@@ -302,7 +302,7 @@ def cmd_ffp(spec, type_name, bid):
         raise spot_market.TraceError("no trace for type %s" % type_name)
     dist = spot_market.estimate_ffp(model, itype.id, bid)
     out = _out_dir(spec)
-    times = [*dist.bucket_times, model.horizon]
+    times = [*dist.bucket_times, spot_market.HORIZON]
     rows = zip(times, dist.cumulative_before(times))
     with open(out / "ffp.csv", "w", encoding="utf-8") as fh:
         fh.write("t_seconds,cumulative_failure\n")

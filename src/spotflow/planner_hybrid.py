@@ -54,8 +54,6 @@ def hybrid_time_distribution(spot_dist, ffp, od_dist, seed=0):
     ts = spot_samples[rng.permutation(n)]
     fail_t = ffp.sample_failure_times(rng, n)
     failed = fail_t < ts
-    if not failed.any():
-        return EmpiricalDistribution._adopt(ts)
     od = od_samples[rng.permutation(n)]
     return EmpiricalDistribution._adopt(np.where(failed, fail_t + od, ts))
 

@@ -402,7 +402,7 @@ class Simulator:
         if table is None:
             type_id = job.plan.task_configs[task_id].dims[attempt].type_id
             times = sample_task_time(
-                job.cls.task_by_id(task_id).profile,
+                job.cls.tasks[task_id].profile,
                 self.catalog[type_id],
                 self.config.job_count,
                 derive_seed(self.config.seed, "duration", *key),
@@ -430,7 +430,7 @@ class Simulator:
                 self.event_log.append("%d JobComplete job=%d" % (self.now, job_index))
             return
         pending = job.pending_preds
-        for succ in job.cls.task_by_id(task_id).successors:
+        for succ in job.cls.tasks[task_id].successors:
             pending[succ] -= 1
             if pending[succ] == 0:
                 self._request_instance(job, succ, 0)
@@ -498,7 +498,7 @@ class Simulator:
         key = (cls.class_id, task_id, type_id)
         if key not in self._expected_cache:
             self._expected_cache[key] = expected_task_time(
-                cls.task_by_id(task_id).profile,
+                cls.tasks[task_id].profile,
                 self.catalog[type_id],
                 n=EXPECTATION_SAMPLES,
                 seed=derive_seed(self.config.seed, "expected", task_id, type_id),

@@ -7,9 +7,10 @@ exactly equal to the bid does not kill it.
 
 The first-failure distribution for a (type, bid) pair is estimated by
 walking the trace forward from uniformly random start offsets and recording
-how long each walk survives, bucketed on a fixed step grid.  Walks that
-reach the trace end or the horizon without failing count as "no failure",
-which is the conservative direction for cost estimation.
+how long each walk survives, bucketed on one fixed grid of NBUCKETS steps
+of STEP seconds.  Walks that reach the trace end or HORIZON without failing
+count as "no failure", which is the conservative direction for cost
+estimation.
 """
 
 import math
@@ -21,6 +22,11 @@ import numpy as np
 
 from .distributions import _paired, substream
 
+
+# The first-failure grid: one-minute buckets over one day.
+STEP = 60.0
+NBUCKETS = 1440
+HORIZON = STEP * NBUCKETS
 
 # Cells of the guide table that maps a uniform draw to a failure outcome.
 _GUIDE_CELLS = 4096
@@ -73,9 +79,6 @@ class SpotPriceTrace:
         self.span = float(ts[-1]) - self.start
         self.cycle = self.span + tail
         self._exceed_cache = {}
-
-    def __len__(self):
-        return int(self.timestamps.size)
 
     def _segment_index(self, t):
         idx = int(np.searchsorted(self.timestamps, t, side="right")) - 1
@@ -232,15 +235,15 @@ def _walk_lines(lines, path):
     return timestamps, prices
 
 
-def grid_index(times, step, nbuckets):
-    """Index k of the first grid point k*step at or after each elapsed time.
+def grid_index(times):
+    """Index k of the first grid point k*STEP at or after each elapsed time.
 
-    Clipped to [0, nbuckets].  A walk recorded in bucket j fails strictly
+    Clipped to [0, NBUCKETS].  A walk recorded in bucket j fails strictly
     before t exactly when j < k, so the failure share before t is the
     share of walks in buckets 0..k-1.
     """
-    idx = np.ceil(np.asarray(times, dtype=np.float64) / step)
-    return np.clip(idx, 0, nbuckets).astype(np.int64)
+    idx = np.ceil(np.asarray(times, dtype=np.float64) / STEP)
+    return np.clip(idx, 0, NBUCKETS).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -248,15 +251,17 @@ class FirstFailureDistribution:
     """Discretized first-failure time distribution for one (type, bid).
 
     counts[k] is the number of the `trials` walks whose first out-of-bid
-    event happens at elapsed time in [k*step, (k+1)*step); the walks left
-    over survive the whole horizon (or trace end).
+    event happens at elapsed time in [k*STEP, (k+1)*STEP), for each of the
+    NBUCKETS buckets; the walks left over survive HORIZON (or trace end).
     """
 
-    step: float
     counts: np.ndarray
     trials: int
 
     def __post_init__(self):
+        if self.counts.shape != (NBUCKETS,):
+            raise ValueError("counts must hold %d buckets, got shape %s"
+                             % (NBUCKETS, self.counts.shape))
         self.counts.flags.writeable = False
 
     @property
@@ -270,11 +275,11 @@ class FirstFailureDistribution:
 
     @property
     def bucket_times(self):
-        return np.arange(self.counts.size) * self.step
+        return np.arange(NBUCKETS) * STEP
 
     @cached_property
     def _failed_before(self):
-        """Share of walks failing strictly before grid points 0..len(counts).
+        """Share of walks failing strictly before grid points 0..NBUCKETS.
 
         The running count is summed in integers and divided once.
         """
@@ -285,10 +290,10 @@ class FirstFailureDistribution:
     def cumulative_before(self, times):
         """Probability of failing strictly before each elapsed time t.
 
-        (walks failing at a grid point k*step < t) / trials: exact, at most
+        (walks failing at a grid point k*STEP < t) / trials: exact, at most
         1, and monotone in t and in the bid (every bid shares the walks).
         """
-        return self._failed_before[grid_index(times, self.step, self.counts.size)]
+        return self._failed_before[grid_index(times)]
 
     @cached_property
     def _outcome_table(self):
@@ -297,9 +302,9 @@ class FirstFailureDistribution:
         cdf is the one rng.choice builds from the normalized masses.  Cell
         c of guide covers u in [c, c+1) / cells and holds the number of
         cdf values <= c / cells, or -1 when more than one cdf value falls
-        strictly inside the cell.  Built on the first draw, so
-        distributions that are only queried for cumulative failure never
-        pay for it.
+        strictly inside the cell; NBUCKETS + 1 outcomes fit int16.  Built
+        on the first draw, so distributions that are only queried for
+        cumulative failure never pay for it.
         """
         probs = np.append(self.masses, self.no_failure_mass)
         # Guard against tiny float drift in the probability vector.
@@ -309,8 +314,7 @@ class FirstFailureDistribution:
         edges = np.arange(_GUIDE_CELLS + 1) / _GUIDE_CELLS
         low = np.searchsorted(cdf, edges[:-1], side="right")
         high = np.searchsorted(cdf, edges[1:], side="left")
-        dtype = np.int16 if cdf.size <= np.iinfo(np.int16).max else np.int32
-        guide = np.where(high - low <= 1, low, -1).astype(dtype)
+        guide = np.where(high - low <= 1, low, -1).astype(np.int16)
         cdf.flags.writeable = False
         guide.flags.writeable = False
         return cdf, guide
@@ -331,8 +335,8 @@ class FirstFailureDistribution:
         idx = low + (u >= cdf[low])
         crowded = low < 0
         idx[crowded] = cdf.searchsorted(u[crowded], side="right")
-        times = idx * self.step
-        times[idx == self.counts.size] = np.inf
+        times = idx * STEP
+        times[idx == NBUCKETS] = np.inf
         return times
 
 
@@ -348,23 +352,15 @@ class FailureModel:
 
     traces: dict
     num_trials: int = 10_000
-    horizon: float = 86_400.0
-    step: float = 60.0
     rng_seed: int = 0
-    _cache: dict = field(default_factory=dict, repr=False)
-    _walks: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _walks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # fallback_time_sum's one-entry memo: ((spot dist, on-demand dist), W).
     _bucket_memo: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.num_trials < 1:
             raise ValueError("num_trials must be >= 1")
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-
-    @property
-    def nbuckets(self):
-        return int(math.ceil(self.horizon / self.step))
 
     def has_trace(self, type_id):
         return type_id in self.traces
@@ -378,8 +374,7 @@ class FailureModel:
         key, weights = self._bucket_memo
         if key is None or key[0] is not spot_dist or key[1] is not od_dist:
             spot, od = _paired((spot_dist, od_dist))
-            weights = np.bincount(grid_index(spot, self.step, self.nbuckets), weights=od,
-                                  minlength=self.nbuckets + 1)
+            weights = np.bincount(grid_index(spot), weights=od, minlength=NBUCKETS + 1)
             weights.flags.writeable = False
             self._bucket_memo = ((spot_dist, od_dist), weights)
         return float(np.dot(ffp._failed_before, weights))
@@ -415,7 +410,7 @@ def estimate_ffp(model, type_id, bid):
     duration (not over point indices, so irregular sampling intervals do not
     bias the estimate).  Each walk fails at the first moment the price
     exceeds the bid, including immediately at the start offset; walks
-    reaching the trace end or the horizon count as no-failure.
+    reaching the trace end or HORIZON count as no-failure.
     """
     if not 0 < bid < math.inf:
         raise ValueError("bid must be positive and finite")
@@ -434,10 +429,10 @@ def estimate_ffp(model, type_id, bid):
         j == seg, 0.0,
         np.where(j < n, trace.timestamps[np.minimum(j, n - 1)] - starts, np.inf),
     )
-    failed = elapsed < model.horizon
-    buckets = np.floor(elapsed[failed] / model.step).astype(np.int64)
-    counts = np.bincount(buckets, minlength=model.nbuckets)
-    result = FirstFailureDistribution(step=model.step, counts=counts, trials=model.num_trials)
+    failed = elapsed < HORIZON
+    buckets = np.floor(elapsed[failed] / STEP).astype(np.int64)
+    counts = np.bincount(buckets, minlength=NBUCKETS)
+    result = FirstFailureDistribution(counts=counts, trials=model.num_trials)
     model._cache[key] = result
     return result
 

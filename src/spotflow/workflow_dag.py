@@ -118,11 +118,6 @@ class WorkflowJob:
                 raise WorkflowError("task %d has a successor outside (%d, %d): %s"
                                     % (i, i, n, t.successors))
 
-    def task_by_id(self, task_id):
-        if not 0 <= task_id < len(self.tasks):
-            raise KeyError(task_id)
-        return self.tasks[task_id]
-
     def source_ids(self):
         return [t.id for t in self.tasks if not t.predecessors]
 

@@ -30,7 +30,7 @@ from spotflow.planner_astar import (
 )
 from spotflow.planner_hybrid import check_refinement, refine_plan
 from spotflow.simulator import SimConfig, Simulator
-from spotflow.spot_market import FailureModel, cumulative_failure
+from spotflow.spot_market import HORIZON, NBUCKETS, STEP, FailureModel, cumulative_failure
 from spotflow.workflow_dag import (
     HybridConfig,
     build_job,
@@ -285,12 +285,11 @@ def _oracle_cumulative_grid(low, high, seg, bid, horizon, step, cycles):
 
 def test_criterion_6_ffp_matches_oracle_and_is_bid_monotone():
     trace = alternating_trace(low=0.05, high=0.15, seg_seconds=3600.0, cycles=200)
-    model = FailureModel(traces={0: trace}, num_trials=10_000,
-                         horizon=7200.0, step=60.0, rng_seed=61)
-    oracle_cum = _oracle_cumulative_grid(0.05, 0.15, 3600, 0.10, 7200.0, 60.0, 200)
+    model = FailureModel(traces={0: trace}, num_trials=10_000, rng_seed=61)
+    oracle_cum = _oracle_cumulative_grid(0.05, 0.15, 3600, 0.10, HORIZON, STEP, 200)
     worst = 0.0
-    for k in range(121):  # every grid point in [0, horizon]
-        t = 60.0 * k
+    for k in range(NBUCKETS + 1):  # every grid point in [0, HORIZON]
+        t = STEP * k
         got = cumulative_failure(model, 0, 0.10, t)
         want = oracle_cum[min(k, len(oracle_cum) - 1)]
         worst = max(worst, abs(got - want))
@@ -300,8 +299,8 @@ def test_criterion_6_ffp_matches_oracle_and_is_bid_monotone():
         b1, b2 = sorted(rng.uniform(0.001, 0.2, size=2))
         for t in (600.0, 3600.0, 7200.0):
             assert cumulative_failure(model, 0, b1, t) >= cumulative_failure(model, 0, b2, t)
-    announce(6, "oracle agreement at 121 grid points (max gap %.4f), "
-                "bid monotonicity over 100 pairs" % worst)
+    announce(6, "oracle agreement at %d grid points (max gap %.4f), "
+                "bid monotonicity over 100 pairs" % (NBUCKETS + 1, worst))
 
 
 # ---------------------------------------------------------------------------

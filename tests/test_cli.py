@@ -462,6 +462,17 @@ class TestFfp:
         assert one_hour == pytest.approx(1.0, abs=0.03)
         assert values[-1] == pytest.approx(1.0, abs=0.02)
 
+    def test_table_covers_one_day_on_a_minute_grid(self, workspace, tmp_path):
+        trace_dir = tmp_path / "two"
+        trace_dir.mkdir()
+        (trace_dir / "t0.csv").write_text("0,0.02\n3600,0.5\n")
+        rc = cli.main(["ffp", *base_args(workspace, "--trace-dir", str(trace_dir)),
+                       "t0", "0.05"])
+        assert rc == 0
+        header, *rows = (workspace["tmp"] / "out" / "ffp.csv").read_text().splitlines()
+        assert header == "t_seconds,cumulative_failure"
+        assert [r.split(",")[0] for r in rows] == [str(60 * k) for k in range(1441)]
+
     def test_missing_trace_is_parse_error(self, workspace):
         rc = cli.main(["ffp", *base_args(workspace), "t0", "0.05"])
         assert rc == cli.EXIT_PARSE

@@ -21,7 +21,13 @@ from spotflow.planner_hybrid import (
     refine_plan,
     refine_task,
 )
-from spotflow.spot_market import FailureModel, FirstFailureDistribution, estimate_ffp
+from spotflow.spot_market import (
+    NBUCKETS,
+    STEP,
+    FailureModel,
+    FirstFailureDistribution,
+    estimate_ffp,
+)
 from spotflow.workflow_dag import ConfigDim, HybridConfig, build_job, deadline_bounds, montage_like
 
 from conftest import (
@@ -40,18 +46,18 @@ def pm(value, n=2000):
     return EmpiricalDistribution(np.full(n, value))
 
 
-def synthetic_ffp(step, count_by_bucket, trials):
-    nbuckets = max(count_by_bucket) + 1 if count_by_bucket else 1
-    counts = np.zeros(nbuckets, dtype=np.int64)
-    for bucket, count in count_by_bucket.items():
-        counts[bucket] = count
-    return FirstFailureDistribution(step=step, counts=counts, trials=trials)
+def synthetic_ffp(count_by_time, trials):
+    """First-failure distribution with count_by_time[t] walks failing at
+    elapsed time t, a grid point."""
+    counts = np.zeros(NBUCKETS, dtype=np.int64)
+    for t, count in count_by_time.items():
+        counts[int(t // STEP)] = count
+    return FirstFailureDistribution(counts=counts, trials=trials)
 
 
 def preset_model(type_id, bid, dist):
-    """Failure model with an injected first-failure distribution on the model's grid."""
-    model = FailureModel(traces={type_id: constant_trace(0.01)}, num_trials=10,
-                         step=dist.step, horizon=dist.step * dist.counts.size)
+    """Failure model with an injected first-failure distribution."""
+    model = FailureModel(traces={type_id: constant_trace(0.01)}, num_trials=10)
     model._cache[(type_id, float(bid))] = dist
     return model
 
@@ -60,7 +66,7 @@ class TestHybridTimeDistribution:
     def test_never_failing_equals_spot_distribution(self):
         spot = EmpiricalDistribution(_positive_draw(GammaSpec(5, 60), substream(1, "gamma"), 4000))
         od = EmpiricalDistribution(_positive_draw(GammaSpec(5, 80), substream(2, "gamma"), 4000))
-        ffp = synthetic_ffp(60.0, {}, trials=1)
+        ffp = synthetic_ffp({}, trials=1)
         got = hybrid_time_distribution(spot, ffp, od, seed=3)
         for q in np.linspace(0, 1, 21):
             assert got.percentile(q) == pytest.approx(spot.percentile(q))
@@ -68,23 +74,23 @@ class TestHybridTimeDistribution:
     def test_certain_immediate_failure_equals_ondemand(self):
         spot = EmpiricalDistribution(_positive_draw(GammaSpec(5, 60), substream(1, "gamma"), 4000))
         od = EmpiricalDistribution(_positive_draw(GammaSpec(5, 80), substream(2, "gamma"), 4000))
-        ffp = synthetic_ffp(60.0, {0: 1}, trials=1)
+        ffp = synthetic_ffp({0.0: 1}, trials=1)
         got = hybrid_time_distribution(spot, ffp, od, seed=3)
         for q in np.linspace(0, 1, 21):
             assert got.percentile(q) == pytest.approx(od.percentile(q))
 
     def test_two_branch_hand_enumeration(self):
-        # Spot takes 10 s, on-demand 8 s; failure hits at t=5 with prob 0.5.
-        spot, od = pm(10.0), pm(8.0)
-        ffp = synthetic_ffp(5.0, {1: 1}, trials=2)
+        # Spot takes 600 s, on-demand 480 s; failure hits at t=300 with prob 0.5.
+        spot, od = pm(600.0), pm(480.0)
+        ffp = synthetic_ffp({300.0: 1}, trials=2)
         got = hybrid_time_distribution(spot, ffp, od, seed=4)
         values = set(np.round(got.samples, 9))
-        assert values == {10.0, 13.0}
-        frac_13 = float(np.mean(got.samples == 13.0))
-        assert frac_13 == pytest.approx(0.5, abs=0.03)
+        assert values == {600.0, 780.0}
+        frac_780 = float(np.mean(got.samples == 780.0))
+        assert frac_780 == pytest.approx(0.5, abs=0.03)
 
     def test_unequal_sample_counts_rejected(self):
-        ffp = synthetic_ffp(5.0, {1: 1}, trials=2)
+        ffp = synthetic_ffp({300.0: 1}, trials=2)
         with pytest.raises(ValueError, match="unequal sample counts"):
             hybrid_time_distribution(pm(10.0, 2000), ffp, pm(8.0, 1000), seed=5)
 
@@ -92,20 +98,20 @@ class TestHybridTimeDistribution:
 class TestHybridCost:
     def test_never_failing_spot_charges_bid_only(self):
         config = HybridConfig((ConfigDim(0, 0.1, True), ConfigDim(0, 0.2, False)))
-        model = preset_model(0, 0.1, synthetic_ffp(60.0, {}, trials=1))
+        model = preset_model(0, 0.1, synthetic_ffp({}, trials=1))
         cost = hybrid_cost(config, [pm(1800.0), pm(1800.0)], model)
         assert cost == pytest.approx(0.1 * 0.5)
 
     def test_half_failure_hand_computation(self):
         # cumulative failure before the 0.5 h spot time is exactly 0.5.
         config = HybridConfig((ConfigDim(0, 0.1, True), ConfigDim(0, 0.2, False)))
-        model = preset_model(0, 0.1, synthetic_ffp(900.0, {1: 1}, trials=2))
+        model = preset_model(0, 0.1, synthetic_ffp({900.0: 1}, trials=2))
         cost = hybrid_cost(config, [pm(1800.0), pm(1800.0)], model)
         assert cost == pytest.approx(0.1 * 0.5 + 0.5 * 0.2 * 0.5)
 
     def test_zero_duration_task_costs_nothing(self):
         config = HybridConfig((ConfigDim(0, 0.1, True), ConfigDim(0, 0.2, False)))
-        model = preset_model(0, 0.1, synthetic_ffp(60.0, {0: 1}, trials=1))
+        model = preset_model(0, 0.1, synthetic_ffp({0.0: 1}, trials=1))
         cost = hybrid_cost(config, [pm(0.0), pm(0.0)], model)
         assert cost == 0.0
 

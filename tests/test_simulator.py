@@ -438,7 +438,7 @@ class TestInvariants:
             if not m:
                 continue
             t, j, task = map(int, m.groups())
-            for pred in job.task_by_id(task).predecessors:
+            for pred in job.tasks[task].predecessors:
                 assert finishes[(j, pred)] <= t
 
     def test_every_job_completes(self):

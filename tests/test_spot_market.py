@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from spotflow.spot_market import (
+    HORIZON,
+    NBUCKETS,
+    STEP,
     FailureModel,
     FirstFailureDistribution,
     SpotPriceTrace,
@@ -22,14 +25,14 @@ class TestLoadTrace:
         path = tmp_path / "t.csv"
         path.write_text("0,0.05\n3600,0.06\n7200,0.05\n")
         trace = load_trace(path)
-        assert len(trace) == 3
+        assert trace.timestamps.size == 3
         assert trace.price_at(3600) == 0.06
 
     def test_iso8601_timestamps(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("2013-08-01T00:00:00,0.05\n2013-08-01T01:00:00,0.06\n")
         trace = load_trace(path)
-        assert len(trace) == 2
+        assert trace.timestamps.size == 2
 
     def test_unsorted_rejected_with_line(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -148,11 +151,10 @@ class TestEstimateFfp:
         assert dist.masses.sum() + dist.no_failure_mass == pytest.approx(1.0, abs=1e-9)
 
     def test_alternating_matches_offset_oracle(self):
-        model = FailureModel(traces={0: alternating_trace()}, num_trials=10_000,
-                             horizon=7200.0, step=60.0, rng_seed=3)
+        model = FailureModel(traces={0: alternating_trace()}, num_trials=10_000, rng_seed=3)
         for t_query in (60.0, 1800.0, 3600.0, 5400.0, 7200.0):
             got = cumulative_failure(model, 0, 0.10, t_query)
-            want = exhaustive_offset_oracle(0.05, 0.15, 3600, 0.10, 7200.0, 60.0, t_query)
+            want = exhaustive_offset_oracle(0.05, 0.15, 3600, 0.10, HORIZON, STEP, t_query)
             assert got == pytest.approx(want, abs=0.02), t_query
 
     def test_rejects_nonpositive_bid(self):
@@ -165,6 +167,11 @@ class TestEstimateFfp:
         for bid in (math.nan, math.inf):
             with pytest.raises(ValueError, match="bid must be positive and finite"):
                 estimate_ffp(model, 0, bid)
+
+    def test_counts_off_the_grid_are_rejected(self):
+        for shape in (0, 1, NBUCKETS - 1, NBUCKETS + 1, (1, NBUCKETS)):
+            with pytest.raises(ValueError, match="counts must hold 1440 buckets"):
+                FirstFailureDistribution(counts=np.zeros(shape, dtype=np.int64), trials=1)
 
     def test_deterministic_for_seed(self):
         model_a = FailureModel(traces={0: alternating_trace()}, num_trials=3000, rng_seed=9)
@@ -205,7 +212,7 @@ class TestEstimateFfp:
         assert got[above] == 1.0
         exceed = {bid: trace._next_exceed_index(bid) for bid in order}
         assert exceed[below][0] == 1
-        assert np.all(exceed[above] == len(trace))
+        assert np.all(exceed[above] == trace.prices.size)
 
 
 def next_exceed_by_loop(prices, bid):
@@ -240,16 +247,23 @@ def choice_reference(dist, rng, n):
     return rng.choice(outcomes, size=n, p=probs / probs.sum())
 
 
-def counts_with_gaps(rng, nbuckets, trials, failure_share):
-    """Random integer bucket counts, about 60% of them zero, summing to
+def counts_with_gaps(rng, used, trials, failure_share):
+    """Random integer counts over the grid's first `used` buckets, about 60%
+    of them zero and the rest of the grid empty, summing to
     round(failure_share * trials) walks (at least one bucket is nonzero
     whenever that sum is)."""
     failed = int(round(failure_share * trials))
-    weights = rng.random(nbuckets) * (rng.random(nbuckets) < 0.4)
-    weights[rng.integers(nbuckets)] += 0.5
+    weights = np.zeros(NBUCKETS)
+    weights[:used] = rng.random(used) * (rng.random(used) < 0.4)
+    weights[rng.integers(used)] += 0.5
     counts = np.floor(weights / weights.sum() * failed).astype(np.int64)
     counts[int(np.argmax(weights))] += failed - counts.sum()
     return counts
+
+
+def on_grid(masses):
+    """The given leading bucket masses, zero-padded to the grid."""
+    return np.concatenate((masses, np.zeros(NBUCKETS - masses.size)))
 
 
 class TestSampleFailureTimes:
@@ -259,13 +273,13 @@ class TestSampleFailureTimes:
         (np.zeros(1440), 1.0),                      # all mass in no-failure
         (np.eye(1, 1440)[0], 0.0),                  # all mass in bucket 0
         (np.eye(1, 1440, 1439)[0], 0.0),            # all mass in the last bucket
-        (np.full(4, 0.25), 0.0),
-        (np.array([0.0, 0.5, 0.0, 0.0]), 0.5),
+        (on_grid(np.full(4, 0.25)), 0.0),
+        (on_grid(np.array([0.0, 0.5, 0.0, 0.0])), 0.5),
     ])
     def test_matches_choice_on_edge_vectors(self, masses, no_failure):
         # Count vectors whose derived masses are exactly the given ones.
         counts = (masses * self.TRIALS).astype(np.int64)
-        dist = FirstFailureDistribution(step=60.0, counts=counts, trials=self.TRIALS)
+        dist = FirstFailureDistribution(counts=counts, trials=self.TRIALS)
         assert dist.masses.tobytes() == masses.tobytes()
         assert dist.no_failure_mass == no_failure
         self.check(dist, seed=1, n=5000)
@@ -273,13 +287,12 @@ class TestSampleFailureTimes:
     def test_matches_choice_on_random_vectors_with_zero_buckets(self):
         rng = np.random.default_rng(21)
         for trial in range(60):
-            nbuckets = int(rng.choice([1, 3, 100, 1440, 5000]))
+            used = int(rng.choice([1, 3, 100, NBUCKETS]))
             share = float(rng.choice([1.0, 0.9, 0.3]))
             trials = int(rng.choice([10, 10_000, 123_457]))
-            counts = counts_with_gaps(rng, nbuckets, trials, share)
-            assert (counts == 0).any() or nbuckets < 100
-            dist = FirstFailureDistribution(step=float(rng.choice([1.0, 60.0, 37.5])),
-                                            counts=counts, trials=trials)
+            counts = counts_with_gaps(rng, used, trials, share)
+            assert (counts == 0).any()
+            dist = FirstFailureDistribution(counts=counts, trials=trials)
             self.check(dist, seed=trial, n=int(rng.choice([1, 10, 20_000])))
 
     def test_matches_choice_on_an_estimated_distribution(self):
@@ -306,9 +319,8 @@ class TestCumulativeFailure:
         assert cumulative_failure(model, 0, 0.20, 86_400.0) == 0.0
 
     def test_full_horizon_on_alternating(self):
-        model = FailureModel(traces={0: alternating_trace()}, num_trials=10_000,
-                             horizon=7200.0, step=60.0, rng_seed=4)
-        assert cumulative_failure(model, 0, 0.10, 7200.0) == pytest.approx(1.0, abs=0.02)
+        model = FailureModel(traces={0: alternating_trace()}, num_trials=10_000, rng_seed=4)
+        assert cumulative_failure(model, 0, 0.10, HORIZON) == pytest.approx(1.0, abs=0.02)
 
     def test_monotone_in_t(self):
         model = FailureModel(traces={0: alternating_trace()}, num_trials=3000, rng_seed=5)
@@ -336,20 +348,19 @@ class TestCumulativeFailure:
         # counts.sum() / trials exactly, so never above 1.
         rng = np.random.default_rng(31)
         for trial in range(40):
-            nbuckets = int(rng.choice([1, 3, 100, 1440]))
+            used = int(rng.choice([1, 3, 100, NBUCKETS]))
             trials = int(rng.choice([1, 7, 10_000, 123_457]))
-            step = float(rng.choice([1.0, 60.0, 37.5]))
-            counts = counts_with_gaps(rng, nbuckets, trials, float(rng.choice([1.0, 0.9, 0.3])))
-            dist = FirstFailureDistribution(step=step, counts=counts, trials=trials)
+            counts = counts_with_gaps(rng, used, trials, float(rng.choice([1.0, 0.9, 0.3])))
+            dist = FirstFailureDistribution(counts=counts, trials=trials)
             model = FailureModel(traces={0: constant_trace(0.01)}, num_trials=trials)
             model._cache[(0, 0.5)] = dist
-            end = nbuckets * step
-            past = [end - step / 2, end, end + 1.0, 10 * end, math.inf]
+            end = HORIZON
+            past = [end - STEP / 2, end, end + 1.0, 10 * end, math.inf]
             times = np.concatenate((rng.uniform(0.0, 1.2 * end, size=50),
                                     dist.bucket_times, past))
             got = dist.cumulative_before(times)
             scalar = [cumulative_failure(model, 0, 0.5, t) for t in times]
-            want = [int(counts[:min(math.ceil(t / step), nbuckets)].sum()) / trials
+            want = [int(counts[:min(math.ceil(t / STEP), NBUCKETS)].sum()) / trials
                     if t < math.inf else int(counts.sum()) / trials for t in times]
             assert got.tolist() == scalar == want
             assert got[-len(past):].tolist() == [int(counts.sum()) / trials] * len(past)

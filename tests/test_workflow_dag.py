@@ -35,16 +35,10 @@ def uniform_dist(lo, hi, n=10_000, seed=0):
 
 
 class TestTaskById:
-    def test_finds_every_task_and_rejects_unknown_ids(self):
-        job = montage_like(4)
-        assert all(job.task_by_id(t.id) is t for t in job.tasks)
-        with pytest.raises(KeyError):
-            job.task_by_id(len(job.tasks))
-
     def test_replaced_job_indexes_its_own_tasks(self):
         job = build_job({5: cpu_profile(1.0), 9: cpu_profile(2.0)}, [(9, 5)])
         other = job.with_deadline(100.0)
-        assert [other.task_by_id(i) for i in (0, 1)] == job.tasks
+        assert other.tasks == job.tasks
 
 
 class TestAssignIds:
@@ -289,7 +283,7 @@ class TestDeadlineBounds:
                            mixed_profile(0.5), mixed_profile(2.0)])
         cache = TaskDistCache(job, cat, sample_count=300, seed=4)
         for k in (0, 2):
-            cpu_time = job.task_by_id(1).profile.instructions / cat[k].cpu_speed
+            cpu_time = job.tasks[1].profile.instructions / cat[k].cpu_speed
             assert cache.dist(1, k).expectation() != cpu_time
         with_cache = deadline_bounds(job, cat, n=300, seed=4, cache=cache)
         assert with_cache == deadline_bounds(job, cat, n=300, seed=4)
