@@ -76,6 +76,10 @@ class ExperimentSpec:
             raise ValueError("guarantee must be in (0, 1]")
         if self.samples < 2:
             raise ValueError("samples must be >= 2, got %d" % self.samples)
+        if not math.isfinite(self.deadline_factor):
+            raise ValueError("deadline_factor must be finite, got %r" % self.deadline_factor)
+        if self.deadline is not None and not 0 < self.deadline < math.inf:
+            raise ValueError("deadline must be positive and finite, got %r" % self.deadline)
 
     def load_catalog(self):
         if self.catalog is None:
@@ -108,14 +112,6 @@ class ExperimentSpec:
                                  % (job.class_id, jobs[job.class_id][0], path))
             jobs[job.class_id] = (path, job)
         return [job for _, job in jobs.values()]
-
-    def planning_deadline(self, job, catalog, cache):
-        """The class's planning deadline, from the class's TaskDistCache."""
-        if self.deadline is not None:
-            return float(self.deadline)
-        d_min, d_max = workflow_dag.deadline_bounds(
-            job, catalog, n=self.samples, seed=self.seed, cache=cache)
-        return d_min + self.deadline_factor * (d_max - d_min)
 
 
 def _spec_from_args(args):
@@ -176,52 +172,60 @@ def _failure_model(spec, catalog):
         traces=traces, num_trials=spec.ffp_trials, rng_seed=spec.seed)
 
 
+def plan_class(spec, job, catalog, failure):
+    """Plan one workflow class: its deadline, the on-demand search, then the
+    task configs (spot refinement against `failure`, on demand only for
+    dyna-ns, or fixed-bid spot for spot-only).  Returns the JobPlan and the
+    on-demand plan's expected cost; raises InfeasiblePlanError.
+    """
+    cache = planner_astar.TaskDistCache(job, catalog, spec.samples, spec.seed)
+    deadline = spec.deadline
+    if deadline is None:
+        d_min, d_max = workflow_dag.deadline_bounds(
+            job, catalog, n=spec.samples, seed=spec.seed, cache=cache)
+        deadline = d_min + spec.deadline_factor * (d_max - d_min)
+    job = job.with_deadline(float(deadline))
+    plan = planner_astar.astar_configure(
+        job, catalog, params=planner_astar.AStarParams(max_iter=spec.max_iter), cache=cache)
+    if spec.planner == "spot-only":
+        # simulate replays a trace for every spot type a plan uses.
+        for type_id in plan:
+            if failure is None or not failure.has_trace(type_id):
+                raise spot_market.TraceError("no trace for type %s" % catalog[type_id].name)
+        # High fixed bid: spot execution with an (unreachable) on-demand
+        # fallback dimension retained as the completion guarantee.
+        configs = [
+            workflow_dag.HybridConfig((
+                workflow_dag.ConfigDim(type_id, SPOT_ONLY_BID, True),
+                workflow_dag.ConfigDim(type_id, catalog[type_id].ondemand_price, False),
+            ))
+            for type_id in plan
+        ]
+    else:  # dyna-ns is dyna without a spot market: tasks stay on demand.
+        configs = planner_hybrid.refine_plan(
+            job, plan, failure if spec.planner == "dyna" else None, cache, seed=spec.seed)
+    job_plan = planner_astar.JobPlan(job.class_id, job.deadline, job.guarantee_p, configs)
+    return job_plan, planner_astar.plan_cost(cache, tuple(plan))
+
+
 def cmd_plan(spec):
     catalog = spec.load_catalog()
     jobs = spec.load_workflows()
-    # dyna-ns is dyna without a spot market: refinement keeps tasks on demand.
-    failure = _failure_model(spec, catalog) if spec.planner == "dyna" else None
-    traces = spec.load_traces(catalog) if spec.planner == "spot-only" else None
+    failure = None if spec.planner == "dyna-ns" else _failure_model(spec, catalog)
     out = _out_dir(spec)
     plans = {}
     failed = 0
     for job in jobs:
         t0 = time.perf_counter()
-        cache = planner_astar.TaskDistCache(job, catalog, spec.samples, spec.seed)
-        job = job.with_deadline(spec.planning_deadline(job, catalog, cache))
-        params = planner_astar.AStarParams(max_iter=spec.max_iter)
         try:
-            plan = planner_astar.astar_configure(job, catalog, params=params, cache=cache)
+            job_plan, est_cost = plan_class(spec, job, catalog, failure)
         except planner_astar.InfeasiblePlanError as exc:
             print("infeasible: %s" % exc, file=sys.stderr)
             failed += 1
             continue
-        if spec.planner == "spot-only":
-            # simulate replays a trace for every spot type a plan uses.
-            for type_id in plan:
-                if type_id not in traces:
-                    raise spot_market.TraceError("no trace for type %s" % catalog[type_id].name)
-            # High fixed bid: spot execution with an (unreachable) on-demand
-            # fallback dimension retained as the completion guarantee.
-            configs = [
-                workflow_dag.HybridConfig((
-                    workflow_dag.ConfigDim(plan[t.id], SPOT_ONLY_BID, True),
-                    workflow_dag.ConfigDim(
-                        plan[t.id], catalog[plan[t.id]].ondemand_price, False),
-                ))
-                for t in job.tasks
-            ]
-        else:
-            configs = planner_hybrid.refine_plan(job, plan, failure, cache, seed=spec.seed)
         wall = time.perf_counter() - t0
-        plans[job.class_id] = planner_astar.JobPlan(
-            class_id=job.class_id,
-            deadline=job.deadline,
-            guarantee_p=job.guarantee_p,
-            task_configs=configs,
-        )
-        est_cost = planner_astar.plan_cost(cache, tuple(plan))
-        spot_dims = sum(len(c.spot_dims) for c in configs)
+        plans[job.class_id] = job_plan
+        spot_dims = sum(len(c.spot_dims) for c in job_plan.task_configs)
         print("planned %s: %d tasks, est. cost $%.4f, %d spot dims, %.2f s"
               % (job.class_id, len(job.tasks), est_cost, spot_dims, wall))
     if plans:

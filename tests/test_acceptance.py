@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from spotflow.cli import ExperimentSpec, plan_class
 from spotflow.cloud_model import NormalSpec, TaskProfile, _positive_draw, default_catalog
 from spotflow.distributions import (
     EmpiricalDistribution,
@@ -166,23 +167,14 @@ def test_criterion_3_refinement_gates_hold_for_every_refined_task():
 # 4. Directional cost savings across planner modes
 # ---------------------------------------------------------------------------
 
-def _plan_and_simulate(job, catalog, cache, traces, mode, seed):
-    plan = astar_configure(job, catalog, cache=cache)
-    if mode == "dyna-ns":
-        configs = [HybridConfig.ondemand_only(catalog[plan[t.id]]) for t in job.tasks]
-    elif mode == "spot-only":
-        from spotflow.workflow_dag import ConfigDim
-        configs = [HybridConfig((ConfigDim(plan[t.id], 1000.0, True),
-                                 ConfigDim(plan[t.id],
-                                           catalog[plan[t.id]].ondemand_price, False)))
-                   for t in job.tasks]
-    else:
-        failure = FailureModel(traces=traces, num_trials=6000, rng_seed=seed)
-        configs = refine_plan(job, plan, failure, cache, seed=seed)
-    plans = {job.class_id: JobPlan(job.class_id, job.deadline, job.guarantee_p, configs)}
+def _plan_and_simulate(job, catalog, traces, mode, deadline):
+    spec = ExperimentSpec(deadline=deadline, samples=4000, seed=41, ffp_trials=6000,
+                          planner=mode)
+    failure = FailureModel(traces=traces, num_trials=spec.ffp_trials, rng_seed=spec.seed)
+    job_plan, _ = plan_class(spec, job, catalog, failure)
     sim = Simulator(SimConfig(job_count=200, seed=99, arrival_rate_per_min=0.5),
-                    [job], plans, catalog, traces)
-    return sim.run(), configs
+                    [job], {job.class_id: job_plan}, catalog, traces)
+    return sim.run(), job_plan.task_configs
 
 
 def test_criterion_4_directional_savings_and_spot_risk():
@@ -190,14 +182,13 @@ def test_criterion_4_directional_savings_and_spot_risk():
     job = chain_job([cpu_profile(600.0), cpu_profile(450.0), cpu_profile(300.0)],
                     guarantee_p=0.90, class_id="costs")
     d_min, d_max = deadline_bounds(job, catalog, n=1000, seed=41)
-    job = job.with_deadline(d_max * 1.3)
-    cache = TaskDistCache(job, catalog, sample_count=4000, seed=41)
+    deadline = d_max * 1.3
 
     stable = {0: stable_trace(0.024, hours=600)}
-    rep_dyna, configs = _plan_and_simulate(job, catalog, cache, stable, "dyna", 41)
+    rep_dyna, configs = _plan_and_simulate(job, catalog, stable, "dyna", deadline)
     assert any(c.spot_dims for c in configs), "stable trace must yield spot dims"
-    rep_ns, _ = _plan_and_simulate(job, catalog, cache, stable, "dyna-ns", 41)
-    rep_spot, _ = _plan_and_simulate(job, catalog, cache, stable, "spot-only", 41)
+    rep_ns, _ = _plan_and_simulate(job, catalog, stable, "dyna-ns", deadline)
+    rep_spot, _ = _plan_and_simulate(job, catalog, stable, "spot-only", deadline)
 
     savings = 1.0 - rep_dyna.avg_cost_per_job / rep_ns.avg_cost_per_job
     assert savings >= 0.05, "savings vs on-demand-only: %.3f" % savings
@@ -205,8 +196,8 @@ def test_criterion_4_directional_savings_and_spot_risk():
     assert spot_gap <= 0.10 * rep_dyna.avg_cost_per_job
 
     spiky = {0: spiky_trace(base=0.024, spike=3.0, low_hours=3, spike_hours=1)}
-    rep_dyna_spiky, spiky_configs = _plan_and_simulate(job, catalog, cache, spiky, "dyna", 41)
-    rep_spot_spiky, _ = _plan_and_simulate(job, catalog, cache, spiky, "spot-only", 41)
+    rep_dyna_spiky, _ = _plan_and_simulate(job, catalog, spiky, "dyna", deadline)
+    rep_spot_spiky, _ = _plan_and_simulate(job, catalog, spiky, "spot-only", deadline)
     assert rep_spot_spiky.avg_cost_per_job > rep_dyna_spiky.avg_cost_per_job
 
     announce(4, "stable: %.1f%% savings vs on-demand-only, spot-only gap %.1f%%; "
@@ -359,16 +350,13 @@ def test_criterion_8_hundred_task_planning_under_a_minute():
     assert len(job.tasks) == 100
 
     t0 = time.perf_counter()
-    d_min, d_max = deadline_bounds(job, catalog, n=2000, seed=83)
-    job = job.with_deadline((d_min + d_max) / 2)
-    cache = TaskDistCache(job, catalog, sample_count=2000, seed=83)
-    plan = astar_configure(job, catalog, cache=cache)
     traces = {t.id: stable_trace(0.4 * t.ondemand_price, hours=400, seed=t.id)
               for t in catalog}
-    failure = FailureModel(traces=traces, num_trials=4000, rng_seed=83)
-    configs = refine_plan(job, plan, failure, cache, seed=83)
+    spec = ExperimentSpec(deadline_factor=0.5, samples=2000, seed=83, ffp_trials=4000)
+    failure = FailureModel(traces=traces, num_trials=spec.ffp_trials, rng_seed=spec.seed)
+    job_plan, _ = plan_class(spec, job, catalog, failure)
     elapsed = time.perf_counter() - t0
 
-    assert len(configs) == 100
+    assert len(job_plan.task_configs) == 100
     assert elapsed < 60.0, "planning took %.1f s" % elapsed
     announce(8, "100-task plan plus refinement in %.1f s" % elapsed)

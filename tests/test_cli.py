@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from spotflow import cli, workflow_dag
+from spotflow import cli, planner_astar, workflow_dag
 from spotflow.cloud_model import Catalog, GammaSpec, save_catalog
 from spotflow.planner_astar import TaskDistCache, load_plan_cache, plan_distribution
 from spotflow.workflow_dag import save_workflow
@@ -161,6 +161,22 @@ class TestPlan:
         rc = cli.main(["plan", *base_args(workspace, "--samples", samples)])
         assert rc == cli.EXIT_PARSE
         assert "samples must be >= 2, got %s" % samples in capsys.readouterr().err
+        assert not (workspace["tmp"] / "out" / "plans.json").exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--deadline-factor", "nan", "deadline_factor must be finite, got nan"),
+        ("--deadline-factor", "inf", "deadline_factor must be finite, got inf"),
+        ("--deadline", "0", "deadline must be positive and finite, got 0.0"),
+        ("--deadline", "inf", "deadline must be positive and finite, got inf"),
+        ("--deadline", "nan", "deadline must be positive and finite, got nan"),
+    ])
+    def test_bad_deadline_is_parse_error_before_any_draw(self, workspace, capsys, monkeypatch,
+                                                         flag, value, message):
+        monkeypatch.setattr(planner_astar, "TaskDistCache", None)  # a draw would raise
+        rc = cli.main(["plan", *base_args(workspace, flag, value)])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_PARSE
+        assert err == "error: %s\n" % message
         assert not (workspace["tmp"] / "out" / "plans.json").exists()
 
     def test_bandwidth_without_positive_mass_is_parse_error(self, workspace, capsys):

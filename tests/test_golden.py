@@ -17,6 +17,7 @@ and says so in CHANGES.md.
 """
 
 import pathlib
+import re
 import sys
 from collections import Counter
 
@@ -70,6 +71,19 @@ def test_outputs_match_golden_files(tmp_path):
     out = run_case(tmp_path)
     for name, golden in GOLDEN.items():
         assert (out / name).read_bytes() == golden.read_bytes(), name
+
+
+def test_plan_stdout_matches_golden_lines(tmp_path, capsys):
+    """`spotflow plan` prints one line per class and the cache path; wall time masked."""
+    out = run_case(tmp_path)
+    lines = capsys.readouterr().out.splitlines()
+    plan_lines = [re.sub(r", [0-9.]+ s$", ", <wall> s", line) for line in lines
+                  if line.startswith(("planned ", "plan cache written"))]
+    assert plan_lines == [
+        "planned montage-like-4: 15 tasks, est. cost $0.1663, 14 spot dims, <wall> s",
+        "planned ligo-like-1x4: 7 tasks, est. cost $0.1868, 6 spot dims, <wall> s",
+        "plan cache written to %s" % (out / "plans.json"),
+    ]
 
 
 def test_golden_event_log_covers_interruptions_and_reuse():

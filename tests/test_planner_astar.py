@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from spotflow import planner_astar
+from spotflow.cli import ExperimentSpec, plan_class
 from spotflow.cloud_model import (
     Catalog,
     GammaSpec,
@@ -29,7 +30,6 @@ from spotflow.planner_astar import (
     plan_cost,
     save_plan_cache,
 )
-from spotflow.planner_hybrid import refine_plan
 from spotflow.spot_market import FailureModel
 from spotflow.workflow_dag import ConfigDim, HybridConfig, build_job, deadline_bounds
 
@@ -314,12 +314,8 @@ class TestTaskDistCache:
         cat = ordered_catalog(3)
         job = diamond_job([mixed_profile(), cpu_profile(50.0),
                            mixed_profile(0.5), mixed_profile(2.0)])
-        cache = TaskDistCache(job, cat, 300, 4)
-        d_min, d_max = deadline_bounds(job, cat, n=300, seed=4, cache=cache)
-        job = job.with_deadline((d_min + d_max) / 2)
-        plan = astar_configure(job, cat, cache=cache)
         failure = FailureModel(traces={0: stable_trace(0.02)}, num_trials=500, rng_seed=2)
-        refine_plan(job, plan, failure, cache, seed=4)
+        plan_class(ExperimentSpec(samples=300, seed=4), job, cat, failure)
         assert len(calls) == len(job.tasks) * len(cat)
 
     def test_a_failing_draw_reaches_the_caller_unchanged(self):
