@@ -76,6 +76,9 @@ class ExperimentSpec:
             raise ValueError("guarantee must be in (0, 1]")
         if self.samples < 2:
             raise ValueError("samples must be >= 2, got %d" % self.samples)
+        for name in ("max_iter", "ffp_trials", "jobs"):
+            if getattr(self, name) < 1:
+                raise ValueError("%s must be >= 1, got %d" % (name, getattr(self, name)))
         if not math.isfinite(self.deadline_factor):
             raise ValueError("deadline_factor must be finite, got %r" % self.deadline_factor)
         if self.deadline is not None and not 0 < self.deadline < math.inf:

@@ -39,16 +39,23 @@ The event loop does simulation work only: heap entries hold plain ints,
 `run` dispatches through a tuple of handlers indexed by event kind, event
 log lines are formatted only when the log is collected, and a task's
 consolidation headroom estimate is drawn only when a consolidation check
-reads it.
+reads it.  No event makes or reads a numpy scalar: a request reads its
+(type, spot flag, price, lag) from a per-class table built once, durations
+are `array("q")` tables drawn on first use and read by index, the paid
+hour is integer ceil-division, and a price trace answers cyclic lookups by
+bisecting its compact `array("d")` columns, of which its numpy arrays are
+views.  One job arrival is queued at a time, so the heap holds only the
+events in flight.
 """
 
 import bisect
 import enum
-import heapq
 import json
 import math
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from operator import attrgetter
 
 import numpy as np
@@ -81,6 +88,8 @@ class EventKind(enum.IntEnum):
 # Plain-int kinds for heap entries: the heap compares them and `run` indexes
 # its handler tuple with them.
 _TASK_FINISH, _OUT_OF_BID, _JOB_ARRIVAL, _INSTANCE_READY, _INSTANCE_RELEASE = map(int, EventKind)
+
+_HOUR = int(SECONDS_PER_HOUR)
 
 
 @dataclass
@@ -116,8 +125,15 @@ class Instance:
     idle_order: int = 0
 
     def paid_until(self, now):
-        """End of the billing hour running at `now` (`now` itself on a boundary)."""
-        return self.ready_time + int(SECONDS_PER_HOUR) * ceil_hours(now - self.ready_time)
+        """End of the billing hour running at `now` (`now` itself on a boundary).
+
+        ready_time + 3600 * ceil_hours(now - ready_time), by integer
+        ceil-division.
+        """
+        elapsed = now - self.ready_time
+        if elapsed <= 0:
+            return self.ready_time
+        return self.ready_time - (-elapsed // _HOUR) * _HOUR
 
 
 class InstancePool:
@@ -157,10 +173,12 @@ class InstancePool:
         found no reusable spot instance while an on-demand one idles.
         """
         idle = self._idle[type_id, is_spot]
+        if not is_spot:
+            return self.instances[idle.pop(0)] if idle else None
         for i, inst_id in enumerate(idle):
-            if not is_spot or self.instances[inst_id].bid >= bid:
+            if self.instances[inst_id].bid >= bid:
                 return self.instances[idle.pop(i)]
-        od_idle = self._idle[type_id, False] if is_spot else ()
+        od_idle = self._idle[type_id, False]
         if od_idle:
             expected = expected_time()
             for i, inst_id in enumerate(od_idle):
@@ -212,6 +230,11 @@ class JobRun:
     cls: object  # WorkflowJob
     plan: object  # JobPlan
     arrival: int
+    # The class's tables, shared by its jobs: by task id, then attempt,
+    # the request (type id, spot flag, price, whole-second lag) and the
+    # duration array by job index (None until drawn).
+    requests: list
+    durations: list
     unfinished: int = 0
     pending_preds: list = field(default_factory=list)  # by task id
     completion: int | None = None
@@ -272,6 +295,17 @@ class Simulator:
                         )
             self.plans[cls.class_id] = plan
 
+        # class id -> JobRun.requests, read once per request instead of the
+        # plan's dimensions and the catalog's lags.
+        self._requests = {
+            cls.class_id: [
+                tuple((d.type_id, d.is_spot, d.price, int(catalog[d.type_id].lag(d.is_spot)))
+                      for d in config_.dims)
+                for config_ in self.plans[cls.class_id].task_configs
+            ]
+            for cls in self.classes
+        }
+        self._sources = {cls.class_id: cls.source_ids() for cls in self.classes}
         self.pool = InstancePool()
         self.heap = []
         self._seq = 0
@@ -280,8 +314,8 @@ class Simulator:
         self.bills = []  # (instance_id, type_id, is_spot, hours, amount)
         self.event_log = []
         self._logging = config.collect_event_log
+        self._release_at_once = config.idle_release_policy == "immediate"
         self._expected_cache = {}
-        self._durations = {}  # (class_id, task_id, attempt) -> int64 array by job index
 
     # ------------------------------------------------------------------
     # event plumbing
@@ -289,7 +323,7 @@ class Simulator:
 
     def _push(self, time_, kind, payload):
         # Every caller passes an int time and a plain-int kind.
-        heapq.heappush(self.heap, (time_, kind, self._seq, payload))
+        heappush(self.heap, (time_, kind, self._seq, payload))
         self._seq += 1
 
     # ------------------------------------------------------------------
@@ -300,9 +334,8 @@ class Simulator:
         self._schedule_arrivals()
         handlers = tuple(getattr(self, "_on_" + kind.name.lower()) for kind in EventKind)
         heap = self.heap
-        pop = heapq.heappop
         while heap:
-            time_, kind, _, payload = pop(heap)
+            time_, kind, _, payload = heappop(heap)
             self.now = time_
             handlers[kind](payload)
         incomplete = [j.index for j in self.jobs if j.completion is None]
@@ -319,6 +352,8 @@ class Simulator:
         gaps = rng.exponential(scale, size=self.config.job_count)
         preds = {cls.class_id: [len(tk.predecessors) for tk in cls.tasks]
                  for cls in self.classes}
+        durations = {class_id: [[None] * len(attempts) for attempts in requests]
+                     for class_id, requests in self._requests.items()}
         t = 0.0
         for i, gap in enumerate(gaps.tolist()):
             t += gap  # one gap at a time, so each arrival is an exact running sum
@@ -328,48 +363,54 @@ class Simulator:
                 cls=cls,
                 plan=self.plans[cls.class_id],
                 arrival=int(math.ceil(t)),
+                requests=self._requests[cls.class_id],
+                durations=durations[cls.class_id],
                 unfinished=len(cls.tasks),
                 pending_preds=preds[cls.class_id].copy(),
             )
             self.jobs.append(job)
-            self._push(job.arrival, _JOB_ARRIVAL, i)
+        self._push(self.jobs[0].arrival, _JOB_ARRIVAL, 0)
 
     # ------------------------------------------------------------------
     # handlers
     # ------------------------------------------------------------------
 
     def _on_job_arrival(self, job_index):
+        # One arrival is queued at a time, which keeps the heap small.  It
+        # is the only arrival event queued, so the order is unchanged.
+        if job_index + 1 < len(self.jobs):
+            self._push(self.jobs[job_index + 1].arrival, _JOB_ARRIVAL, job_index + 1)
         job = self.jobs[job_index]
         if self._logging:
             self.event_log.append("%d JobArrival job=%d class=%s"
                                   % (self.now, job.index, job.cls.class_id))
-        for tid in job.cls.source_ids():
+        for tid in self._sources[job.cls.class_id]:
             self._request_instance(job, tid, 0)
 
     def _request_instance(self, job, task_id, attempt):
-        dim = job.plan.task_configs[task_id].dims[attempt]
-        type_id, is_spot = dim.type_id, dim.is_spot
+        type_id, is_spot, price, lag = job.requests[task_id][attempt]
+        now = self.now
         inst = self.pool.acquire_or_reuse(
-            type_id, is_spot, self.now, bid=dim.price,
-            expected_time=lambda: self._expected_time(job.cls, task_id, type_id))
+            type_id, is_spot, now, price,
+            lambda: self._expected_time(job.cls, task_id, type_id))
         if inst is not None:
             inst.assigned = (job.index, task_id, attempt)
             if self._logging:
                 self.event_log.append("%d InstanceReuse inst=%d job=%d task=%d"
-                                      % (self.now, inst.id, job.index, task_id))
-            self._start_task(inst)
+                                      % (now, inst.id, job.index, task_id))
+            self._start_task(inst, job, task_id, attempt)
             return
-        ready = self.now + int(self.catalog[type_id].lag(is_spot))
-        inst = self.pool.create(type_id, is_spot, dim.price if is_spot else None, ready)
+        ready = now + lag
+        inst = self.pool.create(type_id, is_spot, price if is_spot else None, ready)
         inst.assigned = (job.index, task_id, attempt)
         if self._logging:
             self.event_log.append("%d InstanceRequest inst=%d type=%d spot=%d job=%d task=%d"
-                                  % (self.now, inst.id, type_id, is_spot, job.index, task_id))
+                                  % (now, inst.id, type_id, is_spot, job.index, task_id))
         self._push(ready, _INSTANCE_READY, inst.id)
         if is_spot:
-            fail_at = self.traces[type_id].first_exceedance_cyclic(ready, dim.price)
+            fail_at = self.traces[type_id].first_exceedance_cyclic(ready, price)
             if fail_at is not None:
-                self._push(int(math.ceil(fail_at)), _OUT_OF_BID, inst.id)
+                self._push(math.ceil(fail_at), _OUT_OF_BID, inst.id)
 
     def _on_instance_ready(self, inst_id):
         inst = self.pool.instances[inst_id]
@@ -377,57 +418,66 @@ class Simulator:
             return
         if self._logging:
             self.event_log.append("%d InstanceReady inst=%d" % (self.now, inst.id))
-        self._start_task(inst)
+        job_index, task_id, attempt = inst.assigned
+        self._start_task(inst, self.jobs[job_index], task_id, attempt)
 
-    def _start_task(self, inst):
+    def _start_task(self, inst, job, task_id, attempt):
         """Run the task the instance is assigned to, from now."""
-        job_index, task_id, attempt = assigned = inst.assigned
-        duration = self._duration_table(self.jobs[job_index], task_id, attempt).item(job_index)
+        table = job.durations[task_id][attempt]
+        if table is None:
+            table = self._draw_durations(job, task_id, attempt)
+        job_index = job.index
+        duration = table[job_index]
         now = self.now
         if self._logging:
             self.event_log.append("%d TaskStart job=%d task=%d attempt=%d inst=%d duration=%d"
                                   % (now, job_index, task_id, attempt, inst.id, duration))
-        self._push(now + duration, _TASK_FINISH, (inst.id, assigned))
+        self._push(now + duration, _TASK_FINISH, inst.id)
 
-    def _duration_table(self, job, task_id, attempt):
+    def _draw_durations(self, job, task_id, attempt):
         """Durations (whole seconds) of one (class, task, attempt), by job index.
 
         The key fixes the instance type: it is the attempt's dimension type,
         which consolidation onto an idle on-demand instance keeps.  Rounding
         to the nearest second (half to even) keeps the integer clock without
-        biasing durations upward, as ceiling would.
+        biasing durations upward, as ceiling would.  Stored in the class's
+        JobRun.durations as an `array("q")`.
         """
         key = (job.cls.class_id, task_id, attempt)
-        table = self._durations.get(key)
-        if table is None:
-            type_id = job.plan.task_configs[task_id].dims[attempt].type_id
-            times = sample_task_time(
-                job.cls.tasks[task_id].profile,
-                self.catalog[type_id],
-                self.config.job_count,
-                derive_seed(self.config.seed, "duration", *key),
-            )
-            table = self._durations[key] = np.rint(times).astype(np.int64)
+        times = sample_task_time(
+            job.cls.tasks[task_id].profile,
+            self.catalog[job.requests[task_id][attempt][0]],
+            self.config.job_count,
+            derive_seed(self.config.seed, "duration", *key),
+        )
+        table = array("q", np.rint(times).astype(np.int64).tobytes())
+        job.durations[task_id][attempt] = table
         return table
 
-    def _on_task_finish(self, payload):
-        inst_id, assigned = payload
+    def _on_task_finish(self, inst_id):
         inst = self.pool.instances[inst_id]
-        if not inst.alive or inst.assigned != assigned:
-            return  # the instance died at this timestamp ordering boundary
-        job_index, task_id, _ = assigned
+        if not inst.alive:
+            return  # an out-of-bid event killed the instance and its task first
+        job_index, task_id, _ = inst.assigned
         job = self.jobs[job_index]
+        now = self.now
         if self._logging:
             self.event_log.append("%d TaskFinish job=%d task=%d inst=%d"
-                                  % (self.now, job_index, task_id, inst.id))
+                                  % (now, job_index, task_id, inst_id))
         self.pool.mark_idle(inst)
-        self._schedule_release(inst)
+        # Ask for the idle instance's release; push an event for a new time only.
+        when = now if self._release_at_once else inst.paid_until(now)
+        inst.idle_order = self._seq  # the event sequence also orders idle transitions
+        self._seq += 1
+        if when != inst.release_at:
+            inst.release_at = when
+            self._push(when, _INSTANCE_RELEASE, inst_id)
 
         job.unfinished -= 1
         if job.unfinished == 0:
-            job.completion = self.now
+            job.completion = now
             if self._logging:
-                self.event_log.append("%d JobComplete job=%d" % (self.now, job_index))
+                self.event_log.append("%d JobComplete job=%d" % (now, job_index))
             return
         pending = job.pending_preds
         for succ in job.cls.tasks[task_id].successors:
@@ -447,18 +497,6 @@ class Simulator:
             job_index, task_id, attempt = victim
             self._request_instance(self.jobs[job_index], task_id, attempt + 1)
 
-    def _schedule_release(self, inst):
-        """Ask for the idle instance's release; push an event for a new time only."""
-        if self.config.idle_release_policy == "immediate":
-            when = self.now
-        else:
-            when = inst.paid_until(self.now)
-        inst.idle_order = self._seq  # the event sequence also orders idle transitions
-        self._seq += 1
-        if when != inst.release_at:
-            inst.release_at = when
-            self._push(when, _INSTANCE_RELEASE, inst.id)
-
     def _on_instance_release(self, inst_id):
         """Settle every instance still idle and due now, in the order they went idle.
 
@@ -470,7 +508,7 @@ class Simulator:
         instances = self.pool.instances
         due = [instances[inst_id]]
         while heap and heap[0][0] == now:
-            due.append(instances[heapq.heappop(heap)[3]])
+            due.append(instances[heappop(heap)[3]])
         idle = [inst for inst in due
                 if inst.alive and inst.assigned is None and inst.release_at == now]
         for inst in sorted(idle, key=attrgetter("idle_order")):

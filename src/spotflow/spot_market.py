@@ -14,6 +14,8 @@ estimation.
 """
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime
 from functools import cached_property
@@ -63,8 +65,13 @@ class SpotPriceTrace:
             raise TraceError("timestamps must be strictly increasing")
         if not np.all((pr > 0) & np.isfinite(pr)):
             raise TraceError("prices must be positive and finite")
-        ts = ts.copy()
-        pr = pr.copy()
+        # One copy of each column, as a compact array: the simulator's
+        # per-event lookups bisect and index it, which gives plain floats,
+        # and the read-only numpy arrays the planner reads are views of it.
+        self._times = array("d", ts.tobytes())
+        self._prices = array("d", pr.tobytes())
+        ts = np.frombuffer(self._times)
+        pr = np.frombuffer(self._prices)
         ts.flags.writeable = False
         pr.flags.writeable = False
         self.timestamps = ts
@@ -81,12 +88,12 @@ class SpotPriceTrace:
         self._exceed_cache = {}
 
     def _segment_index(self, t):
-        idx = int(np.searchsorted(self.timestamps, t, side="right")) - 1
-        return max(idx, 0)
+        """Index of the point in effect at trace time t (0 before the first point)."""
+        return max(bisect_right(self._times, t) - 1, 0)
 
     def price_at(self, t):
         """Price in effect at absolute trace time t (clamped to the trace)."""
-        return float(self.prices[self._segment_index(t)])
+        return self._prices[self._segment_index(t)]
 
     def price_at_cyclic(self, sim_time):
         """Price for simulation time, replaying the trace cyclically.
@@ -97,11 +104,12 @@ class SpotPriceTrace:
         return self.price_at(self.start + (sim_time % self.cycle))
 
     def _next_exceed_index(self, bid):
-        """next_exceed_index(self.prices, bid), memoized per bid."""
+        """next_exceed_index(self.prices, bid) as an `array("q")`, memoized per bid."""
         key = float(bid)
         cached = self._exceed_cache.get(key)
         if cached is None:
-            cached = self._exceed_cache[key] = next_exceed_index(self.prices, bid)
+            cached = array("q", next_exceed_index(self.prices, bid).tobytes())
+            self._exceed_cache[key] = cached
         return cached
 
     def first_exceedance_cyclic(self, sim_time, bid):
@@ -111,20 +119,21 @@ class SpotPriceTrace:
         never be killed).
         """
         nxt = self._next_exceed_index(bid)
-        first = int(nxt[0])
-        if first == self.prices.size:
+        n = len(nxt) - 1
+        first = nxt[0]
+        if first == n:
             return None
         offset = sim_time % self.cycle
         base = sim_time - offset
         t = self.start + offset
         i = self._segment_index(t)
-        j = int(nxt[i])
+        j = nxt[i]
         if j == i:  # the price at t already exceeds the bid
-            return base + (float(t) - self.start)
-        if j < self.prices.size:
-            return base + (float(self.timestamps[j]) - self.start)
+            return base + (t - self.start)
+        if j < n:
+            return base + (self._times[j] - self.start)
         # Wrap: the first exceeding point from the trace start.
-        return base + self.cycle + (float(self.timestamps[first]) - self.start)
+        return base + self.cycle + (self._times[first] - self.start)
 
 
 def next_exceed_index(prices, bid):

@@ -179,6 +179,22 @@ class TestPlan:
         assert err == "error: %s\n" % message
         assert not (workspace["tmp"] / "out" / "plans.json").exists()
 
+    @pytest.mark.parametrize("command, flags, message", [
+        ("plan", ["--max-iter", "0"], "max_iter must be >= 1, got 0"),
+        ("plan", ["--planner", "dyna-ns", "--ffp-trials", "-3"],
+         "ffp_trials must be >= 1, got -3"),
+        ("simulate", ["--jobs", "0"], "jobs must be >= 1, got 0"),
+    ])
+    def test_count_below_one_is_parse_error_before_any_draw(self, workspace, capsys, monkeypatch,
+                                                            command, flags, message):
+        monkeypatch.setattr(planner_astar, "TaskDistCache", None)  # a draw would raise
+        rc = cli.main([command, *base_args(workspace, *flags)])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_PARSE
+        assert err == "error: %s\n" % message
+        assert not (workspace["tmp"] / "out" / "plans.json").exists()
+        assert not (workspace["tmp"] / "out" / "report.json").exists()
+
     def test_bandwidth_without_positive_mass_is_parse_error(self, workspace, capsys):
         # The draw fails on a pool thread; the error still reaches main.
         cat = ordered_catalog(2)

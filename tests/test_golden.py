@@ -16,6 +16,7 @@ A change that alters these outputs on purpose regenerates the files with
 and says so in CHANGES.md.
 """
 
+import hashlib
 import pathlib
 import re
 import sys
@@ -53,8 +54,11 @@ def write_inputs(root):
     return workflows, trace_dir
 
 
-def run_case(root):
-    """Plan and simulate the fixed case under root; returns the output dir."""
+def run_case(root, sim_flags=()):
+    """Plan and simulate the fixed case under root; returns the output dir.
+
+    sim_flags are extra `spotflow simulate` flags.
+    """
     workflows, trace_dir = write_inputs(root)
     out = root / "out"
     common = ["--trace-dir", str(trace_dir), "--seed", "5",
@@ -63,7 +67,8 @@ def run_case(root):
         common += ["--workflow", str(path)]
     assert cli.main(["plan", *common, "--out", str(out), "--planner", "dyna"]) == 0
     assert cli.main(["simulate", *common, "--out", str(out / "sim"),
-                     "--plans", str(out / "plans.json"), "--jobs", "50", "--event-log"]) == 0
+                     "--plans", str(out / "plans.json"), "--jobs", "50", "--event-log",
+                     *sim_flags]) == 0
     return out
 
 
@@ -71,6 +76,24 @@ def test_outputs_match_golden_files(tmp_path):
     out = run_case(tmp_path)
     for name, golden in GOLDEN.items():
         assert (out / name).read_bytes() == golden.read_bytes(), name
+
+
+def test_immediate_release_outputs_match_pinned_digests(tmp_path):
+    """The golden case under `--release-policy immediate`, byte for byte.
+
+    Digests of the run at the commit that introduced this test; the files
+    are not kept, since the hour-boundary golden files already pin plans.
+    """
+    out = run_case(tmp_path, sim_flags=["--release-policy", "immediate"])
+    digests = {name: hashlib.sha256((out / "sim" / name).read_bytes()).hexdigest()
+               for name in ("report.json", "events.log")}
+    assert digests == {
+        "report.json": "85ae68aab5c9fbeb6eeeae60e3afbdbb8eeba86bd1fd20db8a1165b582231f6c",
+        "events.log": "5c36a86a99ef1094f2745ba39395191e30ef4093d77b8f7f6b08a219e2c0bcb4",
+    }
+    log = (out / "sim" / "events.log").read_text(encoding="utf-8")
+    assert log.count(" InstanceRelease ") == 405
+    assert log.count(" OutOfBid ") == 17
 
 
 def test_plan_stdout_matches_golden_lines(tmp_path, capsys):

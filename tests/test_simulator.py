@@ -1,10 +1,18 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
 from spotflow import simulator
-from spotflow.cloud_model import Catalog, GammaSpec, InstanceType, NormalSpec, default_catalog
+from spotflow.cloud_model import (
+    Catalog,
+    GammaSpec,
+    InstanceType,
+    NormalSpec,
+    ceil_hours,
+    default_catalog,
+)
 from spotflow.distributions import substream
 from spotflow.planner_astar import JobPlan
 from spotflow.simulator import (
@@ -77,6 +85,27 @@ class TestBill:
     def test_61_minute_ondemand_bills_two_hours(self):
         itype = single_type_catalog()[0]
         assert bill(self._inst(False), 3660, "user", itype) == (2, pytest.approx(0.12))
+
+
+class TestPaidUntil:
+    """Instance.paid_until is ready + 3600 * ceil_hours(now - ready), in integers."""
+
+    @staticmethod
+    def _rule(ready, now):
+        return ready + 3600 * ceil_hours(now - ready)
+
+    @pytest.mark.parametrize("elapsed", [0, 1, 3599, 3600, 3601])
+    def test_hour_edges(self, elapsed):
+        for ready in (0, 7, 3600, 10**9):
+            inst = Instance(id=0, type_id=0, is_spot=False, bid=None, ready_time=ready)
+            got = inst.paid_until(ready + elapsed)
+            assert got == self._rule(ready, ready + elapsed) and type(got) is int
+
+    def test_random_ints_up_to_1e9(self):
+        rng = np.random.default_rng(22)
+        for ready, elapsed in rng.integers(0, 10**9, size=(5000, 2)).tolist():
+            inst = Instance(id=0, type_id=0, is_spot=True, bid=0.1, ready_time=ready)
+            assert inst.paid_until(ready + elapsed) == self._rule(ready, ready + elapsed)
 
 
 class TestPool:

@@ -66,6 +66,34 @@ class TestLoadTrace:
         assert trace.prices.max() == pytest.approx(10.0)
 
 
+def searchsorted_price_at(trace, t):
+    i = max(int(np.searchsorted(trace.timestamps, t, side="right")) - 1, 0)
+    return float(trace.prices[i])
+
+
+def searchsorted_price_at_cyclic(trace, sim_time):
+    return searchsorted_price_at(trace, trace.start + (sim_time % trace.cycle))
+
+
+def searchsorted_first_exceedance_cyclic(trace, sim_time, bid):
+    # The cyclic out-of-bid rule on the numpy arrays, by np.searchsorted.
+    nxt = next_exceed_index(trace.prices, bid)
+    n = trace.prices.size
+    first = int(nxt[0])
+    if first == n:
+        return None
+    offset = sim_time % trace.cycle
+    base = sim_time - offset
+    t = trace.start + offset
+    i = max(int(np.searchsorted(trace.timestamps, t, side="right")) - 1, 0)
+    j = int(nxt[i])
+    if j == i:
+        return base + (float(t) - trace.start)
+    if j < n:
+        return base + (float(trace.timestamps[j]) - trace.start)
+    return base + trace.cycle + (float(trace.timestamps[first]) - trace.start)
+
+
 class TestPriceLookups:
     def test_step_function(self):
         trace = SpotPriceTrace([0, 100, 200], [0.05, 0.10, 0.07])
@@ -90,6 +118,33 @@ class TestPriceLookups:
         # past the spike: wraps into the next cycle's spike (cycle = 300)
         assert trace.first_exceedance_cyclic(200, 0.10) == 400.0
         assert trace.first_exceedance_cyclic(0, 0.30) is None
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lookups_match_the_searchsorted_rule(self, seed):
+        # The compact-array lookups against the numpy rule they replace, on
+        # irregular traces (1 to 40 points, prices from a small set so some
+        # equal a bid) at exact timestamps, before the first point, on the
+        # last segment and across the wrap, with int and float times.
+        rng = np.random.default_rng(seed)
+        n = (1, 2, 3, 7, 40, 40)[seed]
+        start = (0.0, 1.0e9, 17.25, 0.0, 1.0e9 + 0.5, 3600.0)[seed]
+        ts = start + np.cumsum(np.r_[0.0, rng.uniform(1.0, 4000.0, n - 1)])
+        prices = rng.choice([0.02, 0.05, 0.05, 0.3], size=n)
+        trace = SpotPriceTrace(ts, prices)
+        offsets = (ts - trace.start).tolist()
+        points = [*offsets, *(x - 0.5 for x in offsets), *(x + 0.5 for x in offsets),
+                  -1.0, -0.25, trace.span, (trace.span + trace.cycle) / 2, trace.cycle - 1e-6,
+                  *(trace.cycle + x for x in offsets),
+                  *(3 * trace.cycle + x + 1.0 for x in offsets),
+                  *rng.uniform(-trace.cycle, 5 * trace.cycle, 50).tolist()]
+        points += [int(math.floor(x)) for x in points]
+        for x in points:
+            assert trace.price_at(start + x) == searchsorted_price_at(trace, start + x)
+            assert trace.price_at_cyclic(x) == searchsorted_price_at_cyclic(trace, x)
+            for bid in (0.01, 0.02, 0.05, 0.1, 0.3, 1.0):
+                got = trace.first_exceedance_cyclic(x, bid)
+                assert got == searchsorted_first_exceedance_cyclic(trace, x, bid), (x, bid)
+                assert type(got) in (float, type(None))
 
     def test_rejects_bad_traces(self):
         with pytest.raises(TraceError):
@@ -212,7 +267,7 @@ class TestEstimateFfp:
         assert got[above] == 1.0
         exceed = {bid: trace._next_exceed_index(bid) for bid in order}
         assert exceed[below][0] == 1
-        assert np.all(exceed[above] == trace.prices.size)
+        assert set(exceed[above]) == {trace.prices.size}
 
 
 def next_exceed_by_loop(prices, bid):
