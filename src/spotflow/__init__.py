@@ -61,7 +61,6 @@ from .spot_market import (
     FirstFailureDistribution,
     SpotPriceTrace,
     TraceError,
-    cumulative_failure,
     estimate_ffp,
     load_trace,
 )

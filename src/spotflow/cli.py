@@ -72,6 +72,9 @@ class ExperimentSpec:
                                  % (f.name, " or ".join(t.__name__ for t in types), value))
         if self.planner not in PLANNERS:
             raise ValueError("planner must be one of %s" % (PLANNERS,))
+        if not 0 < self.arrival_rate < math.inf:
+            raise ValueError("arrival_rate must be positive and finite, got %r"
+                             % self.arrival_rate)
         if not 0.0 < self.guarantee <= 1.0:
             raise ValueError("guarantee must be in (0, 1]")
         if self.samples < 2:
@@ -168,24 +171,22 @@ def _out_dir(spec):
 
 
 def _failure_model(spec, catalog):
-    traces = spec.load_traces(catalog)
-    if not traces:
-        return None
+    """The failure model over trace_dir's traces (without any: no spot market)."""
     return spot_market.FailureModel(
-        traces=traces, num_trials=spec.ffp_trials, rng_seed=spec.seed)
+        traces=spec.load_traces(catalog), num_trials=spec.ffp_trials, rng_seed=spec.seed)
 
 
 def plan_class(spec, job, catalog, failure):
     """Plan one workflow class: its deadline, the on-demand search, then the
-    task configs (spot refinement against `failure`, on demand only for
-    dyna-ns, or fixed-bid spot for spot-only).  Returns the JobPlan and the
-    on-demand plan's expected cost; raises InfeasiblePlanError.
+    task configs (spot refinement against `failure`, or against a failure
+    model without traces for dyna-ns, or fixed-bid spot for spot-only).
+    Returns the JobPlan and the on-demand plan's expected cost; raises
+    InfeasiblePlanError.
     """
     cache = planner_astar.TaskDistCache(job, catalog, spec.samples, spec.seed)
     deadline = spec.deadline
     if deadline is None:
-        d_min, d_max = workflow_dag.deadline_bounds(
-            job, catalog, n=spec.samples, seed=spec.seed, cache=cache)
+        d_min, d_max = workflow_dag.deadline_bounds(job, catalog, cache=cache)
         deadline = d_min + spec.deadline_factor * (d_max - d_min)
     job = job.with_deadline(float(deadline))
     plan = planner_astar.astar_configure(
@@ -193,7 +194,7 @@ def plan_class(spec, job, catalog, failure):
     if spec.planner == "spot-only":
         # simulate replays a trace for every spot type a plan uses.
         for type_id in plan:
-            if failure is None or not failure.has_trace(type_id):
+            if not failure.has_trace(type_id):
                 raise spot_market.TraceError("no trace for type %s" % catalog[type_id].name)
         # High fixed bid: spot execution with an (unreachable) on-demand
         # fallback dimension retained as the completion guarantee.
@@ -205,8 +206,9 @@ def plan_class(spec, job, catalog, failure):
             for type_id in plan
         ]
     else:  # dyna-ns is dyna without a spot market: tasks stay on demand.
-        configs = planner_hybrid.refine_plan(
-            job, plan, failure if spec.planner == "dyna" else None, cache, seed=spec.seed)
+        if spec.planner == "dyna-ns":
+            failure = spot_market.FailureModel(traces={})
+        configs = planner_hybrid.refine_plan(job, plan, failure, cache, seed=spec.seed)
     job_plan = planner_astar.JobPlan(job.class_id, job.deadline, job.guarantee_p, configs)
     return job_plan, planner_astar.plan_cost(cache, tuple(plan))
 
@@ -214,7 +216,9 @@ def plan_class(spec, job, catalog, failure):
 def cmd_plan(spec):
     catalog = spec.load_catalog()
     jobs = spec.load_workflows()
-    failure = None if spec.planner == "dyna-ns" else _failure_model(spec, catalog)
+    # dyna-ns plans without a spot market, so it reads no trace.
+    failure = (spot_market.FailureModel(traces={}) if spec.planner == "dyna-ns"
+               else _failure_model(spec, catalog))
     out = _out_dir(spec)
     plans = {}
     failed = 0
@@ -305,7 +309,7 @@ def cmd_ffp(spec, type_name, bid):
     catalog = spec.load_catalog()
     itype = catalog.by_name(type_name)
     model = _failure_model(spec, catalog)
-    if model is None or not model.has_trace(itype.id):
+    if not model.has_trace(itype.id):
         raise spot_market.TraceError("no trace for type %s" % type_name)
     dist = spot_market.estimate_ffp(model, itype.id, bid)
     out = _out_dir(spec)

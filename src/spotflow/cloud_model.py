@@ -306,10 +306,3 @@ def expected_task_time(profile, itype, n=DEFAULT_SAMPLE_COUNT, seed=0, dist=None
     if dist is None:
         dist = task_time_distribution(profile, itype, n=n, seed=seed)
     return dist.expectation()
-
-
-def ceil_hours(seconds):
-    """Whole billing hours covering a duration (partial hours round up)."""
-    if seconds <= 0:
-        return 0
-    return int(math.ceil(seconds / SECONDS_PER_HOUR))

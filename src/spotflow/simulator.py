@@ -12,21 +12,22 @@ The pool reuses idle instances of the requested kind and type without a new
 acquisition lag; an idle spot instance is reused only for a request bidding
 no more than the instance's own bid, since its out-of-bid event was
 scheduled from that bid.  A spot request may also be placed onto an idle
-on-demand instance of the same type (never the reverse).  Billing follows
-the hourly model: any started hour is charged in full, except the final
-partial hour of a spot instance killed by an out-of-bid event, which is
-free.  Spot hours are charged at the market price sampled at each hour
-start.
+on-demand instance of the same type (never the reverse).
 
-One rule gives the end of an instance's paid hour, Instance.paid_until(now)
-= ready_time + 3600 * ceil_hours(now - ready_time): consolidation needs the
-task's expected time to fit before it, and under the "hour-boundary" policy
-an instance going idle is released at it.  Each idle transition records the
-release time it asks for (Instance.release_at) and its order among idle
-transitions; a release event is pushed only when release_at changes, so an
-instance reused and idled again within one paid hour shares that hour's
-event.  The release handler settles, in the order they went idle, every
-instance that is still idle and due now.
+Billing is hourly, by one integer rule over whole seconds: every started
+hour is paid in full (started_hours, ceil-division by 3600), except that a
+spot instance killed by an out-of-bid event pays only its full hours
+(floor division), so its final partial hour is free.  Spot hours are
+charged at the market price sampled at each hour start.
+Instance.paid_until(now) = ready_time + 3600 * started_hours(now -
+ready_time) ends the paid hour running at `now`: consolidation needs the
+task's expected time to fit before it, and under the "hour-boundary"
+policy an instance going idle is released at it.  Each idle transition
+records the release time it asks for (Instance.release_at) and its order
+among idle transitions; a release event is pushed only when release_at
+changes, so an instance reused and idled again within one paid hour
+shares that hour's event.  The release handler settles, in the order they
+went idle, every instance that is still idle and due now.
 
 The core is strictly single-threaded and deterministic: events are ordered
 by (time, kind rank, sequence number) and every random draw comes from a
@@ -41,8 +42,8 @@ log lines are formatted only when the log is collected, and a task's
 consolidation headroom estimate is drawn only when a consolidation check
 reads it.  No event makes or reads a numpy scalar: a request reads its
 (type, spot flag, price, lag) from a per-class table built once, durations
-are `array("q")` tables drawn on first use and read by index, the paid
-hour is integer ceil-division, and a price trace answers cyclic lookups by
+are `array("q")` tables drawn on first use and read by index, paid
+hours are integer divisions, and a price trace answers cyclic lookups by
 bisecting its compact `array("d")` columns, of which its numpy arrays are
 views.  One job arrival is queued at a time, so the heap holds only the
 events in flight.
@@ -60,7 +61,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .cloud_model import SECONDS_PER_HOUR, ceil_hours, expected_task_time, sample_task_time
+from .cloud_model import SECONDS_PER_HOUR, expected_task_time, sample_task_time
 from .distributions import derive_seed, substream
 
 EXPECTATION_SAMPLES = 2000  # for consolidation headroom estimates
@@ -90,6 +91,11 @@ class EventKind(enum.IntEnum):
 _TASK_FINISH, _OUT_OF_BID, _JOB_ARRIVAL, _INSTANCE_READY, _INSTANCE_RELEASE = map(int, EventKind)
 
 _HOUR = int(SECONDS_PER_HOUR)
+
+
+def started_hours(elapsed):
+    """Billing hours started within `elapsed` whole seconds: ceil-division, 0 for none."""
+    return -(-elapsed // _HOUR) if elapsed > 0 else 0
 
 
 @dataclass
@@ -127,13 +133,9 @@ class Instance:
     def paid_until(self, now):
         """End of the billing hour running at `now` (`now` itself on a boundary).
 
-        ready_time + 3600 * ceil_hours(now - ready_time), by integer
-        ceil-division.
+        ready_time + 3600 * started_hours(now - ready_time).
         """
-        elapsed = now - self.ready_time
-        if elapsed <= 0:
-            return self.ready_time
-        return self.ready_time - (-elapsed // _HOUR) * _HOUR
+        return self.ready_time + _HOUR * started_hours(now - self.ready_time)
 
 
 class InstancePool:
@@ -202,25 +204,25 @@ class InstancePool:
 def bill(inst, end_time, terminated_by, itype, trace=None):
     """(billed hours, monetary cost) of one instance's lifetime [ready_time, end_time].
 
-    On-demand: started hours round up, at the fixed hourly price.  Spot,
-    user-terminated: started hours round up, each charged the market price
-    at its hour start.  Spot, out-of-bid: only fully elapsed hours are
-    charged (the terminal partial hour is free).
+    Times are whole seconds.  On-demand: started hours, at the fixed
+    hourly price.  Spot, user-terminated: started hours, each charged the
+    market price at its hour start.  Spot, out-of-bid: only fully elapsed
+    hours are charged (the terminal partial hour is free).
     """
     if terminated_by not in ("user", "out-of-bid"):
         raise ValueError("terminated_by must be 'user' or 'out-of-bid'")
     elapsed = end_time - inst.ready_time
     if inst.is_spot and terminated_by == "out-of-bid":
-        hours = int(elapsed // SECONDS_PER_HOUR)
+        hours = elapsed // _HOUR
     else:
-        hours = ceil_hours(elapsed)
+        hours = started_hours(elapsed)
     if not inst.is_spot:
         return hours, hours * itype.ondemand_price
     if trace is None:
         raise SimulationError("spot billing requires a price trace")
     total = 0.0
     for h in range(hours):
-        total += trace.price_at_cyclic(inst.ready_time + h * SECONDS_PER_HOUR)
+        total += trace.price_at_cyclic(inst.ready_time + h * _HOUR)
     return hours, total
 
 

@@ -301,7 +301,12 @@ class FirstFailureDistribution:
 
         (walks failing at a grid point k*STEP < t) / trials: exact, at most
         1, and monotone in t and in the bid (every bid shares the walks).
+        `times` is one time or an array of them; a negative or NaN time is
+        a ValueError.
         """
+        times = np.asarray(times, dtype=np.float64)
+        if not np.all(times >= 0):
+            raise ValueError("times must be nonnegative")
         return self._failed_before[grid_index(times)]
 
     @cached_property
@@ -354,7 +359,8 @@ class FailureModel:
     """Monte-Carlo estimator of spot first-failure behaviour per type.
 
     traces maps instance type id to its price trace; types without a trace
-    have no spot market and cannot be refined onto spot instances.
+    have no spot market and cannot be refined onto spot instances, and a
+    model without traces stands for no spot market at all.
     Estimates are pure given rng_seed (results are memoized per (type, bid)),
     so a model may be shared by concurrent readers once warmed.
     """
@@ -444,10 +450,3 @@ def estimate_ffp(model, type_id, bid):
     result = FirstFailureDistribution(counts=counts, trials=model.num_trials)
     model._cache[key] = result
     return result
-
-
-def cumulative_failure(model, type_id, bid, t):
-    """Probability that a spot instance fails strictly before elapsed time t."""
-    if not t >= 0:
-        raise ValueError("t must be nonnegative")
-    return float(estimate_ffp(model, type_id, bid).cumulative_before(t))

@@ -232,31 +232,33 @@ def critical_path_length(job, task_values):
     return max(finish[tid] for tid in job.sink_ids())
 
 
-def deadline_bounds(job, catalog, n=DEFAULT_SAMPLE_COUNT, seed=0, cache=None):
+def deadline_bounds(job, catalog, n=None, seed=None, cache=None):
     """(D_min, D_max): expected critical-path makespan on the most expensive
     and on the cheapest instance type.
 
     These anchor deadline settings; the default experiment deadline is their
     midpoint.  Task times on a type are seeded from (seed, task id, type
-    id), as in the planner's TaskDistCache; pass the class's cache (same
-    catalog, n and seed) to read them from it instead of drawing them again.
-    A cache draws its whole table on its first read, so when the bounds
-    read it first they also pay for the draws the search reads next.
+    id), as in the planner's TaskDistCache.  Pass the class's cache, drawn
+    over `catalog`, to read them from it instead of drawing them again: it
+    fixes the sample count and the seed, so `n` and `seed` (by default
+    DEFAULT_SAMPLE_COUNT and 0) come only without one.  A cache draws its
+    whole table on its first read, so when the bounds read it first they
+    also pay for the draws the search reads next.
     """
-    if cache is not None:
-        if (cache.sample_count, cache.seed) != (n, seed):
-            raise ValueError("cache draws %d samples at seed %d, not %d at seed %d"
-                             % (cache.sample_count, cache.seed, n, seed))
-        if tuple(cache.catalog) != tuple(catalog):
-            raise ValueError("cache draws over another catalog")
+    if cache is None:
+        n = DEFAULT_SAMPLE_COUNT if n is None else n
+        seed = 0 if seed is None else seed
+    elif n is not None or seed is not None:
+        raise ValueError("n and seed are fixed by the cache; pass them or the cache")
+    elif tuple(cache.catalog) != tuple(catalog):
+        raise ValueError("cache draws over another catalog")
 
     def mean_times(itype):
-        return [
-            expected_task_time(
-                t.profile, itype, n=n, seed=derive_seed(seed, t.id, itype.id),
-                dist=None if cache is None else cache.dist(t.id, itype.id))
-            for t in job.tasks
-        ]
+        if cache is not None:
+            return [expected_task_time(t.profile, itype, dist=cache.dist(t.id, itype.id))
+                    for t in job.tasks]
+        return [expected_task_time(t.profile, itype, n=n, seed=derive_seed(seed, t.id, itype.id))
+                for t in job.tasks]
 
     d_min = critical_path_length(job, mean_times(catalog.most_expensive()))
     d_max = critical_path_length(job, mean_times(catalog.cheapest()))
@@ -268,8 +270,9 @@ def deadline_bounds(job, catalog, n=DEFAULT_SAMPLE_COUNT, seed=0, cache=None):
 # ---------------------------------------------------------------------------
 
 
-def load_workflow(path, deadline=None, guarantee_p=0.96, class_id=None):
-    """Parse a workflow file into a job with topological ids.
+def load_workflow(path, guarantee_p=0.96):
+    """Parse a workflow file into a job with topological ids, without a
+    deadline, whose class id is the file name without its extension.
 
     Format, one directive per line (comments start with '#'):
 
@@ -315,11 +318,8 @@ def load_workflow(path, deadline=None, guarantee_p=0.96, class_id=None):
         raise WorkflowError("%s: %s" % (path, exc)) from None
     if not profiles:
         raise WorkflowError("%s: workflow file defines no tasks" % path)
-    if class_id is None:
-        class_id = _stem(path)
     try:
-        return build_job(profiles, edges, deadline=deadline,
-                         guarantee_p=guarantee_p, class_id=class_id)
+        return build_job(profiles, edges, guarantee_p=guarantee_p, class_id=_stem(path))
     except CycleError:
         raise
     except WorkflowError as exc:

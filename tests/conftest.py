@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spotflow.cloud_model import Catalog, GammaSpec, InstanceType, NormalSpec, TaskProfile
-from spotflow.spot_market import SpotPriceTrace
+from spotflow.spot_market import HORIZON, NBUCKETS, STEP, SpotPriceTrace
 from spotflow.workflow_dag import build_job
 
 
@@ -64,6 +64,30 @@ def alternating_trace(low=0.05, high=0.15, seg_seconds=3600.0, cycles=200):
         ts.append(t); pr.append(low); t += seg_seconds
         ts.append(t); pr.append(high); t += seg_seconds
     return SpotPriceTrace(ts, pr)
+
+
+def alternating_offset_oracle(bid, low=0.05, high=0.15, seg_seconds=3600.0, cycles=200):
+    """Failure share before each grid point k*STEP, k = 0..NBUCKETS, of walks
+    over alternating_trace(low, high, seg_seconds, cycles) from every
+    integer start offset.
+
+    An independent hand-walk of the periodic trace: a walk starting in a
+    segment whose price exceeds the bid fails at once; one starting in a
+    segment the bid covers fails when that segment ends if the other level
+    exceeds the bid, and never otherwise.  Walks that fail past the trace
+    end (the start of its last segment) or at HORIZON or later count as no
+    failure.
+    """
+    span = (2 * cycles - 1) * seg_seconds
+    offsets = np.arange(int(span), dtype=np.float64)
+    pos = offsets % (2 * seg_seconds)
+    in_high = pos >= seg_seconds
+    elapsed = np.where(np.where(in_high, high, low) > bid, 0.0,
+                       np.where(np.where(in_high, low, high) > bid,
+                                seg_seconds - pos % seg_seconds, np.inf))
+    failed = (offsets + elapsed <= span) & (elapsed < HORIZON)
+    counts = np.bincount((elapsed[failed] // STEP).astype(np.int64), minlength=NBUCKETS)
+    return np.concatenate(([0], np.cumsum(counts))) / offsets.size
 
 
 def stable_trace(base, jitter=0.1, step_seconds=1800.0, hours=400, seed=0):

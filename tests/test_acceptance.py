@@ -31,7 +31,7 @@ from spotflow.planner_astar import (
 )
 from spotflow.planner_hybrid import check_refinement, refine_plan
 from spotflow.simulator import SimConfig, Simulator
-from spotflow.spot_market import HORIZON, NBUCKETS, STEP, FailureModel, cumulative_failure
+from spotflow.spot_market import NBUCKETS, STEP, FailureModel, estimate_ffp
 from spotflow.workflow_dag import (
     HybridConfig,
     build_job,
@@ -39,6 +39,7 @@ from spotflow.workflow_dag import (
 )
 
 from conftest import (
+    alternating_offset_oracle,
     alternating_trace,
     chain_job,
     cpu_profile,
@@ -251,45 +252,25 @@ def test_criterion_5_distribution_properties_over_randomized_cases():
 # 6. First-failure model versus exhaustive start-offset oracle
 # ---------------------------------------------------------------------------
 
-def _oracle_cumulative_grid(low, high, seg, bid, horizon, step, cycles):
-    """First-failure mass per bucket by enumerating every integer start offset.
-
-    Independent reconstruction for the periodic two-level trace: a start in
-    a high segment fails immediately; a start in a low segment fails when
-    the segment ends; walks past the trace end or horizon never fail.
-    """
-    span = 2 * seg * cycles - seg
-    offsets = np.arange(0, int(span), dtype=np.float64)
-    pos = offsets % (2 * seg)
-    in_high = pos >= seg
-    if high > bid and low > bid:
-        elapsed = np.zeros_like(offsets)
-    elif high > bid:
-        elapsed = np.where(in_high, 0.0, seg - pos)
-    else:
-        elapsed = np.full_like(offsets, np.inf)
-    ok = (offsets + elapsed <= span) & (elapsed < horizon)
-    nbuckets = int(math.ceil(horizon / step))
-    masses = np.bincount((elapsed[ok] // step).astype(int), minlength=nbuckets)
-    return np.concatenate(([0.0], np.cumsum(masses / offsets.size)))
-
-
 def test_criterion_6_ffp_matches_oracle_and_is_bid_monotone():
     trace = alternating_trace(low=0.05, high=0.15, seg_seconds=3600.0, cycles=200)
     model = FailureModel(traces={0: trace}, num_trials=10_000, rng_seed=61)
-    oracle_cum = _oracle_cumulative_grid(0.05, 0.15, 3600, 0.10, HORIZON, STEP, 200)
+    oracle_cum = alternating_offset_oracle(0.10, low=0.05, high=0.15, seg_seconds=3600.0,
+                                           cycles=200)
+    dist = estimate_ffp(model, 0, 0.10)
     worst = 0.0
     for k in range(NBUCKETS + 1):  # every grid point in [0, HORIZON]
         t = STEP * k
-        got = cumulative_failure(model, 0, 0.10, t)
-        want = oracle_cum[min(k, len(oracle_cum) - 1)]
+        got = dist.cumulative_before(t)
+        want = oracle_cum[k]
         worst = max(worst, abs(got - want))
         assert got == pytest.approx(want, abs=0.02), t
     rng = np.random.default_rng(62)
+    times = np.array([600.0, 3600.0, 7200.0])
     for _ in range(100):
         b1, b2 = sorted(rng.uniform(0.001, 0.2, size=2))
-        for t in (600.0, 3600.0, 7200.0):
-            assert cumulative_failure(model, 0, b1, t) >= cumulative_failure(model, 0, b2, t)
+        assert np.all(estimate_ffp(model, 0, b1).cumulative_before(times)
+                      >= estimate_ffp(model, 0, b2).cumulative_before(times))
     announce(6, "oracle agreement at %d grid points (max gap %.4f), "
                 "bid monotonicity over 100 pairs" % (NBUCKETS + 1, worst))
 

@@ -218,6 +218,14 @@ class TestPlan:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_arrival_rate_is_parse_error_before_any_output(self, workspace, capsys, value):
+        rc = cli.main(["simulate", *base_args(workspace, "--lambda", value)])
+        assert rc == cli.EXIT_PARSE
+        assert capsys.readouterr().err == (
+            "error: arrival_rate must be positive and finite, got %r\n" % float(value))
+        assert not (workspace["tmp"] / "out").exists()
+
     def _plan_then_simulate(self, ws, *extra):
         assert cli.main(["plan", *base_args(ws, "--planner", "dyna-ns")]) == 0
         return cli.main(["simulate", *base_args(ws, "--planner", "dyna-ns",

@@ -12,7 +12,6 @@ from spotflow.cloud_model import (
     NormalSpec,
     TaskProfile,
     _positive_draw,
-    ceil_hours,
     default_catalog,
     expected_ondemand_cost,
     load_catalog,
@@ -195,11 +194,3 @@ def test_bandwidth_specs_reject_non_finite_parameters(spec, kwargs, bad):
 def test_by_name_unknown_type_names_the_known_types():
     with pytest.raises(CatalogError, match="m1.small, m1.medium, m1.large, m1.xlarge"):
         default_catalog().by_name("m1.nope")
-
-
-def test_ceil_hours():
-    assert ceil_hours(0) == 0
-    assert ceil_hours(1) == 1
-    assert ceil_hours(3600) == 1
-    assert ceil_hours(3601) == 2
-    assert ceil_hours(3660) == 2

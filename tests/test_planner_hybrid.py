@@ -130,7 +130,8 @@ class TestHybridCost:
         plan = astar_configure(job, catalog, cache=cache)
         for task in job.tasks:
             config = HybridConfig.ondemand_only(catalog[plan[task.id]])
-            got = hybrid_cost(config, [cache.dist(task.id, plan[task.id])], None)
+            got = hybrid_cost(config, [cache.dist(task.id, plan[task.id])],
+                              FailureModel(traces={}))
             assert got == cache.cost(task.id, plan[task.id])
 
 
@@ -272,8 +273,9 @@ class TestBinarySearchBid:
 
 class TestRefineTask:
     def test_no_trace_gives_ondemand_only(self):
+        # No spot market: a failure model without traces.
         ctx = FixtureContext(stable_trace(0.024, hours=300))
-        config = refine_task(0, ctx.catalog[0], None, ctx.cache)
+        config = refine_task(0, ctx.catalog[0], FailureModel(traces={}), ctx.cache)
         assert len(config.dims) == 1
         assert not config.dims[0].is_spot
 

@@ -10,7 +10,6 @@ from spotflow.cloud_model import (
     GammaSpec,
     InstanceType,
     NormalSpec,
-    ceil_hours,
     default_catalog,
 )
 from spotflow.distributions import substream
@@ -88,24 +87,41 @@ class TestBill:
 
 
 class TestPaidUntil:
-    """Instance.paid_until is ready + 3600 * ceil_hours(now - ready), in integers."""
+    """One paid-hour rule: bill's started hours end at Instance.paid_until.
 
-    @staticmethod
-    def _rule(ready, now):
-        return ready + 3600 * ceil_hours(now - ready)
+    Checked against a float reference: started hours are ceil(elapsed /
+    3600) (0 for no time), paid_until is ready + 3600 * started hours, and
+    an out-of-bid spot instance pays the full hours, elapsed // 3600.
+    """
 
-    @pytest.mark.parametrize("elapsed", [0, 1, 3599, 3600, 3601])
+    ITYPE = single_type_catalog()[0]
+    TRACE = constant_trace(0.05, hours=2)
+
+    def check_started(self, ready, elapsed):
+        started = math.ceil(elapsed / 3600) if elapsed > 0 else 0
+        inst = Instance(id=0, type_id=0, is_spot=False, bid=None, ready_time=ready)
+        hours, _ = bill(inst, ready + elapsed, "user", self.ITYPE)
+        got = inst.paid_until(ready + elapsed)
+        assert hours == started and got == ready + 3600 * hours
+        assert type(hours) is int and type(got) is int
+
+    def check_out_of_bid(self, ready, elapsed):
+        # Billing loops over the paid hours, so keep `elapsed` small.
+        inst = Instance(id=0, type_id=0, is_spot=True, bid=0.1, ready_time=ready)
+        hours, _ = bill(inst, ready + elapsed, "out-of-bid", self.ITYPE, self.TRACE)
+        assert hours == math.floor(elapsed / 3600) and type(hours) is int
+
+    @pytest.mark.parametrize("elapsed", [0, 1, 3599, 3600, 3601, 3660])
     def test_hour_edges(self, elapsed):
         for ready in (0, 7, 3600, 10**9):
-            inst = Instance(id=0, type_id=0, is_spot=False, bid=None, ready_time=ready)
-            got = inst.paid_until(ready + elapsed)
-            assert got == self._rule(ready, ready + elapsed) and type(got) is int
+            self.check_started(ready, elapsed)
+            self.check_out_of_bid(ready, elapsed)
 
     def test_random_ints_up_to_1e9(self):
         rng = np.random.default_rng(22)
         for ready, elapsed in rng.integers(0, 10**9, size=(5000, 2)).tolist():
-            inst = Instance(id=0, type_id=0, is_spot=True, bid=0.1, ready_time=ready)
-            assert inst.paid_until(ready + elapsed) == self._rule(ready, ready + elapsed)
+            self.check_started(ready, elapsed)
+            self.check_out_of_bid(ready, elapsed % 100_000)
 
 
 class TestPool:

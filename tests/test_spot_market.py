@@ -11,13 +11,18 @@ from spotflow.spot_market import (
     FirstFailureDistribution,
     SpotPriceTrace,
     TraceError,
-    cumulative_failure,
     estimate_ffp,
     load_trace,
     next_exceed_index,
 )
 
-from conftest import alternating_trace, constant_trace, spiky_trace, stable_trace
+from conftest import (
+    alternating_offset_oracle,
+    alternating_trace,
+    constant_trace,
+    spiky_trace,
+    stable_trace,
+)
 
 
 class TestLoadTrace:
@@ -160,33 +165,6 @@ class TestPriceLookups:
                 SpotPriceTrace([0, bad], [0.05, 0.06])
 
 
-def exhaustive_offset_oracle(low, high, seg, bid, horizon, step, t_query, cycles=200):
-    """Cumulative failure before t_query by enumerating integer start offsets.
-
-    Independent hand-walk over the periodic low/high trace: a walk starting
-    in a high segment fails immediately; one starting in a low segment fails
-    when the segment ends.  Walks reaching the trace end or the horizon
-    count as no-failure.
-    """
-    span = 2 * seg * cycles - seg  # last point starts the final high segment
-    fail = 0
-    total = 0
-    for offset in range(0, int(span), 13):  # co-prime stride, dense coverage
-        pos = offset % (2 * seg)
-        if (high if pos >= seg else low) > bid:
-            elapsed = 0.0
-        elif high > bid:
-            elapsed = seg - pos
-        else:
-            elapsed = math.inf
-        total += 1
-        if offset + elapsed > span or elapsed >= horizon:
-            continue  # no-failure
-        if math.floor(elapsed / step) * step < t_query:
-            fail += 1
-    return fail / total
-
-
 class TestEstimateFfp:
     def test_constant_low_never_fails(self):
         model = FailureModel(traces={0: constant_trace(0.05)}, num_trials=2000, rng_seed=1)
@@ -207,10 +185,11 @@ class TestEstimateFfp:
 
     def test_alternating_matches_offset_oracle(self):
         model = FailureModel(traces={0: alternating_trace()}, num_trials=10_000, rng_seed=3)
+        dist = estimate_ffp(model, 0, 0.10)
+        oracle = alternating_offset_oracle(0.10)
         for t_query in (60.0, 1800.0, 3600.0, 5400.0, 7200.0):
-            got = cumulative_failure(model, 0, 0.10, t_query)
-            want = exhaustive_offset_oracle(0.05, 0.15, 3600, 0.10, HORIZON, STEP, t_query)
-            assert got == pytest.approx(want, abs=0.02), t_query
+            want = oracle[math.ceil(t_query / STEP)]
+            assert dist.cumulative_before(t_query) == pytest.approx(want, abs=0.02), t_query
 
     def test_rejects_nonpositive_bid(self):
         model = FailureModel(traces={0: constant_trace(0.05)}, num_trials=10)
@@ -365,21 +344,25 @@ class TestSampleFailureTimes:
 
 
 class TestCumulativeFailure:
+    """FirstFailureDistribution.cumulative_before, the one cumulative-failure query."""
+
     def test_zero_at_t_zero(self):
         model = FailureModel(traces={0: alternating_trace()}, num_trials=1000, rng_seed=1)
-        assert cumulative_failure(model, 0, 0.10, 0.0) == 0.0
+        assert estimate_ffp(model, 0, 0.10).cumulative_before(0.0) == 0.0
 
     def test_bid_above_max_never_fails(self):
         model = FailureModel(traces={0: alternating_trace()}, num_trials=1000, rng_seed=1)
-        assert cumulative_failure(model, 0, 0.20, 86_400.0) == 0.0
+        assert estimate_ffp(model, 0, 0.20).cumulative_before(86_400.0) == 0.0
 
     def test_full_horizon_on_alternating(self):
         model = FailureModel(traces={0: alternating_trace()}, num_trials=10_000, rng_seed=4)
-        assert cumulative_failure(model, 0, 0.10, HORIZON) == pytest.approx(1.0, abs=0.02)
+        dist = estimate_ffp(model, 0, 0.10)
+        assert dist.cumulative_before(HORIZON) == pytest.approx(1.0, abs=0.02)
 
     def test_monotone_in_t(self):
         model = FailureModel(traces={0: alternating_trace()}, num_trials=3000, rng_seed=5)
-        values = [cumulative_failure(model, 0, 0.10, t) for t in range(0, 10_000, 500)]
+        dist = estimate_ffp(model, 0, 0.10)
+        values = [dist.cumulative_before(t) for t in range(0, 10_000, 500)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_bid_monotonicity_pathwise(self):
@@ -388,9 +371,6 @@ class TestCumulativeFailure:
         times = np.array([0.0, 59.0, 600.0, 3600.0, 3601.0, 7200.0, 86_400.0, math.inf])
         for _ in range(100):
             b1, b2 = sorted(rng.uniform(0.001, 0.2, size=2))
-            for t in (600.0, 3600.0, 7200.0, 86_400.0):
-                assert (cumulative_failure(model, 0, b1, t)
-                        >= cumulative_failure(model, 0, b2, t))
             low = estimate_ffp(model, 0, b1).cumulative_before(times)
             high = estimate_ffp(model, 0, b2).cumulative_before(times)
             assert np.all(low >= high)
@@ -407,14 +387,12 @@ class TestCumulativeFailure:
             trials = int(rng.choice([1, 7, 10_000, 123_457]))
             counts = counts_with_gaps(rng, used, trials, float(rng.choice([1.0, 0.9, 0.3])))
             dist = FirstFailureDistribution(counts=counts, trials=trials)
-            model = FailureModel(traces={0: constant_trace(0.01)}, num_trials=trials)
-            model._cache[(0, 0.5)] = dist
             end = HORIZON
             past = [end - STEP / 2, end, end + 1.0, 10 * end, math.inf]
             times = np.concatenate((rng.uniform(0.0, 1.2 * end, size=50),
                                     dist.bucket_times, past))
             got = dist.cumulative_before(times)
-            scalar = [cumulative_failure(model, 0, 0.5, t) for t in times]
+            scalar = [dist.cumulative_before(t) for t in times]
             want = [int(counts[:min(math.ceil(t / STEP), NBUCKETS)].sum()) / trials
                     if t < math.inf else int(counts.sum()) / trials for t in times]
             assert got.tolist() == scalar == want
@@ -425,6 +403,7 @@ class TestCumulativeFailure:
 
     def test_rejects_negative_and_nan_times(self):
         model = FailureModel(traces={0: alternating_trace()}, num_trials=100, rng_seed=1)
-        for t in (-1.0, math.nan):
-            with pytest.raises(ValueError, match="nonnegative"):
-                cumulative_failure(model, 0, 0.10, t)
+        dist = estimate_ffp(model, 0, 0.10)
+        for t in (-1.0, math.nan, [0.0, 60.0, -1e-9], np.array([math.nan, 60.0])):
+            with pytest.raises(ValueError, match="times must be nonnegative"):
+                dist.cumulative_before(t)

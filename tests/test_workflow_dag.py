@@ -285,24 +285,27 @@ class TestDeadlineBounds:
         for k in (0, 2):
             cpu_time = job.tasks[1].profile.instructions / cat[k].cpu_speed
             assert cache.dist(1, k).expectation() != cpu_time
-        with_cache = deadline_bounds(job, cat, n=300, seed=4, cache=cache)
+        with_cache = deadline_bounds(job, cat, cache=cache)
         assert with_cache == deadline_bounds(job, cat, n=300, seed=4)
         assert [len(row) for row in cache._dists] == [len(cat)] * len(job.tasks)
 
-    def test_cache_must_match_samples_and_seed(self):
+    def test_n_and_seed_come_only_without_a_cache(self):
+        # The cache fixes both, so either one given with it is refused,
+        # even when it matches.
         cat = ordered_catalog(2)
         job = chain_job([mixed_profile()])
-        for n, seed in ((300, 5), (200, 4)):
-            with pytest.raises(ValueError, match="cache draws"):
-                deadline_bounds(job, cat, n=n, seed=seed,
-                                cache=TaskDistCache(job, cat, sample_count=300, seed=4))
+        cache = TaskDistCache(job, cat, sample_count=300, seed=4)
+        for kwargs in ({"n": 300}, {"seed": 4}, {"n": 300, "seed": 4}, {"n": 200, "seed": 5}):
+            with pytest.raises(ValueError, match="n and seed are fixed by the cache"):
+                deadline_bounds(job, cat, cache=cache, **kwargs)
+        assert cache._dists is None  # refused before any draw
 
     def test_cache_must_match_the_catalog(self):
         # Read from a cache over another catalog, the bounds would come from
         # that catalog's fastest and slowest types.
         job = chain_job([mixed_profile()])
         with pytest.raises(ValueError, match="another catalog"):
-            deadline_bounds(job, default_catalog(), n=300, seed=4,
+            deadline_bounds(job, default_catalog(),
                             cache=TaskDistCache(job, ordered_catalog(4), 300, 4))
 
 
