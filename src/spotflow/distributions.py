@@ -127,18 +127,22 @@ class EmpiricalDistribution:
             self.expectation(),
         )
 
+    def head(self, count):
+        """Distribution of the first `count` samples, sharing this one's memory.
+
+        Operations pair samples by index, so an operation on the heads of
+        its operands gives the head of its result.
+        """
+        if count < 2:
+            raise ValueError("need at least 2 samples, got %d" % count)
+        return EmpiricalDistribution._adopt(self._samples[:count])
+
     # ---------- queries ----------
 
     def percentile(self, q):
         """Nearest-rank percentile: the smallest sample v with P(X <= v) >= q."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be in [0, 1], got %r" % (q,))
-        srt = self.sorted_samples
-        n = srt.size
-        # round() guards against float noise in q*n flipping the rank.
-        rank = math.ceil(round(q * n, 9))
-        idx = min(max(rank, 1), n) - 1
-        return float(srt[idx])
+        rank = percentile_rank(q, self.sample_count)
+        return float(self.sorted_samples[rank - 1])
 
     def expectation(self):
         mean = self._mean
@@ -152,6 +156,14 @@ class EmpiricalDistribution:
         srt = self.sorted_samples
         counts = np.searchsorted(srt, t, side="right")
         return counts / srt.size
+
+
+def percentile_rank(q, n):
+    """1-based rank, among n sorted samples, of the nearest-rank q-percentile."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("q must be in [0, 1], got %r" % (q,))
+    # round() guards against float noise in q*n flipping the rank.
+    return min(max(math.ceil(round(q * n, 9)), 1), n)
 
 
 def _paired(dists):
@@ -205,10 +217,21 @@ def dominates(c2, c1, epsilon=0.01):
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     s1, s2 = c1.sorted_samples, c2.sorted_samples
-    n1, n2 = s1.size, s2.size
+    first, idx = _dominance_ranks(s1.size, s2.size, epsilon)
+    return bool(np.all(s2[idx] <= s1[first:]))
+
+
+@functools.lru_cache(maxsize=16)
+def _dominance_ranks(n1, n2, epsilon):
+    """(first, idx): sorted c1 samples from index `first` on are checked
+    against the sorted c2 samples at idx (m_k - 1); the ones before have a
+    nonpositive m_k.  Depends only on the sample counts and epsilon, so it
+    is memoized, read-only."""
     need = np.arange(1, n1 + 1) / n1 - epsilon
     m = np.ceil(need * n2).astype(np.int64)
     m -= (m - 1) / n2 >= need
     m += m / n2 < need
     first = int(np.searchsorted(m, 1))  # m is nondecreasing in k
-    return bool(np.all(s2[m[first:] - 1] <= s1[first:]))
+    idx = m[first:] - 1
+    idx.flags.writeable = False
+    return first, idx

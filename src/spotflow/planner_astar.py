@@ -7,6 +7,16 @@ rank-0 type and moves one task at a time up one rank, so a plan never costs
 less than the plan it came from.  A uniform-cost queue ordered by
 (plan_cost, plan) therefore evaluates plans in non-decreasing cost, and the
 first feasible plan it pops is a cheapest feasible plan.
+
+Prefix screen.  Once an infeasible plan has been evaluated, the closest
+percentile so far is a bar above the deadline.  A popped plan is first swept
+over its first SCREEN_SAMPLES samples only (samples are paired by index, so
+that is the head of its full makespan vector).  When more of those reach
+the bar than the percentile's rank leaves room for above it, the plan's
+percentile is at least the bar: it is infeasible and no closer, so its full
+evaluation is skipped and only its children are queued.  The screen is
+exact: the returned plan and every field of InfeasiblePlanError are those
+of evaluating every popped plan in full.
 """
 
 import heapq
@@ -17,8 +27,10 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cloud_model import expected_ondemand_cost, task_time_distribution
-from .distributions import DEFAULT_SAMPLE_COUNT, derive_seed
+from .distributions import DEFAULT_SAMPLE_COUNT, derive_seed, percentile_rank
 from .workflow_dag import (
     ConfigDim,
     HybridConfig,
@@ -51,6 +63,10 @@ class InfeasiblePlanError(RuntimeError):
         )
 
 
+# Samples a popped plan is swept over before its full evaluation.
+SCREEN_SAMPLES = 1024
+
+
 @dataclass
 class AStarParams:
     max_iter: int = 10_000
@@ -65,13 +81,15 @@ class SearchStats:
     """Diagnostics of one search run.
 
     pruned counts the generated plans still queued, never evaluated, when
-    the search returned.
+    the search returned.  Of the iterations (popped plans), screened were
+    decided by the prefix screen and the rest were evaluated in full.
     """
 
     iterations: int = 0
     generated: int = 0
     pruned: int = 0
     feasible_found: int = 0
+    screened: int = 0
 
 
 class TaskDistCache:
@@ -163,12 +181,31 @@ def plan_distribution(job, cache, plan):
     return workflow_time_distribution(job, dists)
 
 
+def _head_reaches(job, cache, heads, plan, bar, above):
+    """True when more than `above` of the plan's first SCREEN_SAMPLES
+    makespan samples reach `bar`.
+
+    The sweep is workflow_time_distribution over the heads of the task
+    distributions, memoized in `heads` by (task, type).
+    """
+    dists = []
+    for tid, type_id in enumerate(plan):
+        head = heads.get((tid, type_id))
+        if head is None:
+            head = heads[tid, type_id] = cache.dist(tid, type_id).head(SCREEN_SAMPLES)
+        dists.append(head)
+    makespan = workflow_time_distribution(job, dists)
+    return np.count_nonzero(makespan.samples >= bar) > above
+
+
 def astar_configure(job, catalog, params=None, sample_count=None, cache=None, stats=None):
     """Cheapest feasible per-task on-demand type assignment.
 
     Returns the plan as a list of type ids indexed by task id.  Plans are
-    evaluated in non-decreasing plan_cost order, so the first feasible one
-    is a cheapest feasible plan and is returned at once.  Raises
+    popped in non-decreasing plan_cost order, so the first feasible one
+    is a cheapest feasible plan and is returned at once; the prefix screen
+    (see the module docstring) skips the full evaluation of plans it proves
+    infeasible and no closer than the closest so far.  Raises
     InfeasiblePlanError when no feasible plan is found within max_iter
     iterations, carrying the closest-to-feasible plan seen as a diagnosis
     and whether the budget or the plans ran out first.  A `cache` (the
@@ -194,6 +231,10 @@ def astar_configure(job, catalog, params=None, sample_count=None, cache=None, st
     upgrade = [dict(zip(r, r[1:])) for r in ranked]
     initial = tuple(r[0] for r in ranked)
     closest = (math.inf, initial)  # (percentile, plan) for diagnosis
+    # A plan's percentile is at least the bar when more than `above` of
+    # its samples reach it: then fewer than its rank lie below the bar.
+    above = cache.sample_count - percentile_rank(job.guarantee_p, cache.sample_count)
+    heads = {}
 
     # Entries are (cost, plan, level); a plan may still upgrade tasks
     # level..n-1, so it has one parent and is pushed once.
@@ -203,13 +244,16 @@ def astar_configure(job, catalog, params=None, sample_count=None, cache=None, st
     while heap and evaluated < params.max_iter:
         evaluated += 1
         _, plan, level = heapq.heappop(heap)
-        percentile = plan_distribution(job, cache, plan).percentile(job.guarantee_p)
-        if percentile <= job.deadline:
-            stats.feasible_found += 1
-            found = plan
-            break
-        if percentile < closest[0]:
-            closest = (percentile, plan)
+        if closest[0] < math.inf and _head_reaches(job, cache, heads, plan, closest[0], above):
+            stats.screened += 1
+        else:
+            percentile = plan_distribution(job, cache, plan).percentile(job.guarantee_p)
+            if percentile <= job.deadline:
+                stats.feasible_found += 1
+                found = plan
+                break
+            if percentile < closest[0]:
+                closest = (percentile, plan)
         for tid in range(level, n_tasks):
             type_id = upgrade[tid].get(plan[tid])
             if type_id is not None:

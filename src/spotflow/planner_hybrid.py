@@ -18,6 +18,16 @@ type's on-demand price]; too-costly bids move the search down, dominance
 failures move it up, and the search reports not-found when the interval
 collapses below BID_SEARCH_TOLERANCE.  Spot types are tried from the most
 expensive down to the on-demand type, and the first accepted bid wins.
+
+Cost floor.  Every bid shares the failure model's walks, so a lower bid
+fails at least as often and its fallback sum is at least as large.  When
+the cost gate fails at a midpoint, each bid of the lower half therefore
+costs at least the midpoint's cost with the spot term re-priced at the
+half's low end.  When that floor exceeds the on-demand cost by more than
+COST_FLOOR_MARGIN (relative), every step of the lower half would fail the
+cost gate and the search reports not-found at once.  The margin is far
+above the rounding of the floor and of the gate's sums, so the accepted
+bids are those of the full bisection.
 """
 
 import numpy as np
@@ -30,6 +40,7 @@ from .workflow_dag import ConfigDim, HybridConfig
 P_MIN = 0.001                 # lowest bid considered, USD/hour
 BID_SEARCH_TOLERANCE = 0.001  # interval width where bisection gives up
 DOMINANCE_EPSILON = 0.01
+COST_FLOOR_MARGIN = 1e-9      # relative; see the module docstring
 
 
 def _bid_key(bid):
@@ -51,11 +62,11 @@ def hybrid_time_distribution(spot_dist, ffp, od_dist, seed=0):
     spot_samples, od_samples = _paired((spot_dist, od_dist))
     n = spot_samples.size
     rng = substream(seed, "hybrid-mixture")
-    ts = spot_samples[rng.permutation(n)]
+    times = spot_samples[rng.permutation(n)]
     fail_t = ffp.sample_failure_times(rng, n)
-    failed = fail_t < ts
-    od = od_samples[rng.permutation(n)]
-    return EmpiricalDistribution._adopt(np.where(failed, fail_t + od, ts))
+    failed = np.flatnonzero(fail_t < times)
+    times[failed] = fail_t[failed] + od_samples[rng.permutation(n)[failed]]
+    return EmpiricalDistribution._adopt(times)
 
 
 def hybrid_cost(config, dim_dists, failure):
@@ -83,11 +94,12 @@ def hybrid_cost(config, dim_dists, failure):
             + od_dim.price * fallback / spot_dist.sample_count) / SECONDS_PER_HOUR
 
 
-def _cost_ok(spot_dim, od_dim, spot_dist, od_dist, failure):
-    """Cost gate: the hybrid's estimated cost is at most the on-demand cost."""
+def _gate_costs(spot_dim, od_dim, spot_dist, od_dist, failure):
+    """(hybrid cost, on-demand cost) of the cost gate, which passes when
+    the first is at most the second."""
     candidate = HybridConfig((spot_dim, od_dim))
-    return (hybrid_cost(candidate, [spot_dist, od_dist], failure)
-            <= expected_ondemand_cost(od_dim.price, od_dist))
+    return (hybrid_cost(candidate, [spot_dist, od_dist], failure),
+            expected_ondemand_cost(od_dim.price, od_dist))
 
 
 def _dominance_ok(spot_dim, spot_dist, od_dist, failure, seed):
@@ -109,14 +121,19 @@ def binary_search_bid(spot_type, od_dim, spot_dist, od_dist, failure,
     """Bisect for a bidding price passing both refinement gates.
 
     Returns the accepted bid or None (not found).  A midpoint whose hybrid
-    cost exceeds the on-demand cost sends the search to the lower half; a
-    midpoint failing the dominance gate sends it to the upper half.
+    cost exceeds the on-demand cost sends the search to the lower half,
+    unless the cost floor (see the module docstring) rules the whole half
+    out; a midpoint failing the dominance gate sends it to the upper half.
     """
     if p_low > p_high or (p_high - p_low) < BID_SEARCH_TOLERANCE:
         return None
     p_mid = (p_low + p_high) / 2.0
     spot_dim = ConfigDim(spot_type.id, p_mid, True)
-    if not _cost_ok(spot_dim, od_dim, spot_dist, od_dist, failure):
+    cost, od_cost = _gate_costs(spot_dim, od_dim, spot_dist, od_dist, failure)
+    if cost > od_cost:
+        floor = cost - (p_mid - p_low) * spot_dist.expectation() / SECONDS_PER_HOUR
+        if floor > od_cost * (1.0 + COST_FLOOR_MARGIN):
+            return None
         return binary_search_bid(spot_type, od_dim, spot_dist, od_dist,
                                  failure, p_low, p_mid, seed=seed)
     if not _dominance_ok(spot_dim, spot_dist, od_dist, failure, seed):
@@ -175,6 +192,7 @@ def check_refinement(task_id, config, failure, cache, seed=0):
     spot_dim, od_dim = config.dims
     spot_dist = cache.dist(task_id, spot_dim.type_id)
     od_dist = cache.dist(task_id, od_dim.type_id)
-    return (_cost_ok(spot_dim, od_dim, spot_dist, od_dist, failure),
+    cost, od_cost = _gate_costs(spot_dim, od_dim, spot_dist, od_dist, failure)
+    return (cost <= od_cost,
             _dominance_ok(spot_dim, spot_dist, od_dist, failure,
                           derive_seed(seed, "refine", task_id, 0)))

@@ -400,7 +400,9 @@ class FailureModel:
         The start-offset stream is keyed by type only, not by bid: every
         bid is evaluated against the same trial walks, which makes
         cumulative failure exactly monotone in the bid instead of monotone
-        up to sampling noise.  Drawn once per type.
+        up to sampling noise.  Drawn once per type, and sorted: estimates
+        count walks, which does not depend on their order, and sorted keys
+        locate their trace segments faster.
         """
         cached = self._walks.get(type_id)
         if cached is not None:
@@ -408,7 +410,7 @@ class FailureModel:
         trace = self.traces[type_id]
         rng = substream(self.rng_seed, "ffp", type_id)
         if trace.span > 0:
-            starts = trace.start + rng.uniform(0.0, trace.span, size=self.num_trials)
+            starts = np.sort(trace.start + rng.uniform(0.0, trace.span, size=self.num_trials))
         else:
             starts = np.full(self.num_trials, trace.start)
         seg = (np.searchsorted(trace.timestamps, starts, side="right") - 1).astype(np.int32)

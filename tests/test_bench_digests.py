@@ -7,8 +7,8 @@ sha256 of plans.json and report.json.  plan-refine is a 51-task class at
 10,000 samples, where a last-bit shift in a refinement cost can flip a gate
 that the 2,000-sample golden case never reaches; plan-search pins the
 search's plans (its epigenomics-like-2x4 class exits 3 at its 100-iteration
-budget), and simulate pins a 1,000-job run over two classes planned in one
-call.
+budget, and its stderr diagnosis is pinned too), and simulate pins a
+1,000-job run over two classes planned in one call.
 
 A change that alters these outputs on purpose takes the new digests from
 
@@ -24,7 +24,7 @@ import sys
 
 import pytest
 
-from spotflow import cli
+from spotflow import cli, planner_astar
 from spotflow.cloud_model import default_catalog
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
@@ -33,17 +33,21 @@ DIGESTS = {
     "plans.json": "019bc8d5329ab7024e24b0aa00ee762188b296ee3dfb91aea17fa1db924dc276",
     "sim/report.json": "dcd2e3ab1a2f9743baded4c5a0800c270d26b782bd9a6d242f0556fd2e7b5acd",
 }
-# Per plan call: the plan exit code and the digests of its outputs.
+# Per plan call: the plan exit code, the digests of its outputs and its
+# stderr (the search's diagnosis when it exits 3).
 PLAN_SEARCH = {
     "ligo-like-1x4": (0, {
         "plans.json": "921e7a1f75b3ca61861f585cc31133a34762dc64f57aedb0cfcd286dadd5204d",
         "sim/report.json": "0206af6fc11fec2a395626c57dd56eef9b362fea67c42b27556f9633740ab875",
-    }),
+    }, ""),
     "montage-like-4": (0, {
         "plans.json": "96c39b98d19b61cfcebfbe0ccca555162e1202ae138a50dc0e0ef0d4083642f5",
         "sim/report.json": "d46fabaf8ad15b4972be532506532c43c8323da96c9f734ae2c0f0f5034e82ca",
-    }),
-    "epigenomics-like-2x4": (cli.EXIT_INFEASIBLE, {}),
+    }, ""),
+    "epigenomics-like-2x4": (cli.EXIT_INFEASIBLE, {}, (
+        "infeasible: no feasible plan for 'epigenomics-like-2x4' (budget of 100 iterations"
+        " exhausted): best percentile 15533.8 s vs deadline 11310.5 s"
+        " (plan [0, 1, 0, 1, 0, 0, 0, 1, 0, 0, 0])\n")),
 }
 SIMULATE = {
     "plans.json": "de5125fd180b607ad4962fa9a502c07efd7a161fe99f53d2d7b4bb46abf62e51",
@@ -123,7 +127,7 @@ def test_plan_search_outputs_match_the_benchmark_digests(class_id, tmp_path, mon
                                                          capsys):
     bench = Bench("plan-search", tmp_path, monkeypatch)
     (cls,) = [c for c in bench.workload["classes"] if c["class_id"] == class_id]
-    want_rc, digests = PLAN_SEARCH[class_id]
+    want_rc, digests, want_err = PLAN_SEARCH[class_id]
     out = tmp_path / "out"
     assert bench.plan([cls], out) == want_rc
     if want_rc == 0:
@@ -131,7 +135,7 @@ def test_plan_search_outputs_match_the_benchmark_digests(class_id, tmp_path, mon
         assert bench.simulate([cls], out) == 0
     else:
         assert not (out / "plans.json").exists()
-    capsys.readouterr()
+    assert capsys.readouterr().err == want_err
     assert_digests(out, digests)
 
 
@@ -143,3 +147,28 @@ def test_simulate_outputs_match_the_benchmark_digests(tmp_path, monkeypatch, cap
     assert bench.simulate(classes, out) == 0
     capsys.readouterr()
     assert_digests(out, SIMULATE)
+
+
+def test_epigenomics_search_screens_most_pops(tmp_path, monkeypatch, capsys):
+    # The prefix screen decides 81 of the class's 100 pops, so only 19 get
+    # a full evaluation; every pop is one or the other.
+    bench = Bench("plan-search", tmp_path, monkeypatch)
+    (cls,) = [c for c in bench.workload["classes"] if c["class_id"] == "epigenomics-like-2x4"]
+    runs, full_evals = [], []
+    search, evaluate = planner_astar.astar_configure, planner_astar.plan_distribution
+
+    def recording_search(*args, **kwargs):
+        runs.append(kwargs.setdefault("stats", planner_astar.SearchStats()))
+        return search(*args, **kwargs)
+
+    def counting_evaluate(*args):
+        full_evals.append(args[2])
+        return evaluate(*args)
+
+    monkeypatch.setattr(planner_astar, "astar_configure", recording_search)
+    monkeypatch.setattr(planner_astar, "plan_distribution", counting_evaluate)
+    assert bench.plan([cls], tmp_path / "out") == cli.EXIT_INFEASIBLE
+    capsys.readouterr()
+    (stats,) = runs
+    assert stats.iterations == 100 == stats.screened + len(full_evals)
+    assert stats.screened >= 80

@@ -88,6 +88,11 @@ def test_random_dags_match_per_sample_longest_path(rng_seed):
         job, dists = random_case(rng)
         got = workflow_time_distribution(job, dists)
         assert np.array_equal(got.samples, ref_longest_path(job, dists)), (case, job.edges())
+        # The sweep over the heads of the task samples is the head of the sweep.
+        k = got.sample_count // 3
+        heads = {tid: d.head(k) for tid, d in dists.items()}
+        assert np.shares_memory(heads[0].samples, dists[0].samples)
+        assert np.array_equal(workflow_time_distribution(job, heads).samples, got.samples[:k])
         if is_series_parallel(job):
             reducible += 1
         else:

@@ -1,4 +1,5 @@
 import dataclasses
+import heapq
 import itertools
 import math
 import os
@@ -17,7 +18,7 @@ from spotflow.cloud_model import (
     expected_ondemand_cost,
     task_time_distribution,
 )
-from spotflow.distributions import derive_seed, dominates
+from spotflow.distributions import EmpiricalDistribution, derive_seed, dominates
 from spotflow.planner_astar import (
     AStarParams,
     InfeasiblePlanError,
@@ -28,6 +29,7 @@ from spotflow.planner_astar import (
     brute_force_configure,
     load_plan_cache,
     plan_cost,
+    plan_distribution,
     save_plan_cache,
 )
 from spotflow.spot_market import FailureModel
@@ -52,10 +54,10 @@ def skewed_catalog():
     ])
 
 
-def random_case(rng, catalog, i, n=400, seed=3):
-    """A random 4-5-task DAG of distinct CPU- or I/O-heavy tasks, with a
-    deadline log-uniform from slightly below D_min up to D_max."""
-    n_tasks = int(rng.integers(4, 6))
+def random_case(rng, catalog, i, n=400, seed=3, tasks=(4, 5)):
+    """A random DAG of tasks[0]..tasks[1] distinct CPU- or I/O-heavy tasks,
+    with a deadline log-uniform from slightly below D_min up to D_max."""
+    n_tasks = int(rng.integers(tasks[0], tasks[1] + 1))
     profiles = {}
     for tid in range(n_tasks):
         s = rng.uniform(0.5, 2.0)
@@ -177,6 +179,115 @@ class TestOracleEquivalence:
                 assert plan_cost(cache, tuple(plan)) == bf_cost, (i, plan)
                 feasible += 1
         assert feasible >= 30 and infeasible >= 3
+
+
+def full_sweep_search(job, cache, max_iter):
+    """The search with every popped plan evaluated in full, as it was before
+    the prefix screen: the screen's oracle.
+
+    Returns (plan or None, (closest percentile, closest plan), evaluated,
+    generated, still queued).
+    """
+    n_tasks = len(job.tasks)
+    ranked = [sorted(range(len(cache.catalog)), key=lambda k: (cache.cost(tid, k), k))
+              for tid in range(n_tasks)]
+    upgrade = [dict(zip(r, r[1:])) for r in ranked]
+    initial = tuple(r[0] for r in ranked)
+    closest = (math.inf, initial)
+    heap = [(plan_cost(cache, initial), initial, 0)]
+    evaluated = generated = 0
+    while heap and evaluated < max_iter:
+        evaluated += 1
+        _, plan, level = heapq.heappop(heap)
+        percentile = plan_distribution(job, cache, plan).percentile(job.guarantee_p)
+        if percentile <= job.deadline:
+            return plan, closest, evaluated, generated, len(heap)
+        if percentile < closest[0]:
+            closest = (percentile, plan)
+        for tid in range(level, n_tasks):
+            type_id = upgrade[tid].get(plan[tid])
+            if type_id is not None:
+                child = plan[:tid] + (type_id,) + plan[tid + 1:]
+                generated += 1
+                heapq.heappush(heap, (plan_cost(cache, child), child, tid))
+    return None, closest, evaluated, generated, len(heap)
+
+
+class TestPrefixScreen:
+    """The screened search returns exactly what the full-sweep search does."""
+
+    @pytest.mark.parametrize("n", [600, 1024, 3000])
+    def test_matches_the_full_sweep_search(self, n, monkeypatch):
+        full_evals = []
+
+        def counting_plan_distribution(*args):
+            full_evals.append(args[2])
+            return plan_distribution(*args)
+
+        monkeypatch.setattr(planner_astar, "plan_distribution", counting_plan_distribution)
+        catalog = skewed_catalog()
+        rng = np.random.default_rng(n)
+        screened = boundary_hits = budget_ends = proofs = 0
+        for i in range(12):
+            job, cache = random_case(rng, catalog, i, n=n, seed=i, tasks=(3, 7))
+            # The drawn deadline; the percentile of the plan the search
+            # returns at it (or of the fastest plan), where exactly ceil(q*n)
+            # samples are at or below the deadline, and one float below
+            # that; and a deadline below D_min.
+            found = full_sweep_search(job, cache, 500)[0]
+            fastest = tuple(len(catalog) - 1 for _ in job.tasks)
+            edge = plan_distribution(job, cache, found or fastest).percentile(job.guarantee_p)
+            for deadline in (job.deadline, edge, np.nextafter(edge, 0.0), job.deadline / 3):
+                for max_iter in (500, int(rng.integers(1, 6)), int(rng.integers(6, 40))):
+                    case = job.with_deadline(float(deadline))
+                    want = full_sweep_search(case, cache, max_iter)
+                    stats = SearchStats()
+                    full_evals.clear()
+                    try:
+                        got = astar_configure(case, catalog, params=AStarParams(max_iter),
+                                              cache=cache, stats=stats)
+                    except InfeasiblePlanError as err:
+                        assert want[0] is None, (i, deadline, max_iter)
+                        assert (err.best_percentile, err.best_plan) == want[1]
+                        assert err.deadline == case.deadline
+                        assert err.evaluated == want[2] == stats.iterations
+                        assert err.budget_exhausted == (want[4] > 0)
+                        budget_ends += err.budget_exhausted
+                        proofs += not err.budget_exhausted
+                        assert str(err) == str(InfeasiblePlanError(case, want[1][1], want[1][0],
+                                                                   want[2], want[4] > 0))
+                    else:
+                        assert tuple(got) == want[0], (i, deadline, max_iter)
+                        assert stats.iterations == want[2]
+                        boundary_hits += plan_distribution(case, cache, tuple(got)).percentile(
+                            case.guarantee_p) == deadline
+                    assert (stats.generated, stats.pruned) == want[3:]
+                    assert stats.iterations == stats.screened + len(full_evals)
+                    screened += stats.screened
+        assert screened >= 1000 and boundary_hits >= 10
+        assert budget_ends >= 50 and proofs >= 5
+
+    def test_counts_at_the_screen_boundary(self):
+        # One task, 100 samples, q = 0.9: a plan is screened when more than
+        # 10 of its samples reach the bar.  Type 0's percentile (1089) is
+        # the bar; type 1 has exactly 10 samples at or above it and its
+        # percentile (1088) is closer, so it is evaluated; type 2 has 11
+        # samples at the new bar 1088 and is screened.
+        catalog = ordered_catalog(3)
+        job = chain_job([cpu_profile(1.0)], deadline=500.0)
+        table = [1000.0 + np.arange(100.0),
+                 np.r_[np.full(90, 1088.0), np.full(10, 2000.0)],
+                 np.r_[np.full(89, 1000.0), np.full(11, 1088.0)]]
+        cache = TaskDistCache(job, catalog, 100, 0)
+        cache._dists = [[EmpiricalDistribution(samples) for samples in table]]
+        cache._costs = [[expected_ondemand_cost(t.ondemand_price, d)
+                         for t, d in zip(catalog, cache._dists[0])]]
+        stats = SearchStats()
+        with pytest.raises(InfeasiblePlanError) as err:
+            astar_configure(job, catalog, cache=cache, stats=stats)
+        assert (err.value.best_plan, err.value.best_percentile) == ((1,), 1088.0)
+        assert err.value.evaluated == 3 and not err.value.budget_exhausted
+        assert stats.screened == 1
 
 
 class TestSearchBehaviour:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spotflow import planner_hybrid
 from spotflow.cloud_model import (
     SECONDS_PER_HOUR,
     GammaSpec,
@@ -12,6 +13,8 @@ from spotflow.cloud_model import (
 from spotflow.distributions import EmpiricalDistribution, derive_seed, dominates, substream
 from spotflow.planner_astar import TaskDistCache, astar_configure
 from spotflow.planner_hybrid import (
+    BID_SEARCH_TOLERANCE,
+    COST_FLOOR_MARGIN,
     DOMINANCE_EPSILON,
     P_MIN,
     binary_search_bid,
@@ -26,6 +29,7 @@ from spotflow.spot_market import (
     STEP,
     FailureModel,
     FirstFailureDistribution,
+    SpotPriceTrace,
     estimate_ffp,
 )
 from spotflow.workflow_dag import ConfigDim, HybridConfig, build_job, deadline_bounds, montage_like
@@ -88,6 +92,23 @@ class TestHybridTimeDistribution:
         assert values == {600.0, 780.0}
         frac_780 = float(np.mean(got.samples == 780.0))
         assert frac_780 == pytest.approx(0.5, abs=0.03)
+
+    def test_matches_the_whole_vector_mixture(self):
+        # The reruns are written at the failed indices only; the reference
+        # builds the whole rerun vector and selects, from the same draws.
+        rng = np.random.default_rng(9)
+        for case in range(20):
+            spot = EmpiricalDistribution(rng.gamma(3.0, 400.0, size=1500))
+            od = spot if case % 4 == 0 else EmpiricalDistribution(rng.gamma(3.0, 300.0, 1500))
+            counts = rng.integers(0, 50, size=NBUCKETS) * (rng.random(NBUCKETS) < 0.05)
+            ffp = FirstFailureDistribution(counts=counts, trials=int(counts.sum()) + 100)
+            draws = substream(case, "hybrid-mixture")
+            ts = spot.samples[draws.permutation(1500)]
+            fail_t = ffp.sample_failure_times(draws, 1500)
+            rerun = fail_t + od.samples[draws.permutation(1500)]
+            want = np.where(fail_t < ts, rerun, ts)
+            got = hybrid_time_distribution(spot, ffp, od, seed=case)
+            assert got.samples.tobytes() == want.tobytes(), case
 
     def test_unequal_sample_counts_rejected(self):
         ffp = synthetic_ffp({300.0: 1}, trials=2)
@@ -269,6 +290,104 @@ class TestBinarySearchBid:
         above = [cost_at(b) for b in (0.031, 0.04, 0.05, 0.06)]
         assert below == sorted(below)
         assert above == sorted(above)
+
+
+def full_bisection(spot_type, od_dim, spot_dist, od_dist, failure, p_low, p_high, seed, steps):
+    """binary_search_bid without the cost floor, as it was before it: the
+    floor's oracle.  Appends each midpoint it tries to `steps`."""
+    if p_low > p_high or (p_high - p_low) < BID_SEARCH_TOLERANCE:
+        return None
+    p_mid = (p_low + p_high) / 2.0
+    steps.append(p_mid)
+    config = HybridConfig((ConfigDim(spot_type.id, p_mid, True), od_dim))
+    if (hybrid_cost(config, [spot_dist, od_dist], failure)
+            > expected_ondemand_cost(od_dim.price, od_dist)):
+        return full_bisection(spot_type, od_dim, spot_dist, od_dist, failure,
+                              p_low, p_mid, seed, steps)
+    hybrid = hybrid_time_distribution(
+        spot_dist, estimate_ffp(failure, spot_type.id, p_mid), od_dist,
+        seed=derive_seed(seed, "bid", spot_type.id, int(round(p_mid * 1e6))))
+    if not dominates(hybrid, od_dist, DOMINANCE_EPSILON):
+        return full_bisection(spot_type, od_dim, spot_dist, od_dist, failure,
+                              p_mid, p_high, seed, steps)
+    return p_mid
+
+
+def random_market(rng, ondemand_price, points=600):
+    """A trace of jittered base prices with random spikes above on demand."""
+    base = ondemand_price * rng.uniform(0.1, 0.9)
+    prices = base * (1.0 + rng.uniform(0.0, 0.3) * rng.random(points))
+    spikes = rng.random(points) < rng.uniform(0.0, 0.2)
+    prices[spikes] = ondemand_price * rng.uniform(1.0, 4.0)
+    return SpotPriceTrace(np.arange(points) * rng.choice([600.0, 1800.0, 3600.0]), prices)
+
+
+class TestCostFloor:
+    """binary_search_bid with the cost floor returns what full bisection does."""
+
+    @staticmethod
+    def context(rng, seed):
+        catalog = ordered_catalog(3)
+        job = chain_job([mixed_profile(rng.uniform(0.3, 3.0))])
+        cache = TaskDistCache(job, catalog, 1000, seed)
+        traces = {t.id: random_market(rng, t.ondemand_price) for t in catalog}
+        return catalog, cache, FailureModel(traces=traces, num_trials=1500, rng_seed=seed)
+
+    def test_matches_full_bisection_on_random_markets(self, monkeypatch):
+        gate_calls = []
+
+        def counting_hybrid_cost(*args):
+            gate_calls.append(args[0])
+            return hybrid_cost(*args)
+
+        monkeypatch.setattr(planner_hybrid, "hybrid_cost", counting_hybrid_cost)
+        rng = np.random.default_rng(21)
+        oracle_steps = []
+        found = 0
+        for seed in range(25):
+            catalog, cache, failure = self.context(rng, seed)
+            for od_type in catalog:
+                od_dim = ConfigDim(od_type.id, od_type.ondemand_price, False)
+                for spot_type in catalog[od_type.id:]:
+                    args = (spot_type, od_dim, cache.dist(0, spot_type.id),
+                            cache.dist(0, od_type.id), failure, P_MIN, spot_type.ondemand_price)
+                    want = full_bisection(*args, seed, oracle_steps)
+                    assert binary_search_bid(*args, seed=seed) == want, (seed, od_type, spot_type)
+                    found += want is not None
+        assert found >= 40
+        # The floor cut the cost gate's evaluations.
+        assert len(gate_calls) < len(oracle_steps) / 2
+
+    def test_matches_full_bisection_with_costs_within_the_margin(self):
+        # The on-demand price is set so that the first step's floor equals
+        # the on-demand cost up to a few margins either side: there the
+        # search must still recurse whenever a lower bid could pass.
+        rng = np.random.default_rng(22)
+        cut = kept = 0
+        for seed in range(10):
+            catalog, cache, failure = self.context(rng, seed)
+            spot_type, od_type = catalog[2], catalog[0]
+            spot_dist, od_dist = cache.dist(0, spot_type.id), cache.dist(0, od_type.id)
+            p_mid = (P_MIN + spot_type.ondemand_price) / 2.0
+            fallback = failure.fallback_time_sum(estimate_ffp(failure, spot_type.id, p_mid),
+                                                 spot_dist, od_dist) / spot_dist.sample_count
+            # floor = (P_MIN E[spot] + p_od fallback) / 3600 = p_od E[od] / 3600
+            p_edge = P_MIN * spot_dist.expectation() / (od_dist.expectation() - fallback)
+            for k in (-3, -1, -0.5, 0, 0.5, 1, 1.5, 3):
+                od_dim = ConfigDim(od_type.id, p_edge * (1.0 + k * COST_FLOOR_MARGIN), False)
+                args = (spot_type, od_dim, spot_dist, od_dist, failure,
+                        P_MIN, spot_type.ondemand_price)
+                steps = []
+                want = full_bisection(*args, seed, steps)
+                assert binary_search_bid(*args, seed=seed) == want, (seed, k)
+                cost = hybrid_cost(HybridConfig((ConfigDim(spot_type.id, p_mid, True), od_dim)),
+                                   [spot_dist, od_dist], failure)
+                floor = cost - (p_mid - P_MIN) * spot_dist.expectation() / SECONDS_PER_HOUR
+                od_cost = expected_ondemand_cost(od_dim.price, od_dist)
+                assert abs(floor / od_cost - 1.0) < 4 * COST_FLOOR_MARGIN
+                cut += floor > od_cost * (1.0 + COST_FLOOR_MARGIN)
+                kept += floor <= od_cost * (1.0 + COST_FLOOR_MARGIN)
+        assert cut >= 10 and kept >= 10
 
 
 class TestRefineTask:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spotflow.distributions import substream
 from spotflow.spot_market import (
     HORIZON,
     NBUCKETS,
@@ -255,6 +256,42 @@ def next_exceed_by_loop(prices, bid):
     for i in range(n - 1, -1, -1):
         nxt[i] = i if prices[i] > bid else nxt[i + 1]
     return nxt
+
+
+def unsorted_walk_counts(model, type_id, bid):
+    """estimate_ffp's bucket counts over the walks in their drawn order, as
+    they were before the walks were sorted: the reference for the sort."""
+    trace = model.traces[type_id]
+    rng = substream(model.rng_seed, "ffp", type_id)
+    if trace.span > 0:
+        starts = trace.start + rng.uniform(0.0, trace.span, size=model.num_trials)
+    else:
+        starts = np.full(model.num_trials, trace.start)
+    seg = np.searchsorted(trace.timestamps, starts, side="right") - 1
+    nxt = next_exceed_index(trace.prices, bid)
+    j = nxt[seg]
+    n = trace.prices.size
+    elapsed = np.where(j == seg, 0.0,
+                       np.where(j < n, trace.timestamps[np.minimum(j, n - 1)] - starts, np.inf))
+    failed = elapsed < HORIZON
+    return np.bincount(np.floor(elapsed[failed] / STEP).astype(np.int64), minlength=NBUCKETS)
+
+
+def test_counts_match_the_unsorted_walks():
+    rng = np.random.default_rng(17)
+    traces = {0: constant_trace(0.05, hours=1), 1: spiky_trace(), 2: stable_trace(0.03),
+              3: alternating_trace(seg_seconds=5400.0)}
+    for points in (2, 50, 2000):
+        times = np.cumsum(rng.uniform(1.0, 7200.0, size=points))
+        traces[len(traces)] = SpotPriceTrace(times, rng.uniform(0.01, 0.2, size=points))
+    model = FailureModel(traces=traces, num_trials=3000, rng_seed=4)
+    for type_id, trace in traces.items():
+        starts, _ = model.walks(type_id)
+        assert np.all(starts[1:] >= starts[:-1])
+        for bid in (*np.quantile(trace.prices, [0.0, 0.3, 0.7, 1.0]), 0.5 * trace.prices.min()):
+            got = estimate_ffp(model, type_id, float(bid)).counts
+            assert np.array_equal(got, unsorted_walk_counts(model, type_id, float(bid))), (
+                type_id, bid)
 
 
 class TestNextExceedIndex:
