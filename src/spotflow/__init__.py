@@ -34,7 +34,6 @@ from .planner_astar import (
     JobPlan,
     TaskDistCache,
     astar_configure,
-    brute_force_configure,
     load_plan_cache,
     plan_cost,
     plan_distribution,

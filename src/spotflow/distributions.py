@@ -14,7 +14,7 @@ chain of such operations is a per-sample Monte Carlo over the same draws.
 `derive_seed` is memoized.
 
 Order statistics are lazy: a distribution sorts its samples on the first
-query that needs them (sorted_samples, percentile, cdf), so intermediate
+query that needs them (sorted_samples, percentile), so intermediate
 results that are only combined further are never sorted.
 
 All operations are pure and bit-reproducible for a fixed seed.
@@ -151,12 +151,6 @@ class EmpiricalDistribution:
             object.__setattr__(self, "_mean", mean)
         return mean
 
-    def cdf(self, t):
-        """Fraction of samples <= t; t may be a scalar or an array."""
-        srt = self.sorted_samples
-        counts = np.searchsorted(srt, t, side="right")
-        return counts / srt.size
-
 
 def percentile_rank(q, n):
     """1-based rank, among n sorted samples, of the nearest-rank q-percentile."""
@@ -204,8 +198,8 @@ def dominates(c2, c1, epsilon=0.01):
     one c1 sample up to the next CDF_c1 is flat while CDF_c2 can only rise.
     At the k-th smallest c1 sample the right-hand side uses k / n1, which
     is CDF_c1 there for the last of a run of equal samples and smaller for
-    the others, so those extra checks are implied.  Both sides are the same
-    count / size floats that `cdf` returns.
+    the others, so those extra checks are implied.  Both sides are
+    count / size floats: the fraction of samples at or below t.
 
     The check is a rank lookup: m_k, the smallest count m with
     m / n2 >= k / n1 - epsilon, is ceil((k / n1 - epsilon) * n2) corrected

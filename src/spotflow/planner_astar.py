@@ -8,15 +8,16 @@ less than the plan it came from.  A uniform-cost queue ordered by
 (plan_cost, plan) therefore evaluates plans in non-decreasing cost, and the
 first feasible plan it pops is a cheapest feasible plan.
 
-Prefix screen.  Once an infeasible plan has been evaluated, the closest
-percentile so far is a bar above the deadline.  A popped plan is first swept
+Feasibility rule.  Of a plan's n makespan samples, at most n - ceil(p*n)
+may lie strictly above the deadline D (a sample equal to D is within it);
+one more and its p-percentile exceeds D.  A popped plan is first swept
 over its first SCREEN_SAMPLES samples only (samples are paired by index, so
-that is the head of its full makespan vector).  When more of those reach
-the bar than the percentile's rank leaves room for above it, the plan's
-percentile is at least the bar: it is infeasible and no closer, so its full
-evaluation is skipped and only its children are queued.  The screen is
-exact: the returned plan and every field of InfeasiblePlanError are those
-of evaluating every popped plan in full.
+that is the head of its full makespan vector).  When more than n - ceil(p*n)
+of those already exceed D the plan is infeasible, its full evaluation is
+skipped and only its children are queued; otherwise is_feasible decides it
+on the full sweep.  The head only ever proves infeasibility, so the search
+returns the plan, and pops the plans, that evaluating every pop in full
+would.
 """
 
 import heapq
@@ -30,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud_model import expected_ondemand_cost, task_time_distribution
-from .distributions import DEFAULT_SAMPLE_COUNT, derive_seed, percentile_rank
+from .distributions import (DEFAULT_SAMPLE_COUNT, EmpiricalDistribution, derive_seed,
+                            percentile_rank)
 from .workflow_dag import (
     ConfigDim,
     HybridConfig,
@@ -46,20 +48,20 @@ class InfeasiblePlanError(RuntimeError):
     budget_exhausted tells the two reasons apart: True when the search
     stopped at max_iter with plans still queued (a feasible plan may
     exist), False when it evaluated every plan, which proves none is
-    feasible.
+    feasible.  bound is percentile_lower_bound's bound on every plan's
+    percentile; above the deadline, it alone proves no plan is feasible.
     """
 
-    def __init__(self, job, best_plan, best_percentile, evaluated, budget_exhausted):
-        self.best_plan = best_plan
-        self.best_percentile = best_percentile
+    def __init__(self, job, bound, evaluated, budget_exhausted):
+        self.bound = bound
         self.deadline = job.deadline
         self.evaluated = evaluated
         self.budget_exhausted = budget_exhausted
         reason = ("budget of %d iterations exhausted" % evaluated if budget_exhausted
                   else "all %d plans evaluated" % evaluated)
         super().__init__(
-            "no feasible plan for %r (%s): best percentile %.1f s vs deadline %.1f s (plan %s)"
-            % (job.class_id, reason, best_percentile, job.deadline, list(best_plan))
+            "no feasible plan for %r (%s): lower bound %.1f s vs deadline %.1f s"
+            % (job.class_id, reason, bound, job.deadline)
         )
 
 
@@ -181,9 +183,9 @@ def plan_distribution(job, cache, plan):
     return workflow_time_distribution(job, dists)
 
 
-def _head_reaches(job, cache, heads, plan, bar, above):
+def _head_misses(job, cache, heads, plan, above):
     """True when more than `above` of the plan's first SCREEN_SAMPLES
-    makespan samples reach `bar`.
+    makespan samples exceed the deadline.
 
     The sweep is workflow_time_distribution over the heads of the task
     distributions, memoized in `heads` by (task, type).
@@ -195,7 +197,21 @@ def _head_reaches(job, cache, heads, plan, bar, above):
             head = heads[tid, type_id] = cache.dist(tid, type_id).head(SCREEN_SAMPLES)
         dists.append(head)
     makespan = workflow_time_distribution(job, dists)
-    return np.count_nonzero(makespan.samples >= bar) > above
+    return np.count_nonzero(makespan.samples > job.deadline) > above
+
+
+def percentile_lower_bound(job, cache):
+    """A lower bound on every plan's makespan percentile: the percentile of
+    one sweep over each task's per-sample minimum across types.
+
+    The longest path is monotone in task times, so sample i of that sweep
+    is at most sample i of any plan's makespan, and so is each order
+    statistic.
+    """
+    types = range(len(cache.catalog))
+    fastest = [EmpiricalDistribution(np.min([cache.dist(tid, k).samples for k in types], axis=0))
+               for tid in range(len(job.tasks))]
+    return workflow_time_distribution(job, fastest).percentile(job.guarantee_p)
 
 
 def astar_configure(job, catalog, params=None, sample_count=None, cache=None, stats=None):
@@ -205,12 +221,11 @@ def astar_configure(job, catalog, params=None, sample_count=None, cache=None, st
     popped in non-decreasing plan_cost order, so the first feasible one
     is a cheapest feasible plan and is returned at once; the prefix screen
     (see the module docstring) skips the full evaluation of plans it proves
-    infeasible and no closer than the closest so far.  Raises
-    InfeasiblePlanError when no feasible plan is found within max_iter
-    iterations, carrying the closest-to-feasible plan seen as a diagnosis
-    and whether the budget or the plans ran out first.  A `cache` (the
-    class's TaskDistCache) fixes the sample count and the seed, and must be
-    drawn over `catalog`.
+    infeasible.  Raises InfeasiblePlanError when no feasible plan is found
+    within max_iter iterations, carrying percentile_lower_bound and whether
+    the budget or the plans ran out first.  A `cache` (the class's
+    TaskDistCache) fixes the sample count and the seed, and must be drawn
+    over `catalog`.
     """
     if job.deadline is None:
         raise WorkflowError("job has no deadline set")
@@ -230,9 +245,7 @@ def astar_configure(job, catalog, params=None, sample_count=None, cache=None, st
     # upgrade[t] maps each type to the next one in task t's cost ranking.
     upgrade = [dict(zip(r, r[1:])) for r in ranked]
     initial = tuple(r[0] for r in ranked)
-    closest = (math.inf, initial)  # (percentile, plan) for diagnosis
-    # A plan's percentile is at least the bar when more than `above` of
-    # its samples reach it: then fewer than its rank lie below the bar.
+    # A feasible plan has at most `above` samples above the deadline.
     above = cache.sample_count - percentile_rank(job.guarantee_p, cache.sample_count)
     heads = {}
 
@@ -244,16 +257,12 @@ def astar_configure(job, catalog, params=None, sample_count=None, cache=None, st
     while heap and evaluated < params.max_iter:
         evaluated += 1
         _, plan, level = heapq.heappop(heap)
-        if closest[0] < math.inf and _head_reaches(job, cache, heads, plan, closest[0], above):
+        if _head_misses(job, cache, heads, plan, above):
             stats.screened += 1
-        else:
-            percentile = plan_distribution(job, cache, plan).percentile(job.guarantee_p)
-            if percentile <= job.deadline:
-                stats.feasible_found += 1
-                found = plan
-                break
-            if percentile < closest[0]:
-                closest = (percentile, plan)
+        elif is_feasible(job, plan_distribution(job, cache, plan)):
+            stats.feasible_found += 1
+            found = plan
+            break
         for tid in range(level, n_tasks):
             type_id = upgrade[tid].get(plan[tid])
             if type_id is not None:
@@ -264,28 +273,9 @@ def astar_configure(job, catalog, params=None, sample_count=None, cache=None, st
     stats.iterations += evaluated
     stats.pruned += len(heap)
     if found is None:
-        raise InfeasiblePlanError(job, closest[1], closest[0], evaluated,
+        raise InfeasiblePlanError(job, percentile_lower_bound(job, cache), evaluated,
                                   budget_exhausted=bool(heap))
     return list(found)
-
-
-def brute_force_configure(job, cache):
-    """Exhaustive minimum-cost feasible plan; oracle twin of astar_configure.
-
-    Enumerates every type assignment, so only usable for tiny workflows.
-    Returns (plan, cost) or (None, inf) when nothing is feasible.  Plans
-    are enumerated in lexicographic order and only a strictly cheaper one
-    replaces the best, so of the cheapest feasible plans the smallest wins,
-    as in the search's (cost, plan) heap.  Reads the search's cache, so
-    results are comparable float-for-float.
-    """
-    best = (None, math.inf)
-    for plan in itertools.product(range(len(cache.catalog)), repeat=len(job.tasks)):
-        if is_feasible(job, plan_distribution(job, cache, plan)):
-            cost = plan_cost(cache, plan)
-            if cost < best[1]:
-                best = (plan, cost)
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -216,8 +216,8 @@ def is_feasible(job, dist):
     """True when the makespan percentile at the guarantee level meets the deadline.
 
     The boundary is inclusive: a percentile exactly equal to the deadline
-    counts as feasible.  The oracle uses it; the search compares the same
-    percentile inline, as it keeps that percentile to diagnose a failure.
+    counts as feasible.  The search calls it on every pop its prefix
+    screen does not decide, and the exhaustive test oracle on every plan.
     """
     if job.deadline is None:
         raise WorkflowError("job has no deadline set")

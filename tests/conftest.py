@@ -1,9 +1,13 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from spotflow.cloud_model import Catalog, GammaSpec, InstanceType, NormalSpec, TaskProfile
+from spotflow.planner_astar import plan_cost, plan_distribution
 from spotflow.spot_market import HORIZON, NBUCKETS, STEP, SpotPriceTrace
-from spotflow.workflow_dag import build_job
+from spotflow.workflow_dag import build_job, is_feasible
 
 
 def ordered_catalog(n_types=3, lag_od=0.0, lag_spot=0.0):
@@ -49,6 +53,25 @@ def diamond_job(profiles, guarantee_p=0.9, class_id="diamond", deadline=None):
     edges = [(0, 1), (0, 2), (1, 3), (2, 3)]
     return build_job(dict(enumerate(profiles)), edges, deadline=deadline,
                      guarantee_p=guarantee_p, class_id=class_id)
+
+
+def brute_force_configure(job, cache):
+    """Exhaustive minimum-cost feasible plan; oracle twin of astar_configure.
+
+    Enumerates every type assignment, so only usable for tiny workflows.
+    Returns (plan, cost) or (None, inf) when nothing is feasible.  Plans
+    are enumerated in lexicographic order and only a strictly cheaper one
+    replaces the best, so of the cheapest feasible plans the smallest wins,
+    as in the search's (cost, plan) heap.  Reads the search's cache, so
+    results are comparable float-for-float.
+    """
+    best = (None, math.inf)
+    for plan in itertools.product(range(len(cache.catalog)), repeat=len(job.tasks)):
+        if is_feasible(job, plan_distribution(job, cache, plan)):
+            cost = plan_cost(cache, plan)
+            if cost < best[1]:
+                best = (plan, cost)
+    return best
 
 
 def constant_trace(price, hours=200):

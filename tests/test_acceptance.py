@@ -25,7 +25,6 @@ from spotflow.planner_astar import (
     JobPlan,
     TaskDistCache,
     astar_configure,
-    brute_force_configure,
     plan_cost,
     plan_distribution,
 )
@@ -41,6 +40,7 @@ from spotflow.workflow_dag import (
 from conftest import (
     alternating_offset_oracle,
     alternating_trace,
+    brute_force_configure,
     chain_job,
     cpu_profile,
     diamond_job,

@@ -124,7 +124,9 @@ class TestPlan:
         assert set(plans) == {"toy"}
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("infeasible: ") and "'long'" in err[0]
-        assert "(all 2 plans evaluated)" in err[0]
+        # "long" is 3,000 s even on its fastest type: its lower bound alone
+        # shows that no plan meets the deadline.
+        assert "(all 2 plans evaluated): lower bound 3000.0 s vs deadline 1000.0 s" in err[0]
 
     def test_infeasible_says_when_the_budget_ran_out(self, tmp_path, monkeypatch, capsys):
         # The benchmark's epigenomics-like-2x4 class at its 100-iteration

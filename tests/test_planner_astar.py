@@ -26,17 +26,17 @@ from spotflow.planner_astar import (
     SearchStats,
     TaskDistCache,
     astar_configure,
-    brute_force_configure,
     load_plan_cache,
     plan_cost,
+    percentile_lower_bound,
     plan_distribution,
     save_plan_cache,
 )
 from spotflow.spot_market import FailureModel
-from spotflow.workflow_dag import ConfigDim, HybridConfig, build_job, deadline_bounds
+from spotflow.workflow_dag import ConfigDim, HybridConfig, build_job, deadline_bounds, is_feasible
 
-from conftest import (chain_job, cpu_profile, diamond_job, mixed_profile, ordered_catalog,
-                      stable_trace)
+from conftest import (brute_force_configure, chain_job, cpu_profile, diamond_job, mixed_profile,
+                      ordered_catalog, stable_trace)
 
 
 def skewed_catalog():
@@ -100,10 +100,11 @@ class TestSingleTask:
         job = chain_job([cpu_profile(60.0)], deadline=10.0)
         with pytest.raises(InfeasiblePlanError) as err:
             astar_configure(job, cat, cache=TaskDistCache(job, cat, 200, 1))
-        assert err.value.best_plan == (1,)
-        assert err.value.best_percentile > 10.0
+        # The bound is the task's time on its per-sample fastest type, t1.
+        assert err.value.bound == 30.0
         assert not err.value.budget_exhausted
-        assert "(all 2 plans evaluated)" in str(err.value)
+        assert str(err.value).endswith(
+            "(all 2 plans evaluated): lower bound 30.0 s vs deadline 10.0 s")
 
     def test_budget_of_exactly_every_plan_is_not_exhausted(self):
         cat = ordered_catalog(2)
@@ -182,54 +183,56 @@ class TestOracleEquivalence:
 
 
 def full_sweep_search(job, cache, max_iter):
-    """The search with every popped plan evaluated in full, as it was before
-    the prefix screen: the screen's oracle.
+    """The search with every popped plan evaluated in full by is_feasible,
+    without the prefix screen: the screen's oracle.
 
-    Returns (plan or None, (closest percentile, closest plan), evaluated,
-    generated, still queued).
+    Returns (plan or None, evaluated, generated, still queued).
     """
     n_tasks = len(job.tasks)
     ranked = [sorted(range(len(cache.catalog)), key=lambda k: (cache.cost(tid, k), k))
               for tid in range(n_tasks)]
     upgrade = [dict(zip(r, r[1:])) for r in ranked]
     initial = tuple(r[0] for r in ranked)
-    closest = (math.inf, initial)
     heap = [(plan_cost(cache, initial), initial, 0)]
     evaluated = generated = 0
     while heap and evaluated < max_iter:
         evaluated += 1
         _, plan, level = heapq.heappop(heap)
-        percentile = plan_distribution(job, cache, plan).percentile(job.guarantee_p)
-        if percentile <= job.deadline:
-            return plan, closest, evaluated, generated, len(heap)
-        if percentile < closest[0]:
-            closest = (percentile, plan)
+        if is_feasible(job, plan_distribution(job, cache, plan)):
+            return plan, evaluated, generated, len(heap)
         for tid in range(level, n_tasks):
             type_id = upgrade[tid].get(plan[tid])
             if type_id is not None:
                 child = plan[:tid] + (type_id,) + plan[tid + 1:]
                 generated += 1
                 heapq.heappush(heap, (plan_cost(cache, child), child, tid))
-    return None, closest, evaluated, generated, len(heap)
+    return None, evaluated, generated, len(heap)
+
+
+@pytest.fixture
+def full_evals(monkeypatch):
+    """The plans the search evaluates in full, in order."""
+    plans = []
+
+    def counting_plan_distribution(*args):
+        plans.append(args[2])
+        return plan_distribution(*args)
+
+    monkeypatch.setattr(planner_astar, "plan_distribution", counting_plan_distribution)
+    return plans
 
 
 class TestPrefixScreen:
     """The screened search returns exactly what the full-sweep search does."""
 
     @pytest.mark.parametrize("n", [600, 1024, 3000])
-    def test_matches_the_full_sweep_search(self, n, monkeypatch):
-        full_evals = []
-
-        def counting_plan_distribution(*args):
-            full_evals.append(args[2])
-            return plan_distribution(*args)
-
-        monkeypatch.setattr(planner_astar, "plan_distribution", counting_plan_distribution)
+    def test_matches_the_full_sweep_search(self, n, full_evals):
         catalog = skewed_catalog()
         rng = np.random.default_rng(n)
         screened = boundary_hits = budget_ends = proofs = 0
         for i in range(12):
             job, cache = random_case(rng, catalog, i, n=n, seed=i, tasks=(3, 7))
+            bound = percentile_lower_bound(job, cache)
             # The drawn deadline; the percentile of the plan the search
             # returns at it (or of the fastest plan), where exactly ceil(q*n)
             # samples are at or below the deadline, and one float below
@@ -240,54 +243,86 @@ class TestPrefixScreen:
             for deadline in (job.deadline, edge, np.nextafter(edge, 0.0), job.deadline / 3):
                 for max_iter in (500, int(rng.integers(1, 6)), int(rng.integers(6, 40))):
                     case = job.with_deadline(float(deadline))
-                    want = full_sweep_search(case, cache, max_iter)
+                    want, evaluated, generated, queued = full_sweep_search(case, cache, max_iter)
                     stats = SearchStats()
                     full_evals.clear()
                     try:
                         got = astar_configure(case, catalog, params=AStarParams(max_iter),
                                               cache=cache, stats=stats)
                     except InfeasiblePlanError as err:
-                        assert want[0] is None, (i, deadline, max_iter)
-                        assert (err.best_percentile, err.best_plan) == want[1]
-                        assert err.deadline == case.deadline
-                        assert err.evaluated == want[2] == stats.iterations
-                        assert err.budget_exhausted == (want[4] > 0)
+                        assert want is None, (i, deadline, max_iter)
+                        assert err.bound == bound and err.deadline == case.deadline
+                        assert err.evaluated == evaluated == stats.iterations
+                        assert err.budget_exhausted == (queued > 0)
                         budget_ends += err.budget_exhausted
                         proofs += not err.budget_exhausted
-                        assert str(err) == str(InfeasiblePlanError(case, want[1][1], want[1][0],
-                                                                   want[2], want[4] > 0))
+                        assert str(err) == str(InfeasiblePlanError(case, bound, evaluated,
+                                                                   queued > 0))
                     else:
-                        assert tuple(got) == want[0], (i, deadline, max_iter)
-                        assert stats.iterations == want[2]
+                        assert tuple(got) == want, (i, deadline, max_iter)
+                        assert stats.iterations == evaluated
                         boundary_hits += plan_distribution(case, cache, tuple(got)).percentile(
                             case.guarantee_p) == deadline
-                    assert (stats.generated, stats.pruned) == want[3:]
+                    assert (stats.generated, stats.pruned) == (generated, queued)
                     assert stats.iterations == stats.screened + len(full_evals)
+                    if n <= planner_astar.SCREEN_SAMPLES:
+                        # The head is the whole vector: only the returned
+                        # plan is swept in full.
+                        assert full_evals == ([want] if want else [])
                     screened += stats.screened
         assert screened >= 1000 and boundary_hits >= 10
         assert budget_ends >= 50 and proofs >= 5
 
-    def test_counts_at_the_screen_boundary(self):
-        # One task, 100 samples, q = 0.9: a plan is screened when more than
-        # 10 of its samples reach the bar.  Type 0's percentile (1089) is
-        # the bar; type 1 has exactly 10 samples at or above it and its
-        # percentile (1088) is closer, so it is evaluated; type 2 has 11
-        # samples at the new bar 1088 and is screened.
+    def test_counts_at_the_screen_boundary(self, full_evals):
+        # One task, 100 samples, q = 0.9, D = 1000: a plan is screened when
+        # more than 10 of its samples exceed D, and a sample equal to D is
+        # within it.  Type 0 has 11 samples above D and is screened; type 1,
+        # with exactly 10 samples above D or with 11 equal to it, is
+        # evaluated in full and feasible; type 2 is never popped.
         catalog = ordered_catalog(3)
-        job = chain_job([cpu_profile(1.0)], deadline=500.0)
-        table = [1000.0 + np.arange(100.0),
-                 np.r_[np.full(90, 1088.0), np.full(10, 2000.0)],
-                 np.r_[np.full(89, 1000.0), np.full(11, 1088.0)]]
-        cache = TaskDistCache(job, catalog, 100, 0)
-        cache._dists = [[EmpiricalDistribution(samples) for samples in table]]
-        cache._costs = [[expected_ondemand_cost(t.ondemand_price, d)
-                         for t, d in zip(catalog, cache._dists[0])]]
-        stats = SearchStats()
-        with pytest.raises(InfeasiblePlanError) as err:
-            astar_configure(job, catalog, cache=cache, stats=stats)
-        assert (err.value.best_plan, err.value.best_percentile) == ((1,), 1088.0)
-        assert err.value.evaluated == 3 and not err.value.budget_exhausted
-        assert stats.screened == 1
+        job = chain_job([cpu_profile(1.0)], deadline=1000.0)
+        type0 = np.r_[np.full(89, 500.0), np.full(11, 1000.5)]
+        for type1 in (np.r_[np.full(90, 900.0), np.full(10, 1001.0)],
+                      np.r_[np.full(89, 900.0), np.full(11, 1000.0)]):
+            cache = TaskDistCache(job, catalog, 100, 0)
+            cache._dists = [[EmpiricalDistribution(samples)
+                             for samples in (type0, type1, np.full(100, 10.0))]]
+            cache._costs = [[1.0, 2.0, 3.0]]
+            stats = SearchStats()
+            full_evals.clear()
+            assert astar_configure(job, catalog, cache=cache, stats=stats) == [1]
+            assert stats.screened == 1 and full_evals == [(1,)]
+
+
+class TestLowerBound:
+    def test_at_most_every_plans_percentile(self):
+        # Brute force over every plan of random DAGs of 4-6 CPU- or
+        # I/O-heavy tasks on three types.
+        catalog = skewed_catalog()
+        rng = np.random.default_rng(21)
+        for i in range(8):
+            job, cache = random_case(rng, catalog, i, tasks=(4, 6))
+            percentiles = [plan_distribution(job, cache, plan).percentile(job.guarantee_p)
+                           for plan in itertools.product(range(3), repeat=len(job.tasks))]
+            assert percentile_lower_bound(job, cache) <= min(percentiles), i
+
+    def test_equals_the_fastest_plan_on_cpu_only_tasks(self):
+        # A CPU-only task takes a fixed time on each type, so the fastest
+        # type is fastest in every sample and the all-fastest plan meets
+        # the bound.
+        catalog = ordered_catalog(3)
+        rng = np.random.default_rng(22)
+        for i in range(6):
+            n_tasks = int(rng.integers(4, 7))
+            profiles = {tid: cpu_profile(float(rng.uniform(10.0, 100.0)))
+                        for tid in range(n_tasks)}
+            edges = [e for e in itertools.combinations(range(n_tasks), 2) if rng.random() < 0.5]
+            job = build_job(profiles, edges, guarantee_p=0.9, class_id="cpu-%d" % i)
+            cache = TaskDistCache(job, catalog, 200, i)
+            percentiles = {plan: plan_distribution(job, cache, plan).percentile(job.guarantee_p)
+                           for plan in itertools.product(range(3), repeat=n_tasks)}
+            bound = percentile_lower_bound(job, cache)
+            assert bound == min(percentiles.values()) == percentiles[(2,) * n_tasks], i
 
 
 class TestSearchBehaviour:
