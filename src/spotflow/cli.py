@@ -14,7 +14,6 @@ command-line flags take precedence over spec-file values.
 """
 
 import argparse
-import json
 import math
 import pathlib
 import sys
@@ -92,8 +91,9 @@ class ExperimentSpec:
             return cloud_model.default_catalog()
         return cloud_model.load_catalog(self.catalog)
 
-    def load_traces(self, catalog):
-        """Traces keyed by type id, from <trace_dir>/<type name>.csv files."""
+    def load_traces(self, catalog, type_ids=None):
+        """Traces keyed by type id, from <trace_dir>/<type name>.csv files:
+        of every catalog type, or only of the types in `type_ids`."""
         traces = {}
         if self.trace_dir is None:
             return traces
@@ -101,6 +101,8 @@ class ExperimentSpec:
         if not root.is_dir():
             raise ValueError("trace_dir %s is not a directory" % root)
         for itype in catalog:
+            if type_ids is not None and itype.id not in type_ids:
+                continue
             path = root / ("%s.csv" % itype.name)
             if path.exists():
                 traces[itype.id] = spot_market.load_trace(str(path))
@@ -170,10 +172,10 @@ def _out_dir(spec):
     return out
 
 
-def _failure_model(spec, catalog):
+def _failure_model(spec, catalog, type_ids=None):
     """The failure model over trace_dir's traces (without any: no spot market)."""
-    return spot_market.FailureModel(
-        traces=spec.load_traces(catalog), num_trials=spec.ffp_trials, rng_seed=spec.seed)
+    return spot_market.FailureModel(traces=spec.load_traces(catalog, type_ids),
+                                    num_trials=spec.ffp_trials, rng_seed=spec.seed)
 
 
 def plan_class(spec, job, catalog, failure):
@@ -260,6 +262,13 @@ def _load_baseline(path):
 
 
 def cmd_simulate(spec, plans_path=None):
+    """Replay the workload against the plan cache and write the report.
+
+    Only the types the plan cache bids on (its spot dimensions) are
+    replayed, so only their <type>.csv traces are read; the traces of
+    other types are never opened.  A simulated plan that bids on a type
+    without a trace exits 4.
+    """
     baseline = _load_baseline(spec.baseline) if spec.baseline else None
     catalog = spec.load_catalog()
     jobs = spec.load_workflows()  # hits are scored against the plan-cache deadlines
@@ -273,7 +282,9 @@ def cmd_simulate(spec, plans_path=None):
         idle_release_policy=spec.release_policy,
         collect_event_log=spec.event_log,
     )
-    traces = spec.load_traces(catalog)
+    bid_on = {dim.type_id for plan in plans.values()
+              for config in plan.task_configs for dim in config.spot_dims}
+    traces = spec.load_traces(catalog, bid_on)
     sim = simulator.Simulator(config, jobs, plans, catalog, traces)
     rep = sim.run()
 
@@ -298,7 +309,7 @@ def cmd_simulate(spec, plans_path=None):
             "hit_rate_delta": rep.hit_rate - baseline[1],
         }
         (out / "normalized.json").write_text(
-            json.dumps(ratios, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+            planner_astar.json_text(ratios) + "\n", encoding="utf-8")
     print("simulated %d jobs: hit rate %.4f, avg cost $%.4f, avg makespan %.0f s"
           % (rep.job_count, rep.hit_rate, rep.avg_cost_per_job, rep.avg_makespan_s))
     print("report written to %s" % (out / "report.json"))
@@ -308,7 +319,7 @@ def cmd_simulate(spec, plans_path=None):
 def cmd_ffp(spec, type_name, bid):
     catalog = spec.load_catalog()
     itype = catalog.by_name(type_name)
-    model = _failure_model(spec, catalog)
+    model = _failure_model(spec, catalog, {itype.id})
     if not model.has_trace(itype.id):
         raise spot_market.TraceError("no trace for type %s" % type_name)
     dist = spot_market.estimate_ffp(model, itype.id, bid)
@@ -330,17 +341,18 @@ def build_parser():
         prog="spotflow",
         description="Workflow planning and cloud simulation with probabilistic deadlines",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    _add_common_flags(common)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_plan = sub.add_parser("plan", help="build and cache instance configurations")
-    _add_common_flags(p_plan)
+    sub.add_parser("plan", parents=[common], help="build and cache instance configurations")
 
-    p_sim = sub.add_parser("simulate", help="simulate a workload against a plan cache")
-    _add_common_flags(p_sim)
+    p_sim = sub.add_parser("simulate", parents=[common],
+                           help="simulate a workload against a plan cache")
     p_sim.add_argument("--plans", help="plan-cache file (default: <out>/plans.json)")
 
-    p_ffp = sub.add_parser("ffp", help="tabulate cumulative failure probability")
-    _add_common_flags(p_ffp)
+    p_ffp = sub.add_parser("ffp", parents=[common],
+                           help="tabulate cumulative failure probability")
     p_ffp.add_argument("type_name", help="instance type name, e.g. m1.small")
     p_ffp.add_argument("bid", type=float, help="bid price in USD/hour")
 

@@ -51,7 +51,6 @@ events in flight.
 
 import bisect
 import enum
-import json
 import math
 from array import array
 from collections import defaultdict
@@ -63,6 +62,7 @@ import numpy as np
 
 from .cloud_model import SECONDS_PER_HOUR, expected_task_time, sample_task_time
 from .distributions import derive_seed, substream
+from .planner_astar import json_text
 
 EXPECTATION_SAMPLES = 2000  # for consolidation headroom estimates
 
@@ -257,7 +257,7 @@ class SimReport:
     def to_json(self):
         # The fields as they are: dataclasses.asdict would deep-copy every
         # per-job row and bill first, about doubling the encoding time.
-        return json.dumps(vars(self), sort_keys=True, indent=2) + "\n"
+        return json_text(vars(self)) + "\n"
 
 
 class Simulator:

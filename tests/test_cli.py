@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import pathlib
+import shutil
 import sys
 
 import pytest
@@ -48,6 +49,14 @@ def base_args(ws, *extra):
     return ["--catalog", ws["catalog"], "--workflow", ws["workflow"],
             "--out", ws["out"], "--samples", "800", "--ffp-trials", "2000",
             "--seed", "3", *extra]
+
+
+def plan_bidding_on_t0(ws):
+    """Plan the toy class with dyna on the stable t0 trace: it bids on t0 only."""
+    assert cli.main(["plan", *base_args(ws, "--planner", "dyna", "--trace-dir",
+                                        ws["trace_dir"], "--deadline-factor", "1.5")]) == 0
+    plans = load_plan_cache(ws["tmp"] / "out" / "plans.json")
+    assert {d.type_id for c in plans["toy"].task_configs for d in c.spot_dims} == {0}
 
 
 class TestPlan:
@@ -291,6 +300,30 @@ class TestSimulate:
         assert "trace_dir %s is not a directory" % missing in capsys.readouterr().err
         assert not (workspace["tmp"] / "out" / "report.json").exists()
 
+    def test_trace_of_a_type_no_plan_bids_on_is_not_read(self, workspace):
+        plan_bidding_on_t0(workspace)
+        args = base_args(workspace, "--trace-dir", workspace["trace_dir"], "--jobs", "10")
+        report = workspace["tmp"] / "out" / "report.json"
+        assert cli.main(["simulate", *args]) == 0
+        first = report.read_bytes()
+        report.unlink()
+        (pathlib.Path(workspace["trace_dir"]) / "t1.csv").write_bytes(b"\xff not a trace\n")
+        assert cli.main(["simulate", *args]) == 0
+        assert report.read_bytes() == first
+
+    def test_bid_on_type_without_a_trace_is_mismatch(self, workspace, tmp_path, capsys):
+        plan_bidding_on_t0(workspace)
+        other = tmp_path / "only-t1"
+        other.mkdir()
+        shutil.copy(pathlib.Path(workspace["trace_dir"]) / "t0.csv", other / "t1.csv")
+        capsys.readouterr()
+        rc = cli.main(["simulate", *base_args(workspace, "--trace-dir", str(other),
+                                              "--jobs", "10")])
+        assert rc == cli.EXIT_MISMATCH
+        assert capsys.readouterr().err == (
+            "mismatch: plan for 'toy' uses spot type 0 with no price trace\n")
+        assert not (workspace["tmp"] / "out" / "report.json").exists()
+
     @pytest.mark.parametrize("doc, message", [
         ({"hit_rate": 1.0}, "avg_cost_per_job"),
         ({"avg_cost_per_job": 0, "hit_rate": 1.0}, "must be positive"),
@@ -407,7 +440,10 @@ NOT_UTF8 = b"\xff\xfe not utf-8\n"
         "plans-not-json", "spec-not-json", "baseline-not-json"])
 def test_unreadable_input_is_parse_error_naming_the_file(workspace, tmp_path, capsys,
                                                          flag, content):
-    assert cli.main(["plan", *base_args(workspace, "--planner", "dyna-ns")]) == 0
+    if flag == "--trace-dir":  # simulate reads the traces of bid-on types only
+        plan_bidding_on_t0(workspace)
+    else:
+        assert cli.main(["plan", *base_args(workspace, "--planner", "dyna-ns")]) == 0
     inputs = tmp_path / "inputs"
     inputs.mkdir()
     path = inputs / "t0.csv"  # type t0's trace when the flag is --trace-dir
@@ -519,6 +555,18 @@ class TestFfp:
         rc = cli.main(["ffp", *base_args(workspace), "t0", "0.05"])
         assert rc == cli.EXIT_PARSE
 
+    def test_reads_only_the_queried_types_trace(self, workspace, tmp_path, capsys):
+        trace_dir = tmp_path / "mixed"
+        trace_dir.mkdir()
+        (trace_dir / "t0.csv").write_text("0,0.02\n3600,0.5\n")
+        (trace_dir / "t1.csv").write_text("0,not-a-price\n")
+        args = base_args(workspace, "--trace-dir", str(trace_dir))
+        assert cli.main(["ffp", *args, "t0", "0.05"]) == 0
+        assert len((workspace["tmp"] / "out" / "ffp.csv").read_text().splitlines()) == 1442
+        capsys.readouterr()
+        assert cli.main(["ffp", *args, "t1", "0.05"]) == cli.EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error: %s" % (trace_dir / "t1.csv"))
+
     def test_unknown_type_is_parse_error_naming_known_types(self, workspace, capsys):
         rc = cli.main(["ffp", *base_args(workspace, "--trace-dir", workspace["trace_dir"]),
                        "m1.nope", "0.05"])
@@ -555,3 +603,16 @@ class TestSpecFile:
         spec_path.write_text(json.dumps(doc))
         assert cli.main(["plan", "--spec", str(spec_path)]) == cli.EXIT_PARSE
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [[], ["plan"], ["simulate"], ["ffp"]],
+                         ids=["spotflow", "plan", "simulate", "ffp"])
+def test_help_screens_are_pinned(command, capsys, monkeypatch):
+    # tests/data/help holds each screen as printed 80 columns wide.
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--help"])
+    assert exc.value.code == 0
+    name = command[0] if command else "spotflow"
+    expected = (pathlib.Path(__file__).parent / "data" / "help" / ("%s.txt" % name)).read_text()
+    assert capsys.readouterr().out == expected
