@@ -246,19 +246,14 @@ def cmd_plan(spec):
 
 def _load_baseline(path):
     """(avg_cost_per_job, hit_rate) of a baseline report.json."""
-    base = planner_astar.read_json(path)
-    try:
-        cost, hit_rate = base["avg_cost_per_job"], base["hit_rate"]
-        if bool in (type(cost), type(hit_rate)):
-            raise TypeError("a boolean is not a number")
-        cost, hit_rate = float(cost), float(hit_rate)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValueError("%s: baseline report needs numeric avg_cost_per_job and hit_rate"
-                         " (%s: %s)" % (path, type(exc).__name__, exc)) from exc
-    if not (0 < cost < math.inf and 0 <= hit_rate <= 1):
+    doc = planner_astar.read_json(path)
+    cost, hit_rate = (doc.get(key) if isinstance(doc, dict) else None
+                      for key in ("avg_cost_per_job", "hit_rate"))
+    if not (0 < planner_astar.json_number(cost) < math.inf
+            and 0 <= planner_astar.json_number(hit_rate) <= 1):
         raise ValueError("%s: baseline avg_cost_per_job must be positive and finite and hit_rate"
                          " in [0, 1], got %r and %r" % (path, cost, hit_rate))
-    return cost, hit_rate
+    return float(cost), float(hit_rate)
 
 
 def cmd_simulate(spec, plans_path=None):

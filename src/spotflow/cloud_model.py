@@ -202,19 +202,6 @@ def load_catalog(path):
         raise CatalogError("%s: %s" % (path, exc)) from exc
 
 
-def save_catalog(catalog, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(_CATALOG_COLUMNS) + "\n")
-        for t in catalog:
-            fh.write(
-                "%d,%s,%g,%g,%g,%g,%g,%g,%g,%g,%g,%g,%g,%g\n"
-                % (t.id, t.name, t.ondemand_price, t.cpu_speed,
-                   t.seq_io.k, t.seq_io.theta, t.rnd_io.mu, t.rnd_io.sigma,
-                   t.net_in.k, t.net_in.theta, t.net_out.k, t.net_out.theta,
-                   t.acquisition_lag_ondemand, t.acquisition_lag_spot)
-            )
-
-
 def default_catalog():
     """Catalog of the four m1 instance types with calibrated bandwidths.
 

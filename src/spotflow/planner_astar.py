@@ -388,6 +388,17 @@ def read_json(path):
             raise ValueError("%s: JSON nested too deeply" % path) from None
 
 
+def json_number(value):
+    """value as a float if it is a JSON number a float can hold, else NaN
+    (which fails every range check): a bool or a string is no number."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    return math.nan
+
+
 def load_plan_cache(path):
     """Plans by class id from a plan-cache file written by save_plan_cache.
 
@@ -415,22 +426,12 @@ _PLAN_KEYS = ("deadline", "guarantee_p", "tasks")
 _DIM_KEYS = ("is_spot", "price", "type_id")
 
 
-def _real(value):
-    """value as a float if it is a JSON number a float can hold, else NaN."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    return math.nan
-
-
 def _plan_from_json(class_id, rec):
     if not isinstance(rec, dict) or sorted(rec) != list(_PLAN_KEYS):
         raise ValueError("a plan is an object with exactly the keys %s" % ", ".join(_PLAN_KEYS))
-    if not 0 < _real(rec["deadline"]) < math.inf:
+    if not 0 < json_number(rec["deadline"]) < math.inf:
         raise ValueError("deadline must be a positive finite number, got %r" % (rec["deadline"],))
-    if not 0 < _real(rec["guarantee_p"]) <= 1:
+    if not 0 < json_number(rec["guarantee_p"]) <= 1:
         raise ValueError("guarantee_p must be a number in (0, 1], got %r"
                          % (rec["guarantee_p"],))
     if not isinstance(rec["tasks"], list):
@@ -458,7 +459,7 @@ def _dim_from_json(dim):
     type_id, price, is_spot = dim["type_id"], dim["price"], dim["is_spot"]
     if not isinstance(type_id, int) or isinstance(type_id, bool) or type_id < 0:
         raise ValueError("type_id must be a non-negative integer, got %r" % (type_id,))
-    if not 0 < _real(price) < math.inf:
+    if not 0 < json_number(price) < math.inf:
         raise ValueError("price must be a positive finite number, got %r" % (price,))
     if not isinstance(is_spot, bool):
         raise ValueError("is_spot must be true or false, got %r" % (is_spot,))

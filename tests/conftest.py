@@ -30,6 +30,21 @@ def ordered_catalog(n_types=3, lag_od=0.0, lag_spot=0.0):
     return Catalog(types)
 
 
+def save_catalog(catalog, path):
+    """Write `catalog` as a catalog CSV that load_catalog reads back."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("id,name,ondemand_price,cpu_speed,seq_k,seq_theta,rnd_mu,rnd_sigma,"
+                 "in_k,in_theta,out_k,out_theta,lag_ondemand,lag_spot\n")
+        for t in catalog:
+            fh.write(
+                "%d,%s,%g,%g,%g,%g,%g,%g,%g,%g,%g,%g,%g,%g\n"
+                % (t.id, t.name, t.ondemand_price, t.cpu_speed,
+                   t.seq_io.k, t.seq_io.theta, t.rnd_io.mu, t.rnd_io.sigma,
+                   t.net_in.k, t.net_in.theta, t.net_out.k, t.net_out.theta,
+                   t.acquisition_lag_ondemand, t.acquisition_lag_spot)
+            )
+
+
 def cpu_profile(seconds, speed=1e9):
     """Profile whose execution time on a type of `speed` is deterministic."""
     return TaskProfile(instructions=seconds * speed)

@@ -86,11 +86,10 @@ def test_a_plan_and_simulate_run_reaches_every_traced_layer(tracing, tmp_path, c
     # A layer the program reaches without going through the patched name
     # would read 0 in the benchmark without failing it.
     from spotflow import cli
-    from spotflow.cloud_model import save_catalog
     from spotflow.planner_astar import load_plan_cache
     from spotflow.workflow_dag import save_workflow
 
-    from conftest import (chain_job, mixed_profile, ordered_catalog, spiky_trace,
+    from conftest import (chain_job, mixed_profile, ordered_catalog, save_catalog, spiky_trace,
                           stable_trace)
 
     save_catalog(ordered_catalog(2), tmp_path / "catalog.csv")

@@ -8,11 +8,12 @@ import sys
 import pytest
 
 from spotflow import cli, planner_astar, workflow_dag
-from spotflow.cloud_model import Catalog, GammaSpec, save_catalog
+from spotflow.cloud_model import Catalog, GammaSpec
 from spotflow.planner_astar import TaskDistCache, load_plan_cache, plan_distribution
 from spotflow.workflow_dag import save_workflow
 
-from conftest import chain_job, cpu_profile, mixed_profile, ordered_catalog, stable_trace
+from conftest import (chain_job, cpu_profile, mixed_profile, ordered_catalog, save_catalog,
+                      stable_trace)
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
@@ -292,6 +293,8 @@ class TestSimulate:
         ratios = json.loads((out / "normalized.json").read_text())
         assert ratios == {"avg_cost_ratio": report["avg_cost_per_job"] / 0.5,
                           "hit_rate_delta": report["hit_rate"] - 0.25}
+        assert (out / "normalized.json").read_bytes() == (
+            b'{\n  "avg_cost_ratio": 0.144,\n  "hit_rate_delta": 0.75\n}\n')
 
     def test_missing_trace_dir_is_parse_error(self, workspace, tmp_path, capsys):
         missing = tmp_path / "no-such-traces"
@@ -329,7 +332,11 @@ class TestSimulate:
         ({"avg_cost_per_job": 0, "hit_rate": 1.0}, "must be positive"),
         ({"avg_cost_per_job": 1.0, "hit_rate": math.nan}, "hit_rate in [0, 1], got 1.0 and nan"),
         ({"avg_cost_per_job": math.inf, "hit_rate": 0.5}, "must be positive and finite"),
-        ({"avg_cost_per_job": 1.0, "hit_rate": True}, "a boolean is not a number"),
+        ({"avg_cost_per_job": 1.0, "hit_rate": True}, "got 1.0 and True"),
+        ({"avg_cost_per_job": "0.5", "hit_rate": 1.0}, "got '0.5' and 1.0"),
+        ({"avg_cost_per_job": 0.5, "hit_rate": "1"}, "got 0.5 and '1'"),
+        ({"avg_cost_per_job": "0.5", "hit_rate": "1"}, "got '0.5' and '1'"),
+        ([0.5, 1.0], "got None and None"),
     ])
     def test_bad_baseline_is_parse_error(self, workspace, tmp_path, capsys, doc, message):
         base = tmp_path / "base.json"

@@ -16,12 +16,11 @@ from spotflow.cloud_model import (
     expected_ondemand_cost,
     load_catalog,
     sample_task_time,
-    save_catalog,
     task_time_distribution,
 )
 from spotflow.distributions import EmpiricalDistribution, substream
 
-from conftest import ordered_catalog
+from conftest import ordered_catalog, save_catalog
 
 
 class TestTaskTimeDistribution:
