@@ -14,6 +14,7 @@ command-line flags take precedence over spec-file values.
 """
 
 import argparse
+import json
 import math
 import pathlib
 import sys
@@ -304,7 +305,7 @@ def cmd_simulate(spec, plans_path=None):
             "hit_rate_delta": rep.hit_rate - baseline[1],
         }
         (out / "normalized.json").write_text(
-            planner_astar.json_text(ratios) + "\n", encoding="utf-8")
+            json.dumps(ratios, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     print("simulated %d jobs: hit rate %.4f, avg cost $%.4f, avg makespan %.0f s"
           % (rep.job_count, rep.hit_rate, rep.avg_cost_per_job, rep.avg_makespan_s))
     print("report written to %s" % (out / "report.json"))

@@ -20,7 +20,6 @@ returns the plan, and pops the plans, that evaluating every pop in full
 would.
 """
 
-import functools
 import heapq
 import itertools
 import json
@@ -310,70 +309,7 @@ def save_plan_cache(plans, path):
             ],
         }
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json_text(doc) + "\n")
-
-
-# Exact types of the values json encodes as scalars.
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-_STR = frozenset((str,))
-_INDENT = "  "
-
-
-def json_text(obj):
-    """Exactly json.dumps(obj, sort_keys=True, indent=2), encoded by json's
-    C encoder wherever the layout allows.
-
-    json encodes an indented document in pure Python.  Here each container
-    whose members are all scalars is one C-encoder call, with the line
-    break and indent passed as the item separator, and so is each list of
-    non-empty flat objects: its object boundaries (`},\\n<pad>{`) are then
-    re-spliced to the indented layout.  Both are exact because an encoded
-    string never holds a raw newline, so every newline in the C encoder's
-    output is a separator.  An object with a key that is not a str falls
-    back to json.dumps, re-indented the same way.
-    """
-    return _json_text(obj, "\n")
-
-
-@functools.lru_cache(maxsize=None)  # one encoder per nesting depth
-def _flat_encoder(separator):
-    return json.JSONEncoder(sort_keys=True, separators=("," + separator, ": ")).encode
-
-
-def _is_flat_object(obj):
-    return (type(obj) is dict and obj and _STR.issuperset(map(type, obj))
-            and _SCALARS.issuperset(map(type, obj.values())))
-
-
-def _json_text(obj, newline):
-    """obj's text at the indent that `newline` (a line break and the pad
-    of obj's own line) carries."""
-    inner = newline + _INDENT
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        if not _STR.issuperset(map(type, obj)):
-            return json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline)
-        if _SCALARS.issuperset(map(type, obj.values())):
-            body = _flat_encoder(inner)(obj)[1:-1]
-        else:
-            body = ("," + inner).join(
-                "%s: %s" % (json.encoder.encode_basestring_ascii(key), _json_text(value, inner))
-                for key, value in sorted(obj.items()))
-        return "{" + inner + body + newline + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if _SCALARS.issuperset(map(type, obj)):
-            body = _flat_encoder(inner)(obj)[1:-1]
-        elif all(map(_is_flat_object, obj)):
-            member = inner + _INDENT
-            body = "{" + member + _flat_encoder(member)(obj)[2:-2].replace(
-                "}," + member + "{", inner + "}," + inner + "{" + member) + inner + "}"
-        else:
-            body = ("," + inner).join(_json_text(value, inner) for value in obj)
-        return "[" + inner + body + newline + "]"
-    return json.dumps(obj)
+        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def read_json(path):

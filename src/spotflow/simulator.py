@@ -51,18 +51,19 @@ events in flight.
 
 import bisect
 import enum
+import json
 import math
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import accumulate
 from operator import attrgetter
 
 import numpy as np
 
 from .cloud_model import SECONDS_PER_HOUR, expected_task_time, sample_task_time
 from .distributions import derive_seed, substream
-from .planner_astar import json_text
 
 EXPECTATION_SAMPLES = 2000  # for consolidation headroom estimates
 
@@ -257,7 +258,7 @@ class SimReport:
     def to_json(self):
         # The fields as they are: dataclasses.asdict would deep-copy every
         # per-job row and bill first, about doubling the encoding time.
-        return json_text(vars(self)) + "\n"
+        return json.dumps(vars(self), sort_keys=True) + "\n"
 
 
 class Simulator:
@@ -356,9 +357,11 @@ class Simulator:
                  for cls in self.classes}
         durations = {class_id: [[None] * len(attempts) for attempts in requests]
                      for class_id, requests in self._requests.items()}
-        t = 0.0
-        for i, gap in enumerate(gaps.tolist()):
-            t += gap  # one gap at a time, so each arrival is an exact running sum
+        arrivals = list(accumulate(gaps.tolist()))  # each an exact running sum
+        if arrivals[-1] == math.inf:
+            raise ValueError("arrival_rate %r jobs/min is too small: the arrival times of %d jobs"
+                             " overflow" % (self.config.arrival_rate_per_min, len(arrivals)))
+        for i, t in enumerate(arrivals):
             cls = self.classes[i % len(self.classes)]
             job = JobRun(
                 index=i,

@@ -61,10 +61,19 @@ class SpotPriceTrace:
             raise TraceError("timestamps and prices must have equal length")
         if not np.all(np.isfinite(ts)):
             raise TraceError("timestamps must be finite")
-        if np.any(np.diff(ts) <= 0):
+        if np.any(ts[1:] <= ts[:-1]):
             raise TraceError("timestamps must be strictly increasing")
         if not np.all((pr > 0) & np.isfinite(pr)):
             raise TraceError("prices must be positive and finite")
+        self.start = float(ts[0])
+        self.span = float(ts[-1]) - self.start
+        # Duration of the last segment is unknown; extend it by the median
+        # sampling interval so cyclic replay gives every point nonzero weight.
+        # No interval exceeds the span, so a finite span has finite intervals.
+        tail = 3600.0 if ts.size == 1 or self.span == math.inf else float(np.median(np.diff(ts)))
+        self.cycle = self.span + tail
+        if self.cycle == math.inf:
+            raise TraceError("trace cycle (span plus median interval) must be finite")
         # One copy of each column, as a compact array: the simulator's
         # per-event lookups bisect and index it, which gives plain floats,
         # and the read-only numpy arrays the planner reads are views of it.
@@ -76,15 +85,6 @@ class SpotPriceTrace:
         pr.flags.writeable = False
         self.timestamps = ts
         self.prices = pr
-        # Duration of the last segment is unknown; extend it by the median
-        # sampling interval so cyclic replay gives every point nonzero weight.
-        if ts.size > 1:
-            tail = float(np.median(np.diff(ts)))
-        else:
-            tail = 3600.0
-        self.start = float(ts[0])
-        self.span = float(ts[-1]) - self.start
-        self.cycle = self.span + tail
         self._exceed_cache = {}
 
     def _segment_index(self, t):

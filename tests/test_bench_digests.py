@@ -42,7 +42,7 @@ PASSES = {
             "planned montage-like-16: 51 tasks, est. cost $0.3916, 51 spot dims, <wall> s\n"
             "plan cache written to <out>/montage-like-16/plans.json\n"),
         "simulate:montage-like-16": (
-            0, "dcd2e3ab1a2f9743baded4c5a0800c270d26b782bd9a6d242f0556fd2e7b5acd",
+            0, "87bbdf63f5460edb4484bc5c987d49e5fd559fde28660b337603154bae01afa6",
             "simulated 200 jobs: hit rate 1.0000, avg cost $0.5552, avg makespan 2901 s\n"
             "report written to <out>/montage-like-16/sim/report.json\n"),
     },
@@ -52,7 +52,7 @@ PASSES = {
             "planned ligo-like-1x4: 7 tasks, est. cost $0.2486, 6 spot dims, <wall> s\n"
             "plan cache written to <out>/ligo-like-1x4/plans.json\n"),
         "simulate:ligo-like-1x4": (
-            0, "0206af6fc11fec2a395626c57dd56eef9b362fea67c42b27556f9633740ab875",
+            0, "53778ac2fbe7c1b3c73fe374242c041b8a2ebc223d155f12ae8730ecee5252ee",
             "simulated 300 jobs: hit rate 1.0000, avg cost $0.4026, avg makespan 2828 s\n"
             "report written to <out>/ligo-like-1x4/sim/report.json\n"),
         "plan:montage-like-4": (
@@ -60,7 +60,7 @@ PASSES = {
             "planned montage-like-4: 15 tasks, est. cost $0.1588, 15 spot dims, <wall> s\n"
             "plan cache written to <out>/montage-like-4/plans.json\n"),
         "simulate:montage-like-4": (
-            0, "d46fabaf8ad15b4972be532506532c43c8323da96c9f734ae2c0f0f5034e82ca",
+            0, "85df737fa5905dd23abcccca659c7209bd98ce52c588f7b1ea2f604aa04cdc46",
             "simulated 300 jobs: hit rate 0.9533, avg cost $0.2179, avg makespan 2547 s\n"
             "report written to <out>/montage-like-4/sim/report.json\n"),
         "plan:epigenomics-like-2x4": (
@@ -75,7 +75,7 @@ PASSES = {
             "planned montage-like-8: 27 tasks, est. cost $0.2917, 26 spot dims, <wall> s\n"
             "plan cache written to <out>/all/plans.json\n"),
         "simulate:all": (
-            0, "d55d3805fb5bb063d64df76e9964a0b07fa1ebfd04ac7482e645e424cd7f0c07",
+            0, "d81dec1d083a305b190786b0389b1cad8f3258aedca320bdc013932c6d2c1086",
             "simulated 1000 jobs: hit rate 0.9790, avg cost $0.3361, avg makespan 3152 s\n"
             "report written to <out>/all/sim/report.json\n"),
     },

@@ -238,6 +238,14 @@ class TestSimulate:
             "error: arrival_rate must be positive and finite, got %r\n" % float(value))
         assert not (workspace["tmp"] / "out").exists()
 
+    def test_arrival_times_past_the_largest_float_are_parse_error(self, workspace, capsys):
+        # Mean gaps of 6e307 s: the running sum of 20 arrivals overflows.
+        rc = self._plan_then_simulate(workspace, "--lambda", "1e-306", "--jobs", "20")
+        assert rc == cli.EXIT_PARSE
+        assert capsys.readouterr().err == ("error: arrival_rate 1e-306 jobs/min is too small:"
+                                           " the arrival times of 20 jobs overflow\n")
+        assert not (workspace["tmp"] / "out" / "report.json").exists()
+
     def _plan_then_simulate(self, ws, *extra):
         assert cli.main(["plan", *base_args(ws, "--planner", "dyna-ns")]) == 0
         return cli.main(["simulate", *base_args(ws, "--planner", "dyna-ns",
@@ -623,3 +631,21 @@ def test_help_screens_are_pinned(command, capsys, monkeypatch):
     name = command[0] if command else "spotflow"
     expected = (pathlib.Path(__file__).parent / "data" / "help" / ("%s.txt" % name)).read_text()
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("trace", ["-1e308,0.02\n1e308,0.5\n", "0,0.5\n1e308,0.02\n"],
+                         ids=["span-overflows", "cycle-overflows"])
+@pytest.mark.parametrize("command", [["plan"], ["simulate"], ["ffp", "t0", "0.05"]],
+                         ids=["plan", "simulate", "ffp"])
+def test_trace_whose_cycle_overflows_is_parse_error(workspace, capsys, command, trace):
+    if command[0] == "simulate":  # simulate reads the traces of bid-on types only
+        plan_bidding_on_t0(workspace)
+    path = pathlib.Path(workspace["trace_dir"]) / "t0.csv"
+    path.write_text(trace)
+    capsys.readouterr()
+    args = base_args(workspace, "--trace-dir", workspace["trace_dir"], "--jobs", "2")
+    assert cli.main([command[0], *args, *command[1:]]) == cli.EXIT_PARSE
+    assert capsys.readouterr().err == (
+        "error: %s: trace cycle (span plus median interval) must be finite\n" % path)
+    output = {"plan": "plans.json", "simulate": "report.json", "ffp": "ffp.csv"}[command[0]]
+    assert not (workspace["tmp"] / "out" / output).exists()

@@ -81,14 +81,16 @@ def test_outputs_match_golden_files(tmp_path):
 def test_immediate_release_outputs_match_pinned_digests(tmp_path):
     """The golden case under `--release-policy immediate`, byte for byte.
 
-    Digests of the run at the commit that introduced this test; the files
-    are not kept, since the hour-boundary golden files already pin plans.
+    The files are not kept, since the hour-boundary golden files already
+    pin plans.  events.log's digest is the one this test was introduced
+    with; report.json's is of the one-line compact layout, and its value
+    under json.loads is the value the indented report had.
     """
     out = run_case(tmp_path, sim_flags=["--release-policy", "immediate"])
     digests = {name: hashlib.sha256((out / "sim" / name).read_bytes()).hexdigest()
                for name in ("report.json", "events.log")}
     assert digests == {
-        "report.json": "85ae68aab5c9fbeb6eeeae60e3afbdbb8eeba86bd1fd20db8a1165b582231f6c",
+        "report.json": "d5de8e658fe0a91ae18085dab9b3e3373ceea1ea5e800031f5b54f3014439703",
         "events.log": "5c36a86a99ef1094f2745ba39395191e30ef4093d77b8f7f6b08a219e2c0bcb4",
     }
     log = (out / "sim" / "events.log").read_text(encoding="utf-8")
