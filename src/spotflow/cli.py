@@ -320,14 +320,13 @@ def cmd_ffp(spec, type_name, bid):
         raise spot_market.TraceError("no trace for type %s" % type_name)
     dist = spot_market.estimate_ffp(model, itype.id, bid)
     out = _out_dir(spec)
-    times = [*dist.bucket_times, spot_market.HORIZON]
-    rows = zip(times, dist.cumulative_before(times))
+    shares = dist.failed_before
     with open(out / "ffp.csv", "w", encoding="utf-8") as fh:
         fh.write("t_seconds,cumulative_failure\n")
-        for t, p in rows:
-            fh.write("%.0f,%.6f\n" % (t, p))
+        for k, p in enumerate(shares):
+            fh.write("%.0f,%.6f\n" % (k * spot_market.STEP, p))
     print("type %s bid %.4f: failure mass %.4f, no-failure mass %.4f"
-          % (type_name, bid, dist.masses.sum(), dist.no_failure_mass))
+          % (type_name, bid, shares[-1], 1.0 - shares[-1]))
     print("table written to %s" % (out / "ffp.csv"))
     return EXIT_OK
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .cloud_model import SECONDS_PER_HOUR, expected_ondemand_cost
 from .distributions import EmpiricalDistribution, _paired, derive_seed, dominates, substream
-from .spot_market import estimate_ffp
+from .spot_market import STEP, estimate_ffp
 from .workflow_dag import ConfigDim, HybridConfig
 
 P_MIN = 0.001                 # lowest bid considered, USD/hour
@@ -53,19 +53,24 @@ def hybrid_time_distribution(spot_dist, ffp, od_dist, seed=0):
     spot_dist and od_dist are the task's execution-time distributions on
     the spot and on-demand types, with equal sample counts; ffp is the spot
     instance's first-failure distribution.  Sampling per trial: draw the
-    would-be spot execution time and a first-failure time; if no failure
-    strictly before the task finishes, the task completes on the spot
-    instance, otherwise the failure time is spent and the task reruns on
-    demand.  Both operands are permuted: they can be the same distribution
-    object, and the rerun must not reuse the spot attempt's sample index.
+    would-be spot execution time t and a uniform u.  The spot instance
+    fails before the task finishes iff u < ffp.cumulative_before(t), the
+    law the cost gate charges; then the failure time, the last grid point
+    whose failed_before share is at most u, is spent and the task reruns
+    on demand.  Both operands are shuffled: they can be the same
+    distribution object, and the rerun must not reuse the spot attempt's
+    sample index.
     """
     spot_samples, od_samples = _paired((spot_dist, od_dist))
-    n = spot_samples.size
     rng = substream(seed, "hybrid-mixture")
-    times = spot_samples[rng.permutation(n)]
-    fail_t = ffp.sample_failure_times(rng, n)
-    failed = np.flatnonzero(fail_t < times)
-    times[failed] = fail_t[failed] + od_samples[rng.permutation(n)[failed]]
+    times = spot_samples.copy()
+    rng.shuffle(times)
+    u = rng.random(times.size)
+    reruns = od_samples.copy()
+    rng.shuffle(reruns)
+    failed = np.flatnonzero(u < ffp.cumulative_before(times))
+    fail_t = STEP * (ffp.failed_before.searchsorted(u[failed], "right") - 1)
+    times[failed] = fail_t + reruns[failed]
     return EmpiricalDistribution._adopt(times)
 
 

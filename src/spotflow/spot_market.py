@@ -18,7 +18,6 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime
-from functools import cached_property
 
 import numpy as np
 
@@ -29,9 +28,6 @@ from .distributions import _paired, substream
 STEP = 60.0
 NBUCKETS = 1440
 HORIZON = STEP * NBUCKETS
-
-# Cells of the guide table that maps a uniform draw to a failure outcome.
-_GUIDE_CELLS = 4096
 
 
 class TraceError(ValueError):
@@ -259,99 +255,33 @@ def grid_index(times):
 class FirstFailureDistribution:
     """Discretized first-failure time distribution for one (type, bid).
 
-    counts[k] is the number of the `trials` walks whose first out-of-bid
-    event happens at elapsed time in [k*STEP, (k+1)*STEP), for each of the
-    NBUCKETS buckets; the walks left over survive HORIZON (or trace end).
+    failed_before[k] is the share of trials whose first out-of-bid event
+    happens strictly before grid point k*STEP, for k = 0..NBUCKETS: 0 at
+    k = 0, never decreasing, and at most 1.  The trials left over at
+    k = NBUCKETS survive HORIZON (or the trace end).  Both refinement gates
+    read this one array: the cost gate weights the on-demand fallback by
+    it, and the timing gate draws failure times from it.
     """
 
-    counts: np.ndarray
-    trials: int
+    failed_before: np.ndarray
 
     def __post_init__(self):
-        if self.counts.shape != (NBUCKETS,):
-            raise ValueError("counts must hold %d buckets, got shape %s"
-                             % (NBUCKETS, self.counts.shape))
-        self.counts.flags.writeable = False
-
-    @property
-    def masses(self):
-        """Probability of each bucket, counts / trials."""
-        return self.counts / float(self.trials)
-
-    @property
-    def no_failure_mass(self):
-        return float(1.0 - self.masses.sum())
-
-    @property
-    def bucket_times(self):
-        return np.arange(NBUCKETS) * STEP
-
-    @cached_property
-    def _failed_before(self):
-        """Share of walks failing strictly before grid points 0..NBUCKETS.
-
-        The running count is summed in integers and divided once.
-        """
-        share = np.concatenate(([0], np.cumsum(self.counts))) / self.trials
-        share.flags.writeable = False
-        return share
+        if self.failed_before.shape != (NBUCKETS + 1,):
+            raise ValueError("failed_before must hold %d grid points, got shape %s"
+                             % (NBUCKETS + 1, self.failed_before.shape))
+        self.failed_before.flags.writeable = False
 
     def cumulative_before(self, times):
         """Probability of failing strictly before each elapsed time t.
 
-        (walks failing at a grid point k*STEP < t) / trials: exact, at most
-        1, and monotone in t and in the bid (every bid shares the walks).
-        `times` is one time or an array of them; a negative or NaN time is
-        a ValueError.
+        failed_before at t's grid index: at most 1, and monotone in t and
+        in the bid (every bid shares the walks).  `times` is one time or an
+        array of them; a negative or NaN time is a ValueError.
         """
         times = np.asarray(times, dtype=np.float64)
         if not np.all(times >= 0):
             raise ValueError("times must be nonnegative")
-        return self._failed_before[grid_index(times)]
-
-    @cached_property
-    def _outcome_table(self):
-        """(cdf, guide) over the outcomes: every bucket, then no failure.
-
-        cdf is the one rng.choice builds from the normalized masses.  Cell
-        c of guide covers u in [c, c+1) / cells and holds the number of
-        cdf values <= c / cells, or -1 when more than one cdf value falls
-        strictly inside the cell; NBUCKETS + 1 outcomes fit int16.  Built
-        on the first draw, so distributions that are only queried for
-        cumulative failure never pay for it.
-        """
-        probs = np.append(self.masses, self.no_failure_mass)
-        # Guard against tiny float drift in the probability vector.
-        probs = probs / probs.sum()
-        cdf = np.cumsum(probs)
-        cdf /= cdf[-1]
-        edges = np.arange(_GUIDE_CELLS + 1) / _GUIDE_CELLS
-        low = np.searchsorted(cdf, edges[:-1], side="right")
-        high = np.searchsorted(cdf, edges[1:], side="left")
-        guide = np.where(high - low <= 1, low, -1).astype(np.int16)
-        cdf.flags.writeable = False
-        guide.flags.writeable = False
-        return cdf, guide
-
-    def sample_failure_times(self, rng, n):
-        """Draw n first-failure times (bucket start times; inf = no failure).
-
-        Returns what rng.choice(outcomes, size=n, p=probs) returns and
-        leaves rng in the same state: one rng.random(n) draw, each u mapped
-        to the number of cdf values <= u.  u * cells is exact (cells is a
-        power of two), so u's guide cell gives that count up to the one
-        cdf value that may lie inside the cell, cdf[low]; cells holding
-        more are looked up in the cdf.
-        """
-        cdf, guide = self._outcome_table
-        u = rng.random(n)
-        low = guide[(u * _GUIDE_CELLS).astype(np.intp)]
-        idx = low + (u >= cdf[low])
-        crowded = low < 0
-        idx[crowded] = cdf.searchsorted(u[crowded], side="right")
-        times = idx * STEP
-        times[idx == NBUCKETS] = np.inf
-        return times
+        return self.failed_before[grid_index(times)]
 
 
 @dataclass
@@ -392,7 +322,7 @@ class FailureModel:
             weights = np.bincount(grid_index(spot), weights=od, minlength=NBUCKETS + 1)
             weights.flags.writeable = False
             self._bucket_memo = ((spot_dist, od_dist), weights)
-        return float(np.dot(ffp._failed_before, weights))
+        return float(np.dot(ffp.failed_before, weights))
 
     def walks(self, type_id):
         """(start times, start segment indices) of the type's trial walks.
@@ -449,6 +379,8 @@ def estimate_ffp(model, type_id, bid):
     failed = elapsed < HORIZON
     buckets = np.floor(elapsed[failed] / STEP).astype(np.int64)
     counts = np.bincount(buckets, minlength=NBUCKETS)
-    result = FirstFailureDistribution(counts=counts, trials=model.num_trials)
+    # The running count is summed in integers and divided once.
+    failed_before = np.concatenate(([0], np.cumsum(counts))) / model.num_trials
+    result = FirstFailureDistribution(failed_before)
     model._cache[key] = result
     return result

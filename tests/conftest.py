@@ -6,7 +6,7 @@ import pytest
 
 from spotflow.cloud_model import Catalog, GammaSpec, InstanceType, NormalSpec, TaskProfile
 from spotflow.planner_astar import plan_cost, plan_distribution
-from spotflow.spot_market import HORIZON, NBUCKETS, STEP, SpotPriceTrace
+from spotflow.spot_market import HORIZON, NBUCKETS, STEP, FirstFailureDistribution, SpotPriceTrace
 from spotflow.workflow_dag import build_job, is_feasible
 
 
@@ -126,6 +126,26 @@ def alternating_offset_oracle(bid, low=0.05, high=0.15, seg_seconds=3600.0, cycl
     failed = (offsets + elapsed <= span) & (elapsed < HORIZON)
     counts = np.bincount((elapsed[failed] // STEP).astype(np.int64), minlength=NBUCKETS)
     return np.concatenate(([0], np.cumsum(counts))) / offsets.size
+
+
+def ffp_from_counts(counts, trials):
+    """First-failure distribution of `trials` walks, counts[k] of which first
+    fail in grid bucket k: the failure shares are estimate_ffp's expression."""
+    return FirstFailureDistribution(np.concatenate(([0], np.cumsum(counts))) / trials)
+
+
+def counts_with_gaps(rng, used, trials, failure_share):
+    """Random integer counts over the grid's first `used` buckets, about 60%
+    of them zero and the rest of the grid empty, summing to
+    round(failure_share * trials) walks (at least one bucket is nonzero
+    whenever that sum is)."""
+    failed = int(round(failure_share * trials))
+    weights = np.zeros(NBUCKETS)
+    weights[:used] = rng.random(used) * (rng.random(used) < 0.4)
+    weights[rng.integers(used)] += 0.5
+    counts = np.floor(weights / weights.sum() * failed).astype(np.int64)
+    counts[int(np.argmax(weights))] += failed - counts.sum()
+    return counts
 
 
 def stable_trace(base, jitter=0.1, step_seconds=1800.0, hours=400, seed=0):

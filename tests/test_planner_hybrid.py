@@ -1,3 +1,6 @@
+import math
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
@@ -25,12 +28,13 @@ from spotflow.planner_hybrid import (
     refine_task,
 )
 from spotflow.spot_market import (
+    HORIZON,
     NBUCKETS,
     STEP,
     FailureModel,
-    FirstFailureDistribution,
     SpotPriceTrace,
     estimate_ffp,
+    grid_index,
 )
 from spotflow.workflow_dag import ConfigDim, HybridConfig, build_job, deadline_bounds, montage_like
 
@@ -38,7 +42,9 @@ from conftest import (
     alternating_trace,
     chain_job,
     constant_trace,
+    counts_with_gaps,
     cpu_profile,
+    ffp_from_counts,
     mixed_profile,
     ordered_catalog,
     spiky_trace,
@@ -56,7 +62,33 @@ def synthetic_ffp(count_by_time, trials):
     counts = np.zeros(NBUCKETS, dtype=np.int64)
     for t, count in count_by_time.items():
         counts[int(t // STEP)] = count
-    return FirstFailureDistribution(counts=counts, trials=trials)
+    return ffp_from_counts(counts, trials)
+
+
+def failure_time(failed_before, u):
+    """The inverse-CDF draw for one uniform u: the last grid point whose
+    failed_before share is at most u, or inf when that is the last grid
+    point (the walk survives HORIZON)."""
+    k = bisect_right(failed_before, u) - 1
+    return k * STEP if k < NBUCKETS else math.inf
+
+
+def mixture_reference(spot, od, ffp, seed):
+    """(samples, generator) of hybrid_time_distribution, drawn sample by
+    sample: rng.permutation gathers where the sampler shuffles copies, and
+    a trial reruns on demand iff its failure time is strictly before its
+    spot time."""
+    n = spot.size
+    rng = substream(seed, "hybrid-mixture")
+    spot_times = spot[rng.permutation(n)].tolist()
+    uniforms = rng.random(n).tolist()
+    reruns = od[rng.permutation(n)].tolist()
+    shares = ffp.failed_before.tolist()
+    samples = []
+    for t, u, o in zip(spot_times, uniforms, reruns):
+        fail = failure_time(shares, u)
+        samples.append(fail + o if fail < t else t)
+    return np.array(samples), rng
 
 
 def preset_model(type_id, bid, dist):
@@ -94,17 +126,20 @@ class TestHybridTimeDistribution:
         assert frac_780 == pytest.approx(0.5, abs=0.03)
 
     def test_matches_the_whole_vector_mixture(self):
-        # The reruns are written at the failed indices only; the reference
-        # builds the whole rerun vector and selects, from the same draws.
+        # The sampler shuffles copies of its operands and writes the reruns
+        # at the failed indices only; the reference gathers both operands
+        # through rng.permutation and selects from the whole rerun vector,
+        # from the same draws.
         rng = np.random.default_rng(9)
         for case in range(20):
             spot = EmpiricalDistribution(rng.gamma(3.0, 400.0, size=1500))
             od = spot if case % 4 == 0 else EmpiricalDistribution(rng.gamma(3.0, 300.0, 1500))
             counts = rng.integers(0, 50, size=NBUCKETS) * (rng.random(NBUCKETS) < 0.05)
-            ffp = FirstFailureDistribution(counts=counts, trials=int(counts.sum()) + 100)
+            ffp = ffp_from_counts(counts, int(counts.sum()) + 100)
             draws = substream(case, "hybrid-mixture")
             ts = spot.samples[draws.permutation(1500)]
-            fail_t = ffp.sample_failure_times(draws, 1500)
+            shares = ffp.failed_before.tolist()
+            fail_t = np.array([failure_time(shares, u) for u in draws.random(1500).tolist()])
             rerun = fail_t + od.samples[draws.permutation(1500)]
             want = np.where(fail_t < ts, rerun, ts)
             got = hybrid_time_distribution(spot, ffp, od, seed=case)
@@ -114,6 +149,98 @@ class TestHybridTimeDistribution:
         ffp = synthetic_ffp({300.0: 1}, trials=2)
         with pytest.raises(ValueError, match="unequal sample counts"):
             hybrid_time_distribution(pm(10.0, 2000), ffp, pm(8.0, 1000), seed=5)
+
+
+def spot_times(rng, n):
+    """n spot times: 0, grid points and one ulp either side of them, times
+    at and past HORIZON, and gamma draws for the rest."""
+    grid = rng.integers(1, NBUCKETS, size=n // 5) * STEP
+    special = np.concatenate((
+        [0.0, np.nextafter(HORIZON, 0.0), HORIZON, np.nextafter(HORIZON, np.inf),
+         HORIZON + 1.0, 2 * HORIZON],
+        grid, np.nextafter(grid, 0.0), np.nextafter(grid, np.inf)))
+    return np.concatenate((special, rng.gamma(2.0, 2000.0, size=n - special.size)))
+
+
+def on_grid(counts):
+    """The given leading bucket counts, zero-padded to the grid."""
+    return np.concatenate((np.array(counts, dtype=np.int64),
+                           np.zeros(NBUCKETS - len(counts), dtype=np.int64)))
+
+
+class TestFailureDraws:
+    """hybrid_time_distribution against mixture_reference, value for value
+    and in the state its generator is left in."""
+
+    @pytest.mark.parametrize("counts, trials", [
+        (on_grid([]), 4000),
+        (on_grid([4000]), 4000),
+        (on_grid([0] * (NBUCKETS - 1) + [4000]), 4000),
+        (on_grid([1000] * 4), 4000),
+        (on_grid([0, 2000]), 4000),
+    ], ids=["no-failure", "bucket-0", "bucket-1439", "buckets-0-to-3", "half-in-bucket-1"])
+    def test_matches_the_oracle_on_edge_laws(self, monkeypatch, counts, trials):
+        rng = np.random.default_rng(23)
+        spot = spot_times(rng, 1000)
+        self.check(monkeypatch, spot, rng.gamma(2.0, 1500.0, size=spot.size),
+                   ffp_from_counts(counts, trials), seed=1)
+
+    def test_matches_the_oracle_on_gapped_random_laws(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        for trial in range(24):
+            trials = (1, 7, 10_000, 123_457)[trial % 4]
+            used = int(rng.choice([1, 3, 100, NBUCKETS]))
+            counts = counts_with_gaps(rng, used, trials, float(rng.choice([1.0, 0.9, 0.3])))
+            spot = spot_times(rng, int(rng.choice([400, 1000])))
+            od = spot if trial % 3 == 0 else rng.gamma(2.0, 1500.0, size=spot.size)
+            self.check(monkeypatch, spot, od, ffp_from_counts(counts, trials), seed=trial)
+
+    def test_matches_the_oracle_on_an_estimated_law(self, monkeypatch):
+        model = FailureModel(traces={0: spiky_trace()}, num_trials=10_000, rng_seed=2)
+        rng = np.random.default_rng(5)
+        spot = spot_times(rng, 4000)
+        self.check(monkeypatch, spot, rng.gamma(2.0, 1500.0, size=spot.size),
+                   estimate_ffp(model, 0, 0.1), seed=5)
+
+    @staticmethod
+    def check(monkeypatch, spot, od, ffp, seed):
+        used = []
+
+        def recording_substream(*key):
+            used.append(substream(*key))
+            return used[-1]
+
+        monkeypatch.setattr(planner_hybrid, "substream", recording_substream)
+        spot_dist = EmpiricalDistribution(spot)
+        od_dist = spot_dist if od is spot else EmpiricalDistribution(od)
+        got = hybrid_time_distribution(spot_dist, ffp, od_dist, seed=seed)
+        want, want_rng = mixture_reference(spot_dist.samples, od_dist.samples, ffp, seed)
+        assert got.samples.tobytes() == want.tobytes()
+        assert len(used) == 1
+        assert used[0].bit_generator.state == want_rng.bit_generator.state
+
+
+class TestBothGatesChargeOneLaw:
+    # 3 of 10 walks fail in bucket K - 1 and 4 in bucket K, so the shares
+    # around grid point K (0.0, 0.3, 0.7) are far apart.
+    K = 15
+
+    @pytest.mark.parametrize("spot_t, share", [
+        (K * STEP - 1.0, 0.3), (K * STEP, 0.3), (K * STEP + 1.0, 0.7), (HORIZON, 0.7),
+    ])
+    def test_fallback_sum_and_failed_share_read_one_entry(self, spot_t, share):
+        n, od_t = 10_000, 1e6
+        counts = np.zeros(NBUCKETS, dtype=np.int64)
+        counts[self.K - 1], counts[self.K] = 3, 4
+        ffp = ffp_from_counts(counts, 10)
+        entry = ffp.failed_before[grid_index(spot_t)]
+        assert entry == share
+        spot, od = pm(spot_t, n), pm(od_t, n)
+        assert FailureModel(traces={}).fallback_time_sum(ffp, spot, od) == n * od_t * entry
+        # A failed trial ends after the rerun, past the spot time.
+        hybrid = hybrid_time_distribution(spot, ffp, od, seed=2)
+        failed_share = float(np.mean(hybrid.samples > spot_t))
+        assert abs(failed_share - entry) <= 4 * math.sqrt(entry * (1 - entry) / n)
 
 
 class TestHybridCost:
@@ -195,7 +322,7 @@ class TestBucketSpaceCost:
             dists = [cache.dist(task_id, spot_type.id), cache.dist(task_id, od_type.id)]
             want = sample_space_cost(config, dists, failure)
             assert hybrid_cost(config, dists, failure) == pytest.approx(want, rel=1e-12, abs=0)
-            never_failed += not estimate_ffp(failure, spot_type.id, bid).counts.any()
+            never_failed += not estimate_ffp(failure, spot_type.id, bid).failed_before.any()
         assert never_failed >= 60
 
     def test_check_refinement_passes_every_config_refined_on_montage_16(self):

@@ -21,6 +21,8 @@ from conftest import (
     alternating_offset_oracle,
     alternating_trace,
     constant_trace,
+    counts_with_gaps,
+    ffp_from_counts,
     spiky_trace,
     stable_trace,
 )
@@ -174,19 +176,23 @@ class TestEstimateFfp:
     def test_constant_low_never_fails(self):
         model = FailureModel(traces={0: constant_trace(0.05)}, num_trials=2000, rng_seed=1)
         dist = estimate_ffp(model, 0, 0.10)
-        assert dist.no_failure_mass == 1.0
-        assert dist.masses.sum() == 0.0
+        assert not dist.failed_before.any()
 
     def test_constant_high_fails_at_zero(self):
         model = FailureModel(traces={0: constant_trace(0.20)}, num_trials=2000, rng_seed=1)
         dist = estimate_ffp(model, 0, 0.10)
-        assert dist.masses[0] == 1.0
-        assert dist.no_failure_mass == 0.0
+        assert dist.failed_before[0] == 0.0
+        assert np.all(dist.failed_before[1:] == 1.0)
 
     def test_masses_sum_to_one(self):
         model = FailureModel(traces={0: alternating_trace()}, num_trials=5000, rng_seed=2)
-        dist = estimate_ffp(model, 0, 0.10)
-        assert dist.masses.sum() + dist.no_failure_mass == pytest.approx(1.0, abs=1e-9)
+        shares = estimate_ffp(model, 0, 0.10).failed_before
+        # Bucket masses are the steps of the shares, the no-failure mass what
+        # is left at the last grid point.
+        masses = np.diff(shares)
+        assert shares[0] == 0.0
+        assert np.all(masses >= 0.0)
+        assert masses.sum() + (1.0 - shares[-1]) == pytest.approx(1.0, abs=1e-9)
 
     def test_alternating_matches_offset_oracle(self):
         model = FailureModel(traces={0: alternating_trace()}, num_trials=10_000, rng_seed=3)
@@ -208,16 +214,16 @@ class TestEstimateFfp:
                 estimate_ffp(model, 0, bid)
 
     def test_counts_off_the_grid_are_rejected(self):
-        for shape in (0, 1, NBUCKETS - 1, NBUCKETS + 1, (1, NBUCKETS)):
-            with pytest.raises(ValueError, match="counts must hold 1440 buckets"):
-                FirstFailureDistribution(counts=np.zeros(shape, dtype=np.int64), trials=1)
+        for shape in (0, 1, NBUCKETS, NBUCKETS + 2, (1, NBUCKETS + 1)):
+            with pytest.raises(ValueError, match="failed_before must hold 1441 grid points"):
+                FirstFailureDistribution(np.zeros(shape))
 
     def test_deterministic_for_seed(self):
         model_a = FailureModel(traces={0: alternating_trace()}, num_trials=3000, rng_seed=9)
         model_b = FailureModel(traces={0: alternating_trace()}, num_trials=3000, rng_seed=9)
         da = estimate_ffp(model_a, 0, 0.10)
         db = estimate_ffp(model_b, 0, 0.10)
-        assert np.array_equal(da.masses, db.masses)
+        assert np.array_equal(da.failed_before, db.failed_before)
 
 
     def test_bid_order_does_not_matter(self):
@@ -235,8 +241,8 @@ class TestEstimateFfp:
             for type_id, bid in order:
                 got = estimate_ffp(m, type_id, bid)
                 alone = estimate_ffp(model(), type_id, bid)
-                assert got.masses.tobytes() == alone.masses.tobytes(), (type_id, bid)
-                assert got.no_failure_mass == alone.no_failure_mass
+                assert got.failed_before.tobytes() == alone.failed_before.tobytes(), (
+                    type_id, bid)
 
     @pytest.mark.parametrize("first", [0, 1])
     def test_bids_a_hair_apart_across_a_price_keep_their_own_results(self, first):
@@ -246,9 +252,9 @@ class TestEstimateFfp:
         model = FailureModel(traces={0: trace}, num_trials=2000, rng_seed=4)
         below, above = 0.024, 0.0240000000004
         order = (below, above) if first == 0 else (above, below)
-        got = {bid: estimate_ffp(model, 0, bid).no_failure_mass for bid in order}
-        assert got[below] < 0.01
-        assert got[above] == 1.0
+        got = {bid: estimate_ffp(model, 0, bid).failed_before[-1] for bid in order}
+        assert got[below] > 0.99
+        assert got[above] == 0.0
         exceed = {bid: trace._next_exceed_index(bid) for bid in order}
         assert exceed[below][0] == 1
         assert set(exceed[above]) == {trace.prices.size}
@@ -263,8 +269,8 @@ def next_exceed_by_loop(prices, bid):
 
 
 def unsorted_walk_counts(model, type_id, bid):
-    """estimate_ffp's bucket counts over the walks in their drawn order, as
-    they were before the walks were sorted: the reference for the sort."""
+    """Bucket counts of the walks in their drawn order, as they were before
+    the walks were sorted: the reference for the sort."""
     trace = model.traces[type_id]
     rng = substream(model.rng_seed, "ffp", type_id)
     if trace.span > 0:
@@ -293,9 +299,10 @@ def test_counts_match_the_unsorted_walks():
         starts, _ = model.walks(type_id)
         assert np.all(starts[1:] >= starts[:-1])
         for bid in (*np.quantile(trace.prices, [0.0, 0.3, 0.7, 1.0]), 0.5 * trace.prices.min()):
-            got = estimate_ffp(model, type_id, float(bid)).counts
-            assert np.array_equal(got, unsorted_walk_counts(model, type_id, float(bid))), (
-                type_id, bid)
+            got = estimate_ffp(model, type_id, float(bid)).failed_before
+            counts = unsorted_walk_counts(model, type_id, float(bid))
+            want = np.concatenate(([0], np.cumsum(counts))) / model.num_trials
+            assert got.tobytes() == want.tobytes(), (type_id, bid)
 
 
 class TestNextExceedIndex:
@@ -313,75 +320,6 @@ class TestNextExceedIndex:
         for price, want in ((0.1, [1, 1]), (0.3, [0, 1])):
             trace = SpotPriceTrace([0.0], [price])
             assert trace._next_exceed_index(0.1).tolist() == want
-
-
-def choice_reference(dist, rng, n):
-    # What sample_failure_times replaces: rng.choice over the outcomes.
-    outcomes = np.append(dist.bucket_times, np.inf)
-    probs = np.append(dist.masses, dist.no_failure_mass)
-    return rng.choice(outcomes, size=n, p=probs / probs.sum())
-
-
-def counts_with_gaps(rng, used, trials, failure_share):
-    """Random integer counts over the grid's first `used` buckets, about 60%
-    of them zero and the rest of the grid empty, summing to
-    round(failure_share * trials) walks (at least one bucket is nonzero
-    whenever that sum is)."""
-    failed = int(round(failure_share * trials))
-    weights = np.zeros(NBUCKETS)
-    weights[:used] = rng.random(used) * (rng.random(used) < 0.4)
-    weights[rng.integers(used)] += 0.5
-    counts = np.floor(weights / weights.sum() * failed).astype(np.int64)
-    counts[int(np.argmax(weights))] += failed - counts.sum()
-    return counts
-
-
-def on_grid(masses):
-    """The given leading bucket masses, zero-padded to the grid."""
-    return np.concatenate((masses, np.zeros(NBUCKETS - masses.size)))
-
-
-class TestSampleFailureTimes:
-    TRIALS = 4000
-
-    @pytest.mark.parametrize("masses, no_failure", [
-        (np.zeros(1440), 1.0),                      # all mass in no-failure
-        (np.eye(1, 1440)[0], 0.0),                  # all mass in bucket 0
-        (np.eye(1, 1440, 1439)[0], 0.0),            # all mass in the last bucket
-        (on_grid(np.full(4, 0.25)), 0.0),
-        (on_grid(np.array([0.0, 0.5, 0.0, 0.0])), 0.5),
-    ])
-    def test_matches_choice_on_edge_vectors(self, masses, no_failure):
-        # Count vectors whose derived masses are exactly the given ones.
-        counts = (masses * self.TRIALS).astype(np.int64)
-        dist = FirstFailureDistribution(counts=counts, trials=self.TRIALS)
-        assert dist.masses.tobytes() == masses.tobytes()
-        assert dist.no_failure_mass == no_failure
-        self.check(dist, seed=1, n=5000)
-
-    def test_matches_choice_on_random_vectors_with_zero_buckets(self):
-        rng = np.random.default_rng(21)
-        for trial in range(60):
-            used = int(rng.choice([1, 3, 100, NBUCKETS]))
-            share = float(rng.choice([1.0, 0.9, 0.3]))
-            trials = int(rng.choice([10, 10_000, 123_457]))
-            counts = counts_with_gaps(rng, used, trials, share)
-            assert (counts == 0).any()
-            dist = FirstFailureDistribution(counts=counts, trials=trials)
-            self.check(dist, seed=trial, n=int(rng.choice([1, 10, 20_000])))
-
-    def test_matches_choice_on_an_estimated_distribution(self):
-        model = FailureModel(traces={0: spiky_trace()}, num_trials=10_000, rng_seed=2)
-        self.check(estimate_ffp(model, 0, 0.1), seed=5, n=20_000)
-
-    @staticmethod
-    def check(dist, seed, n):
-        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        want = choice_reference(dist, want_rng, n)
-        got = dist.sample_failure_times(got_rng, n)
-        assert got.dtype == np.float64
-        assert got.tobytes() == want.tobytes()
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestCumulativeFailure:
@@ -427,11 +365,11 @@ class TestCumulativeFailure:
             used = int(rng.choice([1, 3, 100, NBUCKETS]))
             trials = int(rng.choice([1, 7, 10_000, 123_457]))
             counts = counts_with_gaps(rng, used, trials, float(rng.choice([1.0, 0.9, 0.3])))
-            dist = FirstFailureDistribution(counts=counts, trials=trials)
+            dist = ffp_from_counts(counts, trials)
             end = HORIZON
             past = [end - STEP / 2, end, end + 1.0, 10 * end, math.inf]
             times = np.concatenate((rng.uniform(0.0, 1.2 * end, size=50),
-                                    dist.bucket_times, past))
+                                    np.arange(NBUCKETS) * STEP, past))
             got = dist.cumulative_before(times)
             scalar = [dist.cumulative_before(t) for t in times]
             want = [int(counts[:min(math.ceil(t / STEP), NBUCKETS)].sum()) / trials
