@@ -30,8 +30,9 @@ EXIT_INFEASIBLE = 3
 EXIT_MISMATCH = 4
 
 # Bad input or configuration, exit EXIT_PARSE.  CatalogError, TraceError
-# and WorkflowError are all ValueErrors.
-PARSE_ERRORS = (ValueError, OSError)
+# and WorkflowError are all ValueErrors; a MemoryError is a count too
+# large to allocate (--samples, --jobs, --ffp-trials).
+PARSE_ERRORS = (ValueError, OSError, MemoryError)
 
 SPOT_ONLY_BID = 1000.0  # effectively never out-of-bid
 
@@ -57,7 +58,6 @@ class ExperimentSpec:
     ffp_trials: int = 10_000
     max_iter: int = 10_000
     release_policy: str = "hour-boundary"
-    per_job: bool = False
     event_log: bool = False
     baseline: str | None = None
 
@@ -162,7 +162,6 @@ def _add_common_flags(p):
                    help="search iteration budget per workflow class")
     p.add_argument("--release-policy", dest="release_policy",
                    choices=("hour-boundary", "immediate"))
-    p.add_argument("--per-job", dest="per_job", action="store_const", const=True)
     p.add_argument("--event-log", dest="event_log", action="store_const", const=True)
     p.add_argument("--baseline", help="report JSON to normalize against")
 
@@ -191,6 +190,11 @@ def plan_class(spec, job, catalog, failure):
     if deadline is None:
         d_min, d_max = workflow_dag.deadline_bounds(job, catalog, cache=cache)
         deadline = d_min + spec.deadline_factor * (d_max - d_min)
+        if not 0 < deadline < math.inf:
+            raise workflow_dag.WorkflowError(
+                "class %s: deadline factor %r between D_min %g s and D_max %g s gives deadline %g s,"
+                " which is not positive and finite"
+                % (job.class_id, spec.deadline_factor, d_min, d_max, deadline))
     job = job.with_deadline(float(deadline))
     plan = planner_astar.astar_configure(
         job, catalog, params=planner_astar.AStarParams(max_iter=spec.max_iter), cache=cache)
@@ -285,18 +289,6 @@ def cmd_simulate(spec, plans_path=None):
     rep = sim.run()
 
     (out / "report.json").write_text(rep.to_json(), encoding="utf-8")
-    with open(out / "report.csv", "w", encoding="utf-8") as fh:
-        fh.write("jobs,total_cost,avg_cost_per_job,avg_makespan_s,hit_rate\n")
-        fh.write("%d,%.6f,%.6f,%.2f,%.4f\n" % (
-            rep.job_count, rep.total_cost, rep.avg_cost_per_job,
-            rep.avg_makespan_s, rep.hit_rate))
-    if spec.per_job:
-        with open(out / "per_job.csv", "w", encoding="utf-8") as fh:
-            fh.write("job,class,arrival,completion,makespan_s,deadline_s,hit\n")
-            for row in rep.per_job:
-                fh.write("%d,%s,%d,%d,%d,%.2f,%d\n" % (
-                    row["job"], row["class"], row["arrival"], row["completion"],
-                    row["makespan_s"], row["deadline_s"], int(row["hit"])))
     if spec.event_log:
         (out / "events.log").write_text("\n".join(sim.event_log) + "\n", encoding="utf-8")
     if baseline is not None:

@@ -455,7 +455,11 @@ class Simulator:
             self.config.job_count,
             derive_seed(self.config.seed, "duration", *key),
         )
-        table = array("q", np.rint(times).astype(np.int64).tobytes())
+        rounded = np.rint(times)
+        if not (rounded < 2.0 ** 63).all():  # also false for inf and nan
+            raise ValueError("class %s task %d: duration %g s is past the simulator's integer clock"
+                             % (key[0], task_id, rounded.max()))
+        table = array("q", rounded.astype(np.int64).tobytes())
         job.durations[task_id][attempt] = table
         return table
 

@@ -4,6 +4,7 @@ import math
 import pathlib
 import shutil
 import sys
+import warnings
 
 import pytest
 
@@ -221,6 +222,30 @@ class TestPlan:
         assert "Traceback" not in err
         assert not (workspace["tmp"] / "out" / "plans.json").exists()
 
+    def test_samples_too_many_to_allocate_is_parse_error(self, workspace, capsys):
+        # numpy refuses an 8 PB array at once, without touching memory.
+        rc = cli.main(["plan", *base_args(workspace, "--samples", str(10 ** 15))])
+        assert rc == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert not (workspace["tmp"] / "out" / "plans.json").exists()
+
+    @pytest.mark.parametrize("task, flags, message", [
+        ("task 0 0 0 0 0 0", [], "deadline factor 0.5 between D_min 0 s and D_max 0 s"
+                                 " gives deadline 0 s"),
+        ("task 0 100 0 0 0 0", ["--deadline-factor", "-3"], "deadline factor -3.0 between"),
+    ], ids=["all-zero-task", "negative-factor"])
+    def test_derived_deadline_not_positive_is_parse_error(self, workspace, capsys,
+                                                          task, flags, message):
+        with open(workspace["workflow"], "w") as fh:
+            fh.write(task + "\n")
+        rc = cli.main(["plan", *base_args(workspace, "--planner", "dyna-ns", *flags)])
+        assert rc == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: class toy: %s" % message) and err.count("\n") == 1
+        assert err.endswith(" s, which is not positive and finite\n")
+        assert not (workspace["tmp"] / "out" / "plans.json").exists()
+
     def test_missing_trace_dir_is_parse_error(self, workspace, tmp_path, capsys):
         missing = tmp_path / "no-such-traces"
         rc = cli.main(["plan", *base_args(workspace, "--trace-dir", str(missing))])
@@ -252,15 +277,53 @@ class TestSimulate:
                                                 "--jobs", "10", *extra)])
 
     def test_report_files_written(self, workspace):
-        rc = self._plan_then_simulate(workspace, "--per-job", "--event-log")
+        rc = self._plan_then_simulate(workspace, "--event-log")
         assert rc == 0
         out = workspace["tmp"] / "out"
         report = json.loads((out / "report.json").read_text())
         assert report["job_count"] == 10
         assert 0.0 <= report["hit_rate"] <= 1.0
-        assert (out / "report.csv").exists()
-        assert (out / "per_job.csv").exists()
         assert (out / "events.log").exists()
+
+    def test_report_json_is_the_only_report(self, workspace, tmp_path):
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps({"avg_cost_per_job": 0.5, "hit_rate": 0.25}))
+        assert self._plan_then_simulate(workspace, "--event-log", "--baseline", str(base)) == 0
+        out = workspace["tmp"] / "out"
+        assert sorted(path.name for path in out.iterdir()) == [
+            "events.log", "normalized.json", "plans.json", "report.json"]
+        assert len(json.loads((out / "report.json").read_text())["per_job"]) == 10
+
+    def test_per_job_flag_is_usage_error(self, workspace, capsys):
+        assert cli.main(["plan", *base_args(workspace, "--planner", "dyna-ns")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", *base_args(workspace, "--per-job")])
+        assert exc.value.code == cli.EXIT_PARSE
+        assert "unrecognized arguments: --per-job" in capsys.readouterr().err
+        assert not (workspace["tmp"] / "out" / "report.json").exists()
+
+    def test_duration_past_the_integer_clock_is_parse_error(self, workspace, capsys):
+        # rint(1e300) does not fit int64: cast anyway, it would wrap to -2**63.
+        with open(workspace["workflow"], "w") as fh:
+            fh.write("task 0 1e300 0 0 0 0\ntask 1 1e9 0 0 0 0\nedge 0 1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = self._plan_then_simulate(workspace, "--jobs", "3")
+        assert rc == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: class toy task 0: duration ") and err.count("\n") == 1
+        assert "past the simulator's integer clock" in err
+        assert not (workspace["tmp"] / "out" / "report.json").exists()
+
+    def test_count_too_large_to_allocate_is_parse_error(self, workspace, capsys):
+        # numpy refuses an 8 PB array at once, without touching memory.
+        assert cli.main(["plan", *base_args(workspace, "--planner", "dyna-ns")]) == 0
+        capsys.readouterr()
+        rc = cli.main(["simulate", *base_args(workspace, "--jobs", str(10 ** 15))])
+        assert rc == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert not (workspace["tmp"] / "out" / "report.json").exists()
 
     def test_repeat_seed_byte_identical(self, workspace):
         self._plan_then_simulate(workspace)
@@ -612,6 +675,7 @@ class TestSpecFile:
         ([1, 2], "spec must be a JSON object, got list"),
         ({"jobs": "many"}, "jobs must be int"),
         ({"workflows": "one.txt"}, "workflows must be list"),
+        ({"per_job": True}, "unknown spec key(s): per_job"),  # report.json holds per_job
     ])
     def test_bad_spec_is_parse_error(self, tmp_path, capsys, doc, message):
         spec_path = tmp_path / "exp.json"

@@ -34,6 +34,13 @@ class TestTaskTimeDistribution:
         d = task_time_distribution(TaskProfile(instructions=1e9), cat[0], n=100, seed=1)
         assert d.sorted_samples[0] == d.sorted_samples[-1] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("volume", ["seq_io_mb", "rnd_io_mb", "net_in_mb", "net_out_mb"])
+    def test_one_mb_of_one_volume_adds_transfer_time(self, volume):
+        itype = default_catalog()[0]
+        profile = TaskProfile(instructions=1e9, **{volume: 1.0})
+        drawn = sample_task_time(profile, itype, 200, seed=5)
+        assert np.all(drawn > 1e9 / itype.cpu_speed)
+
     def test_seq_io_mean_matches_inverse_gamma_oracle(self):
         # For B ~ Gamma(k, theta), E[1/B] = 1/(theta * (k - 1)).
         cat = default_catalog()

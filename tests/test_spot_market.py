@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spotflow.distributions import substream
+from spotflow.distributions import EmpiricalDistribution, substream
 from spotflow.spot_market import (
     HORIZON,
     NBUCKETS,
@@ -386,3 +386,16 @@ class TestCumulativeFailure:
         for t in (-1.0, math.nan, [0.0, 60.0, -1e-9], np.array([math.nan, 60.0])):
             with pytest.raises(ValueError, match="times must be nonnegative"):
                 dist.cumulative_before(t)
+
+
+def test_fallback_time_sum_memo_keys_on_both_operands():
+    # A bid search can move from (A, B) to (B, B) or (B, A): the memoised
+    # bucket weights are reused only for the same (spot, on-demand) pair.
+    rng = np.random.default_rng(43)
+    a, b = (EmpiricalDistribution(rng.uniform(0.0, HORIZON, 500)) for _ in range(2))
+    ffp = ffp_from_counts(counts_with_gaps(rng, NBUCKETS, 1000, 0.9), 1000)
+    model = FailureModel(traces={})
+    pairs = ((a, b), (b, b), (b, a), (a, a), (a, b))
+    fresh = [FailureModel(traces={}).fallback_time_sum(ffp, spot, od) for spot, od in pairs]
+    assert len(set(fresh[:4])) == 4
+    assert [model.fallback_time_sum(ffp, spot, od) for spot, od in pairs] == fresh

@@ -336,6 +336,11 @@ class TestWorkflowFiles:
         assert sorted(loaded.edges()) == sorted(job.edges())
         assert loaded.class_id == "wf"
 
+    def test_class_id_drops_only_the_last_extension(self, tmp_path):
+        path = tmp_path / "x.y.wf"
+        path.write_text("task 0 1e9 0 0 0 0\n")
+        assert load_workflow(path).class_id == "x.y"
+
     def test_auto_ids(self, tmp_path):
         path = tmp_path / "wf.txt"
         path.write_text("task 1e9 0 0 0 0\ntask 2e9 0 0 0 0\nedge 0 1\n")
