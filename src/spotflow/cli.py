@@ -23,6 +23,7 @@ import typing
 from dataclasses import dataclass, field, fields
 
 from . import cloud_model, planner_astar, planner_hybrid, simulator, spot_market, workflow_dag
+from .cloud_model import CLOCK_BOUND
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -84,8 +85,8 @@ class ExperimentSpec:
                 raise ValueError("%s must be >= 1, got %d" % (name, getattr(self, name)))
         if not math.isfinite(self.deadline_factor):
             raise ValueError("deadline_factor must be finite, got %r" % self.deadline_factor)
-        if self.deadline is not None and not 0 < self.deadline < math.inf:
-            raise ValueError("deadline must be positive and finite, got %r" % self.deadline)
+        if self.deadline is not None and not 0 < self.deadline < CLOCK_BOUND:
+            raise ValueError("deadline must be in (0, %g) s, got %r" % (CLOCK_BOUND, self.deadline))
 
     def load_catalog(self):
         if self.catalog is None:
@@ -190,11 +191,11 @@ def plan_class(spec, job, catalog, failure):
     if deadline is None:
         d_min, d_max = workflow_dag.deadline_bounds(job, catalog, cache=cache)
         deadline = d_min + spec.deadline_factor * (d_max - d_min)
-        if not 0 < deadline < math.inf:
+        if not 0 < deadline < CLOCK_BOUND:
             raise workflow_dag.WorkflowError(
                 "class %s: deadline factor %r between D_min %g s and D_max %g s gives deadline %g s,"
-                " which is not positive and finite"
-                % (job.class_id, spec.deadline_factor, d_min, d_max, deadline))
+                " which is not in (0, %g) s"
+                % (job.class_id, spec.deadline_factor, d_min, d_max, deadline, CLOCK_BOUND))
     job = job.with_deadline(float(deadline))
     plan = planner_astar.astar_configure(
         job, catalog, params=planner_astar.AStarParams(max_iter=spec.max_iter), cache=cache)

@@ -15,6 +15,9 @@ import numpy as np
 from .distributions import DEFAULT_SAMPLE_COUNT, EmpiricalDistribution, substream
 
 SECONDS_PER_HOUR = 3600.0
+# Every time the program accepts (deadlines, acquisition lags, arrivals, task
+# durations, trace cycles; seconds) lies below it: the simulator's clock is int64.
+CLOCK_BOUND = float(2**63)
 
 
 class CatalogError(ValueError):
@@ -74,8 +77,8 @@ class InstanceType:
             if not 0 < getattr(self, name) < math.inf:
                 raise CatalogError("%s must be positive and finite: %s" % (name, self.name))
         for name in ("acquisition_lag_ondemand", "acquisition_lag_spot"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise CatalogError("%s must be nonnegative and finite: %s" % (name, self.name))
+            if not 0 <= getattr(self, name) < CLOCK_BOUND:
+                raise CatalogError("%s must be in [0, %g) s: %s" % (name, CLOCK_BOUND, self.name))
 
     def lag(self, is_spot):
         return self.acquisition_lag_spot if is_spot else self.acquisition_lag_ondemand
@@ -184,8 +187,6 @@ def load_catalog(path):
                     )
                 try:
                     nums = [float(f) for f in fields[2:]]
-                    if not all(map(math.isfinite, nums)):
-                        raise CatalogError("numeric fields must be finite")
                     types.append(InstanceType(
                         int(fields[0]), fields[1], nums[0], nums[1],
                         GammaSpec(*nums[2:4]), NormalSpec(*nums[4:6]),

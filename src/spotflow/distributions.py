@@ -13,9 +13,9 @@ seeded substreams, so index pairing models independent operands, and a
 chain of such operations is a per-sample Monte Carlo over the same draws.
 `derive_seed` is memoized.
 
-Order statistics are lazy: a distribution sorts its samples on the first
-query that needs them (sorted_samples, percentile), so intermediate
-results that are only combined further are never sorted.
+Order statistics are sorted per query: sorted_samples and percentile sort
+the samples each time and no sorted copy is kept, so a distribution holds
+one copy of its samples and intermediate results are never sorted.
 
 All operations are pure and bit-reproducible for a fixed seed.
 """
@@ -62,12 +62,12 @@ def derive_seed(seed, *key):
 class EmpiricalDistribution:
     """Immutable empirical distribution of a nonnegative random variable.
 
-    Holds the raw sample vector plus a sorted copy for order-statistic
-    queries and the mean, each made on the first query that needs it.
+    Holds the read-only sample vector and its mean, made on the first
+    query that needs it.
     Units are context-dependent (seconds for times, MB/s for bandwidths).
     """
 
-    __slots__ = ("_samples", "_sorted", "_mean")
+    __slots__ = ("_samples", "_mean")
 
     def __init__(self, samples):
         arr = np.asarray(samples, dtype=np.float64)
@@ -82,7 +82,6 @@ class EmpiricalDistribution:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "_samples", arr)
-        object.__setattr__(self, "_sorted", None)
         object.__setattr__(self, "_mean", None)
 
     @classmethod
@@ -97,7 +96,6 @@ class EmpiricalDistribution:
         arr.flags.writeable = False
         dist = object.__new__(cls)
         object.__setattr__(dist, "_samples", arr)
-        object.__setattr__(dist, "_sorted", None)
         object.__setattr__(dist, "_mean", None)
         return dist
 
@@ -110,11 +108,8 @@ class EmpiricalDistribution:
 
     @property
     def sorted_samples(self):
-        srt = self._sorted
-        if srt is None:
-            srt = np.sort(self._samples)
-            srt.flags.writeable = False
-            object.__setattr__(self, "_sorted", srt)
+        srt = np.sort(self._samples)
+        srt.flags.writeable = False
         return srt
 
     @property

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud_model import expected_ondemand_cost, task_time_distribution
+from .cloud_model import CLOCK_BOUND, expected_ondemand_cost, task_time_distribution
 from .distributions import (DEFAULT_SAMPLE_COUNT, EmpiricalDistribution, derive_seed,
                             percentile_rank)
 from .workflow_dag import (
@@ -365,8 +365,8 @@ _DIM_KEYS = ("is_spot", "price", "type_id")
 def _plan_from_json(class_id, rec):
     if not isinstance(rec, dict) or sorted(rec) != list(_PLAN_KEYS):
         raise ValueError("a plan is an object with exactly the keys %s" % ", ".join(_PLAN_KEYS))
-    if not 0 < json_number(rec["deadline"]) < math.inf:
-        raise ValueError("deadline must be a positive finite number, got %r" % (rec["deadline"],))
+    if not 0 < json_number(rec["deadline"]) < CLOCK_BOUND:
+        raise ValueError("deadline must be in (0, %g) s, got %r" % (CLOCK_BOUND, rec["deadline"]))
     if not 0 < json_number(rec["guarantee_p"]) <= 1:
         raise ValueError("guarantee_p must be a number in (0, 1], got %r"
                          % (rec["guarantee_p"],))

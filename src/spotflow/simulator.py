@@ -62,7 +62,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .cloud_model import SECONDS_PER_HOUR, expected_task_time, sample_task_time
+from .cloud_model import CLOCK_BOUND, SECONDS_PER_HOUR, expected_task_time, sample_task_time
 from .distributions import derive_seed, substream
 
 EXPECTATION_SAMPLES = 2000  # for consolidation headroom estimates
@@ -282,8 +282,9 @@ class Simulator:
                     "plan for %r covers %d tasks, workflow has %d"
                     % (cls.class_id, len(plan.task_configs), len(cls.tasks))
                 )
-            if plan.deadline is None or not 0 < plan.deadline < math.inf:
-                raise PlanMismatchError("plan for %r has no deadline" % cls.class_id)
+            if plan.deadline is None or not 0 < plan.deadline < CLOCK_BOUND:
+                raise PlanMismatchError("plan for %r has no deadline in (0, %g) s"
+                                        % (cls.class_id, CLOCK_BOUND))
             for config_ in plan.task_configs:
                 for dim in config_.dims:
                     if not 0 <= dim.type_id < len(catalog):
@@ -358,9 +359,9 @@ class Simulator:
         durations = {class_id: [[None] * len(attempts) for attempts in requests]
                      for class_id, requests in self._requests.items()}
         arrivals = list(accumulate(gaps.tolist()))  # each an exact running sum
-        if arrivals[-1] == math.inf:
-            raise ValueError("arrival_rate %r jobs/min is too small: the arrival times of %d jobs"
-                             " overflow" % (self.config.arrival_rate_per_min, len(arrivals)))
+        if not arrivals[-1] < CLOCK_BOUND:
+            raise ValueError("arrival_rate %r jobs/min is too small: %d arrival times reach %g s"
+                             % (self.config.arrival_rate_per_min, len(arrivals), CLOCK_BOUND))
         for i, t in enumerate(arrivals):
             cls = self.classes[i % len(self.classes)]
             job = JobRun(
@@ -456,7 +457,7 @@ class Simulator:
             derive_seed(self.config.seed, "duration", *key),
         )
         rounded = np.rint(times)
-        if not (rounded < 2.0 ** 63).all():  # also false for inf and nan
+        if not (rounded < CLOCK_BOUND).all():  # also false for inf and nan
             raise ValueError("class %s task %d: duration %g s is past the simulator's integer clock"
                              % (key[0], task_id, rounded.max()))
         table = array("q", rounded.astype(np.int64).tobytes())

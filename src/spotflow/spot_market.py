@@ -21,6 +21,7 @@ from datetime import datetime
 
 import numpy as np
 
+from .cloud_model import CLOCK_BOUND
 from .distributions import _paired, substream
 
 
@@ -65,11 +66,12 @@ class SpotPriceTrace:
         self.span = float(ts[-1]) - self.start
         # Duration of the last segment is unknown; extend it by the median
         # sampling interval so cyclic replay gives every point nonzero weight.
-        # No interval exceeds the span, so a finite span has finite intervals.
-        tail = 3600.0 if ts.size == 1 or self.span == math.inf else float(np.median(np.diff(ts)))
+        # No interval exceeds the span, so a span below the bound has finite intervals.
+        tail = 3600.0 if ts.size == 1 or self.span >= CLOCK_BOUND else float(np.median(np.diff(ts)))
         self.cycle = self.span + tail
-        if self.cycle == math.inf:
-            raise TraceError("trace cycle (span plus median interval) must be finite")
+        if not self.cycle < CLOCK_BOUND:
+            raise TraceError("trace cycle (span plus median interval) must be below %g s"
+                             % CLOCK_BOUND)
         # One copy of each column, as a compact array: the simulator's
         # per-event lookups bisect and index it, which gives plain floats,
         # and the read-only numpy arrays the planner reads are views of it.

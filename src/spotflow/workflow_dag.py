@@ -9,10 +9,9 @@ sweep over index-paired samples, whatever the DAG's shape.
 
 import dataclasses
 import heapq
-import math
 from dataclasses import dataclass, field
 
-from .cloud_model import TaskProfile, expected_task_time
+from .cloud_model import CLOCK_BOUND, TaskProfile, expected_task_time
 from .distributions import (
     DEFAULT_SAMPLE_COUNT,
     convolve,
@@ -103,8 +102,8 @@ class WorkflowJob:
     class_id: str = "job"
 
     def __post_init__(self):
-        if self.deadline is not None and not 0 < self.deadline < math.inf:
-            raise WorkflowError("deadline must be positive and finite")
+        if self.deadline is not None and not 0 < self.deadline < CLOCK_BOUND:
+            raise WorkflowError("deadline must be in (0, %g) s" % CLOCK_BOUND)
         if not 0.0 < self.guarantee_p <= 1.0:
             raise WorkflowError("guarantee_p must be in (0, 1]")
         n = len(self.tasks)

@@ -9,7 +9,7 @@ import warnings
 import pytest
 
 from spotflow import cli, planner_astar, workflow_dag
-from spotflow.cloud_model import Catalog, GammaSpec
+from spotflow.cloud_model import CLOCK_BOUND, Catalog, GammaSpec
 from spotflow.planner_astar import TaskDistCache, load_plan_cache, plan_distribution
 from spotflow.workflow_dag import save_workflow
 
@@ -179,9 +179,10 @@ class TestPlan:
     @pytest.mark.parametrize("flag, value, message", [
         ("--deadline-factor", "nan", "deadline_factor must be finite, got nan"),
         ("--deadline-factor", "inf", "deadline_factor must be finite, got inf"),
-        ("--deadline", "0", "deadline must be positive and finite, got 0.0"),
-        ("--deadline", "inf", "deadline must be positive and finite, got inf"),
-        ("--deadline", "nan", "deadline must be positive and finite, got nan"),
+        ("--deadline", "0", "deadline must be in (0, %g) s, got 0.0" % CLOCK_BOUND),
+        ("--deadline", "inf", "deadline must be in (0, %g) s, got inf" % CLOCK_BOUND),
+        ("--deadline", "nan", "deadline must be in (0, %g) s, got nan" % CLOCK_BOUND),
+        ("--deadline", "1e19", "deadline must be in (0, %g) s, got 1e+19" % CLOCK_BOUND),
     ])
     def test_bad_deadline_is_parse_error_before_any_draw(self, workspace, capsys, monkeypatch,
                                                          flag, value, message):
@@ -234,7 +235,11 @@ class TestPlan:
         ("task 0 0 0 0 0 0", [], "deadline factor 0.5 between D_min 0 s and D_max 0 s"
                                  " gives deadline 0 s"),
         ("task 0 100 0 0 0 0", ["--deadline-factor", "-3"], "deadline factor -3.0 between"),
-    ], ids=["all-zero-task", "negative-factor"])
+        # simulate could not replay this class: its durations pass the int64 clock.
+        ("task 0 1e300 0 0 0 0\ntask 1 1e9 0 0 0 0\nedge 0 1", ["--samples", "300"],
+         "deadline factor 0.5 between D_min 5e+290 s and D_max 1e+291 s"
+         " gives deadline 7.5e+290 s"),
+    ], ids=["all-zero-task", "negative-factor", "past-the-clock-bound"])
     def test_derived_deadline_not_positive_is_parse_error(self, workspace, capsys,
                                                           task, flags, message):
         with open(workspace["workflow"], "w") as fh:
@@ -243,7 +248,7 @@ class TestPlan:
         assert rc == cli.EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("error: class toy: %s" % message) and err.count("\n") == 1
-        assert err.endswith(" s, which is not positive and finite\n")
+        assert err.endswith(" s, which is not in (0, %g) s\n" % CLOCK_BOUND)
         assert not (workspace["tmp"] / "out" / "plans.json").exists()
 
     def test_missing_trace_dir_is_parse_error(self, workspace, tmp_path, capsys):
@@ -268,7 +273,15 @@ class TestSimulate:
         rc = self._plan_then_simulate(workspace, "--lambda", "1e-306", "--jobs", "20")
         assert rc == cli.EXIT_PARSE
         assert capsys.readouterr().err == ("error: arrival_rate 1e-306 jobs/min is too small:"
-                                           " the arrival times of 20 jobs overflow\n")
+                                           " 20 arrival times reach %g s\n" % CLOCK_BOUND)
+        assert not (workspace["tmp"] / "out" / "report.json").exists()
+
+    def test_arrival_times_past_the_clock_bound_are_parse_error(self, workspace, capsys):
+        # Mean gaps of 6e301 s: finite floats, but past the simulator's int64 clock.
+        rc = self._plan_then_simulate(workspace, "--lambda", "1e-300")
+        assert rc == cli.EXIT_PARSE
+        assert capsys.readouterr().err == ("error: arrival_rate 1e-300 jobs/min is too small:"
+                                           " 10 arrival times reach %g s\n" % CLOCK_BOUND)
         assert not (workspace["tmp"] / "out" / "report.json").exists()
 
     def _plan_then_simulate(self, ws, *extra):
@@ -304,11 +317,13 @@ class TestSimulate:
 
     def test_duration_past_the_integer_clock_is_parse_error(self, workspace, capsys):
         # rint(1e300) does not fit int64: cast anyway, it would wrap to -2**63.
+        # plan refuses such a class, so the plan is made before task 0 grows.
+        assert cli.main(["plan", *base_args(workspace, "--planner", "dyna-ns")]) == 0
         with open(workspace["workflow"], "w") as fh:
             fh.write("task 0 1e300 0 0 0 0\ntask 1 1e9 0 0 0 0\nedge 0 1\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rc = self._plan_then_simulate(workspace, "--jobs", "3")
+            rc = cli.main(["simulate", *base_args(workspace, "--jobs", "3")])
         assert rc == cli.EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("error: class toy task 0: duration ") and err.count("\n") == 1
@@ -470,13 +485,15 @@ class TestMalformedPlanCache:
         (lambda doc: doc.pop("classes"), cli.EXIT_PARSE,
          '"classes" must be an object'),
         (lambda doc: _set_deadline(doc, "soon"), cli.EXIT_PARSE,
-         "class 'toy': deadline must be a positive finite number, got 'soon'"),
+         "class 'toy': deadline must be in (0, %g) s, got 'soon'" % CLOCK_BOUND),
         (lambda doc: _set_deadline(doc, math.nan), cli.EXIT_PARSE,
-         "class 'toy': deadline must be a positive finite number, got nan"),
+         "class 'toy': deadline must be in (0, %g) s, got nan" % CLOCK_BOUND),
+        (lambda doc: _set_deadline(doc, 2**63), cli.EXIT_PARSE,
+         "class 'toy': deadline must be in (0, %g) s, got %d" % (CLOCK_BOUND, 2**63)),
         (lambda doc: _add_spot_dims(doc, 2), cli.EXIT_PARSE,
          "class 'toy': task 1: a configuration has one or two dimensions, got 3"),
     ], ids=["type-9", "type-minus-1", "no-classes", "string-deadline", "nan-deadline",
-            "two-spot-dims"])
+            "clock-bound-deadline", "two-spot-dims"])
     def test_exit_code_and_message(self, workspace, tmp_path, capsys, mutate, code, message):
         assert cli.main(["plan", *base_args(workspace, "--planner", "dyna-ns")]) == 0
         doc = json.loads((workspace["tmp"] / "out" / "plans.json").read_text())
@@ -697,8 +714,9 @@ def test_help_screens_are_pinned(command, capsys, monkeypatch):
     assert capsys.readouterr().out == expected
 
 
-@pytest.mark.parametrize("trace", ["-1e308,0.02\n1e308,0.5\n", "0,0.5\n1e308,0.02\n"],
-                         ids=["span-overflows", "cycle-overflows"])
+@pytest.mark.parametrize("trace", ["-1e308,0.02\n1e308,0.5\n", "0,0.5\n1e308,0.02\n",
+                                   "0,0.5\n1e19,0.02\n"],
+                         ids=["span-overflows", "cycle-overflows", "cycle-past-the-clock-bound"])
 @pytest.mark.parametrize("command", [["plan"], ["simulate"], ["ffp", "t0", "0.05"]],
                          ids=["plan", "simulate", "ffp"])
 def test_trace_whose_cycle_overflows_is_parse_error(workspace, capsys, command, trace):
@@ -710,6 +728,7 @@ def test_trace_whose_cycle_overflows_is_parse_error(workspace, capsys, command, 
     args = base_args(workspace, "--trace-dir", workspace["trace_dir"], "--jobs", "2")
     assert cli.main([command[0], *args, *command[1:]]) == cli.EXIT_PARSE
     assert capsys.readouterr().err == (
-        "error: %s: trace cycle (span plus median interval) must be finite\n" % path)
+        "error: %s: trace cycle (span plus median interval) must be below %g s\n"
+        % (path, CLOCK_BOUND))
     output = {"plan": "plans.json", "simulate": "report.json", "ffp": "ffp.csv"}[command[0]]
     assert not (workspace["tmp"] / "out" / output).exists()

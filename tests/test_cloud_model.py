@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from spotflow.cloud_model import (
+    CLOCK_BOUND,
     Catalog,
     CatalogError,
     GammaSpec,
@@ -159,7 +161,18 @@ class TestCatalog:
         fields = rows[2].split(",")
         fields[5] = bad  # seq_theta of type 1
         path.write_text("\n".join(rows[:2] + [",".join(fields)]) + "\n")
-        with pytest.raises(CatalogError, match=":3: numeric fields must be finite"):
+        # GammaSpec owns the check; load_catalog adds the line number.
+        with pytest.raises(CatalogError, match=r":3: GammaSpec\(.*\): parameters must be finite"):
+            load_catalog(path)
+
+    def test_lag_past_the_clock_bound_reports_line_number(self, tmp_path):
+        path = tmp_path / "catalog.csv"
+        save_catalog(ordered_catalog(2), path)
+        rows = path.read_text().splitlines()
+        rows[2] = ",".join(rows[2].split(",")[:-1] + ["1e19"])  # lag_spot of type 1
+        path.write_text("\n".join(rows) + "\n")
+        message = ":3: acquisition_lag_spot must be in [0, %g) s" % CLOCK_BOUND
+        with pytest.raises(CatalogError, match=re.escape(message)):
             load_catalog(path)
 
 

@@ -131,12 +131,13 @@ def test_lazily_sorted_distribution_is_immutable():
     d = EmpiricalDistribution(samples)
     assert d.percentile(0.5) == np.sort(samples)[250]
     srt = d.sorted_samples
-    assert np.array_equal(srt, np.sort(d.samples))
-    assert d.sorted_samples is srt
+    assert np.array_equal(srt, np.sort(samples))
     assert not d.samples.flags.writeable and not srt.flags.writeable
-    with pytest.raises(ValueError):
-        srt[0] = 0.0
-    with pytest.raises(AttributeError):
-        d._sorted = None
+    for arr in (srt, d.samples):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    for name in ("_samples", "_mean"):
+        with pytest.raises(AttributeError):
+            setattr(d, name, None)
     samples[0] = -1.0  # the caller's array is copied, not shared
-    assert d.sorted_samples[0] >= 0.0
+    assert d.samples[0] >= 0.0 and d.sorted_samples[0] >= 0.0

@@ -166,8 +166,10 @@ class TestPriceLookups:
                 SpotPriceTrace([0, 100], [0.05, bad])
             with pytest.raises(TraceError, match="timestamps must be finite"):
                 SpotPriceTrace([0, bad], [0.05, 0.06])
-        # A span, or a span plus its median interval, past the largest float.
-        for timestamps, prices in (([-1e308, 1e308], [0.02, 0.5]), ([0, 1e308], [0.5, 0.02])):
+        # A span, or a span plus its median interval, past the largest float or
+        # the clock bound.
+        for timestamps, prices in (([-1e308, 1e308], [0.02, 0.5]), ([0, 1e308], [0.5, 0.02]),
+                                   ([0, 1e19], [0.5, 0.02])):
             with pytest.raises(TraceError, match=r"trace cycle \(span plus median interval\)"):
                 SpotPriceTrace(timestamps, prices)
 

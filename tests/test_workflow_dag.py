@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
-from spotflow.cloud_model import GammaSpec, TaskProfile, _positive_draw, default_catalog
+from spotflow.cloud_model import (CLOCK_BOUND, GammaSpec, TaskProfile, _positive_draw,
+                                  default_catalog)
 from spotflow.distributions import EmpiricalDistribution, substream
 from spotflow.planner_astar import TaskDistCache
 from spotflow.workflow_dag import (
@@ -243,9 +246,10 @@ class TestFeasibility:
         with pytest.raises(WorkflowError):
             is_feasible(job, pm(1))
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), CLOCK_BOUND])
     def test_rejects_bad_deadline(self, bad):
-        with pytest.raises(WorkflowError, match="deadline must be positive and finite"):
+        message = "deadline must be in (0, %g) s" % CLOCK_BOUND
+        with pytest.raises(WorkflowError, match=re.escape(message)):
             chain_job([TaskProfile()], deadline=bad)
 
 
