@@ -71,6 +71,12 @@ class ExperimentSpec:
                     or f.type is list and not all(isinstance(v, str) for v in value)):
                 raise ValueError("%s must be %s, got %r"
                                  % (f.name, " or ".join(t.__name__ for t in types), value))
+            if float in types and isinstance(value, int):  # checked as the float it is used as
+                try:
+                    setattr(self, f.name, float(value))
+                except OverflowError:
+                    raise ValueError("%s must be within the float range, got an integer"
+                                     " too large for a float" % f.name) from None
         if self.planner not in PLANNERS:
             raise ValueError("planner must be one of %s" % (PLANNERS,))
         if not 0 < self.arrival_rate < math.inf:

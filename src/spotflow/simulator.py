@@ -23,18 +23,19 @@ Instance.paid_until(now) = ready_time + 3600 * started_hours(now -
 ready_time) ends the paid hour running at `now`: consolidation needs the
 task's expected time to fit before it, and under the "hour-boundary"
 policy an instance going idle is released at it.  Each idle transition
-records the release time it asks for (Instance.release_at) and its order
-among idle transitions; a release event is pushed only when release_at
-changes, so an instance reused and idled again within one paid hour
-shares that hour's event.  The release handler settles, in the order they
-went idle, every instance that is still idle and due now.
+records the release time it asks for (Instance.release_at); a release
+event is pushed only when release_at changes, so an instance reused and
+idled again within one paid hour shares that hour's event.  A release
+event settles its own instance if that instance is still idle and due
+now.
 
-The core is strictly single-threaded and deterministic: events are ordered
-by (time, kind rank, sequence number) and every random draw comes from a
-stream keyed by stable identifiers, never by arrival order.  Task durations
-are drawn by the planner's own sampler, cloud_model.sample_task_time, as
-one array per (class, task, attempt) key indexed by job index, and rounded
-to whole seconds.
+The core is strictly single-threaded and deterministic: every event,
+releases included, is ordered by one key, (time, kind rank, push
+sequence), and every random draw comes from a stream keyed by stable
+identifiers, never by arrival order.  Task durations are drawn by the
+planner's own sampler, cloud_model.sample_task_time, as one array per
+(class, task, attempt) key indexed by job index, and rounded to whole
+seconds.
 
 The event loop does simulation work only: heap entries hold plain ints,
 `run` dispatches through a tuple of handlers indexed by event kind, event
@@ -58,7 +59,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import accumulate
-from operator import attrgetter
 
 import numpy as np
 
@@ -126,10 +126,8 @@ class Instance:
     alive: bool = True
     # (job_index, task_id, attempt) currently assigned, also while booting.
     assigned: tuple | None = None
-    # Release time asked for by the latest idle transition, and that
-    # transition's place in the run's event sequence.
+    # Release time asked for by the latest idle transition.
     release_at: int | None = None
-    idle_order: int = 0
 
     def paid_until(self, now):
         """End of the billing hour running at `now` (`now` itself on a boundary).
@@ -477,8 +475,6 @@ class Simulator:
         self.pool.mark_idle(inst)
         # Ask for the idle instance's release; push an event for a new time only.
         when = now if self._release_at_once else inst.paid_until(now)
-        inst.idle_order = self._seq  # the event sequence also orders idle transitions
-        self._seq += 1
         if when != inst.release_at:
             inst.release_at = when
             self._push(when, _INSTANCE_RELEASE, inst_id)
@@ -508,22 +504,11 @@ class Simulator:
             self._request_instance(self.jobs[job_index], task_id, attempt + 1)
 
     def _on_instance_release(self, inst_id):
-        """Settle every instance still idle and due now, in the order they went idle.
-
-        Releases are the last kind at a timestamp and push nothing, so every
-        entry left at `now` is a release event: they are all taken here.
-        """
-        now = self.now
-        heap = self.heap
-        instances = self.pool.instances
-        due = [instances[inst_id]]
-        while heap and heap[0][0] == now:
-            due.append(instances[heappop(heap)[3]])
-        idle = [inst for inst in due
-                if inst.alive and inst.assigned is None and inst.release_at == now]
-        for inst in sorted(idle, key=attrgetter("idle_order")):
+        """Settle the instance if it is still idle and due now."""
+        inst = self.pool.instances[inst_id]
+        if inst.alive and inst.assigned is None and inst.release_at == self.now:
             if self._logging:
-                self.event_log.append("%d InstanceRelease inst=%d" % (now, inst.id))
+                self.event_log.append("%d InstanceRelease inst=%d" % (self.now, inst_id))
             self._settle(inst, "user")
 
     def _settle(self, inst, terminated_by):

@@ -700,6 +700,28 @@ class TestSpecFile:
         assert cli.main(["plan", "--spec", str(spec_path)]) == cli.EXIT_PARSE
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key, value, message", [
+        # Rounds to 2**63 as a float, which is the clock bound itself.
+        ("plan", "deadline", 2 ** 63 - 1,
+         "deadline must be in (0, %g) s, got %r" % (CLOCK_BOUND, 2.0 ** 63)),
+        ("plan", "deadline_factor", 10 ** 400,
+         "deadline_factor must be within the float range, got an integer too large for a float"),
+        ("simulate", "deadline_factor", 10 ** 400,
+         "deadline_factor must be within the float range, got an integer too large for a float"),
+        ("simulate", "arrival_rate", 10 ** 400,
+         "arrival_rate must be within the float range, got an integer too large for a float"),
+    ], ids=["deadline-2**63-1", "plan-400-digit-factor", "simulate-400-digit-factor",
+            "simulate-400-digit-rate"])
+    def test_integer_checked_as_the_float_it_becomes(self, workspace, tmp_path, capsys,
+                                                     command, key, value, message):
+        spec = {"catalog": workspace["catalog"], "workflows": [workspace["workflow"]],
+                "out": workspace["out"], "samples": 800, key: value}
+        spec_path = tmp_path / "exp.json"
+        spec_path.write_text(json.dumps(spec))
+        assert cli.main([command, "--spec", str(spec_path)]) == cli.EXIT_PARSE
+        assert capsys.readouterr().err == "error: %s\n" % message
+        assert not (workspace["tmp"] / "out").exists()
+
 
 @pytest.mark.parametrize("command", [[], ["plan"], ["simulate"], ["ffp"]],
                          ids=["spotflow", "plan", "simulate", "ffp"])

@@ -17,6 +17,7 @@ and says so in CHANGES.md.
 """
 
 import hashlib
+import json
 import pathlib
 import re
 import sys
@@ -26,8 +27,11 @@ import numpy as np
 
 from spotflow import cli, simulator
 from spotflow.cloud_model import default_catalog
+from spotflow.spot_market import load_trace
 from spotflow.simulator import EventKind
 from spotflow.workflow_dag import ligo_like, montage_like, save_workflow
+
+from log_audit import rederive_bills
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = {"plans.json": DATA / "golden_plans.json",
@@ -96,6 +100,29 @@ def test_immediate_release_outputs_match_pinned_digests(tmp_path):
     log = (out / "sim" / "events.log").read_text(encoding="utf-8")
     assert log.count(" InstanceRelease ") == 405
     assert log.count(" OutOfBid ") == 17
+
+
+def check_bills_against_log(trace_dir, log_path, report_path):
+    catalog = default_catalog()
+    traces = {itype.id: load_trace(str(trace_dir / ("%s.csv" % itype.name)))
+              for itype in catalog}
+    bills, hours = rederive_bills(log_path.read_text(encoding="utf-8").splitlines(),
+                                  catalog, traces)
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    assert bills == report["instance_bills"]
+    assert hours == report["instance_hours"]
+
+
+def test_golden_bills_follow_from_the_event_log(tmp_path):
+    """golden_report.json's bills and hours, exactly, from golden_events.log."""
+    _, trace_dir = write_inputs(tmp_path)
+    check_bills_against_log(trace_dir, GOLDEN["sim/events.log"], GOLDEN["sim/report.json"])
+
+
+def test_immediate_release_bills_follow_from_the_event_log(tmp_path):
+    out = run_case(tmp_path, sim_flags=["--release-policy", "immediate"])
+    check_bills_against_log(tmp_path / "traces", out / "sim" / "events.log",
+                            out / "sim" / "report.json")
 
 
 def test_plan_stdout_matches_golden_lines(tmp_path, capsys):

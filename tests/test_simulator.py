@@ -24,7 +24,7 @@ from spotflow.simulator import (
     bill,
 )
 from spotflow.spot_market import SpotPriceTrace
-from spotflow.workflow_dag import ConfigDim, HybridConfig, ligo_like, montage_like
+from spotflow.workflow_dag import ConfigDim, HybridConfig, build_job, ligo_like, montage_like
 
 from conftest import chain_job, constant_trace, cpu_profile, ordered_catalog, spiky_trace
 
@@ -585,6 +585,29 @@ class TestEventLoop:
         assert reports[0][0].event_log == []
         assert len(reports[1][0].event_log) > 1000
         assert reports[0][1].to_json() == reports[1][1].to_json()
+
+    def test_same_second_releases_settle_in_heap_order(self):
+        # Sources 0 (600 s) and 1 (700 s) start on fresh instances 0 and 1
+        # at 120 s; both paid hours end at T = 3,720 s.  Instance 0 idles at
+        # 720 s and pushes the release at T first; instance 1 idles at 820 s
+        # and pushes second.  Task 2 (300 s, after task 1) then reuses
+        # instance 0, which idles again at 1,120 s and pushes nothing.  At T
+        # the two release events settle in push order: instance 0 first,
+        # although instance 1 went idle last.
+        seed = 4
+        cat = single_type_catalog(lag_od=120.0)
+        job = build_job({0: cpu_profile(600.0), 1: cpu_profile(700.0), 2: cpu_profile(300.0)},
+                        [(1, 2)], deadline=10_000.0, class_id="tie")
+        plans = make_plans(job, [od_config(cat)] * 3)
+        sim = Simulator(SimConfig(job_count=1, seed=seed, collect_event_log=True),
+                        [job], plans, cat)
+        rep = sim.run()
+        a = first_arrival(seed)
+        assert "%d InstanceReuse inst=0 job=0 task=2" % (a + 820) in sim.event_log
+        assert "%d TaskFinish job=0 task=2 inst=0" % (a + 1120) in sim.event_log
+        assert [line for line in sim.event_log if "InstanceRelease" in line] == [
+            "%d InstanceRelease inst=0" % (a + 3720), "%d InstanceRelease inst=1" % (a + 3720)]
+        assert rep.instance_hours == {"solo:ondemand": 2}
 
 
 class TestConsolidationHeadroom:
