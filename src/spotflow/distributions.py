@@ -29,11 +29,12 @@ import numpy as np
 DEFAULT_SAMPLE_COUNT = 10_000
 
 
-def seed_sequence(seed, *key):
-    """Build a deterministic SeedSequence for (seed, *key).
+def substream(seed, *key):
+    """Independent random generator derived from a root seed and a key path.
 
-    String key parts are hashed with crc32 so call sites can use readable
-    labels; integers are used as-is.
+    The generator is seeded by a SeedSequence over (seed, *key): string key
+    parts enter as their crc32, so call sites can use readable labels, and
+    integers as they are, modulo 2**64.
     """
     entropy = []
     for part in (seed, *key):
@@ -41,12 +42,7 @@ def seed_sequence(seed, *key):
             entropy.append(zlib.crc32(part.encode("utf-8")))
         else:
             entropy.append(int(part) & 0xFFFFFFFFFFFFFFFF)
-    return np.random.SeedSequence(entropy)
-
-
-def substream(seed, *key):
-    """Independent random generator derived from a root seed and a key path."""
-    return np.random.default_rng(seed_sequence(seed, *key))
+    return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 @functools.lru_cache(maxsize=1 << 14)

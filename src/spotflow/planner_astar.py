@@ -99,12 +99,12 @@ class TaskDistCache:
 
     Distributions are seeded from (seed, task id, type id) so every plan
     evaluation, in the search or in an exhaustive oracle, sees identical
-    samples for the same assignment.  The first read draws the whole
+    samples for the same assignment.  The constructor draws the whole
     [task][type] table in one batch on one thread per usable CPU, each
     thread pinned to its own CPU: numpy's samplers release the GIL, and
     each pair draws from its own substream, so the values do not depend on
     the thread count or the order of draws.  A draw that raises raises
-    from that read.
+    from the constructor.
     """
 
     def __init__(self, job, catalog, sample_count=DEFAULT_SAMPLE_COUNT, seed=0):
@@ -112,35 +112,26 @@ class TaskDistCache:
         self.catalog = catalog
         self.sample_count = sample_count
         self.seed = seed
-        self._dists = None
-        self._costs = None
-
-    def _fill(self):
-        pairs = [(t, itype) for t in self.job.tasks for itype in self.catalog]
+        pairs = [(t, itype) for t in job.tasks for itype in catalog]
         # Seeds are derived here: derive_seed's lru_cache is shared state.
-        seeds = [derive_seed(self.seed, t.id, itype.id) for t, itype in pairs]
+        seeds = [derive_seed(seed, t.id, itype.id) for t, itype in pairs]
         cpus = _usable_cpus()
         with ThreadPoolExecutor(max_workers=len(cpus), initializer=_pin_worker,
                                 initargs=(iter(cpus),)) as pool:
-            # task_time_distribution is read from this module at each fill,
-            # so a wrapper patched onto the name sees every draw.
+            # task_time_distribution is read from this module at each
+            # construction, so a wrapper patched onto the name sees every draw.
             dists = list(pool.map(task_time_distribution, [t.profile for t, _ in pairs],
                                   [itype for _, itype in pairs],
-                                  itertools.repeat(self.sample_count), seeds))
-        n_types = len(self.catalog)
-        table = [dists[i:i + n_types] for i in range(0, len(dists), n_types)]
+                                  itertools.repeat(sample_count), seeds))
+        n_types = len(catalog)
+        self._dists = [dists[i:i + n_types] for i in range(0, len(dists), n_types)]
         self._costs = [[expected_ondemand_cost(itype.ondemand_price, dist)
-                        for itype, dist in zip(self.catalog, row)] for row in table]
-        self._dists = table
+                        for itype, dist in zip(catalog, row)] for row in self._dists]
 
     def dist(self, task_id, type_id):
-        if self._dists is None:
-            self._fill()
         return self._dists[task_id][type_id]
 
     def cost(self, task_id, type_id):
-        if self._dists is None:
-            self._fill()
         return self._costs[task_id][type_id]
 
 

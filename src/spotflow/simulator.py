@@ -42,8 +42,8 @@ The event loop does simulation work only: heap entries hold plain ints,
 log lines are formatted only when the log is collected, and a task's
 consolidation headroom estimate is drawn only when a consolidation check
 reads it.  No event makes or reads a numpy scalar: a request reads its
-(type, spot flag, price, lag) from a per-class table built once, durations
-are `array("q")` tables drawn on first use and read by index, paid
+(type, spot flag, price, lag) from its class's ClassRecord, built once,
+durations are `array("q")` tables drawn on first use and read by index, paid
 hours are integer divisions, and a price trace answers cyclic lookups by
 bisecting its compact `array("d")` columns, of which its numpy arrays are
 views.  One job arrival is queued at a time, so the heap holds only the
@@ -226,18 +226,31 @@ def bill(inst, end_time, terminated_by, itype, trace=None):
 
 
 @dataclass
-class JobRun:
-    index: int
-    cls: object  # WorkflowJob
-    plan: object  # JobPlan
-    arrival: int
-    # The class's tables, shared by its jobs: by task id, then attempt,
-    # the request (type id, spot flag, price, whole-second lag) and the
-    # duration array by job index (None until drawn).
+class ClassRecord:
+    """What the simulator reads of one workflow class, built once per class.
+
+    requests and durations are indexed by task id, then attempt: the
+    request (type id, spot flag, price, whole-second lag) and the duration
+    array by job index (None until drawn).  means holds the consolidation
+    headroom estimates by (task id, type id), drawn on first check.
+    """
+
+    workflow: object  # WorkflowJob
+    deadline: float
     requests: list
     durations: list
-    unfinished: int = 0
-    pending_preds: list = field(default_factory=list)  # by task id
+    sources: list  # task ids without predecessors
+    preds: list  # predecessor count by task id
+    means: dict = field(default_factory=dict)
+
+
+@dataclass
+class JobRun:
+    index: int
+    cls: ClassRecord
+    arrival: int
+    unfinished: int
+    pending_preds: list  # by task id
     completion: int | None = None
 
 
@@ -266,48 +279,14 @@ class Simulator:
         self.config = config
         self.catalog = catalog
         self.traces = traces or {}
-        self.classes = list(job_classes)
-        if not self.classes:
+        classes = list(job_classes)
+        if not classes:
             raise SimulationError("need at least one job class")
-        missing = [cls.class_id for cls in self.classes if cls.class_id not in plans]
+        missing = [cls.class_id for cls in classes if cls.class_id not in plans]
         if missing:
             raise PlanMismatchError("plan cache lacks classes: %s" % missing)
-        self.plans = {}
-        for cls in self.classes:
-            plan = plans[cls.class_id]
-            if len(plan.task_configs) != len(cls.tasks):
-                raise PlanMismatchError(
-                    "plan for %r covers %d tasks, workflow has %d"
-                    % (cls.class_id, len(plan.task_configs), len(cls.tasks))
-                )
-            if plan.deadline is None or not 0 < plan.deadline < CLOCK_BOUND:
-                raise PlanMismatchError("plan for %r has no deadline in (0, %g) s"
-                                        % (cls.class_id, CLOCK_BOUND))
-            for config_ in plan.task_configs:
-                for dim in config_.dims:
-                    if not 0 <= dim.type_id < len(catalog):
-                        raise PlanMismatchError(
-                            "plan for %r uses type id %d, the catalog has ids 0..%d"
-                            % (cls.class_id, dim.type_id, len(catalog) - 1)
-                        )
-                    if dim.is_spot and dim.type_id not in self.traces:
-                        raise PlanMismatchError(
-                            "plan for %r uses spot type %d with no price trace"
-                            % (cls.class_id, dim.type_id)
-                        )
-            self.plans[cls.class_id] = plan
-
-        # class id -> JobRun.requests, read once per request instead of the
-        # plan's dimensions and the catalog's lags.
-        self._requests = {
-            cls.class_id: [
-                tuple((d.type_id, d.is_spot, d.price, int(catalog[d.type_id].lag(d.is_spot)))
-                      for d in config_.dims)
-                for config_ in self.plans[cls.class_id].task_configs
-            ]
-            for cls in self.classes
-        }
-        self._sources = {cls.class_id: cls.source_ids() for cls in self.classes}
+        # One record per class, in the order jobs cycle through them.
+        self.records = [self._record(cls, plans[cls.class_id]) for cls in classes]
         self.pool = InstancePool()
         self.heap = []
         self._seq = 0
@@ -317,7 +296,44 @@ class Simulator:
         self.event_log = []
         self._logging = config.collect_event_log
         self._release_at_once = config.idle_release_policy == "immediate"
-        self._expected_cache = {}
+
+    def _record(self, cls, plan):
+        """The class's ClassRecord, once its plan is checked against the
+        class, the catalog and the traces."""
+        catalog = self.catalog
+        if len(plan.task_configs) != len(cls.tasks):
+            raise PlanMismatchError(
+                "plan for %r covers %d tasks, workflow has %d"
+                % (cls.class_id, len(plan.task_configs), len(cls.tasks))
+            )
+        if plan.deadline is None or not 0 < plan.deadline < CLOCK_BOUND:
+            raise PlanMismatchError("plan for %r has no deadline in (0, %g) s"
+                                    % (cls.class_id, CLOCK_BOUND))
+        for config_ in plan.task_configs:
+            for dim in config_.dims:
+                if not 0 <= dim.type_id < len(catalog):
+                    raise PlanMismatchError(
+                        "plan for %r uses type id %d, the catalog has ids 0..%d"
+                        % (cls.class_id, dim.type_id, len(catalog) - 1)
+                    )
+                if dim.is_spot and dim.type_id not in self.traces:
+                    raise PlanMismatchError(
+                        "plan for %r uses spot type %d with no price trace"
+                        % (cls.class_id, dim.type_id)
+                    )
+        requests = [
+            tuple((d.type_id, d.is_spot, d.price, int(catalog[d.type_id].lag(d.is_spot)))
+                  for d in config_.dims)
+            for config_ in plan.task_configs
+        ]
+        return ClassRecord(
+            workflow=cls,
+            deadline=plan.deadline,
+            requests=requests,
+            durations=[[None] * len(attempts) for attempts in requests],
+            sources=cls.source_ids(),
+            preds=[len(tk.predecessors) for tk in cls.tasks],
+        )
 
     # ------------------------------------------------------------------
     # event plumbing
@@ -352,27 +368,15 @@ class Simulator:
         rng = substream(self.config.seed, "arrivals")
         scale = 60.0 / self.config.arrival_rate_per_min
         gaps = rng.exponential(scale, size=self.config.job_count)
-        preds = {cls.class_id: [len(tk.predecessors) for tk in cls.tasks]
-                 for cls in self.classes}
-        durations = {class_id: [[None] * len(attempts) for attempts in requests]
-                     for class_id, requests in self._requests.items()}
         arrivals = list(accumulate(gaps.tolist()))  # each an exact running sum
         if not arrivals[-1] < CLOCK_BOUND:
             raise ValueError("arrival_rate %r jobs/min is too small: %d arrival times reach %g s"
                              % (self.config.arrival_rate_per_min, len(arrivals), CLOCK_BOUND))
+        records = self.records
         for i, t in enumerate(arrivals):
-            cls = self.classes[i % len(self.classes)]
-            job = JobRun(
-                index=i,
-                cls=cls,
-                plan=self.plans[cls.class_id],
-                arrival=int(math.ceil(t)),
-                requests=self._requests[cls.class_id],
-                durations=durations[cls.class_id],
-                unfinished=len(cls.tasks),
-                pending_preds=preds[cls.class_id].copy(),
-            )
-            self.jobs.append(job)
+            rec = records[i % len(records)]
+            self.jobs.append(JobRun(index=i, cls=rec, arrival=int(math.ceil(t)),
+                                    unfinished=len(rec.preds), pending_preds=rec.preds.copy()))
         self._push(self.jobs[0].arrival, _JOB_ARRIVAL, 0)
 
     # ------------------------------------------------------------------
@@ -387,12 +391,12 @@ class Simulator:
         job = self.jobs[job_index]
         if self._logging:
             self.event_log.append("%d JobArrival job=%d class=%s"
-                                  % (self.now, job.index, job.cls.class_id))
-        for tid in self._sources[job.cls.class_id]:
+                                  % (self.now, job.index, job.cls.workflow.class_id))
+        for tid in job.cls.sources:
             self._request_instance(job, tid, 0)
 
     def _request_instance(self, job, task_id, attempt):
-        type_id, is_spot, price, lag = job.requests[task_id][attempt]
+        type_id, is_spot, price, lag = job.cls.requests[task_id][attempt]
         now = self.now
         inst = self.pool.acquire_or_reuse(
             type_id, is_spot, now, price,
@@ -427,9 +431,9 @@ class Simulator:
 
     def _start_task(self, inst, job, task_id, attempt):
         """Run the task the instance is assigned to, from now."""
-        table = job.durations[task_id][attempt]
+        table = job.cls.durations[task_id][attempt]
         if table is None:
-            table = self._draw_durations(job, task_id, attempt)
+            table = self._draw_durations(job.cls, task_id, attempt)
         job_index = job.index
         duration = table[job_index]
         now = self.now
@@ -438,19 +442,19 @@ class Simulator:
                                   % (now, job_index, task_id, attempt, inst.id, duration))
         self._push(now + duration, _TASK_FINISH, inst.id)
 
-    def _draw_durations(self, job, task_id, attempt):
+    def _draw_durations(self, rec, task_id, attempt):
         """Durations (whole seconds) of one (class, task, attempt), by job index.
 
         The key fixes the instance type: it is the attempt's dimension type,
         which consolidation onto an idle on-demand instance keeps.  Rounding
         to the nearest second (half to even) keeps the integer clock without
-        biasing durations upward, as ceiling would.  Stored in the class's
-        JobRun.durations as an `array("q")`.
+        biasing durations upward, as ceiling would.  Stored in the record's
+        durations as an `array("q")`.
         """
-        key = (job.cls.class_id, task_id, attempt)
+        key = (rec.workflow.class_id, task_id, attempt)
         times = sample_task_time(
-            job.cls.tasks[task_id].profile,
-            self.catalog[job.requests[task_id][attempt][0]],
+            rec.workflow.tasks[task_id].profile,
+            self.catalog[rec.requests[task_id][attempt][0]],
             self.config.job_count,
             derive_seed(self.config.seed, "duration", *key),
         )
@@ -459,7 +463,7 @@ class Simulator:
             raise ValueError("class %s task %d: duration %g s is past the simulator's integer clock"
                              % (key[0], task_id, rounded.max()))
         table = array("q", rounded.astype(np.int64).tobytes())
-        job.durations[task_id][attempt] = table
+        rec.durations[task_id][attempt] = table
         return table
 
     def _on_task_finish(self, inst_id):
@@ -486,7 +490,7 @@ class Simulator:
                 self.event_log.append("%d JobComplete job=%d" % (now, job_index))
             return
         pending = job.pending_preds
-        for succ in job.cls.tasks[task_id].successors:
+        for succ in job.cls.workflow.tasks[task_id].successors:
             pending[succ] -= 1
             if pending[succ] == 0:
                 self._request_instance(job, succ, 0)
@@ -522,21 +526,21 @@ class Simulator:
     # metrics
     # ------------------------------------------------------------------
 
-    def _expected_time(self, cls, task_id, type_id):
+    def _expected_time(self, rec, task_id, type_id):
         """Mean execution time of a task on a type, for consolidation checks.
 
-        Drawn on first use only; the seed is keyed by (task, type), so when
-        or whether a key is drawn changes no value.
+        Drawn on first use only, into the record's means; the seed is keyed
+        by (task, type), so when or whether a key is drawn changes no value.
         """
-        key = (cls.class_id, task_id, type_id)
-        if key not in self._expected_cache:
-            self._expected_cache[key] = expected_task_time(
-                cls.tasks[task_id].profile,
+        key = (task_id, type_id)
+        if key not in rec.means:
+            rec.means[key] = expected_task_time(
+                rec.workflow.tasks[task_id].profile,
                 self.catalog[type_id],
                 n=EXPECTATION_SAMPLES,
                 seed=derive_seed(self.config.seed, "expected", task_id, type_id),
             )
-        return self._expected_cache[key]
+        return rec.means[key]
 
     def _build_report(self):
         per_job = []
@@ -544,16 +548,16 @@ class Simulator:
         makespans = []
         for job in self.jobs:
             makespan = job.completion - job.arrival
-            hit = makespan <= job.plan.deadline
+            hit = makespan <= job.cls.deadline
             hits += int(hit)
             makespans.append(makespan)
             per_job.append({
                 "job": job.index,
-                "class": job.cls.class_id,
+                "class": job.cls.workflow.class_id,
                 "arrival": job.arrival,
                 "completion": job.completion,
                 "makespan_s": makespan,
-                "deadline_s": job.plan.deadline,
+                "deadline_s": job.cls.deadline,
                 "hit": bool(hit),
             })
         hours_by_kind = {}

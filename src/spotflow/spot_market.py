@@ -17,7 +17,7 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import datetime, timezone
 
 import numpy as np
 
@@ -36,14 +36,19 @@ class TraceError(ValueError):
 
 
 def _parse_timestamp(text):
+    """Epoch seconds of a number or an ISO-8601 string; a string without a
+    UTC offset is read as UTC, so no reading depends on the local time zone."""
     try:
         return float(text)
     except ValueError:
         pass
     try:
-        return datetime.fromisoformat(text).timestamp()
+        stamp = datetime.fromisoformat(text)
     except ValueError as exc:
         raise ValueError("bad timestamp %r" % text) from exc
+    if stamp.tzinfo is None:
+        stamp = stamp.replace(tzinfo=timezone.utc)
+    return stamp.timestamp()
 
 
 class SpotPriceTrace:
@@ -153,7 +158,8 @@ def next_exceed_index(prices, bid):
 def load_trace(path):
     """Parse a trace CSV with lines `timestamp,price`.
 
-    Timestamps are epoch seconds or ISO-8601 strings; prices are USD/hour.
+    Timestamps are epoch seconds or ISO-8601 strings (read as UTC when they
+    carry no offset); prices are USD/hour.
     Lines starting with '#' and blank lines are ignored, as is a header
     line (first field `timestamp` or `time`).  Unsorted timestamps and
     malformed lines are rejected with the line number.
@@ -370,8 +376,7 @@ def estimate_ffp(model, type_id, bid):
 
     trace = model.traces[type_id]
     starts, seg = model.walks(type_id)
-    # Not the trace's memo: this result is memoized per bid in the model.
-    nxt = next_exceed_index(trace.prices, bid)
+    nxt = np.frombuffer(trace._next_exceed_index(bid), dtype=np.int64)
     j = nxt[seg]
     n = trace.prices.size
     elapsed = np.where(

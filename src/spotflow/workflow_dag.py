@@ -240,9 +240,7 @@ def deadline_bounds(job, catalog, n=None, seed=None, cache=None):
     id), as in the planner's TaskDistCache.  Pass the class's cache, drawn
     over `catalog`, to read them from it instead of drawing them again: it
     fixes the sample count and the seed, so `n` and `seed` (by default
-    DEFAULT_SAMPLE_COUNT and 0) come only without one.  A cache draws its
-    whole table on its first read, so when the bounds read it first they
-    also pay for the draws the search reads next.
+    DEFAULT_SAMPLE_COUNT and 0) come only without one.
     """
     if cache is None:
         n = DEFAULT_SAMPLE_COUNT if n is None else n

@@ -1,4 +1,4 @@
-"""Bills re-derived from a simulation's event log alone.
+"""Bills and schedule rules re-derived from a simulation's event log.
 
 `rederive_bills` reads only the lines of `events.log`, the catalog and the
 price traces, never the simulator's state, so a report whose bills it
@@ -16,25 +16,47 @@ digest.  For each instance it takes:
 
 It also checks that an instance runs at most one task at a time, and only
 between its ready time and its end.
+
+`check_schedule` reads the same lines, the workflow DAGs, `plans.json` and
+the traces, and checks the order and placement of the work:
+
+- a task starts only after every predecessor in its job has finished, and
+  attempt k >= 1 only after an `OutOfBid` of the instance holding attempt
+  k - 1;
+- a request asks for its attempt's planned type and kind;
+- a spot instance ends by `OutOfBid` exactly at the ceiling of the first
+  time, at or after its ready time, at which the cyclically replayed trace
+  exceeds its bid, and by `InstanceRelease` only before that time; an
+  on-demand instance never goes out of bid;
+- a reused instance is of the request's type, a spot instance is reused
+  only by a spot request bidding at most its own bid, and an on-demand
+  request never lands on a spot instance.
 """
 
+import math
 import re
 
 LINE = re.compile(r"(\d+) (\w+)((?: \w+=\S+)*)$")
 
 
-def rederive_bills(log_lines, catalog, traces):
-    """(amounts by instance id, hours by "<type name>:<spot|ondemand>") from the log."""
-    ready, kind, end, running = {}, {}, {}, {}
+def parse(log_lines):
+    """(time, event, integer fields, line) of each log line; `class` stays a string."""
     for line in log_lines:
         m = LINE.match(line)
         assert m, line
-        now, event = int(m.group(1)), m.group(2)
         fields = dict(kv.split("=") for kv in m.group(3).split())
-        inst = int(fields["inst"]) if "inst" in fields else None
+        yield (int(m.group(1)), m.group(2),
+               {k: v if k == "class" else int(v) for k, v in fields.items()}, line)
+
+
+def rederive_bills(log_lines, catalog, traces):
+    """(amounts by instance id, hours by "<type name>:<spot|ondemand>") from the log."""
+    ready, kind, end, running = {}, {}, {}, {}
+    for now, event, fields, line in parse(log_lines):
+        inst = fields.get("inst")
         if event == "InstanceRequest":
             assert inst == len(ready), line  # ids are request order
-            type_id, is_spot = int(fields["type"]), fields["spot"] == "1"
+            type_id, is_spot = fields["type"], fields["spot"] == 1
             kind[inst] = (type_id, is_spot)
             ready[inst] = now + int(catalog[type_id].lag(is_spot))
         elif event == "InstanceReady":
@@ -42,7 +64,7 @@ def rederive_bills(log_lines, catalog, traces):
         elif event == "TaskStart":
             assert ready[inst] <= now and inst not in end, line
             assert inst not in running, "%s: inst %d still runs a task" % (line, inst)
-            running[inst] = now + int(fields["duration"])
+            running[inst] = now + fields["duration"]
         elif event == "TaskFinish":
             assert running.pop(inst) == now, line
         elif event in ("InstanceRelease", "OutOfBid"):
@@ -50,7 +72,6 @@ def rederive_bills(log_lines, catalog, traces):
             if event == "InstanceRelease":
                 assert inst not in running, line
             else:
-                assert kind[inst][1], "%s: on-demand instance out of bid" % line
                 running.pop(inst, None)  # the task it ran is killed with it
             end[inst] = (now, event == "OutOfBid")
     assert sorted(end) == list(range(len(ready))), "an instance was never released"
@@ -71,3 +92,61 @@ def rederive_bills(log_lines, catalog, traces):
         key = "%s:%s" % (itype.name, "spot" if is_spot else "ondemand")
         hours_by_kind[key] = hours_by_kind.get(key, 0) + hours
     return amounts, hours_by_kind
+
+
+def check_schedule(log_lines, workflows, plans, catalog, traces):
+    """Assert the precedence, request, out-of-bid and reuse rules above.
+
+    workflows maps class id to its WorkflowJob, plans is the decoded
+    plans.json document and traces maps type id to its price trace.
+    """
+    job_class = {}
+    attempts = {}  # (job, task) -> instances of its attempts, in request order
+    holder = {}  # instance -> the (job, task, attempt) it holds until finishing it
+    killed = set()  # (job, task, attempt) whose instance went out of bid
+    finished = set()  # (job, task)
+    bought = {}  # instance -> (type id, spot flag, bid) of the request that bought it
+    out_of_bid_at = {}  # spot instance -> the time its bid is first exceeded, or None
+    for now, event, fields, line in parse(log_lines):
+        inst = fields.get("inst")
+        if event == "JobArrival":
+            job_class[fields["job"]] = fields["class"]
+        elif event in ("InstanceRequest", "InstanceReuse"):
+            job, task = fields["job"], fields["task"]
+            tried = attempts.setdefault((job, task), [])
+            dim = plans["classes"][job_class[job]]["tasks"][task][len(tried)]
+            want = dim["type_id"], dim["is_spot"], dim["price"]
+            if event == "InstanceRequest":
+                assert (fields["type"], fields["spot"] == 1) == want[:2], line
+                bought[inst] = want
+                if want[1]:
+                    ready = now + int(catalog[want[0]].lag(True))
+                    fail = traces[want[0]].first_exceedance_cyclic(ready, want[2])
+                    out_of_bid_at[inst] = None if fail is None else math.ceil(fail)
+            else:
+                type_id, is_spot, bid = bought[inst]
+                assert type_id == want[0], "%s: reuse of another type" % line
+                assert want[1] or not is_spot, "%s: on-demand request on a spot instance" % line
+                assert not is_spot or want[2] <= bid, "%s: spot instance reused above its bid" % line
+            tried.append(inst)
+            holder[inst] = (job, task, len(tried) - 1)
+        elif event == "TaskStart":
+            job, task, attempt = fields["job"], fields["task"], fields["attempt"]
+            assert holder.get(inst) == (job, task, attempt), line
+            preds = workflows[job_class[job]].tasks[task].predecessors
+            assert all((job, p) in finished for p in preds), \
+                "%s: a predecessor has not finished" % line
+            assert attempt == 0 or (job, task, attempt - 1) in killed, \
+                "%s: no out-of-bid of the instance holding attempt %d" % (line, attempt - 1)
+        elif event == "TaskFinish":
+            finished.add((fields["job"], fields["task"]))
+            del holder[inst]
+        elif event == "OutOfBid":
+            assert bought[inst][1], "%s: on-demand instance out of bid" % line
+            assert now == out_of_bid_at[inst], "%s: bid first exceeded at %s" % (
+                line, out_of_bid_at[inst])
+            if inst in holder:
+                killed.add(holder.pop(inst))
+        elif event == "InstanceRelease" and bought[inst][1]:
+            fail = out_of_bid_at[inst]
+            assert fail is None or now < fail, "%s: released after its bid was exceeded" % line

@@ -87,6 +87,15 @@ class TestPlan:
         assert (plan("ns", "--planner", "dyna-ns", "--trace-dir", workspace["trace_dir"])
                 == plan("dyna", "--planner", "dyna"))
 
+    def test_dyna_ns_reads_no_trace(self, workspace):
+        # dyna-ns plans without a spot market, so a malformed trace is never opened.
+        trace_dir = pathlib.Path(workspace["trace_dir"])
+        (trace_dir / "t1.csv").write_text("0,not-a-price\n")
+        rc = cli.main(["plan", *base_args(workspace, "--planner", "dyna-ns",
+                                          "--trace-dir", str(trace_dir))])
+        assert rc == 0
+        assert (workspace["tmp"] / "out" / "plans.json").exists()
+
     def test_spot_only_bids_1000(self, workspace):
         # A trace for each type, so that simulate can replay the plan.
         trace_dir = pathlib.Path(workspace["trace_dir"])

@@ -29,9 +29,9 @@ from spotflow import cli, simulator
 from spotflow.cloud_model import default_catalog
 from spotflow.spot_market import load_trace
 from spotflow.simulator import EventKind
-from spotflow.workflow_dag import ligo_like, montage_like, save_workflow
+from spotflow.workflow_dag import ligo_like, load_workflow, montage_like, save_workflow
 
-from log_audit import rederive_bills
+from log_audit import check_schedule, rederive_bills
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = {"plans.json": DATA / "golden_plans.json",
@@ -102,10 +102,13 @@ def test_immediate_release_outputs_match_pinned_digests(tmp_path):
     assert log.count(" OutOfBid ") == 17
 
 
+def load_traces(trace_dir, catalog):
+    return {itype.id: load_trace(str(trace_dir / ("%s.csv" % itype.name))) for itype in catalog}
+
+
 def check_bills_against_log(trace_dir, log_path, report_path):
     catalog = default_catalog()
-    traces = {itype.id: load_trace(str(trace_dir / ("%s.csv" % itype.name)))
-              for itype in catalog}
+    traces = load_traces(trace_dir, catalog)
     bills, hours = rederive_bills(log_path.read_text(encoding="utf-8").splitlines(),
                                   catalog, traces)
     report = json.loads(report_path.read_text(encoding="utf-8"))
@@ -123,6 +126,27 @@ def test_immediate_release_bills_follow_from_the_event_log(tmp_path):
     out = run_case(tmp_path, sim_flags=["--release-policy", "immediate"])
     check_bills_against_log(tmp_path / "traces", out / "sim" / "events.log",
                             out / "sim" / "report.json")
+
+
+def check_schedule_against_plans(root, log_path, plans_path):
+    """check_schedule over the workflow files and traces write_inputs left under root."""
+    workflows = [load_workflow(str(path)) for path in sorted(root.glob("*.txt"))]
+    catalog = default_catalog()
+    check_schedule(log_path.read_text(encoding="utf-8").splitlines(),
+                   {job.class_id: job for job in workflows},
+                   json.loads(plans_path.read_text(encoding="utf-8")),
+                   catalog, load_traces(root / "traces", catalog))
+
+
+def test_golden_schedule_follows_the_dags_plans_and_traces(tmp_path):
+    """golden_events.log keeps precedence, restarts, out-of-bid times and reuse bids."""
+    write_inputs(tmp_path)
+    check_schedule_against_plans(tmp_path, GOLDEN["sim/events.log"], GOLDEN["plans.json"])
+
+
+def test_immediate_release_schedule_follows_the_dags_plans_and_traces(tmp_path):
+    out = run_case(tmp_path, sim_flags=["--release-policy", "immediate"])
+    check_schedule_against_plans(tmp_path, out / "sim" / "events.log", out / "plans.json")
 
 
 def test_plan_stdout_matches_golden_lines(tmp_path, capsys):

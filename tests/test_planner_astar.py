@@ -470,10 +470,9 @@ class TestTaskDistCache:
         job = chain_job([mixed_profile(), mixed_profile(0.5)])
         with pytest.raises(ValueError, match="produces no positive mass") as serial:
             task_time_distribution(job.tasks[0].profile, bad[1], 200, 1)
-        cache = TaskDistCache(job, bad, 200, 1)
-        # The table is drawn whole, so reading a pair that draws well raises too.
+        # The table is drawn whole when it is built, so the constructor raises.
         with pytest.raises(ValueError) as pooled:
-            cache.dist(0, 0)
+            TaskDistCache(job, bad, 200, 1)
         assert str(pooled.value) == str(serial.value)
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -13,7 +14,7 @@ from spotflow.cloud_model import (
     default_catalog,
 )
 from spotflow.distributions import substream
-from spotflow.planner_astar import JobPlan
+from spotflow.planner_astar import JobPlan, save_plan_cache
 from spotflow.simulator import (
     EventKind,
     Instance,
@@ -27,6 +28,7 @@ from spotflow.spot_market import SpotPriceTrace
 from spotflow.workflow_dag import ConfigDim, HybridConfig, build_job, ligo_like, montage_like
 
 from conftest import chain_job, constant_trace, cpu_profile, ordered_catalog, spiky_trace
+from log_audit import check_schedule, rederive_bills
 
 
 def single_type_catalog(lag_od=0.0, lag_spot=0.0):
@@ -477,7 +479,7 @@ class TestInvariants:
             if m:
                 t, j, task = map(int, m.groups())
                 finishes[(j, task)] = t
-        job = sim.classes[0]
+        job = sim.records[0].workflow
         for line in sim.event_log:
             m = re.match(r"(\d+) TaskStart job=(\d+) task=(\d+)", line)
             if not m:
@@ -489,6 +491,34 @@ class TestInvariants:
     def test_every_job_completes(self):
         rep = self._mixed_sim().run()
         assert all(row["completion"] is not None for row in rep.per_job)
+
+
+class TestEventLogAudit:
+    def test_a_run_with_two_bids_per_type_passes_the_audit(self, tmp_path):
+        # Tasks alternate between bids 0.03 and 0.05 on type 0, and each
+        # cycle of the trace has an hour at 0.04, which kills only the lower
+        # bid, so reuse across bids and restarts both happen.
+        cat = default_catalog()
+        hours = [(3, 0.02), (1, 0.04), (2, 0.02), (1, 3.0)] * 40
+        starts = np.cumsum([0] + [3600 * h for h, _ in hours[:-1]])
+        traces = {0: SpotPriceTrace(starts, [price for _, price in hours])}
+        jobs = [montage_like(4, seed=0), ligo_like(1, 4, seed=0)]
+        plans = {}
+        for job in jobs:
+            plans.update(make_plans(job.with_deadline(10_000.0),
+                                    [spot_first_config(cat, bid=0.03 if t.id % 2 else 0.05)
+                                     for t in job.tasks]))
+        save_plan_cache(plans, tmp_path / "plans.json")
+        sim = Simulator(SimConfig(job_count=150, seed=2, arrival_rate_per_min=0.5,
+                                  collect_event_log=True), jobs, plans, cat, traces)
+        rep = sim.run()
+        log = sim.event_log
+        check_schedule(log, {job.class_id: job for job in jobs},
+                       json.loads((tmp_path / "plans.json").read_text(encoding="utf-8")),
+                       cat, traces)
+        assert rederive_bills(log, cat, traces) == (rep.instance_bills, rep.instance_hours)
+        assert sum(" OutOfBid " in line for line in log) > 10
+        assert sum(" attempt=1 " in line for line in log) > 10
 
 
 def _two_class_run(catalog, plans_for, traces=None, **config):
@@ -520,7 +550,7 @@ class TestBatchedDurations:
                              sim.event_log)
                 if m
             }
-        assert len(starts[0.01]) == 20 * sum(len(job.tasks) for job in sim.classes)
+        assert len(starts[0.01]) == 20 * sum(len(rec.workflow.tasks) for rec in sim.records)
         assert starts[0.01] == starts[1.0]
 
     def test_one_draw_per_class_task_and_attempt(self, monkeypatch):
@@ -544,7 +574,7 @@ class TestBatchedDurations:
         assert rep.job_count == 200
         # The spikes forced restarts onto the on-demand dimension.
         assert sum(" attempt=1 " in line for line in sim.event_log) > 10
-        assert 0 < len(calls) <= sum(2 * len(job.tasks) for job in sim.classes)
+        assert 0 < len(calls) <= sum(2 * len(rec.workflow.tasks) for rec in sim.records)
         assert all(n == 200 for _, _, n, _ in calls)
 
 
@@ -618,7 +648,7 @@ class TestConsolidationHeadroom:
         sim, rep = _two_class_run(cat, lambda job: [od_config(cat, 1)] * len(job.tasks),
                                   job_count=100, seed=3, arrival_rate_per_min=0.5)
         assert rep.job_count == 100
-        assert sim._expected_cache == {}
+        assert [rec.means for rec in sim.records] == [{}, {}]
 
     def test_spot_run_draws_only_for_checked_keys(self, monkeypatch):
         # A spot request reaches a consolidation check when no idle spot
@@ -629,8 +659,8 @@ class TestConsolidationHeadroom:
         request, acquire = Simulator._request_instance, InstancePool.acquire_or_reuse
 
         def tracking_request(self, job, task_id, attempt):
-            dim = job.plan.task_configs[task_id].dims[attempt]
-            current.append((job.cls.class_id, task_id, dim.type_id))
+            type_id = job.cls.requests[task_id][attempt][0]
+            current.append((job.cls.workflow.class_id, task_id, type_id))
             request(self, job, task_id, attempt)
 
         def tracking_acquire(pool, type_id, is_spot, now, bid=0.0, expected_time=None):
@@ -652,7 +682,8 @@ class TestConsolidationHeadroom:
         sim, _ = _two_class_run(cat, plans_for, {0: spiky_trace()}, job_count=200,
                                 seed=2, arrival_rate_per_min=0.5)
         assert checked  # the run consolidates, so some keys are drawn
-        assert set(sim._expected_cache) == checked
+        drawn = {(rec.workflow.class_id, *key) for rec in sim.records for key in rec.means}
+        assert drawn == checked
         assert checked < requested
 
 

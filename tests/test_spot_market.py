@@ -1,4 +1,6 @@
+import calendar
 import math
+import time
 
 import numpy as np
 import pytest
@@ -41,6 +43,25 @@ class TestLoadTrace:
         path.write_text("2013-08-01T00:00:00,0.05\n2013-08-01T01:00:00,0.06\n")
         trace = load_trace(path)
         assert trace.timestamps.size == 2
+
+    @pytest.mark.parametrize("zone", ["UTC", "America/New_York"])
+    def test_naive_iso_timestamps_are_read_as_utc(self, tmp_path, monkeypatch, zone):
+        # New York springs forward at 02:00 on 2013-03-10, so read in that
+        # zone the 01:00 and 03:00 points would lie one hour apart, not two.
+        # A timestamp with a UTC offset keeps it.
+        naive, aware = tmp_path / "naive.csv", tmp_path / "aware.csv"
+        naive.write_text("".join("2013-03-10T%02d:00:00,0.05\n" % h for h in (0, 1, 3, 4)))
+        aware.write_text("2013-03-10T00:00:00-05:00,0.05\n2013-03-10T03:00:00-04:00,0.06\n")
+        monkeypatch.setenv("TZ", zone)
+        time.tzset()
+        try:
+            traces = load_trace(naive), load_trace(aware)
+        finally:
+            monkeypatch.undo()
+            time.tzset()
+        midnight = calendar.timegm((2013, 3, 10, 0, 0, 0))
+        assert (traces[0].timestamps - midnight).tolist() == [0, 3600, 10800, 14400]
+        assert (traces[1].timestamps - midnight).tolist() == [18000, 25200]
 
     def test_unsorted_rejected_with_line(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from spotflow import workflow_dag
 from spotflow.cloud_model import (CLOCK_BOUND, GammaSpec, TaskProfile, _positive_draw,
                                   default_catalog)
 from spotflow.distributions import EmpiricalDistribution, substream
@@ -293,16 +294,16 @@ class TestDeadlineBounds:
         assert with_cache == deadline_bounds(job, cat, n=300, seed=4)
         assert [len(row) for row in cache._dists] == [len(cat)] * len(job.tasks)
 
-    def test_n_and_seed_come_only_without_a_cache(self):
+    def test_n_and_seed_come_only_without_a_cache(self, monkeypatch):
         # The cache fixes both, so either one given with it is refused,
-        # even when it matches.
+        # even when it matches, before any task time is read or drawn.
         cat = ordered_catalog(2)
         job = chain_job([mixed_profile()])
         cache = TaskDistCache(job, cat, sample_count=300, seed=4)
+        monkeypatch.setattr(workflow_dag, "expected_task_time", None)  # a read would raise
         for kwargs in ({"n": 300}, {"seed": 4}, {"n": 300, "seed": 4}, {"n": 200, "seed": 5}):
             with pytest.raises(ValueError, match="n and seed are fixed by the cache"):
                 deadline_bounds(job, cat, cache=cache, **kwargs)
-        assert cache._dists is None  # refused before any draw
 
     def test_cache_must_match_the_catalog(self):
         # Read from a cache over another catalog, the bounds would come from
