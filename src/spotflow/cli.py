@@ -190,7 +190,7 @@ def plan_class(spec, job, catalog, failure):
     task configs (spot refinement against `failure`, or against a failure
     model without traces for dyna-ns, or fixed-bid spot for spot-only).
     Returns the JobPlan and the on-demand plan's expected cost; raises
-    InfeasiblePlanError.
+    InfeasiblePlanError, or one of PARSE_ERRORS for bad input.
     """
     cache = planner_astar.TaskDistCache(job, catalog, spec.samples, spec.seed)
     deadline = spec.deadline
@@ -199,9 +199,9 @@ def plan_class(spec, job, catalog, failure):
         deadline = d_min + spec.deadline_factor * (d_max - d_min)
         if not 0 < deadline < CLOCK_BOUND:
             raise workflow_dag.WorkflowError(
-                "class %s: deadline factor %r between D_min %g s and D_max %g s gives deadline %g s,"
+                "deadline factor %r between D_min %g s and D_max %g s gives deadline %g s,"
                 " which is not in (0, %g) s"
-                % (job.class_id, spec.deadline_factor, d_min, d_max, deadline, CLOCK_BOUND))
+                % (spec.deadline_factor, d_min, d_max, deadline, CLOCK_BOUND))
     job = job.with_deadline(float(deadline))
     plan = planner_astar.astar_configure(
         job, catalog, params=planner_astar.AStarParams(max_iter=spec.max_iter), cache=cache)
@@ -228,6 +228,13 @@ def plan_class(spec, job, catalog, failure):
 
 
 def cmd_plan(spec):
+    """Plan each class and write the plans of those that planned.
+
+    A class with bad input gets one `error: class <id>: ...` line and a
+    class without a feasible plan one `infeasible:` line; neither stops
+    the other classes.  Exits 2 if any class had bad input, else 3 if any
+    was infeasible, else 0.
+    """
     catalog = spec.load_catalog()
     jobs = spec.load_workflows()
     # dyna-ns plans without a spot market, so it reads no trace.
@@ -235,14 +242,18 @@ def cmd_plan(spec):
                else _failure_model(spec, catalog))
     out = _out_dir(spec)
     plans = {}
-    failed = 0
+    bad_input = infeasible = 0
     for job in jobs:
         t0 = time.perf_counter()
         try:
             job_plan, est_cost = plan_class(spec, job, catalog, failure)
         except planner_astar.InfeasiblePlanError as exc:
             print("infeasible: %s" % exc, file=sys.stderr)
-            failed += 1
+            infeasible += 1
+            continue
+        except PARSE_ERRORS as exc:
+            print("error: class %s: %s" % (job.class_id, exc), file=sys.stderr)
+            bad_input += 1
             continue
         wall = time.perf_counter() - t0
         plans[job.class_id] = job_plan
@@ -253,7 +264,9 @@ def cmd_plan(spec):
         cache_path = out / "plans.json"
         planner_astar.save_plan_cache(plans, cache_path)
         print("plan cache written to %s" % cache_path)
-    return EXIT_INFEASIBLE if failed else EXIT_OK
+    if bad_input:
+        return EXIT_PARSE
+    return EXIT_INFEASIBLE if infeasible else EXIT_OK
 
 
 def _load_baseline(path):

@@ -37,17 +37,19 @@ planner's own sampler, cloud_model.sample_task_time, as one array per
 (class, task, attempt) key indexed by job index, and rounded to whole
 seconds.
 
-The event loop does simulation work only: heap entries hold plain ints,
-`run` dispatches through a tuple of handlers indexed by event kind, event
-log lines are formatted only when the log is collected, and a task's
-consolidation headroom estimate is drawn only when a consolidation check
-reads it.  No event makes or reads a numpy scalar: a request reads its
-(type, spot flag, price, lag) from its class's ClassRecord, built once,
-durations are `array("q")` tables drawn on first use and read by index, paid
-hours are integer divisions, and a price trace answers cyclic lookups by
-bisecting its compact `array("d")` columns, of which its numpy arrays are
-views.  One job arrival is queued at a time, so the heap holds only the
-events in flight.
+The event loop does simulation work only: `run` is one loop that pops
+heap entries of plain ints and handles each event kind in its own branch,
+with two local helpers, `request` and `start`, and the pool's methods bound
+once.  Event log lines are formatted only when the log is collected, and a
+task's consolidation headroom estimate is drawn only when a consolidation
+check reads it.  No event makes or reads a numpy scalar or builds a
+closure: a request reads its (type, spot flag, price, lag, headroom
+callable) from its class's ClassRecord, built once, idle lists are keyed by
+one int per (type, kind), durations are `array("q")` tables drawn on first
+use and read by index, paid hours are integer divisions, and a price trace
+answers cyclic lookups by bisecting its compact `array("d")` columns, of
+which its numpy arrays are views.  One job arrival is queued at a time, so
+the heap holds only the events in flight.
 """
 
 import bisect
@@ -57,8 +59,9 @@ import math
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 from heapq import heappop, heappush
-from itertools import accumulate
+from itertools import accumulate, count
 
 import numpy as np
 
@@ -79,7 +82,7 @@ class PlanMismatchError(SimulationError):
 class EventKind(enum.IntEnum):
     # Order encodes the tie-break at equal timestamps: completions settle
     # before failures, failures before new work, releases always last.
-    # Each kind is handled by the Simulator method `_on_<kind name>`.
+    # Each kind has its own branch in Simulator.run, in this order.
     TASK_FINISH = 0
     OUT_OF_BID = 1
     JOB_ARRIVAL = 2
@@ -87,8 +90,8 @@ class EventKind(enum.IntEnum):
     INSTANCE_RELEASE = 4
 
 
-# Plain-int kinds for heap entries: the heap compares them and `run` indexes
-# its handler tuple with them.
+# Plain-int kinds for heap entries: the heap compares them and `run` branches
+# on them.
 _TASK_FINISH, _OUT_OF_BID, _JOB_ARRIVAL, _INSTANCE_READY, _INSTANCE_RELEASE = map(int, EventKind)
 
 _HOUR = int(SECONDS_PER_HOUR)
@@ -147,7 +150,7 @@ class InstancePool:
 
     def __init__(self):
         self.instances = []
-        self._idle = defaultdict(list)  # (type_id, is_spot) -> idle ids, ascending
+        self._idle = defaultdict(list)  # 2 * type_id + is_spot -> idle ids, ascending
 
     def create(self, type_id, is_spot, bid, ready_time):
         inst = Instance(
@@ -173,13 +176,13 @@ class InstancePool:
         in seconds.  It is called at most once, and only when a spot request
         found no reusable spot instance while an on-demand one idles.
         """
-        idle = self._idle[type_id, is_spot]
+        idle = self._idle[2 * type_id + is_spot]
         if not is_spot:
             return self.instances[idle.pop(0)] if idle else None
         for i, inst_id in enumerate(idle):
             if self.instances[inst_id].bid >= bid:
                 return self.instances[idle.pop(i)]
-        od_idle = self._idle[type_id, False]
+        od_idle = self._idle[2 * type_id]
         if od_idle:
             expected = expected_time()
             for i, inst_id in enumerate(od_idle):
@@ -191,11 +194,11 @@ class InstancePool:
 
     def mark_idle(self, inst):
         inst.assigned = None
-        bisect.insort(self._idle[inst.type_id, inst.is_spot], inst.id)
+        bisect.insort(self._idle[2 * inst.type_id + inst.is_spot], inst.id)
 
     def remove(self, inst):
         inst.alive = False
-        idle = self._idle[inst.type_id, inst.is_spot]
+        idle = self._idle[2 * inst.type_id + inst.is_spot]
         if inst.id in idle:
             idle.remove(inst.id)
 
@@ -230,9 +233,12 @@ class ClassRecord:
     """What the simulator reads of one workflow class, built once per class.
 
     requests and durations are indexed by task id, then attempt: the
-    request (type id, spot flag, price, whole-second lag) and the duration
-    array by job index (None until drawn).  means holds the consolidation
-    headroom estimates by (task id, type id), drawn on first check.
+    request (type id, spot flag, price, whole-second lag, headroom) and the
+    duration array by job index (None until drawn).  headroom is the
+    zero-argument callable InstancePool.acquire_or_reuse calls for the
+    task's consolidation estimate, Simulator._expected_time bound to (this
+    record, task id, type id); means holds those estimates by (task id,
+    type id), drawn on first check.
     """
 
     workflow: object  # WorkflowJob
@@ -288,14 +294,9 @@ class Simulator:
         # One record per class, in the order jobs cycle through them.
         self.records = [self._record(cls, plans[cls.class_id]) for cls in classes]
         self.pool = InstancePool()
-        self.heap = []
-        self._seq = 0
-        self.now = 0
         self.jobs = []
         self.bills = []  # (instance_id, type_id, is_spot, hours, amount)
         self.event_log = []
-        self._logging = config.collect_event_log
-        self._release_at_once = config.idle_release_policy == "immediate"
 
     def _record(self, cls, plan):
         """The class's ClassRecord, once its plan is checked against the
@@ -321,28 +322,21 @@ class Simulator:
                         "plan for %r uses spot type %d with no price trace"
                         % (cls.class_id, dim.type_id)
                     )
-        requests = [
-            tuple((d.type_id, d.is_spot, d.price, int(catalog[d.type_id].lag(d.is_spot)))
-                  for d in config_.dims)
-            for config_ in plan.task_configs
-        ]
-        return ClassRecord(
+        rec = ClassRecord(
             workflow=cls,
             deadline=plan.deadline,
-            requests=requests,
-            durations=[[None] * len(attempts) for attempts in requests],
+            requests=[],
+            durations=[[None] * len(config_.dims) for config_ in plan.task_configs],
             sources=cls.source_ids(),
             preds=[len(tk.predecessors) for tk in cls.tasks],
         )
-
-    # ------------------------------------------------------------------
-    # event plumbing
-    # ------------------------------------------------------------------
-
-    def _push(self, time_, kind, payload):
-        # Every caller passes an int time and a plain-int kind.
-        heappush(self.heap, (time_, kind, self._seq, payload))
-        self._seq += 1
+        rec.requests = [
+            tuple((d.type_id, d.is_spot, d.price, int(catalog[d.type_id].lag(d.is_spot)),
+                   partial(self._expected_time, rec, task_id, d.type_id))
+                  for d in config_.dims)
+            for task_id, config_ in enumerate(plan.task_configs)
+        ]
+        return rec
 
     # ------------------------------------------------------------------
     # run loop
@@ -350,16 +344,113 @@ class Simulator:
 
     def run(self):
         self._schedule_arrivals()
-        handlers = tuple(getattr(self, "_on_" + kind.name.lower()) for kind in EventKind)
-        heap = self.heap
+        jobs, traces, pool = self.jobs, self.traces, self.pool
+        instances, acquire, create, mark_idle = (pool.instances, pool.acquire_or_reuse,
+                                                 pool.create, pool.mark_idle)
+        # Heap entries are (time, kind, push sequence, payload), all plain ints.
+        heap, push, pop, tick = [], heappush, heappop, count().__next__
+        log = self.event_log.append if self.config.collect_event_log else None
+        release_at_once = self.config.idle_release_policy == "immediate"
+
+        def start(inst, job, task_id, attempt, now):
+            """Run the task the instance is assigned to, from now."""
+            table = job.cls.durations[task_id][attempt]
+            if table is None:
+                table = self._draw_durations(job.cls, task_id, attempt)
+            duration = table[job.index]
+            if log:
+                log("%d TaskStart job=%d task=%d attempt=%d inst=%d duration=%d"
+                    % (now, job.index, task_id, attempt, inst.id, duration))
+            push(heap, (now + duration, _TASK_FINISH, tick(), inst.id))
+
+        def request(job, task_id, attempt, now):
+            type_id, is_spot, price, lag, headroom = job.cls.requests[task_id][attempt]
+            inst = acquire(type_id, is_spot, now, price, headroom)
+            if inst is not None:
+                inst.assigned = (job.index, task_id, attempt)
+                if log:
+                    log("%d InstanceReuse inst=%d job=%d task=%d"
+                        % (now, inst.id, job.index, task_id))
+                start(inst, job, task_id, attempt, now)
+                return
+            ready = now + lag
+            inst = create(type_id, is_spot, price if is_spot else None, ready)
+            inst.assigned = (job.index, task_id, attempt)
+            if log:
+                log("%d InstanceRequest inst=%d type=%d spot=%d job=%d task=%d"
+                    % (now, inst.id, type_id, is_spot, job.index, task_id))
+            push(heap, (ready, _INSTANCE_READY, tick(), inst.id))
+            if is_spot:
+                fail_at = traces[type_id].first_exceedance_cyclic(ready, price)
+                if fail_at is not None:
+                    push(heap, (math.ceil(fail_at), _OUT_OF_BID, tick(), inst.id))
+
+        push(heap, (jobs[0].arrival, _JOB_ARRIVAL, tick(), 0))
         while heap:
-            time_, kind, _, payload = heappop(heap)
-            self.now = time_
-            handlers[kind](payload)
-        incomplete = [j.index for j in self.jobs if j.completion is None]
+            now, kind, _, payload = pop(heap)
+            if kind == _TASK_FINISH:
+                inst = instances[payload]
+                if not inst.alive:
+                    continue  # an out-of-bid event killed the instance and its task first
+                job_index, task_id, _ = inst.assigned
+                job = jobs[job_index]
+                if log:
+                    log("%d TaskFinish job=%d task=%d inst=%d" % (now, job_index, task_id, payload))
+                mark_idle(inst)
+                # Ask for the idle instance's release; push an event for a new time only.
+                when = now if release_at_once else inst.paid_until(now)
+                if when != inst.release_at:
+                    inst.release_at = when
+                    push(heap, (when, _INSTANCE_RELEASE, tick(), payload))
+                job.unfinished -= 1
+                if job.unfinished == 0:
+                    job.completion = now
+                    if log:
+                        log("%d JobComplete job=%d" % (now, job_index))
+                    continue
+                pending = job.pending_preds
+                for succ in job.cls.workflow.tasks[task_id].successors:
+                    pending[succ] -= 1
+                    if pending[succ] == 0:
+                        request(job, succ, 0, now)
+            elif kind == _OUT_OF_BID:
+                inst = instances[payload]
+                if not inst.alive:
+                    continue
+                if log:
+                    log("%d OutOfBid inst=%d" % (now, payload))
+                victim = inst.assigned  # None when the instance was idling
+                self._settle(inst, now, "out-of-bid")
+                if victim is not None:
+                    job_index, task_id, attempt = victim
+                    request(jobs[job_index], task_id, attempt + 1, now)
+            elif kind == _JOB_ARRIVAL:
+                # One arrival is queued at a time, which keeps the heap small.
+                # It is the only arrival event queued, so the order is unchanged.
+                if payload + 1 < len(jobs):
+                    push(heap, (jobs[payload + 1].arrival, _JOB_ARRIVAL, tick(), payload + 1))
+                job = jobs[payload]
+                if log:
+                    log("%d JobArrival job=%d class=%s" % (now, payload, job.cls.workflow.class_id))
+                for task_id in job.cls.sources:
+                    request(job, task_id, 0, now)
+            elif kind == _INSTANCE_READY:
+                inst = instances[payload]
+                if inst.alive and inst.assigned is not None:
+                    if log:
+                        log("%d InstanceReady inst=%d" % (now, payload))
+                    job_index, task_id, attempt = inst.assigned
+                    start(inst, jobs[job_index], task_id, attempt, now)
+            else:  # _INSTANCE_RELEASE: settle the instance if it is still idle and due now
+                inst = instances[payload]
+                if inst.alive and inst.assigned is None and inst.release_at == now:
+                    if log:
+                        log("%d InstanceRelease inst=%d" % (now, payload))
+                    self._settle(inst, now, "user")
+        incomplete = [j.index for j in jobs if j.completion is None]
         if incomplete:
             raise SimulationError("jobs never completed: %s" % incomplete)
-        alive = [i.id for i in self.pool.instances if i.alive]
+        alive = [i.id for i in instances if i.alive]
         if alive:
             raise SimulationError("instances still alive at drain: %s" % alive)
         return self._build_report()
@@ -377,70 +468,6 @@ class Simulator:
             rec = records[i % len(records)]
             self.jobs.append(JobRun(index=i, cls=rec, arrival=int(math.ceil(t)),
                                     unfinished=len(rec.preds), pending_preds=rec.preds.copy()))
-        self._push(self.jobs[0].arrival, _JOB_ARRIVAL, 0)
-
-    # ------------------------------------------------------------------
-    # handlers
-    # ------------------------------------------------------------------
-
-    def _on_job_arrival(self, job_index):
-        # One arrival is queued at a time, which keeps the heap small.  It
-        # is the only arrival event queued, so the order is unchanged.
-        if job_index + 1 < len(self.jobs):
-            self._push(self.jobs[job_index + 1].arrival, _JOB_ARRIVAL, job_index + 1)
-        job = self.jobs[job_index]
-        if self._logging:
-            self.event_log.append("%d JobArrival job=%d class=%s"
-                                  % (self.now, job.index, job.cls.workflow.class_id))
-        for tid in job.cls.sources:
-            self._request_instance(job, tid, 0)
-
-    def _request_instance(self, job, task_id, attempt):
-        type_id, is_spot, price, lag = job.cls.requests[task_id][attempt]
-        now = self.now
-        inst = self.pool.acquire_or_reuse(
-            type_id, is_spot, now, price,
-            lambda: self._expected_time(job.cls, task_id, type_id))
-        if inst is not None:
-            inst.assigned = (job.index, task_id, attempt)
-            if self._logging:
-                self.event_log.append("%d InstanceReuse inst=%d job=%d task=%d"
-                                      % (now, inst.id, job.index, task_id))
-            self._start_task(inst, job, task_id, attempt)
-            return
-        ready = now + lag
-        inst = self.pool.create(type_id, is_spot, price if is_spot else None, ready)
-        inst.assigned = (job.index, task_id, attempt)
-        if self._logging:
-            self.event_log.append("%d InstanceRequest inst=%d type=%d spot=%d job=%d task=%d"
-                                  % (now, inst.id, type_id, is_spot, job.index, task_id))
-        self._push(ready, _INSTANCE_READY, inst.id)
-        if is_spot:
-            fail_at = self.traces[type_id].first_exceedance_cyclic(ready, price)
-            if fail_at is not None:
-                self._push(math.ceil(fail_at), _OUT_OF_BID, inst.id)
-
-    def _on_instance_ready(self, inst_id):
-        inst = self.pool.instances[inst_id]
-        if not inst.alive or inst.assigned is None:
-            return
-        if self._logging:
-            self.event_log.append("%d InstanceReady inst=%d" % (self.now, inst.id))
-        job_index, task_id, attempt = inst.assigned
-        self._start_task(inst, self.jobs[job_index], task_id, attempt)
-
-    def _start_task(self, inst, job, task_id, attempt):
-        """Run the task the instance is assigned to, from now."""
-        table = job.cls.durations[task_id][attempt]
-        if table is None:
-            table = self._draw_durations(job.cls, task_id, attempt)
-        job_index = job.index
-        duration = table[job_index]
-        now = self.now
-        if self._logging:
-            self.event_log.append("%d TaskStart job=%d task=%d attempt=%d inst=%d duration=%d"
-                                  % (now, job_index, task_id, attempt, inst.id, duration))
-        self._push(now + duration, _TASK_FINISH, inst.id)
 
     def _draw_durations(self, rec, task_id, attempt):
         """Durations (whole seconds) of one (class, task, attempt), by job index.
@@ -466,59 +493,10 @@ class Simulator:
         rec.durations[task_id][attempt] = table
         return table
 
-    def _on_task_finish(self, inst_id):
-        inst = self.pool.instances[inst_id]
-        if not inst.alive:
-            return  # an out-of-bid event killed the instance and its task first
-        job_index, task_id, _ = inst.assigned
-        job = self.jobs[job_index]
-        now = self.now
-        if self._logging:
-            self.event_log.append("%d TaskFinish job=%d task=%d inst=%d"
-                                  % (now, job_index, task_id, inst_id))
-        self.pool.mark_idle(inst)
-        # Ask for the idle instance's release; push an event for a new time only.
-        when = now if self._release_at_once else inst.paid_until(now)
-        if when != inst.release_at:
-            inst.release_at = when
-            self._push(when, _INSTANCE_RELEASE, inst_id)
-
-        job.unfinished -= 1
-        if job.unfinished == 0:
-            job.completion = now
-            if self._logging:
-                self.event_log.append("%d JobComplete job=%d" % (now, job_index))
-            return
-        pending = job.pending_preds
-        for succ in job.cls.workflow.tasks[task_id].successors:
-            pending[succ] -= 1
-            if pending[succ] == 0:
-                self._request_instance(job, succ, 0)
-
-    def _on_out_of_bid(self, inst_id):
-        inst = self.pool.instances[inst_id]
-        if not inst.alive:
-            return
-        if self._logging:
-            self.event_log.append("%d OutOfBid inst=%d" % (self.now, inst.id))
-        victim = inst.assigned  # None when the instance was idling
-        self._settle(inst, "out-of-bid")
-        if victim is not None:
-            job_index, task_id, attempt = victim
-            self._request_instance(self.jobs[job_index], task_id, attempt + 1)
-
-    def _on_instance_release(self, inst_id):
-        """Settle the instance if it is still idle and due now."""
-        inst = self.pool.instances[inst_id]
-        if inst.alive and inst.assigned is None and inst.release_at == self.now:
-            if self._logging:
-                self.event_log.append("%d InstanceRelease inst=%d" % (self.now, inst_id))
-            self._settle(inst, "user")
-
-    def _settle(self, inst, terminated_by):
+    def _settle(self, inst, now, terminated_by):
         itype = self.catalog[inst.type_id]
         trace = self.traces.get(inst.type_id)
-        hours, amount = bill(inst, self.now, terminated_by, itype, trace)
+        hours, amount = bill(inst, now, terminated_by, itype, trace)
         self.bills.append((inst.id, inst.type_id, inst.is_spot, hours, amount))
         self.pool.remove(inst)
 

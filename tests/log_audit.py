@@ -17,6 +17,13 @@ digest.  For each instance it takes:
 It also checks that an instance runs at most one task at a time, and only
 between its ready time and its end.
 
+`rederive_report` adds the jobs: each job's arrival and completion are the
+times of its `JobArrival` and `JobComplete` lines, its makespan their
+difference, its deadline its class's in `plans.json`, and it hits when the
+makespan is at most the deadline.  From those rows and the bills (summed
+in instance-id order) follow `avg_makespan_s`, `hit_rate`, `total_cost`
+and `avg_cost_per_job`, as `report.json` holds them.
+
 `check_schedule` reads the same lines, the workflow DAGs, `plans.json` and
 the traces, and checks the order and placement of the work:
 
@@ -92,6 +99,40 @@ def rederive_bills(log_lines, catalog, traces):
         key = "%s:%s" % (itype.name, "spot" if is_spot else "ondemand")
         hours_by_kind[key] = hours_by_kind.get(key, 0) + hours
     return amounts, hours_by_kind
+
+
+def rederive_report(log_lines, plans, catalog, traces):
+    """The report.json fields that follow from the log, plans.json and the traces.
+
+    plans is the decoded plans.json document.  Returns job_count, per_job,
+    avg_makespan_s, hit_rate, total_cost, avg_cost_per_job, instance_bills
+    and instance_hours.
+    """
+    arrival, completion, job_class = {}, {}, {}
+    for now, event, fields, line in parse(log_lines):
+        if event == "JobArrival":
+            assert fields["job"] == len(arrival), line  # jobs arrive in index order
+            arrival[fields["job"]] = now
+            job_class[fields["job"]] = fields["class"]
+        elif event == "JobComplete":
+            assert fields["job"] in arrival and fields["job"] not in completion, line
+            completion[fields["job"]] = now
+    assert sorted(completion) == list(range(len(arrival))), "a job never completed"
+    per_job = []
+    for job in range(len(arrival)):
+        deadline = plans["classes"][job_class[job]]["deadline"]
+        makespan = completion[job] - arrival[job]
+        per_job.append({"job": job, "class": job_class[job], "arrival": arrival[job],
+                        "completion": completion[job], "makespan_s": makespan,
+                        "deadline_s": deadline, "hit": makespan <= deadline})
+    bills, hours = rederive_bills(log_lines, catalog, traces)
+    n = len(per_job)
+    total = sum(bills)
+    return {"job_count": n, "per_job": per_job,
+            "avg_makespan_s": sum(row["makespan_s"] for row in per_job) / n,
+            "hit_rate": sum(row["hit"] for row in per_job) / n,
+            "total_cost": total, "avg_cost_per_job": total / n,
+            "instance_bills": bills, "instance_hours": hours}
 
 
 def check_schedule(log_lines, workflows, plans, catalog, traces):

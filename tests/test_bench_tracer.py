@@ -78,7 +78,8 @@ ROUTED_SPANS = (
     "distributions.substream", "cli.load", "cli.plan_cache_io",
     # simulator
     "simulator.run", "cloud_model.sample_task_time", "simulator.bill",
-    "simulator.pool.acquire", "spot_market.first_exceedance", "spot_market.price_at",
+    "simulator.pool.acquire", "simulator.pool.create", "simulator.pool.mark_idle",
+    "simulator.pool.remove", "spot_market.first_exceedance", "spot_market.price_at",
 )
 
 

@@ -114,8 +114,24 @@ class TestPlan:
         rc = cli.main(["plan", *base_args(workspace, "--planner", "spot-only")])
         assert rc == cli.EXIT_PARSE
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: no trace for type t")
+        assert len(err) == 1 and err[0].startswith("error: class toy: no trace for type t")
         assert not (workspace["tmp"] / "out" / "plans.json").exists()
+
+    def test_a_class_with_bad_input_keeps_the_other_classes_plans(self, tmp_path, capsys):
+        # Class c plans on m1.small, which has a trace; class a needs m1.medium, which has none.
+        (tmp_path / "c.wf").write_text("task 0 1e12 0 0 0 0\n")
+        save_workflow(workflow_dag.montage_like(2, seed=1), tmp_path / "a.wf")
+        (tmp_path / "traces").mkdir()
+        (tmp_path / "traces" / "m1.small.csv").write_text("0,0.02\n3600,0.03\n")
+        rc = cli.main(["plan", "--workflow", str(tmp_path / "c.wf"),
+                       "--workflow", str(tmp_path / "a.wf"), "--planner", "spot-only",
+                       "--deadline-factor", "1.0", "--samples", "300",
+                       "--trace-dir", str(tmp_path / "traces"), "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out.startswith("planned c: ")
+        assert err == "error: class a: no trace for type m1.medium\n"
+        assert set(load_plan_cache(tmp_path / "out" / "plans.json")) == {"c"}
 
     def test_dyna_refines_with_traces(self, workspace):
         rc = cli.main(["plan", *base_args(workspace, "--planner", "dyna",
@@ -227,8 +243,8 @@ class TestPlan:
         rc = cli.main(["plan", *base_args(workspace, "--planner", "dyna-ns")])
         err = capsys.readouterr().err
         assert rc == cli.EXIT_PARSE
-        assert err.startswith("error: bandwidth model GammaSpec(k=0.0, theta=1.0) produces"
-                              " no positive mass") and err.count("\n") == 1
+        assert err.startswith("error: class toy: bandwidth model GammaSpec(k=0.0, theta=1.0)"
+                              " produces no positive mass") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not (workspace["tmp"] / "out" / "plans.json").exists()
 
@@ -237,7 +253,7 @@ class TestPlan:
         rc = cli.main(["plan", *base_args(workspace, "--samples", str(10 ** 15))])
         assert rc == cli.EXIT_PARSE
         err = capsys.readouterr().err
-        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert err.startswith("error: class toy: Unable to allocate") and err.count("\n") == 1
         assert not (workspace["tmp"] / "out" / "plans.json").exists()
 
     @pytest.mark.parametrize("task, flags, message", [

@@ -31,7 +31,7 @@ from spotflow.spot_market import load_trace
 from spotflow.simulator import EventKind
 from spotflow.workflow_dag import ligo_like, load_workflow, montage_like, save_workflow
 
-from log_audit import check_schedule, rederive_bills
+from log_audit import check_schedule, rederive_report
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = {"plans.json": DATA / "golden_plans.json",
@@ -106,26 +106,29 @@ def load_traces(trace_dir, catalog):
     return {itype.id: load_trace(str(trace_dir / ("%s.csv" % itype.name))) for itype in catalog}
 
 
-def check_bills_against_log(trace_dir, log_path, report_path):
+def check_report_against_log(trace_dir, log_path, report_path, plans_path):
+    """Every report field rederive_report derives equals report.json's, exactly."""
     catalog = default_catalog()
-    traces = load_traces(trace_dir, catalog)
-    bills, hours = rederive_bills(log_path.read_text(encoding="utf-8").splitlines(),
-                                  catalog, traces)
+    derived = rederive_report(log_path.read_text(encoding="utf-8").splitlines(),
+                              json.loads(plans_path.read_text(encoding="utf-8")),
+                              catalog, load_traces(trace_dir, catalog))
     report = json.loads(report_path.read_text(encoding="utf-8"))
-    assert bills == report["instance_bills"]
-    assert hours == report["instance_hours"]
+    for key, value in derived.items():
+        assert value == report[key], key
 
 
 def test_golden_bills_follow_from_the_event_log(tmp_path):
-    """golden_report.json's bills and hours, exactly, from golden_events.log."""
+    """golden_report.json's bills, hours, per-job rows and totals, exactly, from
+    golden_events.log and golden_plans.json."""
     _, trace_dir = write_inputs(tmp_path)
-    check_bills_against_log(trace_dir, GOLDEN["sim/events.log"], GOLDEN["sim/report.json"])
+    check_report_against_log(trace_dir, GOLDEN["sim/events.log"], GOLDEN["sim/report.json"],
+                             GOLDEN["plans.json"])
 
 
 def test_immediate_release_bills_follow_from_the_event_log(tmp_path):
     out = run_case(tmp_path, sim_flags=["--release-policy", "immediate"])
-    check_bills_against_log(tmp_path / "traces", out / "sim" / "events.log",
-                            out / "sim" / "report.json")
+    check_report_against_log(tmp_path / "traces", out / "sim" / "events.log",
+                             out / "sim" / "report.json", out / "plans.json")
 
 
 def check_schedule_against_plans(root, log_path, plans_path):
@@ -177,13 +180,13 @@ def test_golden_run_pushes_one_release_event_per_paid_hour(tmp_path, monkeypatch
     once per paid hour it pushed 550 release events, 476 of them void.
     """
     pushed = Counter()
-    push = simulator.Simulator._push
+    push = simulator.heappush
 
-    def counting_push(self, time_, kind, payload):
-        pushed[kind] += 1
-        push(self, time_, kind, payload)
+    def counting_push(heap, entry):
+        pushed[entry[1]] += 1
+        push(heap, entry)
 
-    monkeypatch.setattr(simulator.Simulator, "_push", counting_push)
+    monkeypatch.setattr(simulator, "heappush", counting_push)
     run_case(tmp_path)
     assert pushed[EventKind.INSTANCE_RELEASE] == 117
     assert sum(pushed.values()) == 879

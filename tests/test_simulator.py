@@ -415,24 +415,25 @@ class TestReuseAndConsolidation:
         ("immediate", 600.0, 2, 1320, 1),
         ("immediate", 3600.0, 2, 4320, 2),
     ])
-    def test_reuse_idle_release(self, policy, second_task_s, release_pushes,
+    def test_reuse_idle_release(self, monkeypatch, policy, second_task_s, release_pushes,
                                 released_after, hours):
         # One instance runs a 600 s task from 120 s after arrival, goes idle,
         # is reused at once by the chain's second task and goes idle again.
         pushed = []
+        push = simulator.heappush
 
-        class Counting(Simulator):
-            def _push(self, time_, kind, payload):
-                pushed.append(kind)
-                super()._push(time_, kind, payload)
+        def counting_push(heap, entry):
+            pushed.append(entry[1])
+            push(heap, entry)
 
+        monkeypatch.setattr(simulator, "heappush", counting_push)
         seed = 4
         cat = single_type_catalog(lag_od=120.0)
         job = chain_job([cpu_profile(600.0), cpu_profile(second_task_s)], deadline=10_000.0,
                         class_id="reuse")
         plans = make_plans(job, [od_config(cat)] * 2)
-        sim = Counting(SimConfig(job_count=1, seed=seed, idle_release_policy=policy,
-                                 collect_event_log=True), [job], plans, cat)
+        sim = Simulator(SimConfig(job_count=1, seed=seed, idle_release_policy=policy,
+                                  collect_event_log=True), [job], plans, cat)
         rep = sim.run()
         a = first_arrival(seed)
         assert len(sim.pool.instances) == 1
@@ -579,14 +580,16 @@ class TestBatchedDurations:
 
 
 class TestEventLoop:
-    def test_events_are_plain_ints(self):
+    def test_events_are_plain_ints(self, monkeypatch):
         cat = default_catalog()
         pushed = []
+        push = simulator.heappush
 
-        class Checked(Simulator):
-            def _push(self, time_, kind, payload):
-                pushed.append((time_, kind))
-                super()._push(time_, kind, payload)
+        def checked_push(heap, entry):
+            pushed.append(entry)
+            push(heap, entry)
+
+        monkeypatch.setattr(simulator, "heappush", checked_push)
 
         jobs = [montage_like(4, seed=0), ligo_like(1, 4, seed=0)]
         plans = {}
@@ -595,11 +598,11 @@ class TestEventLoop:
                                     [spot_first_config(cat, bid=0.05, type_id=1)]
                                     * len(job.tasks)))
         for policy in ("hour-boundary", "immediate"):
-            Checked(SimConfig(job_count=60, seed=2, arrival_rate_per_min=0.5,
-                              idle_release_policy=policy),
-                    jobs, plans, cat, {1: spiky_trace()}).run()
-        assert {kind for _, kind in pushed} == set(EventKind)  # every kind occurred
-        assert {(type(time_), type(kind)) for time_, kind in pushed} == {(int, int)}
+            Simulator(SimConfig(job_count=60, seed=2, arrival_rate_per_min=0.5,
+                                idle_release_policy=policy),
+                      jobs, plans, cat, {1: spiky_trace()}).run()
+        assert {entry[1] for entry in pushed} == set(EventKind)  # every kind occurred
+        assert {tuple(map(type, entry)) for entry in pushed} == {(int, int, int, int)}
 
     def test_log_off_and_on_give_the_same_report(self):
         cat = default_catalog()
@@ -655,25 +658,22 @@ class TestConsolidationHeadroom:
         # instance of its type bids enough and an on-demand one idles.
         cat = default_catalog()
         checked, requested = set(), set()
-        current = []
-        request, acquire = Simulator._request_instance, InstancePool.acquire_or_reuse
-
-        def tracking_request(self, job, task_id, attempt):
-            type_id = job.cls.requests[task_id][attempt][0]
-            current.append((job.cls.workflow.class_id, task_id, type_id))
-            request(self, job, task_id, attempt)
+        acquire = InstancePool.acquire_or_reuse
 
         def tracking_acquire(pool, type_id, is_spot, now, bid=0.0, expected_time=None):
+            # The headroom callable is bound to the request's (class, task, type).
+            rec, task_id, headroom_type = expected_time.args
+            assert headroom_type == type_id
+            key = (rec.workflow.class_id, task_id, type_id)
             idle = [i for i in pool.instances
                     if i.alive and i.assigned is None and i.type_id == type_id]
             if is_spot:
-                requested.add(current[-1])
+                requested.add(key)
                 if (not any(i.is_spot and i.bid >= bid for i in idle)
                         and any(not i.is_spot for i in idle)):
-                    checked.add(current[-1])
+                    checked.add(key)
             return acquire(pool, type_id, is_spot, now, bid, expected_time)
 
-        monkeypatch.setattr(Simulator, "_request_instance", tracking_request)
         monkeypatch.setattr(InstancePool, "acquire_or_reuse", tracking_acquire)
 
         def plans_for(job):
