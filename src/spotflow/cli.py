@@ -222,7 +222,7 @@ def plan_class(spec, job, catalog, failure):
     else:  # dyna-ns is dyna without a spot market: tasks stay on demand.
         if spec.planner == "dyna-ns":
             failure = spot_market.FailureModel(traces={})
-        configs = planner_hybrid.refine_plan(job, plan, failure, cache, seed=spec.seed)
+        configs = planner_hybrid.refine_plan(job, plan, failure, cache)
     job_plan = planner_astar.JobPlan(job.class_id, job.deadline, job.guarantee_p, configs)
     return job_plan, planner_astar.plan_cost(cache, tuple(plan))
 

@@ -8,7 +8,7 @@ data volumes divided by bandwidth draws.
 """
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -99,9 +99,9 @@ class TaskProfile:
     net_out_mb: float = 0.0
 
     def __post_init__(self):
-        for field in ("instructions", "seq_io_mb", "rnd_io_mb", "net_in_mb", "net_out_mb"):
-            if not 0 <= getattr(self, field) < math.inf:
-                raise ValueError("%s must be nonnegative and finite" % field)
+        for field in fields(self):
+            if not 0 <= getattr(self, field.name) < math.inf:
+                raise ValueError("%s must be nonnegative and finite" % field.name)
 
 
 class Catalog:
@@ -288,8 +288,7 @@ def expected_task_time(profile, itype, n=DEFAULT_SAMPLE_COUNT, seed=0, dist=None
     task with no data volume takes exactly its CPU time, returned as is:
     the mean of n equal floats need not equal the value.
     """
-    if (profile.seq_io_mb == 0 and profile.rnd_io_mb == 0
-            and profile.net_in_mb == 0 and profile.net_out_mb == 0):
+    if not any(getattr(profile, data_field) for data_field, _ in _PROFILE_BANDS):
         return profile.instructions / itype.cpu_speed
     if dist is None:
         dist = task_time_distribution(profile, itype, n=n, seed=seed)

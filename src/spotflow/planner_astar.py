@@ -108,7 +108,6 @@ class TaskDistCache:
     """
 
     def __init__(self, job, catalog, sample_count=DEFAULT_SAMPLE_COUNT, seed=0):
-        self.job = job
         self.catalog = catalog
         self.sample_count = sample_count
         self.seed = seed

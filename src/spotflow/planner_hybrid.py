@@ -147,7 +147,12 @@ def binary_search_bid(spot_type, od_dim, spot_dist, od_dist, failure,
     return p_mid
 
 
-def refine_task(task_id, ondemand_type, failure, cache, seed=0):
+def _task_seed(cache, task_id):
+    """The task's refinement seed: ("refine", task, 0) under the cache's seed."""
+    return derive_seed(cache.seed, "refine", task_id, 0)
+
+
+def refine_task(task_id, ondemand_type, failure, cache):
     """Hybrid configuration for one task, given its on-demand type.
 
     Scans spot types from the most expensive down to the on-demand type and
@@ -155,14 +160,15 @@ def refine_task(task_id, ondemand_type, failure, cache, seed=0):
     dimension; with none, the task stays on demand.  Types without a trace
     in `failure` have no spot market and are skipped, so a failure model
     without traces keeps every task on demand.  Every search uses the
-    task's ("refine", task, 0) seed and pure memos, so the winner does not
+    task's seed (_task_seed) and pure memos, so the winner does not
     depend on the scan order: it is the type an ascending scan that keeps
-    its last success would pick.  Pure per task: refining one task never touches another's
-    configuration.  Spot types come from the cache's catalog.
+    its last success would pick.  Pure per task: refining one task never
+    touches another's configuration.  Spot types and the seed come from
+    the cache.
     """
     od_dim = ConfigDim(ondemand_type.id, ondemand_type.ondemand_price, False)
     od_dist = cache.dist(task_id, ondemand_type.id)
-    task_seed = derive_seed(seed, "refine", task_id, 0)
+    task_seed = _task_seed(cache, task_id)
     for spot_type_id in range(len(cache.catalog) - 1, ondemand_type.id - 1, -1):
         if not failure.has_trace(spot_type_id):
             continue
@@ -176,22 +182,23 @@ def refine_task(task_id, ondemand_type, failure, cache, seed=0):
     return HybridConfig.ondemand_only(ondemand_type)
 
 
-def refine_plan(job, plan, failure, cache, seed=0):
+def refine_plan(job, plan, failure, cache):
     """Refine every task of an on-demand plan; returns HybridConfig per task id."""
-    return [
-        refine_task(task.id, cache.catalog[plan[task.id]], failure, cache, seed=seed)
-        for task in job.tasks
-    ]
+    return [refine_task(task.id, cache.catalog[plan[task.id]], failure, cache)
+            for task in job.tasks]
 
 
-def check_refinement(task_id, config, failure, cache, seed=0):
+def check_refinement(task_id, config, failure, cache, seed=None):
     """Re-evaluate the acceptance gates of a refined config.
 
     Reproduces the estimator runs the bid search made when it accepted the
     config's spot dimension (same seeds, same pairing), so a config
     returned by refine_task passes.  Returns (cost_ok, dominance_ok); an
-    on-demand-only config passes both.
+    on-demand-only config passes both.  The seed is the cache's: a `seed`
+    other than cache.seed is a ValueError.
     """
+    if seed is not None and seed != cache.seed:
+        raise ValueError("seed %r differs from the cache's seed %r" % (seed, cache.seed))
     if not config.spot_dims:
         return True, True
     spot_dim, od_dim = config.dims
@@ -199,5 +206,4 @@ def check_refinement(task_id, config, failure, cache, seed=0):
     od_dist = cache.dist(task_id, od_dim.type_id)
     cost, od_cost = _gate_costs(spot_dim, od_dim, spot_dist, od_dist, failure)
     return (cost <= od_cost,
-            _dominance_ok(spot_dim, spot_dist, od_dist, failure,
-                          derive_seed(seed, "refine", task_id, 0)))
+            _dominance_ok(spot_dim, spot_dist, od_dist, failure, _task_seed(cache, task_id)))

@@ -37,19 +37,19 @@ planner's own sampler, cloud_model.sample_task_time, as one array per
 (class, task, attempt) key indexed by job index, and rounded to whole
 seconds.
 
-The event loop does simulation work only: `run` is one loop that pops
-heap entries of plain ints and handles each event kind in its own branch,
-with two local helpers, `request` and `start`, and the pool's methods bound
-once.  Event log lines are formatted only when the log is collected, and a
-task's consolidation headroom estimate is drawn only when a consolidation
-check reads it.  No event makes or reads a numpy scalar or builds a
-closure: a request reads its (type, spot flag, price, lag, headroom
-callable) from its class's ClassRecord, built once, idle lists are keyed by
-one int per (type, kind), durations are `array("q")` tables drawn on first
-use and read by index, paid hours are integer divisions, and a price trace
-answers cyclic lookups by bisecting its compact `array("d")` columns, of
-which its numpy arrays are views.  One job arrival is queued at a time, so
-the heap holds only the events in flight.
+The event loop does simulation work only: `run` is one loop that pops heap
+entries of plain ints and handles each event kind in its own branch, with
+three local helpers, `request`, `start` and `settle`, and the pool's
+methods bound once.  Event log lines are formatted only when the log is
+collected, and a task's consolidation headroom estimate is drawn only when
+a consolidation check reads it.  No event makes or reads a numpy scalar or
+builds a closure: a request reads its (type, spot flag, price, lag,
+headroom callable) from its class's ClassRecord, built once, idle lists are
+keyed by one int per (type, kind), durations are `array("q")` tables drawn
+on first use and read by index, paid hours are integer divisions, and a
+price trace answers cyclic lookups by bisecting its compact `array("d")`
+columns, of which its numpy arrays are views.  One job arrival is queued at
+a time, so the heap holds only the events in flight.
 """
 
 import bisect
@@ -61,7 +61,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heappop, heappush
-from itertools import accumulate, count
+from itertools import accumulate, count, cycle
 
 import numpy as np
 
@@ -279,7 +279,12 @@ class SimReport:
 
 
 class Simulator:
-    """One deterministic simulation run."""
+    """Deterministic simulation runs of one workload.
+
+    Each run builds its own jobs, InstancePool, bills and event log, so a
+    second run replays the workload from the start and returns the same
+    report; `pool` and `event_log` hold the latest run's.
+    """
 
     def __init__(self, config, job_classes, plans, catalog, traces=None):
         self.config = config
@@ -293,10 +298,6 @@ class Simulator:
             raise PlanMismatchError("plan cache lacks classes: %s" % missing)
         # One record per class, in the order jobs cycle through them.
         self.records = [self._record(cls, plans[cls.class_id]) for cls in classes]
-        self.pool = InstancePool()
-        self.jobs = []
-        self.bills = []  # (instance_id, type_id, is_spot, hours, amount)
-        self.event_log = []
 
     def _record(self, cls, plan):
         """The class's ClassRecord, once its plan is checked against the
@@ -343,14 +344,22 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def run(self):
-        self._schedule_arrivals()
-        jobs, traces, pool = self.jobs, self.traces, self.pool
+        jobs, catalog, traces = self._schedule_arrivals(), self.catalog, self.traces
+        self.pool = pool = InstancePool()
+        self.event_log = []
+        bills = []  # (instance_id, type_id, is_spot, hours, amount)
         instances, acquire, create, mark_idle = (pool.instances, pool.acquire_or_reuse,
                                                  pool.create, pool.mark_idle)
         # Heap entries are (time, kind, push sequence, payload), all plain ints.
         heap, push, pop, tick = [], heappush, heappop, count().__next__
         log = self.event_log.append if self.config.collect_event_log else None
         release_at_once = self.config.idle_release_policy == "immediate"
+
+        def settle(inst, now, terminated_by):
+            hours, amount = bill(inst, now, terminated_by, catalog[inst.type_id],
+                                 traces.get(inst.type_id))
+            bills.append((inst.id, inst.type_id, inst.is_spot, hours, amount))
+            pool.remove(inst)
 
         def start(inst, job, task_id, attempt, now):
             """Run the task the instance is assigned to, from now."""
@@ -420,7 +429,7 @@ class Simulator:
                 if log:
                     log("%d OutOfBid inst=%d" % (now, payload))
                 victim = inst.assigned  # None when the instance was idling
-                self._settle(inst, now, "out-of-bid")
+                settle(inst, now, "out-of-bid")
                 if victim is not None:
                     job_index, task_id, attempt = victim
                     request(jobs[job_index], task_id, attempt + 1, now)
@@ -446,16 +455,17 @@ class Simulator:
                 if inst.alive and inst.assigned is None and inst.release_at == now:
                     if log:
                         log("%d InstanceRelease inst=%d" % (now, payload))
-                    self._settle(inst, now, "user")
+                    settle(inst, now, "user")
         incomplete = [j.index for j in jobs if j.completion is None]
         if incomplete:
             raise SimulationError("jobs never completed: %s" % incomplete)
         alive = [i.id for i in instances if i.alive]
         if alive:
             raise SimulationError("instances still alive at drain: %s" % alive)
-        return self._build_report()
+        return self._build_report(jobs, bills)
 
     def _schedule_arrivals(self):
+        """A new JobRun per arrival, in arrival order, classes taken in turn."""
         rng = substream(self.config.seed, "arrivals")
         scale = 60.0 / self.config.arrival_rate_per_min
         gaps = rng.exponential(scale, size=self.config.job_count)
@@ -463,11 +473,9 @@ class Simulator:
         if not arrivals[-1] < CLOCK_BOUND:
             raise ValueError("arrival_rate %r jobs/min is too small: %d arrival times reach %g s"
                              % (self.config.arrival_rate_per_min, len(arrivals), CLOCK_BOUND))
-        records = self.records
-        for i, t in enumerate(arrivals):
-            rec = records[i % len(records)]
-            self.jobs.append(JobRun(index=i, cls=rec, arrival=int(math.ceil(t)),
-                                    unfinished=len(rec.preds), pending_preds=rec.preds.copy()))
+        return [JobRun(index=i, cls=rec, arrival=int(math.ceil(t)),
+                       unfinished=len(rec.preds), pending_preds=rec.preds.copy())
+                for i, (t, rec) in enumerate(zip(arrivals, cycle(self.records)))]
 
     def _draw_durations(self, rec, task_id, attempt):
         """Durations (whole seconds) of one (class, task, attempt), by job index.
@@ -493,13 +501,6 @@ class Simulator:
         rec.durations[task_id][attempt] = table
         return table
 
-    def _settle(self, inst, now, terminated_by):
-        itype = self.catalog[inst.type_id]
-        trace = self.traces.get(inst.type_id)
-        hours, amount = bill(inst, now, terminated_by, itype, trace)
-        self.bills.append((inst.id, inst.type_id, inst.is_spot, hours, amount))
-        self.pool.remove(inst)
-
     # ------------------------------------------------------------------
     # metrics
     # ------------------------------------------------------------------
@@ -520,11 +521,11 @@ class Simulator:
             )
         return rec.means[key]
 
-    def _build_report(self):
+    def _build_report(self, jobs, bills):
         per_job = []
         hits = 0
         makespans = []
-        for job in self.jobs:
+        for job in jobs:
             makespan = job.completion - job.arrival
             hit = makespan <= job.cls.deadline
             hits += int(hit)
@@ -539,13 +540,13 @@ class Simulator:
                 "hit": bool(hit),
             })
         hours_by_kind = {}
-        bills = []
-        for _, type_id, is_spot, hours, amount in sorted(self.bills):
+        amounts = []
+        for _, type_id, is_spot, hours, amount in sorted(bills):
             key = "%s:%s" % (self.catalog[type_id].name, "spot" if is_spot else "ondemand")
             hours_by_kind[key] = hours_by_kind.get(key, 0) + hours
-            bills.append(amount)
-        total = sum(bills)
-        n = len(self.jobs)
+            amounts.append(amount)
+        total = sum(amounts)
+        n = len(jobs)
         return SimReport(
             job_count=n,
             total_cost=total,
@@ -553,7 +554,7 @@ class Simulator:
             avg_makespan_s=sum(makespans) / n,
             hit_rate=hits / n,
             instance_hours=hours_by_kind,
-            instance_bills=bills,
+            instance_bills=amounts,
             per_job=per_job,
             seed=self.config.seed,
         )

@@ -317,10 +317,9 @@ def load_workflow(path, guarantee_p=0.96):
         raise WorkflowError("%s: workflow file defines no tasks" % path)
     try:
         return build_job(profiles, edges, guarantee_p=guarantee_p, class_id=_stem(path))
-    except CycleError:
-        raise
     except WorkflowError as exc:
-        raise WorkflowError("%s: %s" % (path, exc)) from exc
+        exc.args = ("%s: %s" % (path, exc),)  # keeps the type, and a CycleError's edge
+        raise
 
 
 def _stem(path):
@@ -331,9 +330,7 @@ def _stem(path):
 def save_workflow(job, path):
     with open(path, "w", encoding="utf-8") as fh:
         for t in job.tasks:
-            p = t.profile
-            fh.write("task %d %g %g %g %g %g\n" % (
-                t.id, p.instructions, p.seq_io_mb, p.rnd_io_mb, p.net_in_mb, p.net_out_mb))
+            fh.write("task %d %g %g %g %g %g\n" % (t.id, *dataclasses.astuple(t.profile)))
         for u, v in job.edges():
             fh.write("edge %d %d\n" % (u, v))
 

@@ -150,13 +150,12 @@ def test_criterion_3_refinement_gates_hold_for_every_refined_task():
     refined = 0
     for name, trace in fixtures.items():
         failure = FailureModel(traces={0: trace, 1: trace}, num_trials=10_000, rng_seed=31)
-        configs = refine_plan(job, plan, failure, cache, seed=31)
+        configs = refine_plan(job, plan, failure, cache)
         for task, config in zip(job.tasks, configs):
             if not config.spot_dims:
                 continue
             refined += 1
-            cost_ok, dominance_ok = check_refinement(
-                task.id, config, failure, cache, seed=31)
+            cost_ok, dominance_ok = check_refinement(task.id, config, failure, cache)
             if not (cost_ok and dominance_ok):
                 violations += 1
     assert refined > 0, "fixtures produced no refined tasks; criterion is vacuous"

@@ -779,3 +779,18 @@ def test_trace_whose_cycle_overflows_is_parse_error(workspace, capsys, command, 
         % (path, CLOCK_BOUND))
     output = {"plan": "plans.json", "simulate": "report.json", "ffp": "ffp.csv"}[command[0]]
     assert not (workspace["tmp"] / "out" / output).exists()
+
+
+def test_readme_library_use_block_runs_as_written(tmp_path, monkeypatch, capsys):
+    # The block is read from README.md, so the snippet and the API change together.
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    block = readme.split("## Library use\n\n```python\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "traces").mkdir()
+    trace = stable_trace(0.024, hours=400)
+    with open(tmp_path / "traces" / "m1.small.csv", "w") as fh:
+        for t, p in zip(trace.timestamps, trace.prices):
+            fh.write("%d,%.5f\n" % (t, p))
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    hit_rate, cost_per_job = map(float, capsys.readouterr().out.split())
+    assert 0.0 <= hit_rate <= 1.0 and cost_per_job > 0.0

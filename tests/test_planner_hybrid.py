@@ -550,14 +550,14 @@ class TestRefineTask:
         cache = TaskDistCache(job, catalog, 2000, 5)
         failure = FailureModel(traces={0: stable_trace(0.024, hours=300)},
                                num_trials=3000, rng_seed=5)
-        whole = refine_plan(job, [0, 0], failure, cache, seed=5)
-        single0 = refine_task(0, catalog[0], failure, cache, seed=5)
-        single1 = refine_task(1, catalog[0], failure, cache, seed=5)
+        whole = refine_plan(job, [0, 0], failure, cache)
+        single0 = refine_task(0, catalog[0], failure, cache)
+        single1 = refine_task(1, catalog[0], failure, cache)
         assert whole == [single0, single1]
 
     def test_refinement_gates_hold_post_hoc(self):
         ctx = FixtureContext(stable_trace(0.024, hours=300))
-        config = refine_task(0, ctx.catalog[0], ctx.failure, ctx.cache, seed=3)
+        config = refine_task(0, ctx.catalog[0], ctx.failure, ctx.cache)
         od_dist = ctx.cache.dist(0, 0)
         if config.spot_dims:
             dists = [ctx.cache.dist(0, d.type_id) for d in config.dims]
@@ -570,14 +570,14 @@ class TestRefineTask:
             assert dominates(hd, od_dist, 0.01)
 
 
-def ascending_refinement(task_id, ondemand_type, catalog, failure, cache, seed):
+def ascending_refinement(task_id, ondemand_type, catalog, failure, cache):
     """Reference scan: every type from the on-demand one up, last success wins.
 
     Returns the config and the ids of the types whose bid search succeeded.
     """
     od_dim = ConfigDim(ondemand_type.id, ondemand_type.ondemand_price, False)
     od_dist = cache.dist(task_id, ondemand_type.id)
-    task_seed = derive_seed(seed, "refine", task_id, 0)
+    task_seed = derive_seed(cache.seed, "refine", task_id, 0)
     dims = (od_dim,)
     accepted = []
     for type_id in range(ondemand_type.id, len(catalog)):
@@ -618,10 +618,9 @@ class TestRefineTaskScanOrder:
         ref_failure, ref_cache = context()
         all_accepted = []
         for task_id, od_type_id in ((0, 0), (1, 1)):
-            got = refine_task(task_id, catalog[od_type_id], got_failure,
-                              got_cache, seed=13)
+            got = refine_task(task_id, catalog[od_type_id], got_failure, got_cache)
             want, accepted = ascending_refinement(task_id, catalog[od_type_id], catalog,
-                                                  ref_failure, ref_cache, seed=13)
+                                                  ref_failure, ref_cache)
             assert got == want
             all_accepted.append(accepted)
         if market == "hostile":
@@ -638,3 +637,24 @@ def test_check_refinement_rejects_two_spot_dims():
         config = HybridConfig((ConfigDim(1, 0.05, True), ConfigDim(0, 0.03, True),
                                ConfigDim(0, 0.06, False)))
         check_refinement(0, config, ctx.failure, ctx.cache)
+
+
+class TestRefinementSeedIsTheCaches:
+    """Refinement reads its seed from the class's TaskDistCache only."""
+
+    def test_refine_plan_and_refine_task_take_no_seed(self):
+        ctx = FixtureContext(stable_trace(0.024, hours=300))
+        with pytest.raises(TypeError):
+            refine_task(0, ctx.catalog[0], ctx.failure, ctx.cache, seed=ctx.cache.seed)
+        with pytest.raises(TypeError):
+            refine_plan(ctx.job, [0], ctx.failure, ctx.cache, seed=ctx.cache.seed)
+
+    def test_check_refinement_accepts_only_the_caches_seed(self):
+        ctx = FixtureContext(stable_trace(0.024, hours=300))
+        config = refine_task(0, ctx.catalog[0], ctx.failure, ctx.cache)
+        assert config.spot_dims
+        want = check_refinement(0, config, ctx.failure, ctx.cache)
+        assert want == (True, True)
+        assert check_refinement(0, config, ctx.failure, ctx.cache, seed=ctx.cache.seed) == want
+        with pytest.raises(ValueError, match="differs from the cache's seed 11"):
+            check_refinement(0, config, ctx.failure, ctx.cache, seed=12)

@@ -466,6 +466,22 @@ class TestInvariants:
         r2 = self._mixed_sim(seed=13).run()
         assert r1.to_json().encode() == r2.to_json().encode()
 
+    def test_a_second_run_replays_the_first(self):
+        # Each run builds its own jobs, pool, bills and log, so running one
+        # Simulator twice gives the first run's report and log again.
+        cat = default_catalog()
+        job = montage_like(2, seed=1).with_deadline(10_000.0)
+        plans = make_plans(job, [spot_first_config(cat, bid=0.05)] * len(job.tasks))
+        sim = Simulator(SimConfig(job_count=30, seed=3, arrival_rate_per_min=0.05,
+                                  collect_event_log=True), [job], plans, cat, {0: spiky_trace()})
+        first = sim.run().to_json()
+        first_log, first_pool = sim.event_log, sim.pool
+        assert any("OutOfBid" in line for line in first_log)
+        assert sim.run().to_json() == first
+        assert sim.event_log == first_log and sim.event_log is not first_log
+        assert len(sim.pool.instances) == len(first_pool.instances)
+        assert sim.pool is not first_pool
+
     def test_different_seeds_differ(self):
         r1 = self._mixed_sim(seed=13).run()
         r2 = self._mixed_sim(seed=14).run()

@@ -377,8 +377,11 @@ class TestWorkflowFiles:
     def test_cycle_in_file(self, tmp_path):
         path = tmp_path / "wf.txt"
         path.write_text("task 0 1 0 0 0 0\ntask 1 1 0 0 0 0\nedge 0 1\nedge 1 0\n")
-        with pytest.raises(CycleError):
+        with pytest.raises(CycleError) as err:
             load_workflow(path)
+        # Like every other workflow-file error, it names the file first.
+        assert str(err.value) == "%s: workflow contains a cycle through edge 1 -> 0" % path
+        assert err.value.edge == (1, 0)
 
 
 class TestGenerators:
