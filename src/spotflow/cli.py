@@ -284,10 +284,9 @@ def _load_baseline(path):
 def cmd_simulate(spec, plans_path=None):
     """Replay the workload against the plan cache and write the report.
 
-    Only the types the plan cache bids on (its spot dimensions) are
-    replayed, so only their <type>.csv traces are read; the traces of
-    other types are never opened.  A simulated plan that bids on a type
-    without a trace exits 4.
+    Only the <type>.csv traces of the types the simulated classes' plans
+    bid on (their spot dimensions) are read; no other trace file is opened.
+    A simulated plan that bids on a type without a trace exits 4.
     """
     baseline = _load_baseline(spec.baseline) if spec.baseline else None
     catalog = spec.load_catalog()
@@ -302,8 +301,8 @@ def cmd_simulate(spec, plans_path=None):
         idle_release_policy=spec.release_policy,
         collect_event_log=spec.event_log,
     )
-    bid_on = {dim.type_id for plan in plans.values()
-              for config in plan.task_configs for dim in config.spot_dims}
+    bid_on = {dim.type_id for job in jobs if job.class_id in plans
+              for config in plans[job.class_id].task_configs for dim in config.spot_dims}
     traces = spec.load_traces(catalog, bid_on)
     sim = simulator.Simulator(config, jobs, plans, catalog, traces)
     rep = sim.run()

@@ -247,6 +247,7 @@ class ClassRecord:
     durations: list
     sources: list  # task ids without predecessors
     preds: list  # predecessor count by task id
+    successors: list  # successor ids by task id, as WorkflowJob.successors() gives them
     means: dict = field(default_factory=dict)
 
 
@@ -330,6 +331,7 @@ class Simulator:
             durations=[[None] * len(config_.dims) for config_ in plan.task_configs],
             sources=cls.source_ids(),
             preds=[len(tk.predecessors) for tk in cls.tasks],
+            successors=cls.successors(),
         )
         rec.requests = [
             tuple((d.type_id, d.is_spot, d.price, int(catalog[d.type_id].lag(d.is_spot)),
@@ -418,7 +420,7 @@ class Simulator:
                         log("%d JobComplete job=%d" % (now, job_index))
                     continue
                 pending = job.pending_preds
-                for succ in job.cls.workflow.tasks[task_id].successors:
+                for succ in job.cls.successors[task_id]:
                     pending[succ] -= 1
                     if pending[succ] == 0:
                         request(job, succ, 0, now)
@@ -445,7 +447,7 @@ class Simulator:
                     request(job, task_id, 0, now)
             elif kind == _INSTANCE_READY:
                 inst = instances[payload]
-                if inst.alive and inst.assigned is not None:
+                if inst.alive:  # and assigned: only a task finish, which comes later, idles it
                     if log:
                         log("%d InstanceReady inst=%d" % (now, payload))
                     job_index, task_id, attempt = inst.assigned

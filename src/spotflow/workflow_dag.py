@@ -83,8 +83,7 @@ class HybridConfig:
 class Task:
     id: int
     profile: TaskProfile
-    predecessors: list = field(default_factory=list)
-    successors: list = field(default_factory=list)
+    predecessors: list = field(default_factory=list)  # the job's one copy of its edges
 
 
 @dataclass
@@ -106,25 +105,29 @@ class WorkflowJob:
             raise WorkflowError("deadline must be in (0, %g) s" % CLOCK_BOUND)
         if not 0.0 < self.guarantee_p <= 1.0:
             raise WorkflowError("guarantee_p must be in (0, 1]")
-        n = len(self.tasks)
         for i, t in enumerate(self.tasks):
             if t.id != i:
                 raise WorkflowError("task at position %d has id %r" % (i, t.id))
             if not all(0 <= p < i for p in t.predecessors):
                 raise WorkflowError("task %d has a predecessor outside [0, %d): %s"
                                     % (i, i, t.predecessors))
-            if not all(i < s < n for s in t.successors):
-                raise WorkflowError("task %d has a successor outside (%d, %d): %s"
-                                    % (i, i, n, t.successors))
+
+    def successors(self):
+        """Successor ids by task id, ascending; an edge listed twice appears twice."""
+        succs = [[] for _ in self.tasks]
+        for t in self.tasks:
+            for p in t.predecessors:
+                succs[p].append(t.id)
+        return succs
 
     def source_ids(self):
         return [t.id for t in self.tasks if not t.predecessors]
 
     def sink_ids(self):
-        return [t.id for t in self.tasks if not t.successors]
+        return [tid for tid, succs in enumerate(self.successors()) if not succs]
 
     def edges(self):
-        return [(t.id, s) for t in self.tasks for s in t.successors]
+        return [(u, v) for u, succs in enumerate(self.successors()) for v in succs]
 
     def with_deadline(self, deadline):
         return dataclasses.replace(self, deadline=deadline)
@@ -170,12 +173,8 @@ def build_job(profiles, edges, deadline=None, guarantee_p=0.96, class_id="job"):
         raise CycleError((cycle[1], cycle[0]))
 
     new_id = {tid: i for i, tid in enumerate(topo)}
-    tasks = [
-        Task(id=i, profile=profiles[tid],
-             predecessors=sorted(new_id[p] for p in preds[tid]),
-             successors=sorted(new_id[s] for s in succs[tid]))
-        for i, tid in enumerate(topo)
-    ]
+    tasks = [Task(id=i, profile=profiles[tid], predecessors=sorted(new_id[p] for p in preds[tid]))
+             for i, tid in enumerate(topo)]
     return WorkflowJob(tasks=tasks, deadline=deadline, guarantee_p=guarantee_p,
                        class_id=class_id)
 

@@ -425,6 +425,63 @@ class TestSimulate:
         assert cli.main(["simulate", *args]) == 0
         assert report.read_bytes() == first
 
+    def test_trace_only_an_unsimulated_class_bids_on_is_not_read(self, workspace, tmp_path,
+                                                                 capsys):
+        # One cache holds "toy", which bids on t0, and "other", planned on
+        # demand.  Simulating "other" alone opens no trace, not even a
+        # malformed t0.csv; simulating "toy" reads it.
+        plan_bidding_on_t0(workspace)
+        other = chain_job([cpu_profile(100.0)], class_id="other")
+        other_path = tmp_path / "other.txt"
+        save_workflow(other, other_path)
+        assert cli.main(["plan", "--catalog", workspace["catalog"], "--workflow", str(other_path),
+                         "--out", str(tmp_path / "other-out"), "--samples", "800",
+                         "--planner", "dyna-ns"]) == 0
+        doc = json.loads((workspace["tmp"] / "out" / "plans.json").read_text())
+        doc["classes"].update(
+            json.loads((tmp_path / "other-out" / "plans.json").read_text())["classes"])
+        merged = tmp_path / "merged.json"
+        merged.write_text(json.dumps(doc))
+        bad = tmp_path / "bad-traces"
+        bad.mkdir()
+        (bad / "t0.csv").write_bytes(b"\xff not a trace\n")
+        out = tmp_path / "sim"
+
+        def simulate(*workflows):
+            flags = [flag for path in workflows for flag in ("--workflow", str(path))]
+            return cli.main(["simulate", "--catalog", workspace["catalog"], *flags,
+                             "--trace-dir", str(bad), "--plans", str(merged),
+                             "--out", str(out), "--jobs", "10"])
+
+        assert simulate(other_path) == cli.EXIT_OK
+        assert (out / "report.json").exists()
+        missing = tmp_path / "missing.txt"
+        save_workflow(chain_job([cpu_profile(50.0)], class_id="missing"), missing)
+        capsys.readouterr()
+        assert simulate(other_path, missing) == cli.EXIT_MISMATCH
+        assert "plan cache lacks classes: ['missing']" in capsys.readouterr().err
+        assert simulate(workspace["workflow"]) == cli.EXIT_PARSE
+        assert "t0.csv" in capsys.readouterr().err
+
+    def test_an_edge_listed_twice_plans_and_simulates_as_listed_once(self, workspace, tmp_path):
+        # Task 1 waits for task 0 twice, and task 0's finish releases it twice.
+        text = pathlib.Path(workspace["workflow"]).read_text()
+        assert text.endswith("edge 0 1\n")
+        outputs = []
+        for name, extra in (("once", ""), ("twice", "edge 0 1\n")):
+            wf = tmp_path / name / "toy.txt"
+            wf.parent.mkdir()
+            wf.write_text(text + extra)
+            args = ["--catalog", workspace["catalog"], "--workflow", str(wf),
+                    "--trace-dir", workspace["trace_dir"], "--out", str(wf.parent),
+                    "--samples", "800", "--ffp-trials", "2000", "--seed", "3"]
+            assert cli.main(["plan", *args, "--deadline-factor", "1.5"]) == 0
+            assert cli.main(["simulate", *args, "--jobs", "10", "--event-log"]) == 0
+            outputs.append([(wf.parent / f).read_bytes()
+                            for f in ("plans.json", "report.json", "events.log")])
+        assert outputs[0] == outputs[1]
+        assert b'"is_spot": true' in outputs[0][0]
+
     def test_bid_on_type_without_a_trace_is_mismatch(self, workspace, tmp_path, capsys):
         plan_bidding_on_t0(workspace)
         other = tmp_path / "only-t1"
@@ -499,6 +556,14 @@ def _add_spot_dims(doc, count):
     dims[:0] = [dict(spot) for _ in range(count)]
 
 
+def _set_in_plan(doc, value, *keys):
+    """Set doc["classes"]["toy"][keys[0]][keys[1]]... to value."""
+    node = doc["classes"]["toy"]
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+
+
 class TestMalformedPlanCache:
     """A bad --plans file exits with a one-line message naming the class."""
 
@@ -517,8 +582,22 @@ class TestMalformedPlanCache:
          "class 'toy': deadline must be in (0, %g) s, got %d" % (CLOCK_BOUND, 2**63)),
         (lambda doc: _add_spot_dims(doc, 2), cli.EXIT_PARSE,
          "class 'toy': task 1: a configuration has one or two dimensions, got 3"),
+        (lambda doc: _set_in_plan(doc, 1.5, "guarantee_p"), cli.EXIT_PARSE,
+         "class 'toy': guarantee_p must be a number in (0, 1], got 1.5"),
+        (lambda doc: _set_in_plan(doc, {}, "tasks"), cli.EXIT_PARSE,
+         "class 'toy': tasks must be a list of configurations, one per task"),
+        (lambda doc: _set_in_plan(doc, {}, "tasks", 0), cli.EXIT_PARSE,
+         "class 'toy': task 0: a configuration is a list of dimensions"),
+        (lambda doc: _set_in_plan(doc, [], "tasks", 0, -1), cli.EXIT_PARSE,
+         "class 'toy': task 0: a dimension is an object with exactly the keys"
+         " is_spot, price, type_id"),
+        (lambda doc: _set_in_plan(doc, 0, "tasks", 0, -1, "price"), cli.EXIT_PARSE,
+         "class 'toy': task 0: price must be a positive finite number, got 0"),
+        (lambda doc: _set_in_plan(doc, 1, "tasks", 0, -1, "is_spot"), cli.EXIT_PARSE,
+         "class 'toy': task 0: is_spot must be true or false, got 1"),
     ], ids=["type-9", "type-minus-1", "no-classes", "string-deadline", "nan-deadline",
-            "clock-bound-deadline", "two-spot-dims"])
+            "clock-bound-deadline", "two-spot-dims", "guarantee-1.5", "tasks-not-a-list",
+            "config-not-a-list", "dim-not-an-object", "zero-price", "is-spot-1"])
     def test_exit_code_and_message(self, workspace, tmp_path, capsys, mutate, code, message):
         assert cli.main(["plan", *base_args(workspace, "--planner", "dyna-ns")]) == 0
         doc = json.loads((workspace["tmp"] / "out" / "plans.json").read_text())
@@ -718,6 +797,9 @@ class TestSpecFile:
         ({"jobs": "many"}, "jobs must be int"),
         ({"workflows": "one.txt"}, "workflows must be list"),
         ({"per_job": True}, "unknown spec key(s): per_job"),  # report.json holds per_job
+        ({"planner": "x"}, "planner must be one of ('dyna', 'dyna-ns', 'spot-only')"),
+        ({"guarantee": 1.5}, "guarantee must be in (0, 1]"),
+        ({}, "no workflow files given"),
     ])
     def test_bad_spec_is_parse_error(self, tmp_path, capsys, doc, message):
         spec_path = tmp_path / "exp.json"

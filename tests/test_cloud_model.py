@@ -152,6 +152,16 @@ class TestCatalog:
         with pytest.raises(CatalogError, match=":3:"):
             load_catalog(path)
 
+    def test_ids_not_positions_name_the_file(self, tmp_path):
+        path = tmp_path / "catalog.csv"
+        save_catalog(ordered_catalog(2), path)
+        rows = path.read_text().splitlines()
+        rows[2] = "2" + rows[2][1:]  # type 1 numbered 2
+        path.write_text("\n".join(rows) + "\n")
+        message = "catalog.csv: type ids must be 0..n-1 in order; got id 2 at position 1"
+        with pytest.raises(CatalogError, match=re.escape(message)):
+            load_catalog(path)
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_field_reports_line_number(self, tmp_path, bad):
         cat = ordered_catalog(2)

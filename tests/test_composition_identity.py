@@ -37,7 +37,7 @@ def ref_longest_path(job, dists):
 def is_series_parallel(job):
     """True when the DAG reduces to one node by series and parallel merges."""
     preds = {t.id: set(t.predecessors) for t in job.tasks}
-    succs = {t.id: set(t.successors) for t in job.tasks}
+    succs = {tid: set(ids) for tid, ids in enumerate(job.successors())}
     preds["src"], succs["src"] = set(), set(job.source_ids())
     preds["snk"], succs["snk"] = set(job.sink_ids()), set()
     for tid in job.source_ids():

@@ -25,7 +25,8 @@ from spotflow.simulator import (
     bill,
 )
 from spotflow.spot_market import SpotPriceTrace
-from spotflow.workflow_dag import ConfigDim, HybridConfig, build_job, ligo_like, montage_like
+from spotflow.workflow_dag import (ConfigDim, HybridConfig, Task, WorkflowJob, build_job,
+                                   ligo_like, load_workflow, montage_like, save_workflow)
 
 from conftest import chain_job, constant_trace, cpu_profile, ordered_catalog, spiky_trace
 from log_audit import check_schedule, rederive_bills
@@ -242,6 +243,19 @@ class TestSingleTaskRuns:
         plans = make_plans(job, [od_config(cat)])
         rep = Simulator(SimConfig(job_count=1, seed=4), [job], plans, cat).run()
         assert rep.hit_rate == 0.0
+
+    def test_job_built_from_predecessor_lists_alone(self, tmp_path):
+        # Task 1's predecessor list is the only copy of the edge 0 -> 1: the
+        # simulator starts task 1 when task 0 finishes, and the edge is saved.
+        cat = single_type_catalog()
+        job = WorkflowJob([Task(0, cpu_profile(600.0)), Task(1, cpu_profile(300.0), [0])],
+                          deadline=2000.0, class_id="preds")
+        assert job.edges() == [(0, 1)]
+        plans = make_plans(job, [od_config(cat)] * 2)
+        rep = Simulator(SimConfig(job_count=2, seed=4), [job], plans, cat).run()
+        assert [row["makespan_s"] for row in rep.per_job] == [900, 900]
+        save_workflow(job, tmp_path / "preds.wf")
+        assert load_workflow(tmp_path / "preds.wf").edges() == [(0, 1)]
 
     def test_acquisition_lag_counts_against_makespan(self):
         cat = single_type_catalog(lag_od=120.0)

@@ -50,12 +50,12 @@ class TestAssignIds:
         job = chain_job([TaskProfile()] * 3)
         assert [t.id for t in job.tasks] == [0, 1, 2]
         assert job.tasks[1].predecessors == [0]
-        assert job.tasks[1].successors == [2]
+        assert job.successors()[1] == [2]
 
     def test_diamond_endpoints(self):
         job = diamond_job([TaskProfile()] * 4)
         assert job.tasks[0].predecessors == []
-        assert job.tasks[3].successors == []
+        assert job.successors()[3] == []
         for u, v in job.edges():
             assert u < v
 
@@ -75,27 +75,29 @@ class TestAssignIds:
 
 
 def _tasks(*links):
-    """Tasks from (id, predecessors, successors) triples, in the order given."""
-    return [Task(id=tid, profile=TaskProfile(), predecessors=list(preds),
-                 successors=list(succs))
-            for tid, preds, succs in links]
+    """Tasks from (id, predecessors) pairs, in the order given."""
+    return [Task(id=tid, profile=TaskProfile(), predecessors=list(preds))
+            for tid, preds in links]
 
 
 class TestIdInvariant:
     def test_positional_topological_job_is_accepted(self):
-        job = WorkflowJob(_tasks((0, [], [1, 2]), (1, [0], [2]), (2, [0, 1], [])))
+        job = WorkflowJob(_tasks((0, []), (1, [0]), (2, [0, 1])))
         assert job.edges() == [(0, 1), (0, 2), (1, 2)]
 
+    def test_successors_ascend_and_keep_an_edge_listed_twice(self):
+        job = WorkflowJob(_tasks((0, []), (1, []), (2, [1, 0, 1]), (3, [0])))
+        assert job.successors() == [[2, 3], [2, 2], [], []]
+        assert job.edges() == [(0, 2), (0, 3), (1, 2), (1, 2)]
+        assert job.sink_ids() == [2, 3]
+
     @pytest.mark.parametrize("links", [
-        [(1, [], []), (0, [], [])],                  # ids are not positions
-        [(0, [], []), (2, [], [])],                  # a gap in the ids
-        [(0, [], []), (0, [], [])],                  # duplicate id
-        [(0, [0], [])],                              # own predecessor
-        [(0, [], []), (1, [2], []), (2, [], [])],    # predecessor after its task
-        [(0, [], []), (1, [-1], [])],                # predecessor below 0
-        [(0, [], [0])],                              # own successor
-        [(0, [], []), (1, [], [0])],                 # successor before its task
-        [(0, [], [2]), (1, [], [])],                 # successor beyond the job
+        [(1, []), (0, [])],                  # ids are not positions
+        [(0, []), (2, [])],                  # a gap in the ids
+        [(0, []), (0, [])],                  # duplicate id
+        [(0, [0])],                          # own predecessor
+        [(0, []), (1, [2]), (2, [])],        # predecessor after its task
+        [(0, []), (1, [-1])],                # predecessor below 0
     ])
     def test_constructor_rejects_other_numberings(self, links):
         with pytest.raises(WorkflowError):
@@ -372,6 +374,16 @@ class TestWorkflowFiles:
         path = tmp_path / "wf.txt"
         path.write_text("task 0 1e9 0 0 0 0\ntask %s 1e9 0 0 0 0\n" % tid)
         with pytest.raises(WorkflowError, match=":2: .*'%s'" % tid):
+            load_workflow(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("edge 0", ":2: edge needs exactly 2 task ids"),
+        ("edge 0 5", r"wf.txt: edge \(0, 5\) references unknown task"),
+    ])
+    def test_bad_edge_is_rejected_naming_the_file(self, tmp_path, line, message):
+        path = tmp_path / "wf.txt"
+        path.write_text("task 0 1e9 0 0 0 0\n%s\n" % line)
+        with pytest.raises(WorkflowError, match=message):
             load_workflow(path)
 
     def test_cycle_in_file(self, tmp_path):
