@@ -100,11 +100,11 @@ class TaskDistCache:
     Distributions are seeded from (seed, task id, type id) so every plan
     evaluation, in the search or in an exhaustive oracle, sees identical
     samples for the same assignment.  The constructor draws the whole
-    [task][type] table in one batch on one thread per usable CPU, each
-    thread pinned to its own CPU: numpy's samplers release the GIL, and
-    each pair draws from its own substream, so the values do not depend on
-    the thread count or the order of draws.  A draw that raises raises
-    from the constructor.
+    [task][type] table in one batch on one thread per usable CPU: numpy's
+    samplers release the GIL, and each pair draws from its own substream,
+    so the values do not depend on the thread count or the order of
+    draws.  It leaves the affinity of every thread alone.  A draw that
+    raises raises from the constructor.
     """
 
     def __init__(self, job, catalog, sample_count=DEFAULT_SAMPLE_COUNT, seed=0):
@@ -114,9 +114,7 @@ class TaskDistCache:
         pairs = [(t, itype) for t in job.tasks for itype in catalog]
         # Seeds are derived here: derive_seed's lru_cache is shared state.
         seeds = [derive_seed(seed, t.id, itype.id) for t, itype in pairs]
-        cpus = _usable_cpus()
-        with ThreadPoolExecutor(max_workers=len(cpus), initializer=_pin_worker,
-                                initargs=(iter(cpus),)) as pool:
+        with ThreadPoolExecutor(max_workers=len(_usable_cpus())) as pool:
             # task_time_distribution is read from this module at each
             # construction, so a wrapper patched onto the name sees every draw.
             dists = list(pool.map(task_time_distribution, [t.profile for t, _ in pairs],
@@ -140,22 +138,6 @@ def _usable_cpus():
     if hasattr(os, "sched_getaffinity"):
         return sorted(os.sched_getaffinity(0))
     return list(range(os.cpu_count() or 1))
-
-
-def _pin_worker(cpus):
-    """Pin the calling pool thread (pid 0) to the next CPU of `cpus`.
-
-    Left to the Linux scheduler, the threads of a new pool ran on one CPU
-    for about a second on a 2-vCPU KVM guest, and drew no faster than one
-    thread.  The pool thread ends with the pool, and so does its pin; where
-    pinning is unsupported or refused the thread runs unpinned.
-    """
-    cpu = next(cpus)  # a list iterator steps under the GIL: no CPU twice
-    if hasattr(os, "sched_setaffinity"):
-        try:
-            os.sched_setaffinity(0, {cpu})
-        except OSError:
-            pass
 
 
 def plan_cost(cache, plan):

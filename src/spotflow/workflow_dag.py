@@ -305,7 +305,7 @@ def load_workflow(path, guarantee_p=0.96):
                     elif kind == "edge":
                         if len(parts) != 3:
                             raise ValueError("edge needs exactly 2 task ids")
-                        edges.append((int(parts[1]), int(parts[2])))
+                        edges.append((lineno, int(parts[1]), int(parts[2])))
                     else:
                         raise ValueError("unknown directive %r" % kind)
                 except ValueError as exc:
@@ -314,8 +314,13 @@ def load_workflow(path, guarantee_p=0.96):
         raise WorkflowError("%s: %s" % (path, exc)) from None
     if not profiles:
         raise WorkflowError("%s: workflow file defines no tasks" % path)
+    for lineno, u, v in edges:  # an edge may come before its tasks
+        if u not in profiles or v not in profiles:
+            raise WorkflowError("%s:%d: edge (%d, %d) references unknown task"
+                                % (path, lineno, u, v))
     try:
-        return build_job(profiles, edges, guarantee_p=guarantee_p, class_id=_stem(path))
+        return build_job(profiles, [(u, v) for _, u, v in edges],
+                         guarantee_p=guarantee_p, class_id=_stem(path))
     except WorkflowError as exc:
         exc.args = ("%s: %s" % (path, exc),)  # keeps the type, and a CycleError's edge
         raise

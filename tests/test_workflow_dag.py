@@ -378,12 +378,22 @@ class TestWorkflowFiles:
 
     @pytest.mark.parametrize("line, message", [
         ("edge 0", ":2: edge needs exactly 2 task ids"),
-        ("edge 0 5", r"wf.txt: edge \(0, 5\) references unknown task"),
+        ("edge 0 5", r"wf.txt:2: edge \(0, 5\) references unknown task"),
     ])
     def test_bad_edge_is_rejected_naming_the_file(self, tmp_path, line, message):
         path = tmp_path / "wf.txt"
         path.write_text("task 0 1e9 0 0 0 0\n%s\n" % line)
         with pytest.raises(WorkflowError, match=message):
+            load_workflow(path)
+
+    def test_edges_may_come_before_their_tasks(self, tmp_path):
+        path = tmp_path / "wf.txt"
+        path.write_text("edge 1 0\ntask 0 1e9 0 0 0 0\ntask 1 1e9 0 0 0 0\n")
+        assert load_workflow(path).edges() == [(0, 1)]
+        # Unknown ids are checked once every task is read, naming the edge's line.
+        path.write_text("edge 1 0\nedge 0 5\ntask 0 1e9 0 0 0 0\ntask 1 1e9 0 0 0 0\n")
+        with pytest.raises(WorkflowError,
+                           match=r"wf.txt:2: edge \(0, 5\) references unknown task"):
             load_workflow(path)
 
     def test_cycle_in_file(self, tmp_path):
