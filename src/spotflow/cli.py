@@ -58,7 +58,7 @@ class ExperimentSpec:
     samples: int = 10_000
     ffp_trials: int = 10_000
     max_iter: int = 10_000
-    release_policy: str = "hour-boundary"
+    release_policy: str = simulator.RELEASE_POLICIES[0]
     event_log: bool = False
     baseline: str | None = None
 
@@ -167,8 +167,7 @@ def _add_common_flags(p):
     p.add_argument("--ffp-trials", dest="ffp_trials", type=int)
     p.add_argument("--max-iter", dest="max_iter", type=int,
                    help="search iteration budget per workflow class")
-    p.add_argument("--release-policy", dest="release_policy",
-                   choices=("hour-boundary", "immediate"))
+    p.add_argument("--release-policy", dest="release_policy", choices=simulator.RELEASE_POLICIES)
     p.add_argument("--event-log", dest="event_log", action="store_const", const=True)
     p.add_argument("--baseline", help="report JSON to normalize against")
 
@@ -208,7 +207,7 @@ def plan_class(spec, job, catalog, failure):
     if spec.planner == "spot-only":
         # simulate replays a trace for every spot type a plan uses.
         for type_id in plan:
-            if not failure.has_trace(type_id):
+            if type_id not in failure.traces:
                 raise spot_market.TraceError("no trace for type %s" % catalog[type_id].name)
         # High fixed bid: spot execution with an (unreachable) on-demand
         # fallback dimension retained as the completion guarantee.
@@ -327,7 +326,7 @@ def cmd_ffp(spec, type_name, bid):
     catalog = spec.load_catalog()
     itype = catalog.by_name(type_name)
     model = _failure_model(spec, catalog, {itype.id})
-    if not model.has_trace(itype.id):
+    if itype.id not in model.traces:
         raise spot_market.TraceError("no trace for type %s" % type_name)
     dist = spot_market.estimate_ffp(model, itype.id, bid)
     out = _out_dir(spec)

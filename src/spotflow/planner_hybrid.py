@@ -170,7 +170,7 @@ def refine_task(task_id, ondemand_type, failure, cache):
     od_dist = cache.dist(task_id, ondemand_type.id)
     task_seed = _task_seed(cache, task_id)
     for spot_type_id in range(len(cache.catalog) - 1, ondemand_type.id - 1, -1):
-        if not failure.has_trace(spot_type_id):
+        if spot_type_id not in failure.traces:
             continue
         spot_type = cache.catalog[spot_type_id]
         bid = binary_search_bid(

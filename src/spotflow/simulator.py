@@ -29,13 +29,14 @@ idled again within one paid hour shares that hour's event.  A release
 event settles its own instance if that instance is still idle and due
 now.
 
-The core is strictly single-threaded and deterministic: every event,
+The core is strictly single-threaded and deterministic.  Every event,
 releases included, is ordered by one key, (time, kind rank, push
-sequence), and every random draw comes from a stream keyed by stable
-identifiers, never by arrival order.  Task durations are drawn by the
-planner's own sampler, cloud_model.sample_task_time, as one array per
-(class, task, attempt) key indexed by job index, and rounded to whole
-seconds.
+sequence); the ranks are the plain ints TASK_FINISH < OUT_OF_BID <
+JOB_ARRIVAL < INSTANCE_READY < INSTANCE_RELEASE.  Every random draw comes
+from a stream keyed by stable identifiers, never by arrival order.  Task
+durations are drawn by the planner's own sampler,
+cloud_model.sample_task_time, as one array per (class, task, attempt) key
+indexed by job index, and rounded to whole seconds.
 
 The event loop does simulation work only: `run` is one loop that pops heap
 entries of plain ints and handles each event kind in its own branch, with
@@ -53,7 +54,6 @@ a time, so the heap holds only the events in flight.
 """
 
 import bisect
-import enum
 import json
 import math
 from array import array
@@ -79,20 +79,14 @@ class PlanMismatchError(SimulationError):
     """The supplied plan cache does not cover the submitted job classes."""
 
 
-class EventKind(enum.IntEnum):
-    # Order encodes the tie-break at equal timestamps: completions settle
-    # before failures, failures before new work, releases always last.
-    # Each kind has its own branch in Simulator.run, in this order.
-    TASK_FINISH = 0
-    OUT_OF_BID = 1
-    JOB_ARRIVAL = 2
-    INSTANCE_READY = 3
-    INSTANCE_RELEASE = 4
+# Event kinds, plain ints in heap entries.  Their order is the tie-break at
+# equal timestamps: completions settle before failures, failures before new
+# work, releases always last.  Each kind has its own branch in Simulator.run.
+TASK_FINISH, OUT_OF_BID, JOB_ARRIVAL, INSTANCE_READY, INSTANCE_RELEASE = range(5)
 
-
-# Plain-int kinds for heap entries: the heap compares them and `run` branches
-# on them.
-_TASK_FINISH, _OUT_OF_BID, _JOB_ARRIVAL, _INSTANCE_READY, _INSTANCE_RELEASE = map(int, EventKind)
+# Idle-instance release policies, the default first: "hour-boundary" releases
+# an idle instance at the end of its paid hour, "immediate" at once.
+RELEASE_POLICIES = ("hour-boundary", "immediate")
 
 _HOUR = int(SECONDS_PER_HOUR)
 
@@ -107,7 +101,7 @@ class SimConfig:
     arrival_rate_per_min: float = 0.1
     job_count: int = 100
     seed: int = 0
-    idle_release_policy: str = "hour-boundary"  # or "immediate"
+    idle_release_policy: str = RELEASE_POLICIES[0]
     collect_event_log: bool = False
 
     def __post_init__(self):
@@ -115,7 +109,7 @@ class SimConfig:
             raise ValueError("arrival rate must be positive and finite")
         if self.job_count < 1:
             raise ValueError("job_count must be >= 1")
-        if self.idle_release_policy not in ("hour-boundary", "immediate"):
+        if self.idle_release_policy not in RELEASE_POLICIES:
             raise ValueError("unknown idle_release_policy %r" % self.idle_release_policy)
 
 
@@ -355,7 +349,7 @@ class Simulator:
         # Heap entries are (time, kind, push sequence, payload), all plain ints.
         heap, push, pop, tick = [], heappush, heappop, count().__next__
         log = self.event_log.append if self.config.collect_event_log else None
-        release_at_once = self.config.idle_release_policy == "immediate"
+        release_at_once = self.config.idle_release_policy == RELEASE_POLICIES[1]
 
         def settle(inst, now, terminated_by):
             hours, amount = bill(inst, now, terminated_by, catalog[inst.type_id],
@@ -372,7 +366,7 @@ class Simulator:
             if log:
                 log("%d TaskStart job=%d task=%d attempt=%d inst=%d duration=%d"
                     % (now, job.index, task_id, attempt, inst.id, duration))
-            push(heap, (now + duration, _TASK_FINISH, tick(), inst.id))
+            push(heap, (now + duration, TASK_FINISH, tick(), inst.id))
 
         def request(job, task_id, attempt, now):
             type_id, is_spot, price, lag, headroom = job.cls.requests[task_id][attempt]
@@ -390,16 +384,16 @@ class Simulator:
             if log:
                 log("%d InstanceRequest inst=%d type=%d spot=%d job=%d task=%d"
                     % (now, inst.id, type_id, is_spot, job.index, task_id))
-            push(heap, (ready, _INSTANCE_READY, tick(), inst.id))
+            push(heap, (ready, INSTANCE_READY, tick(), inst.id))
             if is_spot:
                 fail_at = traces[type_id].first_exceedance_cyclic(ready, price)
                 if fail_at is not None:
-                    push(heap, (math.ceil(fail_at), _OUT_OF_BID, tick(), inst.id))
+                    push(heap, (math.ceil(fail_at), OUT_OF_BID, tick(), inst.id))
 
-        push(heap, (jobs[0].arrival, _JOB_ARRIVAL, tick(), 0))
+        push(heap, (jobs[0].arrival, JOB_ARRIVAL, tick(), 0))
         while heap:
             now, kind, _, payload = pop(heap)
-            if kind == _TASK_FINISH:
+            if kind == TASK_FINISH:
                 inst = instances[payload]
                 if not inst.alive:
                     continue  # an out-of-bid event killed the instance and its task first
@@ -412,7 +406,7 @@ class Simulator:
                 when = now if release_at_once else inst.paid_until(now)
                 if when != inst.release_at:
                     inst.release_at = when
-                    push(heap, (when, _INSTANCE_RELEASE, tick(), payload))
+                    push(heap, (when, INSTANCE_RELEASE, tick(), payload))
                 job.unfinished -= 1
                 if job.unfinished == 0:
                     job.completion = now
@@ -424,7 +418,7 @@ class Simulator:
                     pending[succ] -= 1
                     if pending[succ] == 0:
                         request(job, succ, 0, now)
-            elif kind == _OUT_OF_BID:
+            elif kind == OUT_OF_BID:
                 inst = instances[payload]
                 if not inst.alive:
                     continue
@@ -435,24 +429,24 @@ class Simulator:
                 if victim is not None:
                     job_index, task_id, attempt = victim
                     request(jobs[job_index], task_id, attempt + 1, now)
-            elif kind == _JOB_ARRIVAL:
+            elif kind == JOB_ARRIVAL:
                 # One arrival is queued at a time, which keeps the heap small.
                 # It is the only arrival event queued, so the order is unchanged.
                 if payload + 1 < len(jobs):
-                    push(heap, (jobs[payload + 1].arrival, _JOB_ARRIVAL, tick(), payload + 1))
+                    push(heap, (jobs[payload + 1].arrival, JOB_ARRIVAL, tick(), payload + 1))
                 job = jobs[payload]
                 if log:
                     log("%d JobArrival job=%d class=%s" % (now, payload, job.cls.workflow.class_id))
                 for task_id in job.cls.sources:
                     request(job, task_id, 0, now)
-            elif kind == _INSTANCE_READY:
+            elif kind == INSTANCE_READY:
                 inst = instances[payload]
                 if inst.alive:  # and assigned: only a task finish, which comes later, idles it
                     if log:
                         log("%d InstanceReady inst=%d" % (now, payload))
                     job_index, task_id, attempt = inst.assigned
                     start(inst, jobs[job_index], task_id, attempt, now)
-            else:  # _INSTANCE_RELEASE: settle the instance if it is still idle and due now
+            else:  # INSTANCE_RELEASE: settle the instance if it is still idle and due now
                 inst = instances[payload]
                 if inst.alive and inst.assigned is None and inst.release_at == now:
                     if log:

@@ -315,9 +315,6 @@ class FailureModel:
         if self.num_trials < 1:
             raise ValueError("num_trials must be >= 1")
 
-    def has_trace(self, type_id):
-        return type_id in self.traces
-
     def fallback_time_sum(self, ffp, spot_dist, od_dist):
         """sum_k F_k * W_k: F_k is ffp's share of walks failing before grid
         point k, W_k sums the on-demand samples whose paired spot sample has

@@ -332,9 +332,11 @@ def _stem(path):
 
 
 def save_workflow(job, path):
+    """Write `job` in load_workflow's format.  Profiles are written as
+    round-trip floats, so the file reloads to the same profiles and edges."""
     with open(path, "w", encoding="utf-8") as fh:
         for t in job.tasks:
-            fh.write("task %d %g %g %g %g %g\n" % (t.id, *dataclasses.astuple(t.profile)))
+            fh.write("task %d %r %r %r %r %r\n" % (t.id, *dataclasses.astuple(t.profile)))
         for u, v in job.edges():
             fh.write("edge %d %d\n" % (u, v))
 

@@ -1,6 +1,7 @@
 """Bills and schedule rules re-derived from a simulation's event log.
 
-`rederive_bills` reads only the lines of `events.log`, the catalog and the
+`parse` reads the lines of `events.log` once; the checks below take its
+events.  `rederive_bills` reads only those events, the catalog and the
 price traces, never the simulator's state, so a report whose bills it
 reproduces is checked by a second derivation and not only by a pinned
 digest.  For each instance it takes:
@@ -47,19 +48,22 @@ LINE = re.compile(r"(\d+) (\w+)((?: \w+=\S+)*)$")
 
 
 def parse(log_lines):
-    """(time, event, integer fields, line) of each log line; `class` stays a string."""
+    """The events of a log: (time, event, integer fields, line) of each line,
+    in order; `class` stays a string."""
+    events = []
     for line in log_lines:
-        m = LINE.match(line)
-        assert m, line
-        fields = dict(kv.split("=") for kv in m.group(3).split())
-        yield (int(m.group(1)), m.group(2),
-               {k: v if k == "class" else int(v) for k, v in fields.items()}, line)
+        assert LINE.match(line), line
+        now, event, *pairs = line.split(" ")
+        fields = {k: v if k == "class" else int(v) for k, v in (p.split("=") for p in pairs)}
+        events.append((int(now), event, fields, line))
+    return events
 
 
-def rederive_bills(log_lines, catalog, traces):
-    """(amounts by instance id, hours by "<type name>:<spot|ondemand>") from the log."""
+def rederive_bills(events, catalog, traces):
+    """(amounts by instance id, hours by "<type name>:<spot|ondemand>") from the
+    log's events."""
     ready, kind, end, running = {}, {}, {}, {}
-    for now, event, fields, line in parse(log_lines):
+    for now, event, fields, line in events:
         inst = fields.get("inst")
         if event == "InstanceRequest":
             assert inst == len(ready), line  # ids are request order
@@ -101,15 +105,16 @@ def rederive_bills(log_lines, catalog, traces):
     return amounts, hours_by_kind
 
 
-def rederive_report(log_lines, plans, catalog, traces):
-    """The report.json fields that follow from the log, plans.json and the traces.
+def rederive_report(events, plans, catalog, traces):
+    """The report.json fields that follow from the log's events, plans.json and
+    the traces.
 
     plans is the decoded plans.json document.  Returns job_count, per_job,
     avg_makespan_s, hit_rate, total_cost, avg_cost_per_job, instance_bills
     and instance_hours.
     """
     arrival, completion, job_class = {}, {}, {}
-    for now, event, fields, line in parse(log_lines):
+    for now, event, fields, line in events:
         if event == "JobArrival":
             assert fields["job"] == len(arrival), line  # jobs arrive in index order
             arrival[fields["job"]] = now
@@ -125,7 +130,7 @@ def rederive_report(log_lines, plans, catalog, traces):
         per_job.append({"job": job, "class": job_class[job], "arrival": arrival[job],
                         "completion": completion[job], "makespan_s": makespan,
                         "deadline_s": deadline, "hit": makespan <= deadline})
-    bills, hours = rederive_bills(log_lines, catalog, traces)
+    bills, hours = rederive_bills(events, catalog, traces)
     n = len(per_job)
     total = sum(bills)
     return {"job_count": n, "per_job": per_job,
@@ -135,7 +140,7 @@ def rederive_report(log_lines, plans, catalog, traces):
             "instance_bills": bills, "instance_hours": hours}
 
 
-def check_schedule(log_lines, workflows, plans, catalog, traces):
+def check_schedule(events, workflows, plans, catalog, traces):
     """Assert the precedence, request, out-of-bid and reuse rules above.
 
     workflows maps class id to its WorkflowJob, plans is the decoded
@@ -148,7 +153,7 @@ def check_schedule(log_lines, workflows, plans, catalog, traces):
     finished = set()  # (job, task)
     bought = {}  # instance -> (type id, spot flag, bid) of the request that bought it
     out_of_bid_at = {}  # spot instance -> the time its bid is first exceeded, or None
-    for now, event, fields, line in parse(log_lines):
+    for now, event, fields, line in events:
         inst = fields.get("inst")
         if event == "JobArrival":
             job_class[fields["job"]] = fields["class"]

@@ -3,11 +3,15 @@
 Plans two classes (montage_like(4, seed=0), whose DAG is not series/parallel
 reducible, and ligo_like(1, 4, seed=0), which is) with the `dyna` planner
 over one seeded synthetic spiky trace per instance type, then simulates 50
-jobs with the event log on.  The resulting plans.json, report.json and
-events.log must equal the files in tests/data/ exactly, so a refactor that
-is meant to keep outputs unchanged is checked by the test suite and not only
-by the benchmark's digests.  The event log pins the simulator's event order
-and tie-breaks, which the report's totals can hide.
+jobs with the event log on.  The two workflow files are kept in
+tests/data/golden_inputs/: they hold the profiles rounded to six
+significant digits, as save_workflow once wrote them, so the golden
+outputs do not move with the file format.  The resulting plans.json,
+report.json and events.log must equal the files in tests/data/ exactly,
+so a refactor that is meant to keep outputs unchanged is checked by the
+test suite and not only by the benchmark's digests.  The event log pins
+the simulator's event order and tie-breaks, which the report's totals can
+hide.
 
 A change that alters these outputs on purpose regenerates the files with
 
@@ -20,6 +24,7 @@ import hashlib
 import json
 import pathlib
 import re
+import shutil
 import sys
 from collections import Counter
 
@@ -28,23 +33,25 @@ import numpy as np
 from spotflow import cli, simulator
 from spotflow.cloud_model import default_catalog
 from spotflow.spot_market import load_trace
-from spotflow.simulator import EventKind
-from spotflow.workflow_dag import ligo_like, load_workflow, montage_like, save_workflow
+from spotflow.simulator import INSTANCE_RELEASE
+from spotflow.workflow_dag import load_workflow
 
-from log_audit import check_schedule, rederive_report
+from log_audit import check_schedule, parse, rederive_report
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = {"plans.json": DATA / "golden_plans.json",
           "sim/report.json": DATA / "golden_report.json",
           "sim/events.log": DATA / "golden_events.log"}
+GOLDEN_INPUTS = ("montage-like-4.txt", "ligo-like-1x4.txt")
 
 
 def write_inputs(root):
-    """Workflow files and one seeded trace per catalog type under root."""
+    """Copies of the golden workflow files and one seeded trace per catalog
+    type under root."""
     workflows = []
-    for job in (montage_like(4, seed=0), ligo_like(1, 4, seed=0)):
-        path = root / ("%s.txt" % job.class_id)
-        save_workflow(job, path)
+    for name in GOLDEN_INPUTS:
+        path = root / name
+        shutil.copyfile(DATA / "golden_inputs" / name, path)
         workflows.append(path)
     trace_dir = root / "traces"
     trace_dir.mkdir()
@@ -109,7 +116,7 @@ def load_traces(trace_dir, catalog):
 def check_report_against_log(trace_dir, log_path, report_path, plans_path):
     """Every report field rederive_report derives equals report.json's, exactly."""
     catalog = default_catalog()
-    derived = rederive_report(log_path.read_text(encoding="utf-8").splitlines(),
+    derived = rederive_report(parse(log_path.read_text(encoding="utf-8").splitlines()),
                               json.loads(plans_path.read_text(encoding="utf-8")),
                               catalog, load_traces(trace_dir, catalog))
     report = json.loads(report_path.read_text(encoding="utf-8"))
@@ -135,7 +142,7 @@ def check_schedule_against_plans(root, log_path, plans_path):
     """check_schedule over the workflow files and traces write_inputs left under root."""
     workflows = [load_workflow(str(path)) for path in sorted(root.glob("*.txt"))]
     catalog = default_catalog()
-    check_schedule(log_path.read_text(encoding="utf-8").splitlines(),
+    check_schedule(parse(log_path.read_text(encoding="utf-8").splitlines()),
                    {job.class_id: job for job in workflows},
                    json.loads(plans_path.read_text(encoding="utf-8")),
                    catalog, load_traces(root / "traces", catalog))
@@ -188,7 +195,7 @@ def test_golden_run_pushes_one_release_event_per_paid_hour(tmp_path, monkeypatch
 
     monkeypatch.setattr(simulator, "heappush", counting_push)
     run_case(tmp_path)
-    assert pushed[EventKind.INSTANCE_RELEASE] == 117
+    assert pushed[INSTANCE_RELEASE] == 117
     assert sum(pushed.values()) == 879
 
 

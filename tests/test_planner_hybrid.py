@@ -581,7 +581,7 @@ def ascending_refinement(task_id, ondemand_type, catalog, failure, cache):
     dims = (od_dim,)
     accepted = []
     for type_id in range(ondemand_type.id, len(catalog)):
-        if not failure.has_trace(type_id):
+        if type_id not in failure.traces:
             continue
         spot_type = catalog[type_id]
         bid = binary_search_bid(spot_type, od_dim, cache.dist(task_id, type_id), od_dist,

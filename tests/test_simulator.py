@@ -16,7 +16,11 @@ from spotflow.cloud_model import (
 from spotflow.distributions import substream
 from spotflow.planner_astar import JobPlan, save_plan_cache
 from spotflow.simulator import (
-    EventKind,
+    INSTANCE_READY,
+    INSTANCE_RELEASE,
+    JOB_ARRIVAL,
+    OUT_OF_BID,
+    TASK_FINISH,
     Instance,
     InstancePool,
     PlanMismatchError,
@@ -29,7 +33,7 @@ from spotflow.workflow_dag import (ConfigDim, HybridConfig, Task, WorkflowJob, b
                                    ligo_like, load_workflow, montage_like, save_workflow)
 
 from conftest import chain_job, constant_trace, cpu_profile, ordered_catalog, spiky_trace
-from log_audit import check_schedule, rederive_bills
+from log_audit import check_schedule, parse, rederive_bills
 
 
 def single_type_catalog(lag_od=0.0, lag_spot=0.0):
@@ -452,7 +456,7 @@ class TestReuseAndConsolidation:
         a = first_arrival(seed)
         assert len(sim.pool.instances) == 1
         assert "%d InstanceReuse inst=0 job=0 task=1" % (a + 720) in sim.event_log
-        assert pushed.count(EventKind.INSTANCE_RELEASE) == release_pushes
+        assert pushed.count(INSTANCE_RELEASE) == release_pushes
         assert [line for line in sim.event_log if "InstanceRelease" in line] == [
             "%d InstanceRelease inst=0" % (a + released_after)]
         assert rep.instance_hours == {"solo:ondemand": hours}
@@ -544,10 +548,11 @@ class TestEventLogAudit:
                                   collect_event_log=True), jobs, plans, cat, traces)
         rep = sim.run()
         log = sim.event_log
-        check_schedule(log, {job.class_id: job for job in jobs},
+        events = parse(log)
+        check_schedule(events, {job.class_id: job for job in jobs},
                        json.loads((tmp_path / "plans.json").read_text(encoding="utf-8")),
                        cat, traces)
-        assert rederive_bills(log, cat, traces) == (rep.instance_bills, rep.instance_hours)
+        assert rederive_bills(events, cat, traces) == (rep.instance_bills, rep.instance_hours)
         assert sum(" OutOfBid " in line for line in log) > 10
         assert sum(" attempt=1 " in line for line in log) > 10
 
@@ -631,7 +636,8 @@ class TestEventLoop:
             Simulator(SimConfig(job_count=60, seed=2, arrival_rate_per_min=0.5,
                                 idle_release_policy=policy),
                       jobs, plans, cat, {1: spiky_trace()}).run()
-        assert {entry[1] for entry in pushed} == set(EventKind)  # every kind occurred
+        assert {entry[1] for entry in pushed} == {  # every kind occurred
+            TASK_FINISH, OUT_OF_BID, JOB_ARRIVAL, INSTANCE_READY, INSTANCE_RELEASE}
         assert {tuple(map(type, entry)) for entry in pushed} == {(int, int, int, int)}
 
     def test_log_off_and_on_give_the_same_report(self):
@@ -763,6 +769,5 @@ class TestValidation:
             SimConfig(arrival_rate_per_min=rate)
 
     def test_event_kind_tie_break_order(self):
-        assert (EventKind.TASK_FINISH < EventKind.OUT_OF_BID
-                < EventKind.JOB_ARRIVAL < EventKind.INSTANCE_READY
-                < EventKind.INSTANCE_RELEASE)
+        assert (TASK_FINISH < OUT_OF_BID < JOB_ARRIVAL < INSTANCE_READY
+                < INSTANCE_RELEASE)

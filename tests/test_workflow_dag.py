@@ -343,6 +343,15 @@ class TestWorkflowFiles:
         assert sorted(loaded.edges()) == sorted(job.edges())
         assert loaded.class_id == "wf"
 
+    @pytest.mark.parametrize("job", [montage_like(4, seed=0), ligo_like(2, 3, seed=1),
+                                     epigenomics_like(2, 3, seed=2)], ids=lambda job: job.class_id)
+    def test_generated_workflows_reload_exactly(self, tmp_path, job):
+        path = tmp_path / "wf.txt"
+        save_workflow(job, path)
+        loaded = load_workflow(path)
+        assert [t.profile for t in loaded.tasks] == [t.profile for t in job.tasks]
+        assert loaded.edges() == job.edges()
+
     def test_class_id_drops_only_the_last_extension(self, tmp_path):
         path = tmp_path / "x.y.wf"
         path.write_text("task 0 1e9 0 0 0 0\n")
